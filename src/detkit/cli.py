@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -196,13 +197,10 @@ def _print_human(report: Report) -> None:
         print(f"  doset generators equal: {report.doset_generators_equal}")
 
 
-def _report_failed(report: Report) -> bool:
-    return report.verdict == "NOT_EQUAL" or report.doset_generators_equal is False
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
         if args.command == "suite":
             specs = load_suite_config(args.config)
@@ -210,6 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for s in specs:
                     s.budget_sec = args.budget_sec
             reports, ok = run_suite(specs)
+            code = 0 if ok else 1
             doc = suite_document(reports, include_timing=not args.no_timing)
             text = json.dumps(doc, indent=2)
             if args.out:
@@ -222,18 +221,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             else:
                 print(text)
-            return 0 if ok else 1
-
-        spec = _spec_from_args(args)
-        report = run_case(spec)
-        if args.as_json:
-            print(json.dumps(report.to_dict(), indent=2))
         else:
-            _print_human(report)
-        return 1 if _report_failed(report) else 0
+            report = run_case(_spec_from_args(args))
+            code = 1 if report.failed else 0
+            if args.as_json:
+                print(json.dumps(report.to_dict(), indent=2))
+            else:
+                _print_human(report)
+        sys.stdout.flush()
     except CaseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; aim it at devnull so the flush at
+        # interpreter exit cannot raise again, and keep the verdict's code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

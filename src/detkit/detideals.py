@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .combinat import MinorIndex, PfaffianIndex
-from .groebner import IdealHandle, ideal_intersect
+from .groebner import IdealHandle
 from .linalg import row_reduce
 from .poly import (
     GradingSpec,
@@ -55,6 +55,7 @@ __all__ = [
     "skew_block_grading",
     "truncated_ideal",
     "truncated_ideal_graded",
+    "coefficient_matrix",
     "monomials_of_weighted_degree",
     "truncation_rank",
 ]
@@ -392,13 +393,7 @@ def symmetric_components(
 ) -> List[Tuple[str, IdealHandle]]:
     if ms.kind != "symmetric":
         raise ValueError("symmetric matrix required")
-    R, r = _validate_blocks(R, r, ms.n, "rows")
-    out = [(f"minors({t})", ideal_of_minors(ring, ms, t))]
-    for cut, need in zip(R, r):
-        out.append(
-            (f"minors({need},rows<={cut})", ideal_of_minors(ring, ms, need, row_limit=cut))
-        )
-    return out
+    return minor_components(ring, ms, t, R=R, r=r)
 
 
 def constrained_pfaffian_ideal(
@@ -447,15 +442,6 @@ def pfaffian_components(
             )
         )
     return out
-
-
-def intersect_components(
-    ring: PolyRing, components: Sequence[Tuple[str, IdealHandle]], deadline=None
-) -> IdealHandle:
-    result = _unit_handle(ring)
-    for _, h in components:
-        result = ideal_intersect(result, h, deadline=deadline)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +520,25 @@ def monomials_of_weighted_degree(grading: GradingSpec, e: int) -> List[Monomial]
     return out
 
 
+def coefficient_matrix(ring: PolyRing, polys: Sequence) -> Tuple[List[list], List[Monomial]]:
+    """Dense coefficient rows of ``polys`` over the monomials they use.
+
+    Returns ``(rows, monomials)``; the columns follow ``monomials``, which
+    are sorted greatest first under the ring's order.
+    """
+    monos = sorted(
+        {m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True
+    )
+    index = {m.exps: i for i, m in enumerate(monos)}
+    rows = []
+    for f in polys:
+        vec = [ring.field.zero] * len(monos)
+        for m, c in f.terms:
+            vec[index[m.exps]] = c
+        rows.append(vec)
+    return rows, monos
+
+
 def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle:
     """The true degree-<= d truncation, built piece by piece.
 
@@ -562,18 +567,7 @@ def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> Idea
                 slice_polys.append(g.term_mul(mono))
         if not slice_polys:
             continue
-        monos = sorted(
-            {m for f in slice_polys for m, _ in f.terms},
-            key=ring.order.key,
-            reverse=True,
-        )
-        index = {m.exps: i for i, m in enumerate(monos)}
-        mat = []
-        for f in slice_polys:
-            vec = [ring.field.zero] * len(monos)
-            for m, coeff in f.terms:
-                vec[index[m.exps]] = coeff
-            mat.append(vec)
+        mat, monos = coefficient_matrix(ring, slice_polys)
         reduced, _ = row_reduce(mat, ring.field)
         for rvec in reduced:
             out_gens.append(

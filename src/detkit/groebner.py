@@ -432,7 +432,8 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
         if g.lm.exps and g.lm.exps[0][0] == 0:
             continue  # lead involves w
         # elimination order: a w-free lead forces every term w-free
-        assert all(m.exps[0][0] != 0 for m, _ in g.terms if m.exps)
+        if any(m.exps and m.exps[0][0] == 0 for m, _ in g.terms):
+            raise RuntimeError("elimination basis has a w-free lead over a w term")
         kept.append(
             ring.from_terms(
                 (type(m)([(pos - 1, e) for pos, e in m.exps]), c) for m, c in g.terms

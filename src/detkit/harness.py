@@ -14,6 +14,14 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 - ``asl``: products of minors indexed by poset chains form a basis in low
   degree, and products of incomparable pairs straighten into such chains.
 
+:func:`run_case` is the only runner.  It validates the spec, starts the
+clock, sets the deadline, builds the ring and an empty :class:`Report`, and
+hands all of them to the check function registered for ``spec.check``.  A
+check fills the report in place (components, stats, witnesses, height) and
+settles the verdict last.  When the deadline passes, the engine raises
+:class:`BudgetExceeded`; the runner then marks the report ``SKIPPED``
+("budget exceeded") and keeps whatever the check had filled in so far.
+
 Reports serialize to a stable JSON layout; the wall-clock field ``millis``
 is the only nondeterministic entry and can be excluded.
 """
@@ -29,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinat import MinorIndex, PfaffianIndex, minor_leq, minors_universe
 from .detideals import (
+    coefficient_matrix,
     column_grading,
     constrained_minor_ideal,
     constrained_pfaffian_ideal,
@@ -53,13 +62,15 @@ from .detideals import (
 from .groebner import (
     BudgetExceeded,
     IdealHandle,
+    _check_deadline,
     ideal_equal,
     ideal_height,
     ideal_intersect,
     ideal_member,
+    intersect_all,
 )
 from .linalg import rank, solve_column
-from .poly import field_from_name, order_from_name
+from .poly import field_from_name
 
 __all__ = [
     "CaseError",
@@ -69,10 +80,8 @@ __all__ = [
     "run_suite",
     "suite_document",
     "load_suite_config",
-    "builtin_suite",
 ]
 
-CHECKS = ("decomposition", "truncation", "irredundancy", "heights", "asl")
 KINDS = ("generic", "symmetric", "skew")
 MUTATIONS = ("drop-generator", "flip-block")
 
@@ -135,7 +144,7 @@ class CaseSpec:
         if not self.case or not isinstance(self.case, str):
             raise CaseError(f"{where}.case: nonempty string required")
         if self.check not in CHECKS:
-            raise CaseError(f"{where}.check: must be one of {CHECKS}")
+            raise CaseError(f"{where}.check: must be one of {tuple(CHECKS)}")
         if self.kind not in KINDS:
             raise CaseError(f"{where}.kind: must be one of {KINDS}")
         if self.mutate is not None:
@@ -251,9 +260,6 @@ class CaseSpec:
             "mutate": self.mutate,
         }
 
-    def deadline(self) -> float:
-        return monotonic() + self.budget_sec
-
 
 @dataclass
 class Report:
@@ -288,23 +294,15 @@ class Report:
             doc["millis"] = self.millis
         return doc
 
+    @property
+    def failed(self) -> bool:
+        """A failed check: NOT_EQUAL, or unequal symmetric generator lists."""
+        return self.verdict == "NOT_EQUAL" or self.doset_generators_equal is False
 
-def _mk_report(spec, verdict, reason=None, components=None, witnesses=None,
-               stats=None, height=None, doset=None, millis=0) -> Report:
-    return Report(
-        case=spec.case,
-        params=spec.params_dict(),
-        field=spec.field,
-        order=spec.order,
-        verdict=verdict,
-        reason=reason,
-        components=components or [],
-        witnesses=witnesses or [],
-        stats=stats or {"lhs_gens": None, "rhs_gb_size": None},
-        height=height,
-        doset_generators_equal=doset,
-        millis=millis,
-    )
+    def settle(self, ok: bool, reason: Optional[str] = None) -> None:
+        """Set the final verdict; ``reason`` is kept only when ``ok`` is false."""
+        self.verdict = "EQUAL" if ok else "NOT_EQUAL"
+        self.reason = None if ok else reason
 
 
 def _ring_for(spec: CaseSpec):
@@ -352,21 +350,11 @@ def _lhs_for(spec: CaseSpec, ms, ring) -> IdealHandle:
     return constrained_pfaffian_ideal(ring, ms, spec.t, R=spec.R, r=spec.r)
 
 
-def _intersect_named(ring, components, deadline) -> IdealHandle:
-    result = IdealHandle(ring, (ring.one,))
-    for _, h in components:
-        result = ideal_intersect(result, h, deadline=deadline)
-    return result
-
-
 # ---------------------------------------------------------------------------
-# checks
+# checks: each fills ``report`` in place and settles it last
 
 
-def verify_decomposition(spec: CaseSpec) -> Report:
-    start = monotonic()
-    deadline = spec.deadline()
-    ms, ring = _ring_for(spec)
+def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     lhs = _lhs_for(spec, ms, ring)
     if spec.mutate == "drop-generator":
         if not lhs.gens:
@@ -376,76 +364,45 @@ def verify_decomposition(spec: CaseSpec) -> Report:
     if spec.mutate == "flip-block":
         R, C = _flip_blocks(spec)
     components = _components_for(spec, ms, ring, R, C)
-    comp_docs = [{"name": name, "irredundant": None} for name, _ in components]
-    stats = {"lhs_gens": len(lhs.gens), "rhs_gb_size": None}
-    doset = None
-    try:
-        rhs = _intersect_named(ring, components, deadline)
-        stats["rhs_gb_size"] = len(rhs.groebner(deadline))
-        equal = ideal_equal(lhs, rhs, deadline)
-        if spec.kind == "symmetric":
-            doset_lhs = constrained_symmetric_ideal(
-                ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
-            )
-            doset = ideal_equal(lhs, doset_lhs, deadline)
-    except BudgetExceeded:
-        return _mk_report(
-            spec, "SKIPPED", reason="budget exceeded", components=comp_docs,
-            stats=stats, millis=int((monotonic() - start) * 1000),
+    report.components = [{"name": name, "irredundant": None} for name, _ in components]
+    report.stats["lhs_gens"] = len(lhs.gens)
+    rhs = intersect_all(ring, [h for _, h in components], deadline)
+    report.stats["rhs_gb_size"] = len(rhs.groebner(deadline))
+    equal = ideal_equal(lhs, rhs, deadline)
+    if spec.kind == "symmetric":
+        doset_lhs = constrained_symmetric_ideal(
+            ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
-    return _mk_report(
-        spec,
-        "EQUAL" if equal else "NOT_EQUAL",
-        components=comp_docs,
-        stats=stats,
-        doset=doset,
-        millis=int((monotonic() - start) * 1000),
-    )
+        report.doset_generators_equal = ideal_equal(lhs, doset_lhs, deadline)
+    report.settle(equal)
 
 
-def verify_truncation(spec: CaseSpec) -> Report:
-    start = monotonic()
-    deadline = spec.deadline()
-    ms, ring = _ring_for(spec)
+def _check_truncation(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+    rk = truncation_rank(spec.t, spec.p, spec.q, spec.d)
     if spec.kind == "generic":
         a = spec.C[0]
         grading = column_grading(ms, a, spec.p, spec.q)
         base = ideal_of_minors(ring, ms, spec.t)
-        rk = truncation_rank(spec.t, spec.p, spec.q, spec.d)
         extra = ("minors({},cols<={})".format(rk, a), ideal_of_minors(ring, ms, rk, col_limit=a))
     else:
         Rb = spec.R[0]
         grading = skew_block_grading(ms, Rb, spec.p, spec.q)
         base = ideal_of_pfaffians(ring, ms, spec.t)
-        rk = truncation_rank(spec.t, spec.p, spec.q, spec.d)
         extra = (
             "pfaffians({},rows<={})".format(rk, Rb),
             pfaffian_row_component(ring, ms, rk, Rb),
         )
     filtered = truncated_ideal(base, grading, spec.d)
-    comp_docs = [
+    report.components = [
         {"name": "base", "irredundant": None},
         {"name": extra[0], "irredundant": None},
     ]
-    stats = {"lhs_gens": len(filtered.gens), "rhs_gb_size": None}
-    try:
-        graded = truncated_ideal_graded(base, grading, spec.d)
-        rhs = ideal_intersect(base, extra[1], deadline=deadline)
-        stats["rhs_gb_size"] = len(rhs.groebner(deadline))
-        ok = ideal_equal(filtered, graded, deadline) and ideal_equal(
-            graded, rhs, deadline
-        )
-    except BudgetExceeded:
-        return _mk_report(
-            spec, "SKIPPED", reason="budget exceeded", components=comp_docs,
-            stats=stats, millis=int((monotonic() - start) * 1000),
-        )
-    return _mk_report(
-        spec,
-        "EQUAL" if ok else "NOT_EQUAL",
-        components=comp_docs,
-        stats=stats,
-        millis=int((monotonic() - start) * 1000),
+    report.stats["lhs_gens"] = len(filtered.gens)
+    graded = truncated_ideal_graded(base, grading, spec.d)
+    rhs = ideal_intersect(base, extra[1], deadline=deadline)
+    report.stats["rhs_gb_size"] = len(rhs.groebner(deadline))
+    report.settle(
+        ideal_equal(filtered, graded, deadline) and ideal_equal(graded, rhs, deadline)
     )
 
 
@@ -493,6 +450,20 @@ def check_irredundancy_hypotheses(spec: CaseSpec) -> Dict[str, bool]:
     return out
 
 
+def _block_escape(t: int, cut: int, need: int, limit: int):
+    """t indices with only ``need - 1`` inside the first ``cut``, the rest
+    just past it; None when they do not fit as t increasing indices."""
+    if need < 1:
+        return None
+    top = t + cut - need + 1
+    if top > limit:
+        return None
+    ix = tuple(range(1, need)) + tuple(range(cut + 1, top + 1))
+    if len(ix) != t or any(a >= b for a, b in zip(ix, ix[1:])):
+        return None
+    return ix
+
+
 def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
     """Explicit element expected inside every component except ``which``.
 
@@ -506,149 +477,88 @@ def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
                 return None
             rows = tuple(range(1, t - 1))
         else:
-            cut, need = spec.R[block_index], spec.r[block_index]
-            if need < 1:
-                return None
-            top = t + cut - need + 1
-            if top > spec.n:
-                return None
-            rows = tuple(range(1, need)) + tuple(range(cut + 1, top + 1))
-            if len(rows) != t or any(a >= b for a, b in zip(rows, rows[1:])):
+            rows = _block_escape(t, spec.R[block_index], spec.r[block_index], spec.n)
+            if rows is None:
                 return None
         ix = PfaffianIndex(rows)
         return str(ix), pfaffian_poly(ring, ms, ix)
-    m = spec.m if spec.kind == "generic" else spec.n
-    n = spec.n
     if which == "size":
         if t < 2:
             return None
         rows = cols = tuple(range(1, t))
-        ix = MinorIndex(rows, cols)
-        return str(ix), minor_poly(ring, ms, ix)
-    if which == "row":
-        cut, need = spec.R[block_index], spec.r[block_index]
-        if need < 1:
-            return None
-        top = t + cut - need + 1
-        if top > m:
-            return None
-        rows = tuple(range(1, need)) + tuple(range(cut + 1, top + 1))
+    elif which == "row":
+        m = spec.m if spec.kind == "generic" else spec.n
+        rows = _block_escape(t, spec.R[block_index], spec.r[block_index], m)
         # mirrored entries put any column inside the block under symmetry, so
         # the separating minor must be principal on the shifted row set
         cols = rows if spec.kind == "symmetric" else tuple(range(1, t + 1))
     else:
-        cut, need = spec.C[block_index], spec.c[block_index]
-        if need < 1:
-            return None
-        top = t + cut - need + 1
-        if top > n:
-            return None
-        cols = tuple(range(1, need)) + tuple(range(cut + 1, top + 1))
+        cols = _block_escape(t, spec.C[block_index], spec.c[block_index], spec.n)
         rows = tuple(range(1, t + 1))
-    if len(rows) != t or len(cols) != t:
-        return None
-    if any(a >= b for a, b in zip(rows, rows[1:])):
-        return None
-    if any(a >= b for a, b in zip(cols, cols[1:])):
+    if rows is None or cols is None:
         return None
     ix = MinorIndex(rows, cols)
     return str(ix), minor_poly(ring, ms, ix)
 
 
-def verify_irredundancy(spec: CaseSpec) -> Report:
-    start = monotonic()
-    deadline = spec.deadline()
-    ms, ring = _ring_for(spec)
+def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     components = _components_for(spec, ms, ring, spec.R, spec.C)
+    handles = [h for _, h in components]
+    report.components = [{"name": name, "irredundant": None} for name, _ in components]
+    J = intersect_all(ring, handles, deadline)
+    report.stats["lhs_gens"] = len(J.gens)
+    report.stats["rhs_gb_size"] = len(J.groebner(deadline))
+
+    # probe 1: drop each component and see whether the intersection grows
+    for i, doc in enumerate(report.components):
+        without = intersect_all(ring, handles[:i] + handles[i + 1 :], deadline)
+        doc["irredundant"] = not ideal_equal(without, J, deadline)
+
+    # probe 2: closed-form witnesses, where the formulas fit
+    witness_plan = [("size", -1)]
+    witness_plan += [("row", i) for i in range(len(spec.R))]
+    if spec.kind == "generic":
+        witness_plan += [("col", i) for i in range(len(spec.C))]
+    agree = True
+    for comp_pos, (which, bi) in enumerate(witness_plan):
+        built = _witness_for(spec, ms, ring, which, bi)
+        if built is None:
+            continue
+        label, w = built
+        memberships = {
+            name: ideal_member(w, h, deadline) for name, h in components
+        }
+        report.witnesses.append({"element": label, "memberships": memberships})
+        target = components[comp_pos][0]
+        expected = {
+            name: (name != target) for name, _ in components
+        }
+        if memberships != expected:
+            agree = False
+
     hypotheses = check_irredundancy_hypotheses(spec)
-    comp_docs = [{"name": name, "irredundant": None} for name, _ in components]
-    stats = {"lhs_gens": None, "rhs_gb_size": None}
-    witnesses: List[dict] = []
-    try:
-        J = _intersect_named(ring, components, deadline)
-        stats["lhs_gens"] = len(J.gens)
-        stats["rhs_gb_size"] = len(J.groebner(deadline))
-
-        # probe 1: drop each component and see whether the intersection grows
-        for i in range(len(components)):
-            rest = components[:i] + components[i + 1 :]
-            without = _intersect_named(ring, rest, deadline)
-            comp_docs[i]["irredundant"] = not ideal_equal(without, J, deadline)
-
-        # probe 2: closed-form witnesses, where the formulas fit
-        witness_plan = [("size", -1)]
-        witness_plan += [("row", i) for i in range(len(spec.R))]
-        if spec.kind == "generic":
-            witness_plan += [("col", i) for i in range(len(spec.C))]
-        agree = True
-        for comp_pos, (which, bi) in enumerate(witness_plan):
-            built = _witness_for(spec, ms, ring, which, bi)
-            if built is None:
-                continue
-            label, w = built
-            memberships = {
-                name: ideal_member(w, h, deadline) for name, h in components
-            }
-            witnesses.append({"element": label, "memberships": memberships})
-            target = components[comp_pos][0]
-            expected = {
-                name: (name != target) for name, _ in components
-            }
-            if memberships != expected:
-                agree = False
-    except BudgetExceeded:
-        return _mk_report(
-            spec, "SKIPPED", reason="budget exceeded", components=comp_docs,
-            witnesses=witnesses, stats=stats,
-            millis=int((monotonic() - start) * 1000),
-        )
     failed = sorted(name for name, ok in hypotheses.items() if not ok)
     if failed:
-        return _mk_report(
-            spec, "SKIPPED",
-            reason="hypotheses not satisfied: " + ", ".join(failed),
-            components=comp_docs, witnesses=witnesses, stats=stats,
-            millis=int((monotonic() - start) * 1000),
-        )
-    all_needed = all(cd["irredundant"] for cd in comp_docs)
-    verdict = "EQUAL" if (all_needed and agree) else "NOT_EQUAL"
-    reason = None
-    if not all_needed:
-        lazy = [cd["name"] for cd in comp_docs if not cd["irredundant"]]
+        report.verdict = "SKIPPED"
+        report.reason = "hypotheses not satisfied: " + ", ".join(failed)
+        return
+    lazy = [cd["name"] for cd in report.components if not cd["irredundant"]]
+    if lazy:
         reason = "redundant components: " + ", ".join(lazy)
-    elif not agree:
+    else:
         reason = "witness memberships disagree with drop-one probes"
-    return _mk_report(
-        spec, verdict, reason=reason, components=comp_docs,
-        witnesses=witnesses, stats=stats,
-        millis=int((monotonic() - start) * 1000),
-    )
+    report.settle(not lazy and agree, reason)
 
 
-def verify_heights(spec: CaseSpec) -> Report:
-    start = monotonic()
-    deadline = spec.deadline()
-    ms, ring = _ring_for(spec)
+def _check_heights(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     I = ideal_of_pfaffians(ring, ms, spec.t)
-    stats = {"lhs_gens": len(I.gens), "rhs_gb_size": None}
-    try:
-        stats["rhs_gb_size"] = len(I.groebner(deadline))
-        h = ideal_height(I, deadline)
-    except BudgetExceeded:
-        return _mk_report(
-            spec, "SKIPPED", reason="budget exceeded", stats=stats,
-            millis=int((monotonic() - start) * 1000),
-        )
+    report.stats["lhs_gens"] = len(I.gens)
+    report.stats["rhs_gb_size"] = len(I.groebner(deadline))
+    h = ideal_height(I, deadline)
     gap = spec.n - spec.t
     expected = (gap + 1) * (gap + 2) // 2
-    return _mk_report(
-        spec,
-        "EQUAL" if h == expected else "NOT_EQUAL",
-        reason=None if h == expected else f"height {h}, expected {expected}",
-        stats=stats,
-        height=h,
-        millis=int((monotonic() - start) * 1000),
-    )
+    report.height = h
+    report.settle(h == expected, f"height {h}, expected {expected}")
 
 
 # -- chain monomials and straightening -----------------------------------------
@@ -685,27 +595,14 @@ def _product_poly(ring, ms, chain) -> "object":
     return f
 
 
-def _coeff_matrix(ring, polys):
-    monos = sorted(
-        {m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True
-    )
-    index = {mm.exps: i for i, mm in enumerate(monos)}
-    rows = []
-    for f in polys:
-        vec = [ring.field.zero] * len(monos)
-        for mm, c in f.terms:
-            vec[index[mm.exps]] = c
-        rows.append(vec)
-    return rows, monos
-
-
-def verify_standard_monomials(spec: CaseSpec) -> Report:
-    start = monotonic()
-    ms, ring = _ring_for(spec)
+def _check_asl(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     m, n, d = spec.m, spec.n, spec.d
     chains = standard_products(m, n, d)
-    polys = [_product_poly(ring, ms, ch) for ch in chains]
-    stats = {"lhs_gens": len(chains), "rhs_gb_size": None}
+    report.stats["lhs_gens"] = len(chains)
+    polys = []
+    for ch in chains:
+        _check_deadline(deadline)
+        polys.append(_product_poly(ring, ms, ch))
 
     problems = []
     # basis of the degree-<=d slice: the count matches the monomial count
@@ -715,7 +612,7 @@ def verify_standard_monomials(spec: CaseSpec) -> Report:
         problems.append(
             f"chain count {len(chains)} != dim {expected_dim} of the <=d slice"
         )
-    mat, _ = _coeff_matrix(ring, polys)
+    mat, _ = coefficient_matrix(ring, polys)
     if rank(mat, ring.field) != len(polys):
         problems.append("chain products are linearly dependent")
 
@@ -733,9 +630,10 @@ def verify_standard_monomials(spec: CaseSpec) -> Report:
         deg = a.size + b.size
         if deg > d:
             continue
+        _check_deadline(deadline)
         prod = minor_poly(ring, ms, a) * minor_poly(ring, ms, b)
         basis = by_degree.get(deg, [])
-        vectors, _ = _coeff_matrix(ring, [f for _, f in basis] + [prod])
+        vectors, _ = coefficient_matrix(ring, [f for _, f in basis] + [prod])
         coeffs = solve_column(vectors[:-1], vectors[-1], ring.field)
         if coeffs is None:
             problems.append(f"{a} * {b} does not straighten")
@@ -751,50 +649,59 @@ def verify_standard_monomials(spec: CaseSpec) -> Report:
         checked += 1
     if checked == 0:
         problems.append("no incomparable pair fits the degree bound")
-
-    return _mk_report(
-        spec,
-        "EQUAL" if not problems else "NOT_EQUAL",
-        reason=None if not problems else "; ".join(problems),
-        stats=stats,
-        millis=int((monotonic() - start) * 1000),
-    )
+    report.settle(not problems, "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
-# dispatch and suites
+# the runner and suites
+
+CHECKS = {
+    "decomposition": _check_decomposition,
+    "truncation": _check_truncation,
+    "irredundancy": _check_irredundancy,
+    "heights": _check_heights,
+    "asl": _check_asl,
+}
 
 
 def run_case(spec: CaseSpec) -> Report:
+    """Run one case; the module docstring gives the contract with the checks."""
     spec.validate(spec.case)
-    if spec.check == "decomposition":
-        return verify_decomposition(spec)
-    if spec.check == "truncation":
-        return verify_truncation(spec)
-    if spec.check == "irredundancy":
-        return verify_irredundancy(spec)
-    if spec.check == "heights":
-        return verify_heights(spec)
-    return verify_standard_monomials(spec)
+    start = monotonic()
+    deadline = start + spec.budget_sec
+    ms, ring = _ring_for(spec)
+    report = Report(
+        case=spec.case,
+        params=spec.params_dict(),
+        field=spec.field,
+        order=spec.order,
+        verdict="SKIPPED",
+        reason=None,
+        components=[],
+        witnesses=[],
+        stats={"lhs_gens": None, "rhs_gb_size": None},
+        height=None,
+        doset_generators_equal=None,
+        millis=0,
+    )
+    try:
+        CHECKS[spec.check](spec, ms, ring, deadline, report)
+    except BudgetExceeded:
+        report.verdict = "SKIPPED"
+        report.reason = "budget exceeded"
+    report.millis = int((monotonic() - start) * 1000)
+    return report
 
 
 def run_suite(specs: Sequence[CaseSpec]) -> Tuple[List[Report], bool]:
     reports = [run_case(s) for s in specs]
-    ok = all(
-        r.verdict != "NOT_EQUAL" and r.doset_generators_equal is not False
-        for r in reports
-    )
-    return reports, ok
+    return reports, not any(r.failed for r in reports)
 
 
 def suite_document(reports: Sequence[Report], include_timing: bool = True) -> dict:
     counts = {"EQUAL": 0, "NOT_EQUAL": 0, "SKIPPED": 0}
     for r in reports:
         counts[r.verdict] += 1
-    ok = all(
-        r.verdict != "NOT_EQUAL" and r.doset_generators_equal is not False
-        for r in reports
-    )
     return {
         "cases": [r.to_dict(include_timing) for r in reports],
         "summary": {
@@ -802,7 +709,7 @@ def suite_document(reports: Sequence[Report], include_timing: bool = True) -> di
             "equal": counts["EQUAL"],
             "not_equal": counts["NOT_EQUAL"],
             "skipped": counts["SKIPPED"],
-            "ok": ok,
+            "ok": not any(r.failed for r in reports),
         },
     }
 
@@ -834,43 +741,3 @@ def load_suite_config(path: str) -> List[CaseSpec]:
         seen.add(spec.case)
         specs.append(spec)
     return specs
-
-
-def builtin_suite() -> List[CaseSpec]:
-    """A fast, representative suite shipped with the package."""
-    mk = CaseSpec
-    return [
-        mk("minors-3x3-t2-R1-r1", check="decomposition", kind="generic",
-           m=3, n=3, t=2, R=(1,), r=(1,)),
-        mk("minors-3x3-t2-R2-r1", check="decomposition", kind="generic",
-           m=3, n=3, t=2, R=(2,), r=(1,)),
-        mk("minors-3x4-t2-R2-r1-C2-c1", check="decomposition", kind="generic",
-           m=3, n=4, t=2, R=(2,), r=(1,), C=(2,), c=(1,)),
-        mk("minors-3x3-t3-R12-r12", check="decomposition", kind="generic",
-           m=3, n=3, t=3, R=(1, 2), r=(1, 2)),
-        mk("symmetric-3-t2-R2-r1", check="decomposition", kind="symmetric",
-           n=3, t=2, R=(2,), r=(1,)),
-        mk("symmetric-4-t2-R2-r1", check="decomposition", kind="symmetric",
-           n=4, t=2, R=(2,), r=(1,)),
-        mk("pfaffian-5-t4-R2-r1", check="decomposition", kind="skew",
-           n=5, t=4, R=(2,), r=(1,)),
-        mk("pfaffian-5-t4-R4-r2", check="decomposition", kind="skew",
-           n=5, t=4, R=(4,), r=(2,)),
-        mk("pfaffian-5-t4-R3-r3", check="decomposition", kind="skew",
-           n=5, t=4, R=(3,), r=(3,)),
-        mk("truncation-2x3-t2-a1-d3", check="truncation", kind="generic",
-           m=2, n=3, t=2, C=(1,), p=1, q=2, d=3),
-        mk("truncation-3x3-t2-a2-d3", check="truncation", kind="generic",
-           m=3, n=3, t=2, C=(2,), p=1, q=2, d=3),
-        mk("truncation-skew5-t4-R2-d7", check="truncation", kind="skew",
-           n=5, t=4, R=(2,), p=1, q=2, d=7),
-        mk("irredundancy-4x3-t2-R2-r1", check="irredundancy", kind="generic",
-           m=4, n=3, t=2, R=(2,), r=(1,)),
-        mk("irredundancy-sym4-t2-R2-r1", check="irredundancy", kind="symmetric",
-           n=4, t=2, R=(2,), r=(1,)),
-        mk("irredundancy-pfaff6-t4-R2-r2", check="irredundancy", kind="skew",
-           n=6, t=4, R=(2,), r=(2,)),
-        mk("heights-pfaff-5-t4", check="heights", kind="skew", n=5, t=4),
-        mk("heights-pfaff-6-t4", check="heights", kind="skew", n=6, t=4),
-        mk("asl-2x3-d2", check="asl", kind="generic", m=2, n=3, d=2),
-    ]

@@ -46,16 +46,31 @@ __all__ = [
 # coefficient fields
 
 
+# Miller-Rabin with these bases is exact for every p < 3.3 * 10**24
+# (Sorenson and Webster, 2015); above that it is a strong probable-prime test.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -253,9 +268,6 @@ class Monomial:
 
     def degree(self) -> int:
         return self.deg
-
-    def support(self) -> frozenset:
-        return frozenset(p for p, _ in self.exps)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and other.exps == self.exps
@@ -547,6 +559,16 @@ def weighted_degree(grading: GradingSpec, f: "Polynomial"):
 # polynomials
 
 
+def _sorted_terms(acc: dict, wrap: dict, key) -> tuple:
+    """Terms from coefficients and monomials keyed by exponent tuple, greatest
+    first, zero coefficients dropped."""
+    return tuple(
+        (wrap[e], acc[e])
+        for e in sorted(acc, key=lambda x: key(wrap[x]), reverse=True)
+        if acc[e] != 0
+    )
+
+
 class PolyRing:
     """A polynomial ring: variable table + monomial order + coefficient field."""
 
@@ -606,13 +628,7 @@ class PolyRing:
             else:
                 acc[e] = c
                 wrap[e] = m
-        key = self.order.key
-        terms = tuple(
-            (wrap[e], acc[e])
-            for e in sorted(acc, key=lambda x: key(wrap[x]), reverse=True)
-            if acc[e] != 0
-        )
-        return Polynomial(self, terms)
+        return Polynomial(self, _sorted_terms(acc, wrap, self.order.key))
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -665,9 +681,6 @@ class Polynomial:
         if not self.terms:
             return MINUS_INFINITY
         return max(m.deg for m, _ in self.terms)
-
-    def terms_dict(self) -> dict:
-        return {m.exps: c for m, c in self.terms}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -738,13 +751,7 @@ class Polynomial:
                 else:
                     acc[e] = c
                     wrap[e] = m
-        key = ring.order.key
-        terms = tuple(
-            (wrap[e], acc[e])
-            for e in sorted(acc, key=lambda x: key(wrap[x]), reverse=True)
-            if acc[e] != 0
-        )
-        return Polynomial(ring, terms)
+        return Polynomial(ring, _sorted_terms(acc, wrap, ring.order.key))
 
     __rmul__ = __mul__
 

@@ -22,7 +22,6 @@ from detkit.combinat import (
 from detkit.detideals import matrix_ring, minor_poly, pfaffian_poly, skew_matrix
 from detkit.harness import (
     CaseSpec,
-    builtin_suite,
     load_suite_config,
     run_case,
     run_suite,
@@ -510,18 +509,15 @@ def test_standard_monomials_and_straightening():
 
 def test_suite_determinism_and_field_agreement():
     failures = []
-    reports1, ok1 = run_suite(builtin_suite())
-    reports2, ok2 = run_suite(builtin_suite())
+    shipped = str(ROOT / "suites" / "acceptance.json")
+    reports1, ok1 = run_suite(load_suite_config(shipped))
+    reports2, ok2 = run_suite(load_suite_config(shipped))
     doc1 = json.dumps(suite_document(reports1, include_timing=False), indent=2)
     doc2 = json.dumps(suite_document(reports2, include_timing=False), indent=2)
     if not (ok1 and ok2):
-        failures.append(("builtin suite not fully EQUAL",))
+        failures.append(("shipped suite not fully EQUAL",))
     if doc1 != doc2:
         failures.append(("reruns differ",))
-
-    shipped = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
-    if shipped != builtin_suite():
-        failures.append(("shipped suite file out of sync",))
 
     small = [
         dict(check="decomposition", kind="generic", m=2, n=2, t=2, R=(1,), r=(1,)),
@@ -539,7 +535,6 @@ def test_suite_determinism_and_field_agreement():
             failures.append((kw, verdicts))
     _report(
         "rerunning the shipped suite is byte-identical without timing fields, "
-        "the checked-in suite file matches the built-in one, and the smallest "
-        "cases agree between F_32003 and the rationals",
+        "and the smallest cases agree between F_32003 and the rationals",
         failures,
     )

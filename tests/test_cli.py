@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from detkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_verify_minors_human(capsys):
@@ -135,3 +141,31 @@ def test_suite_budget_override(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["cases"][0]["verdict"] == "SKIPPED"
     assert doc["cases"][0]["reason"] == "budget exceeded"
+
+def test_suite_output_matches_golden(capsys):
+    # the golden file is the recorded report of the shipped suite; re-record
+    # it only together with an intended report change
+    code = main(["suite", str(ROOT / "suites" / "acceptance.json"), "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = ROOT / "tests" / "golden" / "acceptance-no-timing.json"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["heights", "--n", "4", "--t", "2"], 0),
+    (["verify", "pfaffian", "--n", "5", "--t", "4", "--R", "2", "--r", "2"], 1),
+])
+def test_closed_stdout_keeps_exit_code(argv, expected):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "detkit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert proc.stderr == b""

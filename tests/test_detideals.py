@@ -14,7 +14,6 @@ from detkit.detideals import (
     generic_matrix,
     ideal_of_minors,
     ideal_of_pfaffians,
-    intersect_components,
     matrix_ring,
     minor_components,
     minor_poly,
@@ -35,6 +34,7 @@ from detkit.groebner import (
     ideal_equal,
     ideal_height,
     ideal_member,
+    intersect_all,
     krull_dimension,
     normal_form,
 )
@@ -298,7 +298,7 @@ def test_small_decomposition_by_hand():
     J = constrained_minor_ideal(ring, ms, 2, R=(1,), r=(1,))
     comps = minor_components(ring, ms, 2, R=(1,), r=(1,))
     assert [name for name, _ in comps] == ["minors(2)", "minors(1,rows<=1)"]
-    rhs = intersect_components(ring, comps)
+    rhs = intersect_all(ring, [h for _, h in comps])
     assert ideal_equal(J, rhs)
 
 

@@ -243,6 +243,24 @@ def test_intersection_shortcuts():
     assert intersect_all(ring, []).is_unit()
 
 
+def test_intersection_rejects_malformed_elimination_basis(monkeypatch):
+    # a basis element whose w-free lead sits above a w term breaks the
+    # elimination order; the check must hold under python -O as well
+    from detkit import groebner
+    from detkit.poly import Monomial, Polynomial
+
+    def bad_buchberger(gens, deadline=None):
+        ring2 = gens[0].ring
+        terms = ((Monomial([(1, 2)]), ring2.field.one), (Monomial([(0, 1)]), ring2.field.one))
+        return (Polynomial(ring2, terms),)
+
+    monkeypatch.setattr(groebner, "buchberger", bad_buchberger)
+    ring = mkring("xy")
+    x, y = ring.var(0), ring.var(1)
+    with pytest.raises(RuntimeError, match="w-free lead"):
+        ideal_intersect(IdealHandle(ring, [x]), IdealHandle(ring, [y]))
+
+
 def test_intersection_with_aux_name_collision():
     t = VariableTable(["w", "x"])
     ring = PolyRing(t, order_from_name("grevlex", t), QQ)

@@ -5,14 +5,11 @@ import pytest
 from detkit.harness import (
     CaseError,
     CaseSpec,
-    builtin_suite,
     check_irredundancy_hypotheses,
     load_suite_config,
     run_case,
     run_suite,
     suite_document,
-    verify_decomposition,
-    verify_irredundancy,
 )
 
 
@@ -107,7 +104,7 @@ def test_decomposition_canaries_fail():
 def test_flip_block_without_room():
     spec = mk("c3", m=3, n=3, t=2, R=(3,), r=(1,), mutate="flip-block")
     with pytest.raises(CaseError, match="flip-block"):
-        verify_decomposition(spec)
+        run_case(spec)
 
 
 def test_decomposition_symmetric_sets_doset_flag():
@@ -147,6 +144,9 @@ def test_decomposition_budget_skip():
     rep = run_case(mk("b1", m=3, n=4, t=2, R=(2,), r=(1,), budget_sec=1e-6))
     assert rep.verdict == "SKIPPED"
     assert rep.reason == "budget exceeded"
+    # what the check filled in before the deadline stays in the report
+    assert [c["name"] for c in rep.components] == ["minors(2)", "minors(1,rows<=2)"]
+    assert rep.stats == {"lhs_gens": 18, "rhs_gb_size": None}
 
 
 def test_decomposition_over_rationals_and_lex():
@@ -256,6 +256,13 @@ def test_asl_cases():
     assert rep2.stats["lhs_gens"] == 28
 
 
+def test_asl_budget_skip():
+    rep = run_case(mk("a3", check="asl", m=2, n=3, d=2, budget_sec=1e-6))
+    assert rep.verdict == "SKIPPED"
+    assert rep.reason == "budget exceeded"
+    assert rep.stats["lhs_gens"] == 28
+
+
 # -- suites, reports, determinism ------------------------------------------------------
 
 
@@ -331,14 +338,6 @@ def test_load_suite_config(tmp_path):
         load_suite_config(str(nolist))
     with pytest.raises(CaseError):
         load_suite_config(str(tmp_path / "missing.json"))
-
-
-def test_builtin_suite_specs_validate():
-    specs = builtin_suite()
-    ids = [s.case for s in specs]
-    assert len(ids) == len(set(ids))
-    for s in specs:
-        s.validate(s.case)
 
 
 def test_report_params_echo():

@@ -49,6 +49,16 @@ def test_prime_field_rejects_composites():
     PrimeField(32003)
 
 
+def test_prime_field_primality_at_large_moduli():
+    # 2^61 - 1 is prime; trial division up to its square root never returns
+    PrimeField(2**61 - 1)
+    # 2^61 + 1 (divisible by 3), the Carmichael number 561 and the strong
+    # pseudoprime to base 2, 2047 = 23 * 89, are composite
+    for bad in (2**61 + 1, 561, 2047, 3215031751, (2**61 - 1) * (2**31 - 1)):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(bad)
+
+
 def test_prime_field_axioms_random():
     fp = PrimeField(32003)
     rng = random.Random(101)
