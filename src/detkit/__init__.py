@@ -24,6 +24,8 @@ from .combinat import (
     order_ideal_generated,
 )
 from .detideals import (
+    components,
+    constrained_ideal,
     constrained_minor_ideal,
     constrained_pfaffian_ideal,
     constrained_symmetric_ideal,

@@ -9,17 +9,24 @@ zero diagonal.  Variables are ordered row-major, earlier rows first, so
 Row constraints are given as two equal-length tuples ``R`` and ``r``:
 ``R`` lists nested row-block cutoffs (strictly increasing) and ``r[i]``
 asks for at least ``r[i]`` rows inside the first ``R[i]`` rows.  Column
-constraints ``C`` / ``c`` mirror this on columns of the generic shape.
+constraints ``C`` / ``c`` mirror this on columns; Pfaffians take none.
+
+The generators are the minors of a generic or symmetric matrix and the
+Pfaffians of a skew one; only this module makes that choice.
+:func:`constrained_ideal` and :func:`components` build the constrained ideal
+and its named intersectands for every shape; the per-shape names
+(``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
+and delegate to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .combinat import MinorIndex, PfaffianIndex
+from .combinat import MinorIndex, PfaffianIndex, in_doset
 from .groebner import IdealHandle
 from .linalg import row_reduce
 from .poly import (
@@ -42,6 +49,11 @@ __all__ = [
     "entry_poly",
     "minor_poly",
     "pfaffian_poly",
+    "generator",
+    "check_blocks",
+    "constrained_ideal",
+    "components",
+    "block_component",
     "ideal_of_minors",
     "ideal_of_pfaffians",
     "pfaffian_row_component",
@@ -74,6 +86,8 @@ class MatrixSpec:
             raise ValueError("matrix dimensions must be positive")
         if self.kind != "generic" and self.m != self.n:
             raise ValueError(f"{self.kind} matrix must be square")
+        if self.kind == "skew" and self.n < 2:
+            raise ValueError("skew matrix needs size >= 2")
 
 
 def generic_matrix(m: int, n: int) -> MatrixSpec:
@@ -85,30 +99,22 @@ def symmetric_matrix(n: int) -> MatrixSpec:
 
 
 def skew_matrix(n: int) -> MatrixSpec:
-    if n < 2:
-        raise ValueError("skew matrix needs size >= 2")
     return MatrixSpec("skew", n, n)
 
 
 @lru_cache(maxsize=None)
 def _layout(ms: MatrixSpec) -> Tuple[Tuple[str, ...], Dict[Tuple[int, int], int]]:
+    """Names and positions of the stored entries: all of a generic matrix,
+    those on or above the diagonal of a symmetric one, those above it of a
+    skew one."""
+    letter = {"generic": "x", "symmetric": "y", "skew": "z"}[ms.kind]
     names: List[str] = []
     pos: Dict[Tuple[int, int], int] = {}
-    if ms.kind == "generic":
-        for i in range(1, ms.m + 1):
-            for j in range(1, ms.n + 1):
-                pos[(i, j)] = len(names)
-                names.append(f"x[{i},{j}]")
-    elif ms.kind == "symmetric":
-        for i in range(1, ms.n + 1):
-            for j in range(i, ms.n + 1):
-                pos[(i, j)] = len(names)
-                names.append(f"y[{i},{j}]")
-    else:
-        for i in range(1, ms.n + 1):
-            for j in range(i + 1, ms.n + 1):
-                pos[(i, j)] = len(names)
-                names.append(f"z[{i},{j}]")
+    for i in range(1, ms.m + 1):
+        first = {"generic": 1, "symmetric": i, "skew": i + 1}[ms.kind]
+        for j in range(first, ms.n + 1):
+            pos[(i, j)] = len(names)
+            names.append(f"{letter}[{i},{j}]")
     return tuple(names), pos
 
 
@@ -126,13 +132,11 @@ def entry(ms: MatrixSpec, i: int, j: int) -> Tuple[int, Optional[int]]:
     if not (1 <= i <= ms.m and 1 <= j <= ms.n):
         raise ValueError(f"entry ({i},{j}) outside {ms.m}x{ms.n}")
     pos = _layout(ms)[1]
-    if ms.kind == "generic":
+    if (i, j) in pos:
         return 1, pos[(i, j)]
-    if ms.kind == "symmetric":
-        return (1, pos[(i, j)]) if i <= j else (1, pos[(j, i)])
-    if i == j:
-        return 0, None
-    return (1, pos[(i, j)]) if i < j else (-1, pos[(j, i)])
+    if (j, i) in pos:
+        return (1 if ms.kind == "symmetric" else -1), pos[(j, i)]
+    return 0, None
 
 
 def entry_poly(ring: PolyRing, ms: MatrixSpec, i: int, j: int):
@@ -208,8 +212,137 @@ def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
     return rec(ix.rows)
 
 
-def _unit_handle(ring: PolyRing) -> IdealHandle:
-    return IdealHandle(ring, (ring.one,))
+def generator(ring: PolyRing, ms: MatrixSpec, rows: Sequence[int], cols: Sequence[int]):
+    """``(index, polynomial)`` of the Pfaffian on ``rows`` of a skew matrix,
+    or of the minor on ``rows`` x ``cols`` of another shape."""
+    ix = PfaffianIndex(rows) if ms.kind == "skew" else MinorIndex(rows, cols)
+    return ix, (pfaffian_poly if ms.kind == "skew" else minor_poly)(ring, ms, ix)
+
+
+# ---------------------------------------------------------------------------
+# block-constrained ideals and their decomposition components
+
+
+def _require(ms: MatrixSpec, *kinds: str) -> None:
+    if ms.kind not in kinds:
+        raise ValueError(f"{' or '.join(kinds)} matrix required")
+
+
+_FAMILY = {"generic": "minors", "symmetric": "minors", "skew": "pfaffians"}
+
+
+def check_blocks(ms: MatrixSpec, R, r, C=(), c=()) -> list:
+    """``[R, r, C, c]`` as tuples, after checking that both block lists fit
+    ``ms``; errors name the offending list."""
+    if ms.kind == "skew" and (C or c):
+        raise ValueError("C: Pfaffians take no column blocks")
+    out = []
+    for label, cuts, needs, limit in (("R", R, r, ms.m), ("C", C, c, ms.n)):
+        cuts, needs = tuple(cuts), tuple(needs)
+        if len(cuts) != len(needs):
+            raise ValueError(f"{label}: cutoff and count lists differ in length")
+        if any(a >= b for a, b in zip(cuts, cuts[1:])):
+            raise ValueError(f"{label}: cutoffs must be strictly increasing")
+        if cuts and not (1 <= cuts[0] and cuts[-1] <= limit):
+            raise ValueError(f"{label}: cutoffs must lie in 1..{limit}")
+        if any(x < 0 for x in needs):
+            raise ValueError(f"{label}: counts must be >= 0")
+        out += [cuts, needs]
+    return out
+
+
+def _block(cut: Optional[int], need: int) -> tuple:
+    """Cutoff and count lists of one block; no cutoff gives no block."""
+    return ((), ()) if cut is None else ((cut,), (need,))
+
+
+def _passes(ix: Sequence[int], cuts: Sequence[int], needs: Sequence[int]) -> bool:
+    return all(sum(1 for a in ix if a <= cut) >= need for cut, need in zip(cuts, needs))
+
+
+def _block_indices(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Iterator:
+    """Indices of the ``size``-Pfaffians of a skew matrix, or of the
+    ``size``-minors of another shape, that pass the row blocks ``R``/``r``
+    and the column blocks ``C``/``c``; rows vary slowest, and row and column
+    lists each come in lexicographic order."""
+    for rows in combinations(range(1, ms.m + 1), size):
+        if not _passes(rows, R, r):
+            continue
+        if ms.kind == "skew":
+            yield PfaffianIndex(rows)
+            continue
+        for cols in combinations(range(1, ms.n + 1), size):
+            if _passes(cols, C, c):
+                yield MinorIndex(rows, cols)
+
+
+def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> IdealHandle:
+    """Ideal of the generators at ``_block_indices(ms, size, *blocks)`` that
+    ``keep`` (when given) accepts.  Size 0 or below gives the unit ideal, no
+    index the zero ideal."""
+    if size <= 0:
+        return IdealHandle(ring, (ring.one,))
+    if ms.kind == "skew" and size % 2:
+        raise ValueError("Pfaffian size must be even")
+    poly = pfaffian_poly if ms.kind == "skew" else minor_poly
+    kept = (ix for ix in _block_indices(ms, size, *blocks) if keep is None or keep(ix))
+    return IdealHandle(ring, [poly(ring, ms, ix) for ix in kept])
+
+
+def constrained_ideal(
+    ring: PolyRing,
+    ms: MatrixSpec,
+    size: int,
+    R: Sequence[int] = (),
+    r: Sequence[int] = (),
+    C: Sequence[int] = (),
+    c: Sequence[int] = (),
+) -> IdealHandle:
+    """Ideal of the ``size``-minors (``size``-Pfaffians on a skew matrix)
+    with at least ``r[i]`` rows among the first ``R[i]`` and at least
+    ``c[j]`` columns among the first ``C[j]``.  Size 0 or below gives the
+    unit ideal; a size too large for the shape gives the zero ideal."""
+    return _ideal(ring, ms, size, *check_blocks(ms, R, r, C, c))
+
+
+def block_component(
+    ring: PolyRing, ms: MatrixSpec, need: int, cut: int, axis: str = "rows"
+) -> Tuple[str, IdealHandle]:
+    """The named component of one block: the generators with at least
+    ``need`` rows (or columns, for ``axis="cols"``) among the first ``cut``.
+
+    Minors have size ``need``.  Pfaffians have size ``need + need % 2``: for
+    even ``need`` the Pfaffians of the first ``cut`` rows, for odd ``need``
+    those with one row past the cutoff.
+    """
+    if axis not in ("rows", "cols") or (axis == "cols" and ms.kind == "skew"):
+        raise ValueError(f"no {axis!r} blocks on a {ms.kind} matrix")
+    size = need + need % 2 if ms.kind == "skew" else need
+    block, free = _block(cut, need), _block(None, need)
+    rows, cols = (block, free) if axis == "rows" else (free, block)
+    name = f"{_FAMILY[ms.kind]}({need},{axis}<={cut})"
+    return name, _ideal(ring, ms, size, *rows, *cols)
+
+
+def components(
+    ring: PolyRing,
+    ms: MatrixSpec,
+    size: int,
+    R: Sequence[int] = (),
+    r: Sequence[int] = (),
+    C: Sequence[int] = (),
+    c: Sequence[int] = (),
+) -> List[Tuple[str, IdealHandle]]:
+    """Named intersectands: the plain ``size``-generator ideal, then one
+    :func:`block_component` per row block and per column block."""
+    R, r, C, c = check_blocks(ms, R, r, C, c)
+    out = [(f"{_FAMILY[ms.kind]}({size})", _ideal(ring, ms, size))]
+    out += [block_component(ring, ms, need, cut, "rows") for cut, need in zip(R, r)]
+    out += [block_component(ring, ms, need, cut, "cols") for cut, need in zip(C, c)]
+    return out
+
+
+# -- the per-shape names --------------------------------------------------------
 
 
 def ideal_of_minors(
@@ -225,37 +358,20 @@ def ideal_of_minors(
     Size 0 or below gives the unit ideal; a size too large for the
     (restricted) shape gives the zero ideal.
     """
-    if size <= 0:
-        return _unit_handle(ring)
-    rows_avail = range(1, (ms.m if row_limit is None else min(row_limit, ms.m)) + 1)
-    cols_avail = range(1, (ms.n if col_limit is None else min(col_limit, ms.n)) + 1)
-    if size > len(rows_avail) or size > len(cols_avail):
-        return IdealHandle(ring, ())
-    gens = []
-    for rows in combinations(rows_avail, size):
-        for cols in combinations(cols_avail, size):
-            gens.append(minor_poly(ring, ms, MinorIndex(rows, cols)))
-    return IdealHandle(ring, gens)
+    _require(ms, "generic", "symmetric")
+    return _ideal(ring, ms, size, *_block(row_limit, size), *_block(col_limit, size))
 
 
 def ideal_of_pfaffians(
     ring: PolyRing,
     ms: MatrixSpec,
     size: int,
-    rows: Optional[Sequence[int]] = None,
+    row_limit: Optional[int] = None,
 ) -> IdealHandle:
-    """Ideal of ``size``-Pfaffians (size even) drawn from ``rows``."""
-    if size <= 0:
-        return _unit_handle(ring)
-    if size % 2:
-        raise ValueError("Pfaffian size must be even")
-    avail = tuple(rows) if rows is not None else tuple(range(1, ms.n + 1))
-    if size > len(avail):
-        return IdealHandle(ring, ())
-    gens = [
-        pfaffian_poly(ring, ms, PfaffianIndex(rs)) for rs in combinations(avail, size)
-    ]
-    return IdealHandle(ring, gens)
+    """Ideal of ``size``-Pfaffians (size even), optionally of the first
+    ``row_limit`` rows."""
+    _require(ms, "skew")
+    return _ideal(ring, ms, size, *_block(row_limit, size))
 
 
 def pfaffian_row_component(ring: PolyRing, ms: MatrixSpec, r: int, R: int) -> IdealHandle:
@@ -265,91 +381,8 @@ def pfaffian_row_component(ring: PolyRing, ms: MatrixSpec, r: int, R: int) -> Id
     (r+1)-Pfaffians using at least r rows from the first R, which is the sum
     over k > R of the (r+1)-Pfaffian ideals on rows [1..R] + {k}.
     """
-    if r <= 0:
-        return _unit_handle(ring)
-    if r % 2 == 0:
-        return ideal_of_pfaffians(ring, ms, r, rows=range(1, R + 1))
-    gens = []
-    for rs in combinations(range(1, ms.n + 1), r + 1):
-        inside = sum(1 for a in rs if a <= R)
-        if inside >= r:
-            gens.append(pfaffian_poly(ring, ms, PfaffianIndex(rs)))
-    return IdealHandle(ring, gens)
-
-
-# ---------------------------------------------------------------------------
-# block-constrained ideals and their decomposition components
-
-
-def _validate_blocks(R: Sequence[int], r: Sequence[int], limit: int, label: str):
-    R, r = tuple(R), tuple(r)
-    if len(R) != len(r):
-        raise ValueError(f"{label}: cutoff and count lists differ in length")
-    if any(a >= b for a, b in zip(R, R[1:])):
-        raise ValueError(f"{label}: cutoffs must be strictly increasing")
-    if R and not (1 <= R[0] and R[-1] <= limit):
-        raise ValueError(f"{label}: cutoffs must lie in 1..{limit}")
-    return R, r
-
-
-def _rows_pass(rows: Sequence[int], R: Sequence[int], r: Sequence[int]) -> bool:
-    for cut, need in zip(R, r):
-        if sum(1 for a in rows if a <= cut) < need:
-            return False
-    return True
-
-
-def constrained_minor_ideal(
-    ring: PolyRing,
-    ms: MatrixSpec,
-    t: int,
-    R: Sequence[int] = (),
-    r: Sequence[int] = (),
-    C: Sequence[int] = (),
-    c: Sequence[int] = (),
-) -> IdealHandle:
-    """Ideal generated by the t-minors with at least ``r[i]`` rows among the
-    first ``R[i]`` and at least ``c[j]`` columns among the first ``C[j]``."""
-    if t <= 0:
-        return _unit_handle(ring)
-    R, r = _validate_blocks(R, r, ms.m, "rows")
-    C, c = _validate_blocks(C, c, ms.n, "cols")
-    if t > min(ms.m, ms.n):
-        return IdealHandle(ring, ())
-    gens = []
-    for rows in combinations(range(1, ms.m + 1), t):
-        if not _rows_pass(rows, R, r):
-            continue
-        for cols in combinations(range(1, ms.n + 1), t):
-            if not _rows_pass(cols, C, c):
-                continue
-            gens.append(minor_poly(ring, ms, MinorIndex(rows, cols)))
-    return IdealHandle(ring, gens)
-
-
-def minor_components(
-    ring: PolyRing,
-    ms: MatrixSpec,
-    t: int,
-    R: Sequence[int] = (),
-    r: Sequence[int] = (),
-    C: Sequence[int] = (),
-    c: Sequence[int] = (),
-) -> List[Tuple[str, IdealHandle]]:
-    """Named intersectands: the plain t-minor ideal, then one minor ideal
-    per row block and per column block."""
-    R, r = _validate_blocks(R, r, ms.m, "rows")
-    C, c = _validate_blocks(C, c, ms.n, "cols")
-    out = [(f"minors({t})", ideal_of_minors(ring, ms, t))]
-    for cut, need in zip(R, r):
-        out.append(
-            (f"minors({need},rows<={cut})", ideal_of_minors(ring, ms, need, row_limit=cut))
-        )
-    for cut, need in zip(C, c):
-        out.append(
-            (f"minors({need},cols<={cut})", ideal_of_minors(ring, ms, need, col_limit=cut))
-        )
-    return out
+    _require(ms, "skew")
+    return block_component(ring, ms, r, R)[1]
 
 
 def constrained_symmetric_ideal(
@@ -366,82 +399,27 @@ def constrained_symmetric_ideal(
     is dominated entrywise by the column list; both lists are expected to
     generate the same ideal, which the harness checks.
     """
-    if ms.kind != "symmetric":
-        raise ValueError("symmetric matrix required")
-    if t <= 0:
-        return _unit_handle(ring)
-    R, r = _validate_blocks(R, r, ms.n, "rows")
-    if t > ms.n:
-        return IdealHandle(ring, ())
-    gens = []
-    for rows in combinations(range(1, ms.n + 1), t):
-        if not _rows_pass(rows, R, r):
-            continue
-        for cols in combinations(range(1, ms.n + 1), t):
-            if doset_only and any(a > b for a, b in zip(rows, cols)):
-                continue
-            gens.append(minor_poly(ring, ms, MinorIndex(rows, cols)))
-    return IdealHandle(ring, gens)
+    _require(ms, "symmetric")
+    keep = in_doset if doset_only else None
+    return _ideal(ring, ms, t, *check_blocks(ms, R, r), keep=keep)
 
 
-def symmetric_components(
-    ring: PolyRing,
-    ms: MatrixSpec,
-    t: int,
-    R: Sequence[int] = (),
-    r: Sequence[int] = (),
-) -> List[Tuple[str, IdealHandle]]:
-    if ms.kind != "symmetric":
-        raise ValueError("symmetric matrix required")
-    return minor_components(ring, ms, t, R=R, r=r)
+def _shape_checked(builder, *kinds: str):
+    """``builder`` behind a check that the matrix shape is one of ``kinds``."""
+
+    @wraps(builder)
+    def checked(ring: PolyRing, ms: MatrixSpec, *args, **kwargs):
+        _require(ms, *kinds)
+        return builder(ring, ms, *args, **kwargs)
+
+    return checked
 
 
-def constrained_pfaffian_ideal(
-    ring: PolyRing,
-    ms: MatrixSpec,
-    two_t: int,
-    R: Sequence[int] = (),
-    r: Sequence[int] = (),
-) -> IdealHandle:
-    """Ideal generated by the 2t-Pfaffians with at least ``r[i]`` rows among
-    the first ``R[i]``."""
-    if ms.kind != "skew":
-        raise ValueError("skew matrix required")
-    if two_t <= 0:
-        return _unit_handle(ring)
-    if two_t % 2:
-        raise ValueError("Pfaffian size must be even")
-    R, r = _validate_blocks(R, r, ms.n, "rows")
-    if two_t > ms.n:
-        return IdealHandle(ring, ())
-    gens = []
-    for rows in combinations(range(1, ms.n + 1), two_t):
-        if _rows_pass(rows, R, r):
-            gens.append(pfaffian_poly(ring, ms, PfaffianIndex(rows)))
-    return IdealHandle(ring, gens)
-
-
-def pfaffian_components(
-    ring: PolyRing,
-    ms: MatrixSpec,
-    two_t: int,
-    R: Sequence[int] = (),
-    r: Sequence[int] = (),
-) -> List[Tuple[str, IdealHandle]]:
-    if ms.kind != "skew":
-        raise ValueError("skew matrix required")
-    if two_t % 2:
-        raise ValueError("Pfaffian size must be even")
-    R, r = _validate_blocks(R, r, ms.n, "rows")
-    out = [(f"pfaffians({two_t})", ideal_of_pfaffians(ring, ms, two_t))]
-    for cut, need in zip(R, r):
-        out.append(
-            (
-                f"pfaffians({need},rows<={cut})",
-                pfaffian_row_component(ring, ms, need, cut),
-            )
-        )
-    return out
+constrained_minor_ideal = _shape_checked(constrained_ideal, "generic", "symmetric")
+minor_components = _shape_checked(components, "generic", "symmetric")
+symmetric_components = _shape_checked(components, "symmetric")
+constrained_pfaffian_ideal = _shape_checked(constrained_ideal, "skew")
+pfaffian_components = _shape_checked(components, "skew")
 
 
 # ---------------------------------------------------------------------------
@@ -454,36 +432,21 @@ def column_grading(ms: MatrixSpec, a: int, p: int, q: int) -> GradingSpec:
         raise ValueError("weights must satisfy 0 < p < q")
     if not 0 <= a <= ms.n:
         raise ValueError("column split out of range")
-    table = variable_table(ms)
-    if ms.kind != "generic":
-        raise ValueError("column grading applies to the generic shape")
-    weights = []
-    for name in table.names:
-        j = int(name[name.index(",") + 1 : -1])
-        weights.append(p if j <= a else q)
-    return GradingSpec(table, weights)
+    _require(ms, "generic")
+    weights = [p if j <= a else q for _, j in _layout(ms)[1]]
+    return GradingSpec(variable_table(ms), weights)
 
 
 def skew_block_grading(ms: MatrixSpec, R: int, p: int, q: int) -> GradingSpec:
     """Weight 2p inside the first ``R`` rows, p+q straddling, 2q outside."""
-    if ms.kind != "skew":
-        raise ValueError("skew matrix required")
+    _require(ms, "skew")
     if not 0 < p < q:
         raise ValueError("weights must satisfy 0 < p < q")
     if not 0 <= R <= ms.n:
         raise ValueError("row split out of range")
-    table = variable_table(ms)
-    weights = []
-    for name in table.names:
-        body = name[2:-1]
-        i, j = (int(s) for s in body.split(","))
-        if j <= R:
-            weights.append(2 * p)
-        elif i <= R:
-            weights.append(p + q)
-        else:
-            weights.append(2 * q)
-    return GradingSpec(table, weights)
+    # each index of an entry weighs p inside the block and q outside it
+    weights = [sum(p if k <= R else q for k in ij) for ij in _layout(ms)[1]]
+    return GradingSpec(variable_table(ms), weights)
 
 
 def truncated_ideal(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle:

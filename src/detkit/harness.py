@@ -29,32 +29,27 @@ is the only nondeterministic entry and can be excluded.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .combinat import MinorIndex, PfaffianIndex, minor_leq, minors_universe
+from .combinat import MinorIndex, minor_leq, minors_universe
 from .detideals import (
+    MatrixSpec,
+    block_component,
+    check_blocks,
     coefficient_matrix,
     column_grading,
-    constrained_minor_ideal,
-    constrained_pfaffian_ideal,
+    components,
+    constrained_ideal,
     constrained_symmetric_ideal,
-    generic_matrix,
-    ideal_of_minors,
-    ideal_of_pfaffians,
+    generator,
     matrix_ring,
-    minor_components,
     minor_poly,
-    pfaffian_components,
-    pfaffian_poly,
-    pfaffian_row_component,
     skew_block_grading,
-    skew_matrix,
-    symmetric_components,
-    symmetric_matrix,
     truncated_ideal,
     truncated_ideal_graded,
     truncation_rank,
@@ -120,16 +115,10 @@ class CaseSpec:
         unknown = set(doc) - set(cls._FIELDS)
         if unknown:
             raise CaseError(f"{where}: unknown keys {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("R", "r", "C", "c"):
-            if key in kwargs:
-                val = kwargs[key]
-                if not isinstance(val, (list, tuple)) or not all(
-                    isinstance(x, int) for x in val
-                ):
-                    raise CaseError(f"{where}.{key}: expected a list of integers")
-                kwargs[key] = tuple(val)
-        spec = cls(**kwargs)
+        # JSON lists become tuples; a missing id reads as empty, which
+        # validate rejects
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+        spec = cls(**{"case": "", **kwargs})
         spec.validate(where)
         return spec
 
@@ -143,6 +132,22 @@ class CaseSpec:
     def validate(self, where: str = "case") -> None:
         if not self.case or not isinstance(self.case, str):
             raise CaseError(f"{where}.case: nonempty string required")
+        for name in ("check", "kind", "field", "order"):
+            if not isinstance(getattr(self, name), str):
+                raise CaseError(f"{where}.{name}: expected a string")
+        for name in ("m", "n", "t", "p", "q", "d"):
+            val = getattr(self, name)
+            if val is not None and type(val) is not int:
+                raise CaseError(f"{where}.{name}: expected an integer")
+        for name in ("R", "r", "C", "c"):
+            val = getattr(self, name)
+            if type(val) is not tuple or any(type(x) is not int for x in val):
+                raise CaseError(f"{where}.{name}: expected a list of integers")
+        # exact types keep bools out; NaN fails every comparison, and a NaN
+        # deadline would never pass
+        budget = self.budget_sec
+        if type(budget) not in (int, float) or not 0 < budget <= sys.float_info.max:
+            raise CaseError(f"{where}.budget_sec: must be a positive finite number")
         if self.check not in CHECKS:
             raise CaseError(f"{where}.check: must be one of {tuple(CHECKS)}")
         if self.kind not in KINDS:
@@ -152,8 +157,6 @@ class CaseSpec:
                 raise CaseError(f"{where}.mutate: must be one of {MUTATIONS}")
             if self.check != "decomposition":
                 raise CaseError(f"{where}.mutate: only decomposition cases mutate")
-        if self.budget_sec <= 0:
-            raise CaseError(f"{where}.budget_sec: must be positive")
         try:
             field_from_name(self.field)
         except ValueError as e:
@@ -166,44 +169,23 @@ class CaseSpec:
         elif self.check == "truncation":
             if self.kind == "symmetric":
                 raise CaseError(f"{where}.kind: no truncation for symmetric")
-            if self.kind == "generic":
-                self._need(where, m=self.m, n=self.n, t=self.t)
-                if self.m < 1 or self.n < 1:
-                    raise CaseError(f"{where}.n: dimensions must be positive")
-                if self.t < 1:
-                    raise CaseError(f"{where}.t: must be positive")
-            else:
-                self._need(where, n=self.n, t=self.t)
-                if self.n < 2:
-                    raise CaseError(f"{where}.n: need n >= 2")
-                if self.t % 2 or self.t < 2:
-                    raise CaseError(f"{where}.t: even size >= 2 required for skew")
+            self._validate_size(where)
             self._need(where, p=self.p, q=self.q, d=self.d)
             if not 0 < self.p < self.q:
                 raise CaseError(f"{where}.p: weights must satisfy 0 < p < q")
-            if self.kind == "generic":
-                if len(self.C) != 1 or not 0 <= self.C[0] <= self.n:
-                    raise CaseError(
-                        f"{where}.C: one column split in 0..n required"
-                    )
-                if self.R or self.r or self.c:
-                    raise CaseError(
-                        f"{where}: truncation uses only the C split and p, q, d"
-                    )
-            else:
-                if len(self.R) != 1 or not 0 <= self.R[0] <= self.n:
-                    raise CaseError(f"{where}.R: one row split in 0..n required")
-                if self.r or self.C or self.c:
-                    raise CaseError(
-                        f"{where}: truncation uses only the R split and p, q, d"
-                    )
+            name, axis = ("C", "column") if self.kind == "generic" else ("R", "row")
+            split = getattr(self, name)
+            if len(split) != 1 or not 0 <= split[0] <= self.n:
+                raise CaseError(f"{where}.{name}: one {axis} split in 0..n required")
+            if len(self.R + self.r + self.C + self.c) != 1:
+                raise CaseError(
+                    f"{where}: truncation uses only the {name} split and p, q, d"
+                )
         elif self.check == "heights":
             if self.kind != "skew":
                 raise CaseError(f"{where}.kind: heights applies to skew")
-            self._need(where, n=self.n, t=self.t)
-            if self.n < 2:
-                raise CaseError(f"{where}.n: need n >= 2")
-            if self.t % 2 or not 2 <= self.t <= self.n:
+            self._validate_size(where)
+            if self.t > self.n:
                 raise CaseError(f"{where}.t: even size in 2..n required")
         elif self.check == "asl":
             if self.kind != "generic":
@@ -212,42 +194,44 @@ class CaseSpec:
             if self.m < 1 or self.n < 1 or self.d < 1:
                 raise CaseError(f"{where}: m, n, d must be positive")
 
-    def _validate_shape(self, where: str) -> None:
+    def _validate_size(self, where: str) -> None:
+        """Dimensions and generator size: m (generic only), n and t, with
+        n >= 2 and an even t on the skew shape."""
         if self.kind == "generic":
-            self._need(where, m=self.m, n=self.n, t=self.t)
-            m, n = self.m, self.n
-        else:
-            self._need(where, n=self.n, t=self.t)
-            m = n = self.n
-            if self.C or self.c:
-                raise CaseError(f"{where}.C: column blocks are generic-only")
-        if m < 1 or n < 1:
+            self._need(where, m=self.m)
+        self._need(where, n=self.n, t=self.t)
+        if self.rows < 1 or self.n < 1:
             raise CaseError(f"{where}.n: dimensions must be positive")
         if self.kind == "skew":
+            if self.n < 2:
+                raise CaseError(f"{where}.n: need n >= 2")
             if self.t % 2 or self.t < 2:
                 raise CaseError(f"{where}.t: even size >= 2 required for skew")
         elif self.t < 1:
             raise CaseError(f"{where}.t: must be positive")
-        for name, cuts, needs, limit in (
-            ("R", self.R, self.r, m),
-            ("C", self.C, self.c, n),
-        ):
-            if len(cuts) != len(needs):
-                raise CaseError(f"{where}.{name}: cutoffs and counts differ in length")
-            if any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise CaseError(f"{where}.{name}: cutoffs must increase strictly")
-            if cuts and not (1 <= cuts[0] and cuts[-1] <= limit):
-                raise CaseError(f"{where}.{name}: cutoffs must lie in 1..{limit}")
-            if any(x < 0 for x in needs):
-                raise CaseError(f"{where}.{name}: counts must be >= 0")
+
+    def _validate_shape(self, where: str) -> None:
+        self._validate_size(where)
+        if self.kind != "generic" and (self.C or self.c):
+            raise CaseError(f"{where}.C: column blocks are generic-only")
+        ms = MatrixSpec(self.kind, self.rows, self.n)
+        try:
+            check_blocks(ms, self.R, self.r, self.C, self.c)
+        except ValueError as e:
+            raise CaseError(f"{where}.{e}") from None
 
     # -- helpers ------------------------------------------------------------
+
+    @property
+    def rows(self) -> Optional[int]:
+        """Row count: ``m`` on the generic shape, ``n`` on the square ones."""
+        return self.m if self.kind == "generic" else self.n
 
     def params_dict(self) -> dict:
         return {
             "check": self.check,
             "kind": self.kind,
-            "m": self.m if self.kind == "generic" else self.n,
+            "m": self.rows,
             "n": self.n,
             "t": self.t,
             "R": list(self.R),
@@ -305,25 +289,12 @@ class Report:
         self.reason = None if ok else reason
 
 
-def _ring_for(spec: CaseSpec):
-    fld = field_from_name(spec.field)
-    if spec.kind == "generic":
-        ms = generic_matrix(spec.m, spec.n)
-    elif spec.kind == "symmetric":
-        ms = symmetric_matrix(spec.n)
-    else:
-        ms = skew_matrix(spec.n)
-    ring = matrix_ring(ms, fld, order=spec.order)
-    return ms, ring
-
-
 def _flip_blocks(spec: CaseSpec) -> Tuple[tuple, tuple]:
     """Bump the first usable block cutoff by one; a mutation canary."""
-    limit_r = spec.m if spec.kind == "generic" else spec.n
     R, C = spec.R, spec.C
     if R:
         bumped = R[0] + 1
-        if bumped <= limit_r and (len(R) < 2 or bumped < R[1]):
+        if bumped <= spec.rows and (len(R) < 2 or bumped < R[1]):
             return (bumped,) + R[1:], C
     if C:
         bumped = C[0] + 1
@@ -332,30 +303,12 @@ def _flip_blocks(spec: CaseSpec) -> Tuple[tuple, tuple]:
     raise CaseError(f"{spec.case}: flip-block has no room to move a cutoff")
 
 
-def _components_for(spec: CaseSpec, ms, ring, R, C) -> List[Tuple[str, IdealHandle]]:
-    if spec.kind == "generic":
-        return minor_components(ring, ms, spec.t, R=R, r=spec.r, C=C, c=spec.c)
-    if spec.kind == "symmetric":
-        return symmetric_components(ring, ms, spec.t, R=R, r=spec.r)
-    return pfaffian_components(ring, ms, spec.t, R=R, r=spec.r)
-
-
-def _lhs_for(spec: CaseSpec, ms, ring) -> IdealHandle:
-    if spec.kind == "generic":
-        return constrained_minor_ideal(
-            ring, ms, spec.t, R=spec.R, r=spec.r, C=spec.C, c=spec.c
-        )
-    if spec.kind == "symmetric":
-        return constrained_symmetric_ideal(ring, ms, spec.t, R=spec.R, r=spec.r)
-    return constrained_pfaffian_ideal(ring, ms, spec.t, R=spec.R, r=spec.r)
-
-
 # ---------------------------------------------------------------------------
 # checks: each fills ``report`` in place and settles it last
 
 
 def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
-    lhs = _lhs_for(spec, ms, ring)
+    lhs = constrained_ideal(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
     if spec.mutate == "drop-generator":
         if not lhs.gens:
             raise CaseError(f"{spec.case}: no generator to drop")
@@ -363,10 +316,10 @@ def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> 
     R, C = spec.R, spec.C
     if spec.mutate == "flip-block":
         R, C = _flip_blocks(spec)
-    components = _components_for(spec, ms, ring, R, C)
-    report.components = [{"name": name, "irredundant": None} for name, _ in components]
+    comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
+    report.components = [{"name": name, "irredundant": None} for name, _ in comps]
     report.stats["lhs_gens"] = len(lhs.gens)
-    rhs = intersect_all(ring, [h for _, h in components], deadline)
+    rhs = intersect_all(ring, [h for _, h in comps], deadline)
     report.stats["rhs_gb_size"] = len(rhs.groebner(deadline))
     equal = ideal_equal(lhs, rhs, deadline)
     if spec.kind == "symmetric":
@@ -380,18 +333,13 @@ def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> 
 def _check_truncation(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     rk = truncation_rank(spec.t, spec.p, spec.q, spec.d)
     if spec.kind == "generic":
-        a = spec.C[0]
-        grading = column_grading(ms, a, spec.p, spec.q)
-        base = ideal_of_minors(ring, ms, spec.t)
-        extra = ("minors({},cols<={})".format(rk, a), ideal_of_minors(ring, ms, rk, col_limit=a))
+        axis, cut = "cols", spec.C[0]
+        grading = column_grading(ms, cut, spec.p, spec.q)
     else:
-        Rb = spec.R[0]
-        grading = skew_block_grading(ms, Rb, spec.p, spec.q)
-        base = ideal_of_pfaffians(ring, ms, spec.t)
-        extra = (
-            "pfaffians({},rows<={})".format(rk, Rb),
-            pfaffian_row_component(ring, ms, rk, Rb),
-        )
+        axis, cut = "rows", spec.R[0]
+        grading = skew_block_grading(ms, cut, spec.p, spec.q)
+    base = constrained_ideal(ring, ms, spec.t)
+    extra = block_component(ring, ms, rk, cut, axis)
     filtered = truncated_ideal(base, grading, spec.d)
     report.components = [
         {"name": "base", "irredundant": None},
@@ -416,12 +364,7 @@ def check_irredundancy_hypotheses(spec: CaseSpec) -> Dict[str, bool]:
     slack_strict: cutoff-minus-count strictly increases and leaves room for
     a full-size generator avoiding the block remainder.
     """
-    groups = []
-    if spec.kind == "generic":
-        groups.append((spec.R, spec.r, spec.m))
-        groups.append((spec.C, spec.c, spec.n))
-    else:
-        groups.append((spec.R, spec.r, spec.n))
+    groups = ((spec.R, spec.r, spec.rows), (spec.C, spec.c, spec.n))
     size = spec.t
     out = {
         "blocks_strict": True,
@@ -468,43 +411,32 @@ def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
     """Explicit element expected inside every component except ``which``.
 
     Returns (label, polynomial) or None when the closed form does not fit
-    the shape.
+    the shape.  A Pfaffian witness uses the row list only.
     """
     t = spec.t
-    if spec.kind == "skew":
-        if which == "size":
-            if t - 2 < 2:
-                return None
-            rows = tuple(range(1, t - 1))
-        else:
-            rows = _block_escape(t, spec.R[block_index], spec.r[block_index], spec.n)
-            if rows is None:
-                return None
-        ix = PfaffianIndex(rows)
-        return str(ix), pfaffian_poly(ring, ms, ix)
+    full = tuple(range(1, t + 1))
     if which == "size":
-        if t < 2:
-            return None
-        rows = cols = tuple(range(1, t))
+        # the corner generator one size step down; Pfaffian sizes step by 2
+        step = 2 if spec.kind == "skew" else 1
+        rows = cols = full[: t - step] if t - step >= step else None
     elif which == "row":
-        m = spec.m if spec.kind == "generic" else spec.n
-        rows = _block_escape(t, spec.R[block_index], spec.r[block_index], m)
+        rows = _block_escape(t, spec.R[block_index], spec.r[block_index], spec.rows)
         # mirrored entries put any column inside the block under symmetry, so
         # the separating minor must be principal on the shifted row set
-        cols = rows if spec.kind == "symmetric" else tuple(range(1, t + 1))
+        cols = rows if spec.kind == "symmetric" else full
     else:
         cols = _block_escape(t, spec.C[block_index], spec.c[block_index], spec.n)
-        rows = tuple(range(1, t + 1))
+        rows = full
     if rows is None or cols is None:
         return None
-    ix = MinorIndex(rows, cols)
-    return str(ix), minor_poly(ring, ms, ix)
+    ix, f = generator(ring, ms, rows, cols)
+    return str(ix), f
 
 
 def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
-    components = _components_for(spec, ms, ring, spec.R, spec.C)
-    handles = [h for _, h in components]
-    report.components = [{"name": name, "irredundant": None} for name, _ in components]
+    comps = components(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
+    handles = [h for _, h in comps]
+    report.components = [{"name": name, "irredundant": None} for name, _ in comps]
     J = intersect_all(ring, handles, deadline)
     report.stats["lhs_gens"] = len(J.gens)
     report.stats["rhs_gb_size"] = len(J.groebner(deadline))
@@ -517,8 +449,7 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> N
     # probe 2: closed-form witnesses, where the formulas fit
     witness_plan = [("size", -1)]
     witness_plan += [("row", i) for i in range(len(spec.R))]
-    if spec.kind == "generic":
-        witness_plan += [("col", i) for i in range(len(spec.C))]
+    witness_plan += [("col", i) for i in range(len(spec.C))]
     agree = True
     for comp_pos, (which, bi) in enumerate(witness_plan):
         built = _witness_for(spec, ms, ring, which, bi)
@@ -526,12 +457,12 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> N
             continue
         label, w = built
         memberships = {
-            name: ideal_member(w, h, deadline) for name, h in components
+            name: ideal_member(w, h, deadline) for name, h in comps
         }
         report.witnesses.append({"element": label, "memberships": memberships})
-        target = components[comp_pos][0]
+        target = comps[comp_pos][0]
         expected = {
-            name: (name != target) for name, _ in components
+            name: (name != target) for name, _ in comps
         }
         if memberships != expected:
             agree = False
@@ -551,7 +482,7 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> N
 
 
 def _check_heights(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
-    I = ideal_of_pfaffians(ring, ms, spec.t)
+    I = constrained_ideal(ring, ms, spec.t)
     report.stats["lhs_gens"] = len(I.gens)
     report.stats["rhs_gb_size"] = len(I.groebner(deadline))
     h = ideal_height(I, deadline)
@@ -669,7 +600,8 @@ def run_case(spec: CaseSpec) -> Report:
     spec.validate(spec.case)
     start = monotonic()
     deadline = start + spec.budget_sec
-    ms, ring = _ring_for(spec)
+    ms = MatrixSpec(spec.kind, spec.rows, spec.n)
+    ring = matrix_ring(ms, field_from_name(spec.field), order=spec.order)
     report = Report(
         case=spec.case,
         params=spec.params_dict(),

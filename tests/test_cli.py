@@ -169,3 +169,44 @@ def test_closed_stdout_keeps_exit_code(argv, expected):
         os.close(write_end)
     assert proc.returncode == expected
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("doc", [
+    {"cases": [{"case": "a", "m": "3", "n": 3, "t": 2}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "field": 5}]},
+    {"budget_sec": "x", "cases": [{"case": "a", "m": 3, "n": 3, "t": 2}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "budget_sec": "1"}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": True}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "R": [True], "r": [1]}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "R": 1, "r": 1}]},
+    {"cases": [{"case": "a", "check": ["asl"], "m": 2, "n": 2, "d": 2}]},
+    {"cases": [{"case": "a", "m": 2, "n": 2, "t": 2, "mutate": ["drop-generator"]}]},
+    {"cases": [{"case": "a", "kind": 5, "n": 3, "t": 2}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "budget_sec": float("nan")}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "budget_sec": float("inf")}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "budget_sec": 10 ** 400}]},
+    {"cases": [{"m": 3, "n": 3, "t": 2}]},
+    {"cases": [{"case": "a", "kind": "skew", "n": 1, "t": 2}]},
+])
+def test_suite_rejects_mistyped_fields(tmp_path, capsys, doc):
+    # json writes NaN and Infinity literals, which json.load reads back
+    config = tmp_path / "cases.json"
+    config.write_text(json.dumps(doc))
+    code = main(["suite", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cases[0].")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_non_finite_budget_is_config_error(tmp_path, capsys, budget):
+    assert main(["heights", "--n", "4", "--t", "2", "--budget-sec", budget]) == 2
+    assert "budget_sec" in capsys.readouterr().err
+    config = tmp_path / "cases.json"
+    config.write_text(json.dumps({"cases": [{"case": "a", "m": 2, "n": 2, "t": 2}]}))
+    assert main(["suite", str(config), "--budget-sec", budget]) == 2
+    captured = capsys.readouterr()
+    assert "budget_sec" in captured.err
+    assert captured.out == ""

@@ -2,10 +2,20 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detkit.combinat import MinorIndex, PfaffianIndex
+from detkit.combinat import (
+    MinorIndex,
+    PfaffianIndex,
+    in_doset,
+    minors_universe,
+    pfaffian_universe,
+)
 from detkit.detideals import (
     column_grading,
+    components,
+    constrained_ideal,
     constrained_minor_ideal,
     constrained_pfaffian_ideal,
     constrained_symmetric_ideal,
@@ -21,6 +31,7 @@ from detkit.detideals import (
     pfaffian_components,
     pfaffian_poly,
     pfaffian_row_component,
+    generator,
     skew_block_grading,
     skew_matrix,
     symmetric_components,
@@ -231,6 +242,9 @@ def test_ideal_of_pfaffians_edges():
         ideal_of_pfaffians(ring, ms, 3)
     I = ideal_of_pfaffians(ring, ms, 4)
     assert len(I.gens) == 5
+    # the 4-subsets of the first four rows: just [1,2,3,4]
+    assert len(ideal_of_pfaffians(ring, ms, 4, row_limit=4).gens) == 1
+    assert ideal_of_pfaffians(ring, ms, 4, row_limit=3).is_zero()
 
 
 def test_pfaffian_row_component_even_and_odd():
@@ -341,6 +355,122 @@ def test_constrained_pfaffian_ideal():
         constrained_pfaffian_ideal(ring, ms, 3)
     assert constrained_pfaffian_ideal(ring, ms, 6).is_zero()
     assert constrained_pfaffian_ideal(ring, ms, 0).is_unit()
+
+
+# -- the block-index enumerator against a brute-force filter --------------------
+
+
+@st.composite
+def _block_lists(draw, limit, top):
+    cuts = sorted(draw(st.sets(st.integers(1, limit), max_size=2)))
+    needs = draw(st.lists(st.integers(0, top), min_size=len(cuts), max_size=len(cuts)))
+    return tuple(cuts), tuple(needs)
+
+
+@st.composite
+def _constrained_cases(draw):
+    kind = draw(st.sampled_from(["generic", "symmetric", "skew"]))
+    if kind == "generic":
+        ms = generic_matrix(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        t = draw(st.integers(1, min(ms.m, ms.n) + 1))
+    elif kind == "symmetric":
+        ms = symmetric_matrix(draw(st.integers(1, 5)))
+        t = draw(st.integers(1, ms.n + 1))
+    else:
+        ms = skew_matrix(draw(st.integers(2, 5)))
+        t = draw(st.sampled_from(range(2, ms.n + 2, 2)))
+    R, r = draw(_block_lists(ms.m, t))
+    C, c = draw(_block_lists(ms.n, t)) if kind == "generic" else ((), ())
+    return ms, t, R, r, C, c
+
+
+def _reference(ring, ms, size, rows=((), ()), cols=((), ()), keep=lambda ix: True):
+    """Generators of the universe elements of ``size`` that pass the blocks,
+    in universe order; None stands for the unit ideal."""
+    if size <= 0:
+        return None
+    if ms.kind == "skew":
+        universe, poly = pfaffian_universe(ms.n).elements(), pfaffian_poly
+    else:
+        universe, poly = minors_universe(ms.m, ms.n).elements(), minor_poly
+
+    def passes(seq, cuts, needs):
+        return all(len([a for a in seq if a <= k]) >= need for k, need in zip(cuts, needs))
+
+    return tuple(
+        poly(ring, ms, ix)
+        for ix in universe
+        if ix.size == size
+        and passes(ix.rows, *rows)
+        and passes(getattr(ix, "cols", ()), *cols)
+        and keep(ix)
+    )
+
+
+def _gens(I):
+    return None if I.gens == (I.ring.one,) else I.gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constrained_cases())
+def test_constrained_builders_match_brute_force(case):
+    ms, t, R, r, C, c = case
+    ring = matrix_ring(ms, FP)
+    skew = ms.kind == "skew"
+    want = _reference(ring, ms, t, (R, r), (C, c))
+    assert constrained_ideal(ring, ms, t, R, r, C, c).gens == want
+    if ms.kind == "generic":
+        assert constrained_minor_ideal(ring, ms, t, R=R, r=r, C=C, c=c).gens == want
+    elif ms.kind == "symmetric":
+        assert constrained_symmetric_ideal(ring, ms, t, R=R, r=r).gens == want
+        doset = constrained_symmetric_ideal(ring, ms, t, R=R, r=r, doset_only=True)
+        assert doset.gens == _reference(ring, ms, t, (R, r), keep=in_doset)
+    else:
+        assert constrained_pfaffian_ideal(ring, ms, t, R=R, r=r).gens == want
+
+    family = "pfaffians" if skew else "minors"
+    expected = [(f"{family}({t})", _reference(ring, ms, t))]
+    for axis, cuts, needs in (("rows", R, r), ("cols", C, c)):
+        for cut, need in zip(cuts, needs):
+            size = need + need % 2 if skew else need
+            block = ((cut,), (need,))
+            sides = (block, ((), ())) if axis == "rows" else (((), ()), block)
+            expected.append((f"{family}({need},{axis}<={cut})", _reference(ring, ms, size, *sides)))
+    if ms.kind == "generic":
+        shaped = minor_components(ring, ms, t, R=R, r=r, C=C, c=c)
+    elif ms.kind == "symmetric":
+        shaped = symmetric_components(ring, ms, t, R=R, r=r)
+    else:
+        shaped = pfaffian_components(ring, ms, t, R=R, r=r)
+    for built in (components(ring, ms, t, R, r, C, c), shaped):
+        assert [(name, _gens(h)) for name, h in built] == expected
+    if skew:
+        for cut, need in zip(R, r):
+            assert _gens(pfaffian_row_component(ring, ms, need, cut)) == expected[1 + R.index(cut)][1]
+
+
+def test_generator_follows_the_shape():
+    sk = skew_matrix(4)
+    ix, f = generator(matrix_ring(sk, QQ), sk, (1, 2), (3, 4))
+    assert ix == PfaffianIndex((1, 2)) and str(f) == "z[1,2]"
+    gen = generic_matrix(4, 4)
+    ix, f = generator(matrix_ring(gen, QQ), gen, (1, 2), (3, 4))
+    assert ix == MinorIndex((1, 2), (3, 4))
+    assert f == minor_poly(matrix_ring(gen, QQ), gen, ix)
+
+
+def test_shape_checked_builders_reject_other_shapes():
+    gen, sym, sk = generic_matrix(3, 3), symmetric_matrix(3), skew_matrix(4)
+    with pytest.raises(ValueError, match="skew matrix required"):
+        constrained_pfaffian_ideal(matrix_ring(gen, QQ), gen, 2)
+    with pytest.raises(ValueError, match="skew matrix required"):
+        ideal_of_pfaffians(matrix_ring(sym, QQ), sym, 2)
+    with pytest.raises(ValueError, match="generic or symmetric matrix required"):
+        ideal_of_minors(matrix_ring(sk, QQ), sk, 2)
+    with pytest.raises(ValueError, match="C: Pfaffians take no column blocks"):
+        constrained_ideal(matrix_ring(sk, QQ), sk, 2, C=(1,), c=(1,))
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        constrained_ideal(matrix_ring(gen, QQ), gen, 2, R=(1,), r=(-1,))
 
 
 # -- classical heights -----------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 from time import monotonic
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detkit.groebner import (
     BudgetExceeded,
@@ -22,9 +24,11 @@ from detkit.groebner import (
 from detkit.poly import (
     QQ,
     LexOrder,
+    Monomial,
     PolyRing,
     PrimeField,
     VariableTable,
+    field_from_name,
     order_from_name,
 )
 from helpers import assert_reduced_basis, random_poly
@@ -217,6 +221,55 @@ def test_intersection_double_inclusion_random():
         for f in I.gens:
             for g in J.gens:
                 assert ideal_member(f * g, K)
+
+
+# -- property tests on random homogeneous ideals -----------------------------------
+
+_EXPONENTS = {
+    d: [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)] for d in (1, 2, 3)
+}
+
+
+@st.composite
+def _homogeneous_gens(draw, count):
+    """``count`` nonzero homogeneous polynomials in three variables, as
+    ``[(exponents, coefficient), ...]`` term lists."""
+    out = []
+    for _ in range(count):
+        exps = draw(st.lists(st.sampled_from(_EXPONENTS[draw(st.integers(1, 3))]),
+                             min_size=1, max_size=3, unique=True))
+        coeffs = st.integers(-7, 7).filter(bool)
+        out.append([(e, draw(coeffs)) for e in exps])
+    return out
+
+
+def _ring_and_polys(field, *term_lists):
+    ring = mkring("abc", field=field_from_name(field))
+    polys = [
+        [ring.from_terms((Monomial([(i, k) for i, k in enumerate(e) if k]),
+                          ring.field.of_int(c)) for e, c in terms) for terms in tl]
+        for tl in term_lists
+    ]
+    return ring, polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), _homogeneous_gens(3))
+def test_buchberger_property_reduced_basis(field, terms):
+    _, (gens,) = _ring_and_polys(field, terms)
+    G = buchberger(gens)
+    assert_reduced_basis(G)
+    for g in gens:
+        assert not normal_form(g, G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), _homogeneous_gens(2), _homogeneous_gens(2))
+def test_intersection_property_members_of_both(field, i_terms, j_terms):
+    ring, (i_gens, j_gens) = _ring_and_polys(field, i_terms, j_terms)
+    I, J = IdealHandle(ring, i_gens), IdealHandle(ring, j_gens)
+    for g in ideal_intersect(I, J).groebner():
+        assert ideal_member(g, I) and ideal_member(g, J)
 
 
 def test_intersection_caches_reduced_basis_under_grevlex():
