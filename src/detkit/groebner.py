@@ -3,8 +3,11 @@
 The engine keeps polynomials as lists of ``(sort_key, Monomial, coeff)``
 rows in strictly descending key order, so merges compare precomputed keys
 instead of re-deriving them.  Bases are kept monic.  Pair selection uses the
-sugar strategy; the product (coprime-lead) criterion prunes pairs at
-creation and the chain criterion prunes at pop time.  All choices are
+sugar strategy.  Each new basis element runs the Gebauer-Moller pair update
+(criteria B, M and F plus the product criterion), so popping a pair does no
+scan.  Every basis element and pending pair carries the support of its lead
+or lcm as an int bit mask, and a divisibility test runs only when the
+divisor's support lies inside the other support.  All choices are
 deterministic, so a given generator list always yields the same reduced
 basis.
 
@@ -60,8 +63,17 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise BudgetExceeded("computation exceeded its time budget")
 
 
+def _support(m) -> int:
+    """Bit ``pos`` set for each variable of ``m``.  A monomial divides
+    another only if its support lies inside the other's."""
+    mask = 0
+    for pos, _ in m.exps:
+        mask |= 1 << pos
+    return mask
+
+
 class _BasisElem:
-    __slots__ = ("lm", "lmkey", "rows", "sugar", "inv_lc")
+    __slots__ = ("lm", "lmkey", "rows", "sugar", "inv_lc", "mask")
 
     def __init__(self, lm, lmkey, rows, sugar, inv_lc):
         self.lm = lm
@@ -69,6 +81,7 @@ class _BasisElem:
         self.rows = rows
         self.sugar = sugar
         self.inv_lc = inv_lc
+        self.mask = _support(lm)
 
 
 def _rows_of(f: Polynomial, key) -> list:
@@ -171,9 +184,10 @@ def _reduce_rows(rows, sugar, elems, field, key, deadline):
     steps = 0
     while idx < len(work):
         m = work[idx][1]
+        outside = ~_support(m)
         hit = None
         for e in elems:
-            if mono_divides(e.lm, m):
+            if not e.mask & outside and mono_divides(e.lm, m):
                 hit = e
                 break
         if hit is None:
@@ -193,6 +207,64 @@ def _reduce_rows(rows, sugar, elems, field, key, deadline):
             sugar = s
     out.extend(work)
     return out, sugar
+
+
+def _update(elems, active, pending, heap, h, key, tick, deadline) -> None:
+    """Gebauer-Moller pair update for ``h``, the element about to be
+    appended to ``elems`` (Becker-Weispfenning, *Groebner Bases*, UPDATE).
+
+    ``pending`` maps each pair ``(i, j)``, ``i < j``, to its lcm and the
+    lcm's support; ``heap`` orders the same pairs by sugar.  ``active`` lists
+    the elements whose lead no later lead divides: new pairs form only with
+    them, and in the end they are the minimal basis.
+    """
+    _check_deadline(deadline)
+    hi = len(elems)
+    hlm, hmask = h.lm, h.mask
+    # criterion B: a pending pair whose lcm the new lead divides, and equals
+    # neither of its members' lcms with the new lead, is covered by those
+    # two pairs
+    dropped = []
+    for pair, (lcm, pmask) in pending.items():
+        if not hmask & ~pmask and mono_divides(hlm, lcm):
+            i, j = pair
+            if (
+                mono_lcm(elems[i].lm, hlm).deg != lcm.deg
+                and mono_lcm(elems[j].lm, hlm).deg != lcm.deg
+            ):
+                dropped.append(pair)
+    for pair in dropped:
+        del pending[pair]
+
+    # criteria M and F: among the new pairs keep one per minimal lcm, taken
+    # in increasing degree with coprime leads first; a coprime pair then
+    # drops everything its lcm divides and itself (product criterion)
+    cands = []
+    for j in active:
+        g = elems[j]
+        lcm = mono_lcm(g.lm, hlm)
+        coprime = lcm.deg == g.lm.deg + hlm.deg
+        cands.append((lcm.deg, not coprime, j, lcm, g.mask | hmask))
+    cands.sort(key=lambda c: c[:3])
+    minimal = []
+    for _, plain, j, lcm, pmask in cands:
+        if plain and any(
+            not kmask & ~pmask and mono_divides(klcm, lcm) for klcm, kmask in minimal
+        ):
+            continue
+        minimal.append((lcm, pmask))
+        if plain:
+            g = elems[j]
+            s = max(g.sugar + lcm.deg - g.lm.deg, h.sugar + lcm.deg - hlm.deg)
+            heappush(heap, (s, key(lcm), next(tick), j, hi, lcm))
+            pending[(j, hi)] = (lcm, pmask)
+
+    active[:] = [
+        j
+        for j in active
+        if hmask & ~elems[j].mask or not mono_divides(hlm, elems[j].lm)
+    ]
+    active.append(hi)
 
 
 def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
@@ -217,8 +289,9 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
     key = ring.order.key
 
     elems: list = []
+    active: list = []
     heap: list = []
-    pending: set = set()
+    pending: dict = {}
     tick = count()
 
     def insert(rows, sugar):
@@ -227,17 +300,7 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
             inv = fld.inv(c0)
             rows = [(k, m, fld.mul(c, inv)) for k, m, c in rows]
         e = _BasisElem(rows[0][1], rows[0][0], rows, sugar, fld.one)
-        i = len(elems)
-        for j, other in enumerate(elems):
-            lcm = mono_lcm(other.lm, e.lm)
-            if lcm.deg == other.lm.deg + e.lm.deg:
-                continue  # coprime leads: that S-pair always drops to zero
-            s = max(
-                other.sugar + lcm.deg - other.lm.deg,
-                sugar + lcm.deg - e.lm.deg,
-            )
-            heappush(heap, (s, key(lcm), next(tick), j, i, lcm))
-            pending.add((j, i))
+        _update(elems, active, pending, heap, e, key, tick, deadline)
         elems.append(e)
         return e
 
@@ -253,22 +316,9 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
     while heap and not unit:
         _check_deadline(deadline)
         s, _, _, i, j, lcm = heappop(heap)
-        if (i, j) not in pending:
+        if pending.pop((i, j), None) is None:
             continue
-        pending.discard((i, j))
         ei, ej = elems[i], elems[j]
-        skip = False
-        for k2, ek in enumerate(elems):
-            if k2 == i or k2 == j:
-                continue
-            if mono_divides(ek.lm, lcm):
-                a = (i, k2) if i < k2 else (k2, i)
-                b = (j, k2) if j < k2 else (k2, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
         qi = mono_div(lcm, ei.lm)
         qj = mono_div(lcm, ej.lm)
         rows = _merge_sub(
@@ -285,15 +335,10 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
     if unit:
         return (ring.one,)
 
-    # minimal basis: drop any element whose lead another lead divides
-    kept = []
-    for e in sorted(elems, key=lambda e: e.lmkey):
-        if any(mono_divides(f.lm, e.lm) for f in kept):
-            continue
-        kept.append(e)
-
-    # one interreduction pass gives the reduced basis: leads are fixed, and
-    # full tail reduction against the others' leads pins each element
+    # one interreduction pass over the minimal basis gives the reduced basis:
+    # leads are fixed, and full tail reduction against the others' leads pins
+    # each element
+    kept = sorted((elems[i] for i in active), key=lambda e: e.lmkey)
     final: list = []
     for i, e in enumerate(kept):
         others = final + kept[i + 1 :]
@@ -307,7 +352,8 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polyno
     """Remainder of full reduction of ``f`` by ``G`` (in G's listed order).
 
     ``G`` need not be a Groebner basis; the remainder is only canonical when
-    it is.  Membership in the zero ideal (empty ``G``) returns ``f``.
+    it is.  Membership in the zero ideal (empty ``G``) returns ``f``.  The
+    deadline is checked on entry, so a loop of short reductions is bounded.
     """
     ring = f.ring
     key = ring.order.key
@@ -322,6 +368,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polyno
         )
     if not f:
         return f
+    _check_deadline(deadline)
     rows, _ = _reduce_rows(_rows_of(f, key), f.degree(), elems, ring.field, key, deadline)
     return _poly_of(ring, rows)
 
@@ -468,12 +515,7 @@ def krull_dimension(I: IdealHandle, deadline=None) -> int:
         return n
     if len(gb) == 1 and gb[0].is_constant():
         raise UnitIdealError("unit ideal has no dimension")
-    supports = []
-    for g in gb:
-        mask = 0
-        for pos, _ in g.lm.exps:
-            mask |= 1 << pos
-        supports.append(mask)
+    supports = [_support(g.lm) for g in gb]
     from itertools import combinations
 
     for size in range(n, -1, -1):

@@ -21,6 +21,8 @@ check fills the report in place (components, stats, witnesses, height) and
 settles the verdict last.  When the deadline passes, the engine raises
 :class:`BudgetExceeded`; the runner then marks the report ``SKIPPED``
 ("budget exceeded") and keeps whatever the check had filled in so far.
+The one exception is a decomposition already shown ``NOT_EQUAL``: the search
+for a separating element may run out of budget, and the verdict stays.
 
 Reports serialize to a stable JSON layout; the wall-clock field ``millis``
 is the only nondeterministic entry and can be excluded.
@@ -328,6 +330,22 @@ def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> 
         )
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs, deadline)
     report.settle(equal)
+    if not equal:
+        # the verdict stands even if the budget runs out during the search
+        try:
+            report.reason = _separating_element(lhs, rhs, deadline)
+        except BudgetExceeded:
+            report.reason = "separating element not computed: budget exceeded"
+
+
+def _separating_element(lhs: IdealHandle, rhs: IdealHandle, deadline) -> str:
+    """Name a reduced-basis element of one side outside the other; unequal
+    ideals always have one, and the RHS side is searched first."""
+    for side, I, other, J in (("rhs", rhs, "lhs", lhs), ("lhs", lhs, "rhs", rhs)):
+        for g in I.groebner(deadline):
+            if not ideal_member(g, J, deadline):
+                return f"{side} basis element not in {other}: {g}"
+    raise RuntimeError("unequal ideals without a separating basis element")
 
 
 def _check_truncation(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from detkit.groebner import normal_form, s_polynomial
-from detkit.poly import Monomial, Polynomial, mono_divides
+from detkit.poly import Monomial, Polynomial, mono_div, mono_divides
 
 
 # -- dense monomial order comparators ---------------------------------------
@@ -103,6 +103,53 @@ def random_poly(ring, rng, nterms, maxdeg):
         c = ring.field.of_int(rng.randint(-50, 50))
         pairs.append((m, c))
     return ring.from_terms(pairs)
+
+
+# -- Buchberger the textbook way -----------------------------------------------
+
+
+def textbook_remainder(f, G):
+    """Full reduction of ``f``: the leading term of what is left is divided
+    by the first element of ``G`` whose lead divides it, or else moved to
+    the remainder."""
+    ring = f.ring
+    fld = ring.field
+    rem = []
+    while f:
+        m, c = f.terms[0]
+        for g in G:
+            if mono_divides(g.lm, m):
+                f = f - g.term_mul(mono_div(m, g.lm), fld.div(c, g.lc))
+                break
+        else:
+            rem.append((m, c))
+            f = Polynomial(ring, f.terms[1:])
+    return ring.from_terms(rem)
+
+
+def textbook_buchberger(gens):
+    """Reduced Groebner basis, in the layout ``buchberger`` returns: every
+    S-pair is reduced (no criterion drops any), then the minimal and the
+    interreduction passes."""
+    G = [g.monic() for g in gens if g]
+    if not G:
+        return ()
+    order = G[0].ring.order
+    pairs = list(combinations(range(len(G)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        r = textbook_remainder(s_polynomial(G[i], G[j]), G)
+        if r:
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(r.monic())
+    minimal = []
+    for g in sorted(G, key=lambda g: order.key(g.lm)):
+        if not any(mono_divides(h.lm, g.lm) for h in minimal):
+            minimal.append(g)
+    reduced = [
+        textbook_remainder(g, [h for h in minimal if h is not g]).monic() for g in minimal
+    ]
+    return tuple(sorted(reduced, key=lambda g: order.key(g.lm), reverse=True))
 
 
 # -- determinants and Pfaffians the textbook way -----------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 from time import monotonic
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detkit.groebner import (
@@ -31,7 +31,7 @@ from detkit.poly import (
     field_from_name,
     order_from_name,
 )
-from helpers import assert_reduced_basis, random_poly
+from helpers import assert_reduced_basis, random_poly, textbook_buchberger
 
 
 def mkring(names, field=QQ, order="grevlex"):
@@ -272,6 +272,54 @@ def test_intersection_property_members_of_both(field, i_terms, j_terms):
         assert ideal_member(g, I) and ideal_member(g, J)
 
 
+@st.composite
+def _binomial_terms(draw):
+    """Squarefree binomials ``u - c*v`` in three to five variables, and at
+    times the product of the first two.  Their leads share variables and
+    their S-pairs share lcms, so criteria B, M and F and the product
+    criterion all fire."""
+    nvars = draw(st.integers(3, 5))
+    support = st.frozensets(st.integers(0, nvars - 1), min_size=1, max_size=3)
+    count = draw(st.integers(3, 5))
+    terms = [(draw(support), draw(support), draw(st.integers(-2, 2))) for _ in range(count)]
+    return nvars, terms, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), st.sampled_from(["grevlex", "lex"]), _binomial_terms())
+# criterion B applied when only one of the two chain pairs has a smaller lcm
+# goes wrong here
+@example("fp:32003", "grevlex",
+         (4, [({0}, {0, 1, 2}, 1), ({0}, {0, 1}, 1), ({1, 2, 3}, {0}, 0)], False))
+def test_buchberger_matches_textbook_engine(field, order, drawn):
+    nvars, terms, with_product = drawn
+    ring = mkring("abcde"[:nvars], field=field_from_name(field), order=order)
+
+    def monomial(support):
+        return ring.monomial_poly(Monomial([(pos, 1) for pos in support]))
+
+    gens = [monomial(u) - monomial(v).scale(ring.field.of_int(c)) for u, v, c in terms]
+    if with_product:
+        gens.append(gens[0] * gens[1])
+    assert buchberger(gens) == textbook_buchberger(gens)
+
+
+def test_buchberger_matches_textbook_beyond_64_variables():
+    # the leads sit on positions 64-69, so support masks need more than 64 bits
+    ring = mkring([f"v{i}" for i in range(70)], field=PrimeField(32003))
+    v = ring.var
+    gens = [
+        v(64) * v(69) - v(65) * v(68),
+        v(64) * v(67) - v(65) * v(66),
+        v(66) * v(69) - v(67) * v(68),
+        v(0) * v(69) - v(1) * v(66),
+    ]
+    G = buchberger(gens)
+    assert G == textbook_buchberger(gens)
+    assert any(pos >= 64 for g in G for pos, _ in g.lm.exps)
+    assert_reduced_basis(G)
+
+
 def test_intersection_caches_reduced_basis_under_grevlex():
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
@@ -365,3 +413,50 @@ def test_expired_deadline_raises():
         I.groebner(deadline=monotonic() - 1)
     # a failed run must not poison the cache
     assert I.groebner() == (y**3, x * x + y * y, x * y)
+
+
+def test_pair_update_checks_the_deadline(monkeypatch):
+    # the criterion-B pass of the pair update walks every pending pair, so
+    # the update reads the clock itself; a clock past the deadline from its
+    # first reading must stop the run inside the update
+    from detkit import groebner
+
+    readings = []
+
+    def late_clock():
+        readings.append(None)
+        return 2.0
+
+    monkeypatch.setattr(groebner, "monotonic", late_clock)
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    with pytest.raises(BudgetExceeded) as info:
+        buchberger([x * y - z * z, y * z - x * x, x * z - y * y], deadline=1.0)
+    assert len(readings) == 1
+    assert [entry.name for entry in info.traceback][-2:] == ["_update", "_check_deadline"]
+
+
+# -- work counts ----------------------------------------------------------------------
+
+
+def test_mono_divides_call_ceiling(monkeypatch):
+    # the elimination inside ideal_intersect for minors 4x5 t3 R2 r1 made
+    # 160,697 divisibility tests with the chain criterion scanned at every
+    # pop and an unfiltered divisor search; support masks and the
+    # Gebauer-Moller update bring it to about 2,400
+    from detkit import groebner
+    from detkit.detideals import MatrixSpec, components, matrix_ring
+
+    ms = MatrixSpec("generic", 4, 5)
+    ring = matrix_ring(ms, PrimeField(32003))
+    (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+    calls = [0]
+    divides = groebner.mono_divides
+
+    def counting(d, m):
+        calls[0] += 1
+        return divides(d, m)
+
+    monkeypatch.setattr(groebner, "mono_divides", counting)
+    assert len(ideal_intersect(I, J).groebner()) == 40
+    assert calls[0] <= 8000

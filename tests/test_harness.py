@@ -2,15 +2,19 @@ import json
 
 import pytest
 
+from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+from detkit.groebner import IdealHandle, ideal_member, intersect_all
 from detkit.harness import (
     CaseError,
     CaseSpec,
+    _flip_blocks,
     check_irredundancy_hypotheses,
     load_suite_config,
     run_case,
     run_suite,
     suite_document,
 )
+from detkit.poly import field_from_name
 
 
 def mk(case="case", **kw):
@@ -93,12 +97,31 @@ def test_decomposition_equal_small():
     assert isinstance(rep.millis, int)
 
 
+def _assert_separates(spec, rep):
+    """The reason of a failed decomposition names a reduced-basis element of
+    one side; rebuild both sides and check that the other lacks it."""
+    head, _, text = rep.reason.partition(": ")
+    side, other = head.split(" basis element not in ")
+    ms = MatrixSpec(spec.kind, spec.rows, spec.n)
+    ring = matrix_ring(ms, field_from_name(spec.field), order=spec.order)
+    lhs = constrained_ideal(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
+    if spec.mutate == "drop-generator":
+        lhs = IdealHandle(ring, lhs.gens[1:])
+    R, C = _flip_blocks(spec) if spec.mutate == "flip-block" else (spec.R, spec.C)
+    comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
+    sides = {"lhs": lhs, "rhs": intersect_all(ring, [h for _, h in comps])}
+    named = [g for g in sides[side].groebner() if str(g) == text]
+    assert len(named) == 1, rep.reason
+    assert not ideal_member(named[0], sides[other])
+
+
 def test_decomposition_canaries_fail():
     base = dict(m=3, n=3, t=2, R=(1,), r=(1,))
-    dropped = run_case(mk("c1", mutate="drop-generator", **base))
-    assert dropped.verdict == "NOT_EQUAL"
-    flipped = run_case(mk("c2", mutate="flip-block", **base))
-    assert flipped.verdict == "NOT_EQUAL"
+    for spec in (mk("c1", mutate="drop-generator", **base), mk("c2", mutate="flip-block", **base)):
+        rep = run_case(spec)
+        assert rep.verdict == "NOT_EQUAL"
+        assert rep.reason.startswith("rhs basis element not in lhs: ")
+        _assert_separates(spec, rep)
 
 
 def test_flip_block_without_room():
@@ -134,10 +157,39 @@ def test_decomposition_pfaffian_even_count():
 def test_decomposition_pfaffian_corner_component_too_small():
     # an even count with room to escape: [1,2,3,4] meets two rows of the
     # leading 2x2 corner, yet the term z13*z24 avoids z12 entirely, so the
-    # corner component misses it and the stated intersection is strictly
-    # larger than the span of the constrained generators
-    rep = run_case(mk("p4", kind="skew", n=5, t=4, R=(2,), r=(2,)))
+    # corner component misses it and the constrained generators do not lie
+    # in the stated intersection
+    spec = mk("p4", kind="skew", n=5, t=4, R=(2,), r=(2,))
+    rep = run_case(spec)
     assert rep.verdict == "NOT_EQUAL"
+    assert rep.reason.startswith("lhs basis element not in rhs: ")
+    _assert_separates(spec, rep)
+
+
+def test_not_equal_survives_budget_during_separator_search(monkeypatch):
+    # the verdict is settled once the bases differ; a clock that passes the
+    # deadline only after ideal_equal has returned stops the search for a
+    # separating element, not the verdict
+    from detkit import groebner, harness
+
+    real_clock, real_equal = groebner.monotonic, harness.ideal_equal
+    compared = []
+
+    def equal_then_expire(*args):
+        result = real_equal(*args)
+        compared.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "ideal_equal", equal_then_expire)
+    monkeypatch.setattr(
+        groebner, "monotonic", lambda: float("inf") if compared else real_clock()
+    )
+    base = dict(m=3, n=3, t=2, R=(1,), r=(1,))
+    rep = run_case(mk("c2", mutate="flip-block", **base))
+    assert compared == [False]
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.reason == "separating element not computed: budget exceeded"
+    assert rep.failed
 
 
 def test_decomposition_budget_skip():
