@@ -24,13 +24,14 @@ from typing import Iterable, Optional, Sequence
 
 from .poly import (
     BlockElimOrder,
-    GrevlexOrder,
     PolyRing,
     Polynomial,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    mono_shift,
+    order_from_name,
 )
 
 __all__ = [
@@ -98,33 +99,6 @@ def _shift_rows(rows: Sequence, qmono, key) -> list:
     for _, m, c in rows:
         m2 = mono_mul(m, qmono)
         out.append((key(m2), m2, c))
-    return out
-
-
-def _merge_sub(a: Sequence, b: Sequence, field) -> list:
-    """a - b on descending row lists."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    sub, neg = field.sub, field.neg
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif ka < kb:
-            kb_, mb, cb = b[j]
-            out.append((kb_, mb, neg(cb)))
-            j += 1
-        else:
-            c = sub(a[i][2], b[j][2])
-            if c != 0:
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    for kb_, mb, cb in b[j:]:
-        out.append((kb_, mb, neg(cb)))
     return out
 
 
@@ -267,13 +241,12 @@ def _update(elems, active, pending, heap, h, key, tick, deadline) -> None:
     active.append(hi)
 
 
-def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
+    """Reduced Groebner basis of the ideal generated by ``gens``, under
+    their ring's order.
 
-    With ``order`` given (different from the generators' ring order), the
-    generators are recast into a ring carrying that order first and the
-    result lives there.  Returns a tuple of monic polynomials sorted with
-    the greatest lead first; the zero ideal gives ``()``.
+    Returns a tuple of monic polynomials sorted with the greatest lead
+    first; the zero ideal gives ``()``.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -282,9 +255,6 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
     for g in gens[1:]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    if order is not None and order != ring.order:
-        ring = PolyRing(ring.table, order, ring.field)
-        gens = [ring.from_terms(g.terms) for g in gens]
     fld = ring.field
     key = ring.order.key
 
@@ -321,11 +291,8 @@ def buchberger(gens: Iterable[Polynomial], order=None, deadline=None) -> tuple:
         ei, ej = elems[i], elems[j]
         qi = mono_div(lcm, ei.lm)
         qj = mono_div(lcm, ej.lm)
-        rows = _merge_sub(
-            _shift_rows(ei.rows[1:], qi, key),
-            _shift_rows(ej.rows[1:], qj, key),
-            fld,
-        )
+        # both elements are monic, so the shifted heads cancel
+        rows = _scaled_sub(_shift_rows(ei.rows, qi, key), 0, ej.rows, qj, fld.one, fld, key)
         rows, sugar = _reduce_rows(rows, s, elems, fld, key, deadline)
         if rows:
             e = insert(rows, sugar)
@@ -442,10 +409,10 @@ def _gens_have_unit(I: IdealHandle) -> bool:
 def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandle:
     """Intersection via one auxiliary elimination variable.
 
-    Computes a basis of ``w*I + (1-w)*J`` under an order eliminating ``w``
-    and keeps the ``w``-free part.  When the ambient order is grevlex the
-    kept part is already the reduced basis of the intersection and is cached
-    on the returned handle.
+    Computes the reduced basis of ``w*I + (1-w)*J`` under an order that
+    eliminates ``w`` and breaks ties by the ring's own order, and keeps the
+    ``w``-free part.  That part is the reduced basis of the intersection
+    under the ring's order and is cached on the returned handle.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
@@ -461,17 +428,21 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
     while wname in ring.table.names:
         wname += "_"
     table2 = ring.table.prepend(wname)
-    ring2 = PolyRing(table2, BlockElimOrder(table2, 1), ring.field)
+    ring2 = PolyRing(
+        table2, BlockElimOrder(order_from_name(ring.order.kind, table2), 1), ring.field
+    )
 
+    # moving every variable up by one keeps the term order: on w-free
+    # monomials the block order is the ring's order
     def lift(f: Polynomial) -> Polynomial:
-        return ring2.from_terms(
-            (type(m)([(pos + 1, e) for pos, e in m.exps]), c) for m, c in f.terms
-        )
+        return Polynomial(ring2, tuple((mono_shift(m, 1), c) for m, c in f.terms))
 
-    w = ring2.var(0)
-    one_minus_w = ring2.one - w
-    gens_ext = [w * lift(f) for f in I.gens]
-    gens_ext += [one_minus_w * lift(g) for g in J.gens]
+    w = ring2.var(0).lm
+    gens_ext = [lift(f).term_mul(w) for f in I.gens]
+    for g in J.gens:
+        h = lift(g)
+        # every term of w*h beats every w-free term of h
+        gens_ext.append(Polynomial(ring2, (-h.term_mul(w)).terms + h.terms))
     G = buchberger(gens_ext, deadline=deadline)
 
     kept = []
@@ -481,18 +452,9 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
         # elimination order: a w-free lead forces every term w-free
         if any(m.exps and m.exps[0][0] == 0 for m, _ in g.terms):
             raise RuntimeError("elimination basis has a w-free lead over a w term")
-        kept.append(
-            ring.from_terms(
-                (type(m)([(pos - 1, e) for pos, e in m.exps]), c) for m, c in g.terms
-            )
-        )
-    kept.sort(key=lambda f: ring.order.key(f.lm), reverse=True)
+        kept.append(Polynomial(ring, tuple((mono_shift(m, -1), c) for m, c in g.terms)))
     result = IdealHandle(ring, kept)
-    if isinstance(ring.order, GrevlexOrder):
-        # the w-free members of a reduced elimination basis restrict to the
-        # reduced basis of the intersection when the back-block order is the
-        # ambient order
-        result._gb = tuple(kept)
+    result._gb = tuple(kept)
     return result
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 from math import comb
 from time import monotonic
@@ -107,14 +107,9 @@ class CaseSpec:
     budget_sec: float = 60.0
     mutate: Optional[str] = None
 
-    _FIELDS = (
-        "case", "check", "kind", "m", "n", "t", "R", "r", "C", "c",
-        "p", "q", "d", "field", "order", "budget_sec", "mutate",
-    )
-
     @classmethod
     def from_dict(cls, doc: dict, where: str = "case") -> "CaseSpec":
-        unknown = set(doc) - set(cls._FIELDS)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise CaseError(f"{where}: unknown keys {sorted(unknown)}")
         # JSON lists become tuples; a missing id reads as empty, which
@@ -263,21 +258,9 @@ class Report:
     millis: int
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        doc = {
-            "case": self.case,
-            "params": self.params,
-            "field": self.field,
-            "order": self.order,
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "components": self.components,
-            "witnesses": self.witnesses,
-            "stats": self.stats,
-            "height": self.height,
-            "doset_generators_equal": self.doset_generators_equal,
-        }
-        if include_timing:
-            doc["millis"] = self.millis
+        doc = asdict(self)
+        if not include_timing:
+            del doc["millis"]
         return doc
 
     @property

@@ -26,13 +26,12 @@ __all__ = [
     "mono_divides",
     "mono_div",
     "mono_lcm",
-    "mono_dense",
+    "mono_shift",
     "MonomialOrder",
     "LexOrder",
     "GrevlexOrder",
     "BlockElimOrder",
     "order_from_name",
-    "monomial_compare",
     "GradingSpec",
     "MINUS_INFINITY",
     "weighted_degree",
@@ -381,20 +380,19 @@ def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
     return _mk(tuple(out), deg)
 
 
-def mono_dense(m: Monomial, n: int) -> list:
-    vec = [0] * n
-    for pos, e in m.exps:
-        if pos >= n:
-            raise ValueError("monomial position outside variable table")
-        vec[pos] = e
-    return vec
+def mono_shift(m: Monomial, k: int) -> Monomial:
+    """``m`` with every variable position moved by ``k``."""
+    return _mk(tuple((pos + k, e) for pos, e in m.exps), m.deg)
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
 #
-# Each order maps a monomial to a sort key (a flat int tuple) such that key
+# Each order maps a monomial to a sort key, a flat tuple of small ints read
+# straight off the sparse (position, exponent) pairs, such that key
 # comparison agrees with the order; keys are cached per order instance.
+# Positions enter a key as ``n - pos``, so the greatest variable carries the
+# largest entry.
 
 
 class MonomialOrder:
@@ -416,19 +414,27 @@ class MonomialOrder:
         raise NotImplementedError
 
     def compare(self, u: Monomial, v: Monomial) -> int:
-        """-1, 0 or 1 as u <, =, > v."""
+        """-1, 0 or 1 as u <, =, > v; a monomial past the table raises
+        ``ValueError``."""
+        n = len(self.table)
+        for m in (u, v):
+            if m.exps and m.exps[-1][0] >= n:
+                raise ValueError("monomial does not fit the order's table")
         if u.exps == v.exps:
             return 0
         return -1 if self.key(u) < self.key(v) else 1
 
+    def _params(self) -> tuple:
+        return (self.table,)
+
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.table == self.table
+        return type(other) is type(self) and other._params() == self._params()
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.table))
+        return hash((type(self).__name__,) + self._params())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.table!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._params()))})"
 
 
 class LexOrder(MonomialOrder):
@@ -436,13 +442,25 @@ class LexOrder(MonomialOrder):
     __slots__ = ()
 
     def _key(self, m: Monomial) -> tuple:
-        return tuple(mono_dense(m, len(self.table)))
+        # the first variable where two monomials differ decides; a variable
+        # one of them lacks shows up as a smaller ``n - pos`` in the other
+        n = len(self.table)
+        key = []
+        for pos, e in m.exps:
+            key.append(n - pos)
+            key.append(e)
+        return tuple(key)
 
 
-def _grev_key(vec: Sequence[int]) -> tuple:
-    # degree first, then reversed exponents negated: the last place where two
-    # equal-degree monomials differ decides, smaller exponent there wins
-    return (sum(vec), tuple(-e for e in reversed(vec)))
+def _grevlex_key(exps: tuple, deg: int, n: int) -> tuple:
+    # degree first, then the pairs from the last variable back as
+    # (n - pos, -e): the last variable where two equal-degree monomials
+    # differ decides, and the smaller exponent there wins
+    key = [deg]
+    for pos, e in reversed(exps):
+        key.append(n - pos)
+        key.append(-e)
+    return tuple(key)
 
 
 class GrevlexOrder(MonomialOrder):
@@ -450,39 +468,38 @@ class GrevlexOrder(MonomialOrder):
     __slots__ = ()
 
     def _key(self, m: Monomial) -> tuple:
-        deg, rev = _grev_key(mono_dense(m, len(self.table)))
-        return (deg,) + rev
+        return _grevlex_key(m.exps, m.deg, len(self.table))
 
 
 class BlockElimOrder(MonomialOrder):
-    """Eliminate the first ``front`` variables: any monomial touching the
-    front block beats every monomial free of it.  Both blocks compare by
-    grevlex."""
+    """Eliminate the first ``front`` variables of ``inner``'s table: any
+    monomial touching the front block beats every monomial free of it.  The
+    front block compares by grevlex; ties go to ``inner``."""
 
     kind = "block"
-    __slots__ = ("front",)
+    __slots__ = ("inner", "front")
 
-    def __init__(self, table: VariableTable, front: int):
-        if not 1 <= front < len(table):
+    def __init__(self, inner: MonomialOrder, front: int):
+        if not 1 <= front < len(inner.table):
             raise ValueError("front block size out of range")
-        super().__init__(table)
+        super().__init__(inner.table)
+        self.inner = inner
         self.front = front
 
     def _key(self, m: Monomial) -> tuple:
-        vec = mono_dense(m, len(self.table))
-        fdeg, frev = _grev_key(vec[: self.front])
-        bdeg, brev = _grev_key(vec[self.front :])
-        return (fdeg,) + frev + (bdeg,) + brev
+        exps = m.exps
+        k = 0
+        while k < len(exps) and exps[k][0] < self.front:
+            k += 1
+        head = exps[:k]
+        # equal-degree front keys are never proper prefixes of one another,
+        # so the flat tuple is decided by the front key whenever the front
+        # parts differ, and by ``inner`` otherwise
+        front = _grevlex_key(head, sum(e for _, e in head), len(self.table))
+        return front + self.inner._key(m)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockElimOrder)
-            and other.table == self.table
-            and other.front == self.front
-        )
-
-    def __hash__(self) -> int:
-        return hash(("BlockElimOrder", self.table, self.front))
+    def _params(self) -> tuple:
+        return (self.inner, self.front)
 
 
 def order_from_name(name: str, table: VariableTable) -> MonomialOrder:
@@ -491,14 +508,6 @@ def order_from_name(name: str, table: VariableTable) -> MonomialOrder:
     if name == "grevlex":
         return GrevlexOrder(table)
     raise ValueError(f"unknown order {name!r} (expected 'lex' or 'grevlex')")
-
-
-def monomial_compare(order: MonomialOrder, u: Monomial, v: Monomial) -> int:
-    for m in (u, v):
-        for pos, _ in m.exps:
-            if pos >= len(order.table):
-                raise ValueError("monomial does not fit the order's table")
-    return order.compare(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +626,15 @@ class PolyRing:
         acc: dict = {}
         wrap: dict = {}
         add = self.field.add
+        n = len(self.table)
         for m, c in pairs:
+            e = m.exps
+            if e and e[-1][0] >= n:
+                raise ValueError("monomial position outside variable table")
             if isinstance(c, int) and not isinstance(self.field, PrimeField):
                 c = self.field.of_int(c)
             elif isinstance(self.field, PrimeField):
                 c = c % self.field.p
-            e = m.exps
             if e in acc:
                 acc[e] = add(acc[e], c)
             else:

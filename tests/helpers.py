@@ -32,11 +32,11 @@ def grevlex_greater(u, v):
     return False
 
 
-def block_greater(u, v, front):
+def block_greater(u, v, front, back_greater):
     fu, fv = u[:front], v[:front]
     if tuple(fu) != tuple(fv):
         return grevlex_greater(fu, fv)
-    return grevlex_greater(u[front:], v[front:])
+    return back_greater(u[front:], v[front:])
 
 
 def dense(m, n):

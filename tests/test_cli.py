@@ -152,6 +152,19 @@ def test_suite_output_matches_golden(capsys):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+def test_suite_output_matches_golden_under_optimize():
+    # python -O strips asserts; no check the reports rely on may be one
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "detkit.cli", "suite",
+         str(ROOT / "suites" / "acceptance.json"), "--no-timing"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / "acceptance-no-timing.json"
+    assert proc.stdout == golden.read_bytes()
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["heights", "--n", "4", "--t", "2"], 0),
     (["verify", "pfaffian", "--n", "5", "--t", "4", "--R", "2", "--r", "2"], 1),

@@ -316,6 +316,36 @@ def test_small_decomposition_by_hand():
     assert ideal_equal(J, rhs)
 
 
+def _lead_shapes(ms, field, t, R, r):
+    ring = matrix_ring(ms, field)
+    lhs = constrained_ideal(ring, ms, t, (R,), (r,))
+    rhs = intersect_all(ring, [h for _, h in components(ring, ms, t, (R,), (r,))])
+    return [[g.lm.exps for g in I.groebner()] for I in (lhs, rhs)]
+
+
+def test_lead_terms_agree_over_fp_and_qq():
+    # a verdict over fp:p must not depend on p: the reduced bases of both
+    # sides of every one-block decomposition on these shapes have the same
+    # lead monomials over fp:32003 and over the rationals.  Symmetric 4 and
+    # the single 6-Pfaffian are left out to keep the test near 1.5 s.
+    shapes = [
+        (generic_matrix(3, 3), range(1, 4)),
+        (generic_matrix(3, 4), range(1, 4)),
+        (symmetric_matrix(3), range(1, 4)),
+        (skew_matrix(5), (2, 4)),
+        (skew_matrix(6), (2, 4)),
+    ]
+    cases = 0
+    for ms, sizes in shapes:
+        for t in sizes:
+            for R in range(1, ms.m + 1):
+                for r in range(1, t + 1):
+                    fp = _lead_shapes(ms, FP, t, R, r)
+                    assert fp == _lead_shapes(ms, QQ, t, R, r), (ms, t, R, r)
+                    cases += 1
+    assert cases == 120
+
+
 def test_component_names():
     ms = generic_matrix(3, 4)
     ring = matrix_ring(ms, QQ)

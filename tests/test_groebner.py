@@ -178,10 +178,10 @@ def test_ideal_equality():
 def test_lex_basis_from_grevlex_generators_eliminates():
     ring = mkring("xyz", order="grevlex")
     x, y, z = (ring.var(i) for i in range(3))
-    G = buchberger([y - x * x, z - x * x * x], order=LexOrder(ring.table))
+    lring = PolyRing(ring.table, LexOrder(ring.table), ring.field)
+    G = buchberger([lring.from_terms(f.terms) for f in (y - x * x, z - x * x * x)])
     assert G and isinstance(G[0].ring.order, LexOrder)
     # the x-free part must contain the relation y^3 = z^2
-    lring = G[0].ring
     ly, lz = lring.var(1), lring.var(2)
     xfree = [g for g in G if all(pos != 0 for m, _ in g.terms for pos, _ in m.exps)]
     assert xfree
@@ -329,6 +329,31 @@ def test_intersection_caches_reduced_basis_under_grevlex():
     assert K._gb is not None
     fresh = buchberger(K.gens)
     assert K._gb == fresh
+
+
+def test_intersection_caches_reduced_basis_under_lex(monkeypatch):
+    # the elimination order breaks ties by the ring's own order, so under
+    # lex as well the w-free part is the reduced basis and the handle needs
+    # no second Buchberger run
+    from detkit import groebner
+
+    ring = mkring("xyz", order="lex")
+    x, y, z = (ring.var(i) for i in range(3))
+    I = IdealHandle(ring, [x * y - z * z, x - y])
+    J = IdealHandle(ring, [x * z - y, y * y - z])
+    calls = []
+    run = groebner.buchberger
+
+    def counting(gens, deadline=None):
+        calls.append(len(gens))
+        return run(gens, deadline=deadline)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    K = ideal_intersect(I, J)
+    G = K.groebner()
+    assert len(calls) == 1
+    assert G == run(K.gens)
+    assert_reduced_basis(G)
 
 
 def test_intersection_shortcuts():
