@@ -29,7 +29,6 @@ __all__ = [
     "pfaffian_universe",
     "order_ideal_generated",
     "order_ideal_cogenerated",
-    "parse_bracket",
     "format_bracket",
 ]
 
@@ -191,21 +190,6 @@ def order_ideal_cogenerated(universe: PosetUniverse, cogens: Iterable) -> tuple:
 
 
 # -- bracket notation ----------------------------------------------------------
-
-
-def parse_bracket(text: str):
-    """``[1,2|1,3]`` -> MinorIndex, ``[1,2,3,4]`` -> PfaffianIndex."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad bracket expression {text!r}")
-    body = text[1:-1]
-    if "|" in body:
-        rpart, cpart = body.split("|", 1)
-        rows = tuple(int(s) for s in rpart.split(",") if s.strip())
-        cols = tuple(int(s) for s in cpart.split(",") if s.strip())
-        return MinorIndex(rows, cols)
-    rows = tuple(int(s) for s in body.split(",") if s.strip())
-    return PfaffianIndex(rows)
 
 
 def format_bracket(ix) -> str:

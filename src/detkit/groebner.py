@@ -74,15 +74,15 @@ def _support(m) -> int:
 
 
 class _BasisElem:
-    __slots__ = ("lm", "lmkey", "rows", "sugar", "inv_lc", "mask")
+    """A monic divisor: its rows, its sugar, and its lead read off ``rows[0]``."""
 
-    def __init__(self, lm, lmkey, rows, sugar, inv_lc):
-        self.lm = lm
-        self.lmkey = lmkey
+    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask")
+
+    def __init__(self, rows, sugar):
+        self.lmkey, self.lm, _ = rows[0]
         self.rows = rows
         self.sugar = sugar
-        self.inv_lc = inv_lc
-        self.mask = _support(lm)
+        self.mask = _support(self.lm)
 
 
 def _rows_of(f: Polynomial, key) -> list:
@@ -103,13 +103,14 @@ def _shift_rows(rows: Sequence, qmono, key) -> list:
 
 
 def _scaled_sub(work: Sequence, start: int, grows: Sequence, qmono, qc, field, key) -> list:
-    """work[start:] - qc * qmono * grows, where the heads cancel exactly.
+    """work[start:] - qc * qmono * grows[1:]; the caller has dropped the term
+    that cancels the divisor's head.
 
     The scaled divisor term is materialized lazily and cached, so a long
     irreducible stretch of ``work`` costs one key comparison per term.
     """
     out = []
-    i = start + 1
+    i = start
     j = 1
     na, ng = len(work), len(grows)
     mul, sub, neg = field.mul, field.sub, field.neg
@@ -171,10 +172,9 @@ def _reduce_rows(rows, sugar, elems, field, key, deadline):
         if (steps & 0xFF) == 0:
             _check_deadline(deadline)
         qmono = mono_div(m, hit.lm)
-        qc = field.mul(work[idx][2], hit.inv_lc)
         if idx:
             out.extend(work[:idx])
-        work = _scaled_sub(work, idx, hit.rows, qmono, qc, field, key)
+        work = _scaled_sub(work, idx + 1, hit.rows, qmono, work[idx][2], field, key)
         idx = 0
         s = qmono.deg + hit.sugar
         if s > sugar:
@@ -269,7 +269,7 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
         if c0 != fld.one:
             inv = fld.inv(c0)
             rows = [(k, m, fld.mul(c, inv)) for k, m, c in rows]
-        e = _BasisElem(rows[0][1], rows[0][0], rows, sugar, fld.one)
+        e = _BasisElem(rows, sugar)
         _update(elems, active, pending, heap, e, key, tick, deadline)
         elems.append(e)
         return e
@@ -291,8 +291,9 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
         ei, ej = elems[i], elems[j]
         qi = mono_div(lcm, ei.lm)
         qj = mono_div(lcm, ej.lm)
-        # both elements are monic, so the shifted heads cancel
-        rows = _scaled_sub(_shift_rows(ei.rows, qi, key), 0, ej.rows, qj, fld.one, fld, key)
+        # both elements are monic, so their heads cancel at the lcm and only
+        # the tails are shifted
+        rows = _scaled_sub(_shift_rows(ei.rows[1:], qi, key), 0, ej.rows, qj, fld.one, fld, key)
         rows, sugar = _reduce_rows(rows, s, elems, fld, key, deadline)
         if rows:
             e = insert(rows, sugar)
@@ -310,7 +311,7 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
     for i, e in enumerate(kept):
         others = final + kept[i + 1 :]
         rows, _ = _reduce_rows(e.rows, e.sugar, others, fld, key, deadline)
-        final.append(_BasisElem(rows[0][1], rows[0][0], rows, e.sugar, fld.one))
+        final.append(_BasisElem(rows, e.sugar))
     final.sort(key=lambda e: e.lmkey, reverse=True)
     return tuple(_poly_of(ring, e.rows) for e in final)
 
@@ -330,9 +331,8 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polyno
             raise ValueError("zero polynomial in divisor list")
         if g.ring != ring:
             raise ValueError("divisor in a different ring")
-        elems.append(
-            _BasisElem(g.lm, key(g.lm), _rows_of(g, key), g.degree(), ring.field.inv(g.lc))
-        )
+        # a monic divisor leaves the same remainder
+        elems.append(_BasisElem(_rows_of(g.monic(), key), g.degree()))
     if not f:
         return f
     _check_deadline(deadline)

@@ -6,7 +6,9 @@ Variables live in a fixed :class:`VariableTable`; position 0 is the
 *greatest* variable under every order defined here, so a row-major table
 ``x[1,1], x[1,2], ...`` puts ``x[1,1]`` on top.  Monomials are sparse,
 canonically encoded exponent vectors; polynomials are term sequences kept
-strictly descending under the ring's monomial order.
+strictly descending under the ring's monomial order.  :meth:`PolyRing.from_terms`
+is the one canonicalizer: sums and products hand it their raw terms, and it
+merges like monomials, drops zeros and sorts.
 """
 
 from __future__ import annotations
@@ -568,16 +570,6 @@ def weighted_degree(grading: GradingSpec, f: "Polynomial"):
 # polynomials
 
 
-def _sorted_terms(acc: dict, wrap: dict, key) -> tuple:
-    """Terms from coefficients and monomials keyed by exponent tuple, greatest
-    first, zero coefficients dropped."""
-    return tuple(
-        (wrap[e], acc[e])
-        for e in sorted(acc, key=lambda x: key(wrap[x]), reverse=True)
-        if acc[e] != 0
-    )
-
-
 class PolyRing:
     """A polynomial ring: variable table + monomial order + coefficient field."""
 
@@ -598,19 +590,15 @@ class PolyRing:
 
     @property
     def one(self) -> "Polynomial":
-        return Polynomial(self, ((MONOMIAL_ONE, self.field.one),))
+        return self.monomial_poly(MONOMIAL_ONE)
 
     def const(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.field.of_int(c)
-        if c == 0:
-            return self.zero
-        return Polynomial(self, ((MONOMIAL_ONE, c),))
+        return self.monomial_poly(MONOMIAL_ONE, c)
 
     def var(self, pos: int) -> "Polynomial":
         if not 0 <= pos < len(self.table):
             raise ValueError("variable position out of range")
-        return Polynomial(self, ((_mk(((pos, 1),), 1), self.field.one),))
+        return self.monomial_poly(_mk(((pos, 1),), 1))
 
     def monomial_poly(self, m: Monomial, c=None) -> "Polynomial":
         if c is None:
@@ -622,25 +610,24 @@ class PolyRing:
         return Polynomial(self, ((m, c),))
 
     def from_terms(self, pairs: Iterable[tuple]) -> "Polynomial":
-        """Canonicalize an arbitrary (Monomial, coefficient) stream."""
+        """Canonicalize an arbitrary (Monomial, coefficient) stream; int
+        coefficients are coerced into the field."""
         acc: dict = {}
         wrap: dict = {}
-        add = self.field.add
+        add, of_int = self.field.add, self.field.of_int
         n = len(self.table)
         for m, c in pairs:
             e = m.exps
-            if e and e[-1][0] >= n:
-                raise ValueError("monomial position outside variable table")
-            if isinstance(c, int) and not isinstance(self.field, PrimeField):
-                c = self.field.of_int(c)
-            elif isinstance(self.field, PrimeField):
-                c = c % self.field.p
             if e in acc:
                 acc[e] = add(acc[e], c)
             else:
-                acc[e] = c
+                if e and e[-1][0] >= n:
+                    raise ValueError("monomial position outside variable table")
+                acc[e] = of_int(c)
                 wrap[e] = m
-        return Polynomial(self, _sorted_terms(acc, wrap, self.order.key))
+        key = self.order.key
+        desc = sorted(acc, key=lambda e: key(wrap[e]), reverse=True)
+        return Polynomial(self, tuple((wrap[e], acc[e]) for e in desc if acc[e] != 0))
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -701,69 +688,24 @@ class Polynomial:
             raise ValueError("polynomials belong to different rings")
         return self.ring
 
-    def _merge(self, other: "Polynomial", negate: bool) -> "Polynomial":
-        ring = self._same_ring(other)
-        fld = ring.field
-        key = ring.order.key
-        a, b = self.terms, other.terms
-        na, nb = len(a), len(b)
-        out = []
-        i = j = 0
-        while i < na and j < nb:
-            ma, ca = a[i]
-            mb, cb = b[j]
-            if ma.exps == mb.exps:
-                c = fld.sub(ca, cb) if negate else fld.add(ca, cb)
-                if c != 0:
-                    out.append((ma, c))
-                i += 1
-                j += 1
-            elif key(ma) > key(mb):
-                out.append(a[i])
-                i += 1
-            else:
-                out.append((mb, fld.neg(cb)) if negate else b[j])
-                j += 1
-        out.extend(a[i:])
-        if negate:
-            out.extend((m, fld.neg(c)) for m, c in b[j:])
-        else:
-            out.extend(b[j:])
-        return Polynomial(ring, tuple(out))
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        return self._merge(other, False)
+        return self._same_ring(other).from_terms(self.terms + other.terms)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(other)
-        return self._merge(other, True)
+        return self + (-other)
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        return self.scale(self.ring.field.of_int(-1))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(self.ring.field.of_int(other))
-        ring = self._same_ring(other)
-        fld = ring.field
-        mul, add = fld.mul, fld.add
-        acc: dict = {}
-        wrap: dict = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = mono_mul(ma, mb)
-                e = m.exps
-                c = mul(ca, cb)
-                if e in acc:
-                    acc[e] = add(acc[e], c)
-                else:
-                    acc[e] = c
-                    wrap[e] = m
-        return Polynomial(ring, _sorted_terms(acc, wrap, ring.order.key))
+        mul = self.ring.field.mul
+        return self._same_ring(other).from_terms(
+            (mono_mul(ma, mb), mul(ca, cb)) for ma, ca in self.terms for mb, cb in other.terms
+        )
 
     __rmul__ = __mul__
 

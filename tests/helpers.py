@@ -127,20 +127,28 @@ def textbook_remainder(f, G):
     return ring.from_terms(rem)
 
 
-def textbook_buchberger(gens):
+def textbook_buchberger(gens, max_pairs=None):
     """Reduced Groebner basis, in the layout ``buchberger`` returns: every
     S-pair is reduced (no criterion drops any), then the minimal and the
-    interreduction passes."""
+    interreduction passes.
+
+    With no criteria the pair count can explode; past ``max_pairs`` formed
+    S-pairs the run gives up and returns ``None``.
+    """
     G = [g.monic() for g in gens if g]
     if not G:
         return ()
     order = G[0].ring.order
     pairs = list(combinations(range(len(G)), 2))
+    formed = len(pairs)
     while pairs:
+        if max_pairs is not None and formed > max_pairs:
+            return None
         i, j = pairs.pop()
         r = textbook_remainder(s_polynomial(G[i], G[j]), G)
         if r:
             pairs += [(k, len(G)) for k in range(len(G))]
+            formed += len(G)
             G.append(r.monic())
     minimal = []
     for g in sorted(G, key=lambda g: order.key(g.lm)):

@@ -14,7 +14,6 @@ from detkit.combinat import (
     minors_universe,
     order_ideal_cogenerated,
     order_ideal_generated,
-    parse_bracket,
     pfaffian_universe,
     subset_leq,
 )
@@ -176,11 +175,5 @@ def test_pfaffian_cogenerated_ideal():
 def test_bracket_round_trip():
     m = MinorIndex((1, 2), (1, 3))
     assert format_bracket(m) == "[1,2|1,3]"
-    assert parse_bracket("[1,2|1,3]") == m
     p = PfaffianIndex((2, 5))
     assert format_bracket(p) == "[2,5]"
-    assert parse_bracket(" [2,5] ") == p
-    with pytest.raises(ValueError):
-        parse_bracket("1,2|1,3")
-    with pytest.raises(ValueError):
-        parse_bracket("[2,1|1,2]")

@@ -271,6 +271,7 @@ def rings():
         PolyRing(t, GrevlexOrder(t), PrimeField(32003)),
         PolyRing(t, GrevlexOrder(t), QQ),
         PolyRing(t, LexOrder(t), QQ),
+        PolyRing(t, BlockElimOrder(GrevlexOrder(t), 1), PrimeField(32003)),
     )
 
 
