@@ -167,16 +167,16 @@ def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
             return got
         col = cols[0]
         rest = cols[1:]
-        total = ring.zero
+        terms: list = []
         for k, row in enumerate(rows):
             sign, p = entry(ms, row, col)
             if sign == 0:
                 continue
             sub = rec(rows[:k] + rows[k + 1 :], rest)
-            if not sub:
-                continue
             c = fld.one if (k % 2 == 0) == (sign > 0) else fld.neg(fld.one)
-            total = total + sub.term_mul(Monomial(((p, 1),)), c)
+            terms.extend(sub.term_mul(Monomial(((p, 1),)), c).terms)
+        # gather every cofactor's terms so the expansion is sorted once
+        total = ring.from_terms(terms)
         memo[(rows, cols)] = total
         return total
 
@@ -198,14 +198,13 @@ def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
         if got is not None:
             return got
         a = rows[0]
-        total = ring.zero
+        terms: list = []
         for idx in range(1, len(rows)):
             b = rows[idx]
             sub = rec(rows[1:idx] + rows[idx + 1 :])
-            if not sub:
-                continue
             c = fld.one if idx % 2 == 1 else fld.neg(fld.one)
-            total = total + sub.term_mul(Monomial(((pos[(a, b)], 1),)), c)
+            terms.extend(sub.term_mul(Monomial(((pos[(a, b)], 1),)), c).terms)
+        total = ring.from_terms(terms)
         memo[rows] = total
         return total
 

@@ -465,11 +465,67 @@ def intersect_all(ring: PolyRing, handles: Sequence[IdealHandle], deadline=None)
     return result
 
 
-def krull_dimension(I: IdealHandle, deadline=None) -> int:
-    """Dimension of the quotient by ``I``: the largest number of variables
-    no lead monomial of the reduced basis lives entirely inside.
+def _min_transversal(supports, n: int, deadline=None) -> int:
+    """Size of the smallest variable set that meets every mask in
+    ``supports`` (each non-empty), by exact branch and bound.
 
-    Raises :class:`UnitIdealError` for the unit ideal.
+    Only the minimal supports matter.  A node branches on a smallest
+    support not yet met, taking each of its variables in turn; a later
+    branch excludes the variables already tried there, since a set using
+    one of them was searched under that earlier branch.  A node is pruned
+    when its size plus a greedy packing of pairwise-disjoint supports, each
+    of which needs a variable of its own, cannot beat the best set found.
+    The deadline is checked at every node.
+    """
+    minimal: list = []
+    for s in sorted(set(supports), key=int.bit_count):
+        if all(s & k != k for k in minimal):
+            minimal.append(s)
+    best = n  # every variable: meets every non-empty support
+
+    def search(sets, size):
+        nonlocal best
+        _check_deadline(deadline)
+        if not sets:
+            best = size  # the parent's bound let this node through: size < best
+            return
+        sets.sort(key=int.bit_count)
+        used = 0
+        bound = size
+        for s in sets:
+            if not s & used:
+                used |= s
+                bound += 1
+        if bound >= best:
+            return
+        pick = sets[0]
+        tried = 0
+        while pick:
+            bit = pick & -pick
+            pick ^= bit
+            rest = []
+            for s in sets:
+                if not s & bit:
+                    s &= ~tried
+                    if not s:
+                        break
+                    rest.append(s)
+            else:
+                search(rest, size + 1)
+            tried |= bit
+
+    search(minimal, 0)
+    return best
+
+
+def krull_dimension(I: IdealHandle, deadline=None) -> int:
+    """Dimension of the quotient by ``I``: ``n`` minus the size of the
+    smallest variable set that meets the support of every lead monomial of
+    the reduced basis.  The variables outside such a set form a largest set
+    that no lead monomial lives entirely inside.
+
+    Raises :class:`UnitIdealError` for the unit ideal.  The deadline bounds
+    the basis and the transversal search alike.
     """
     gb = I.groebner(deadline)
     n = len(I.ring.table)
@@ -477,18 +533,7 @@ def krull_dimension(I: IdealHandle, deadline=None) -> int:
         return n
     if len(gb) == 1 and gb[0].is_constant():
         raise UnitIdealError("unit ideal has no dimension")
-    supports = [_support(g.lm) for g in gb]
-    from itertools import combinations
-
-    for size in range(n, -1, -1):
-        for combo in combinations(range(n), size):
-            _check_deadline(deadline)
-            smask = 0
-            for pos in combo:
-                smask |= 1 << pos
-            if all(sup & ~smask for sup in supports):
-                return size
-    raise AssertionError("unreachable: empty subset is always independent")
+    return n - _min_transversal([_support(g.lm) for g in gb], n, deadline)
 
 
 def ideal_height(I: IdealHandle, deadline=None) -> int:

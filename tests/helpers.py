@@ -160,6 +160,27 @@ def textbook_buchberger(gens, max_pairs=None):
     return tuple(sorted(reduced, key=lambda g: order.key(g.lm), reverse=True))
 
 
+# -- dimension the slow way ------------------------------------------------------
+
+
+def brute_force_dimension(supports, n):
+    """Largest number of the ``n`` variables that contains no support
+    entirely, by trying every variable subset, largest first.
+
+    ``supports`` lists the variable positions of each generator of a
+    monomial ideal (or of each lead monomial of a Groebner basis).
+    """
+    supports = [frozenset(s) for s in supports]
+    if frozenset() in supports:
+        raise ValueError("an empty support generates the unit ideal")
+    for size in range(n, -1, -1):
+        for combo in combinations(range(n), size):
+            chosen = set(combo)
+            if not any(s <= chosen for s in supports):
+                return size
+    raise AssertionError("unreachable: the empty subset contains no support")
+
+
 # -- determinants and Pfaffians the textbook way -----------------------------
 
 
@@ -236,6 +257,24 @@ def pfaffian_by_matchings(rows, entry):
 
 
 # -- misc ---------------------------------------------------------------------
+
+
+def expire_after_basis(monkeypatch):
+    """Make ``groebner``'s clock pass every deadline once a ``buchberger``
+    call has returned.  Returns the list that gains one entry per call."""
+    from detkit import groebner
+
+    real_clock, real_buchberger = groebner.monotonic, groebner.buchberger
+    done = []
+
+    def buchberger_then_expire(*args, **kwargs):
+        result = real_buchberger(*args, **kwargs)
+        done.append(None)
+        return result
+
+    monkeypatch.setattr(groebner, "buchberger", buchberger_then_expire)
+    monkeypatch.setattr(groebner, "monotonic", lambda: float("inf") if done else real_clock())
+    return done
 
 
 def frac(n, d=1):

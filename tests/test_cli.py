@@ -81,6 +81,10 @@ def test_heights_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "height 3" in out
+    code = main(["heights", "--n", "8", "--t", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "EQUAL" in out and "height 15" in out
 
 
 def test_asl_command(capsys):

@@ -31,7 +31,13 @@ from detkit.poly import (
     field_from_name,
     order_from_name,
 )
-from helpers import assert_reduced_basis, random_poly, textbook_buchberger
+from helpers import (
+    assert_reduced_basis,
+    brute_force_dimension,
+    expire_after_basis,
+    random_poly,
+    textbook_buchberger,
+)
 
 
 def mkring(names, field=QQ, order="grevlex"):
@@ -445,6 +451,58 @@ def test_dimension_of_hypersurface():
     assert ideal_height(IdealHandle(ring, [a * d - b * c])) == 1
 
 
+@st.composite
+def _monomial_ideals(draw):
+    """(n, generators) with each generator a dict position -> exponent;
+    about half the draws also contain a bare variable."""
+    n = draw(st.integers(1, 12))
+    support = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), min_size=1, max_size=5)
+    gens = draw(st.lists(support, min_size=1, max_size=15))
+    if draw(st.booleans()):
+        gens.append({draw(st.integers(0, n - 1)): 1})
+    return n, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), _monomial_ideals())
+@example("qq", (5, []))
+@example("fp:32003", (4, [{2: 1}]))
+def test_krull_dimension_matches_subset_scan(field, ideal):
+    n, gens = ideal
+    ring = mkring([f"x{i}" for i in range(n)], field_from_name(field))
+    polys = [
+        ring.monomial_poly(Monomial(sorted(g.items())), 2 * i - 7) for i, g in enumerate(gens)
+    ]
+    I = IdealHandle(ring, polys)
+    assert krull_dimension(I) == brute_force_dimension(gens, n)
+
+
+def test_transversal_search_node_ceiling(monkeypatch):
+    # the search reads the deadline once per node; on the 70 lead supports
+    # of the 4-Pfaffians of a generic 8x8 skew matrix it visits 125 nodes.
+    # Testing the packing bound with > instead of >=, dropping the exclusion
+    # of tried variables, or keeping supersets without pruning each visits
+    # more than 700
+    from detkit import groebner
+    from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
+
+    ms = MatrixSpec("skew", 8, 8)
+    ring = matrix_ring(ms, PrimeField(32003))
+    I = constrained_ideal(ring, ms, 4)
+    I.groebner()
+    nodes = [0]
+    real_check = groebner._check_deadline
+
+    def counting(deadline):
+        nodes[0] += 1
+        if nodes[0] > 250:
+            raise AssertionError("transversal search passed 250 nodes")
+        real_check(deadline)
+
+    monkeypatch.setattr(groebner, "_check_deadline", counting)
+    assert ideal_height(I) == 15
+
+
 # -- budget ---------------------------------------------------------------------------
 
 
@@ -479,6 +537,20 @@ def test_pair_update_checks_the_deadline(monkeypatch):
         buchberger([x * y - z * z, y * z - x * x, x * z - y * y], deadline=1.0)
     assert len(readings) == 1
     assert [entry.name for entry in info.traceback][-2:] == ["_update", "_check_deadline"]
+
+
+def test_dimension_search_checks_the_deadline(monkeypatch):
+    # a clock that passes the deadline only after the basis is computed
+    # must stop the transversal search itself
+    deadline = monotonic() + 60
+    done = expire_after_basis(monkeypatch)
+    ring = mkring("abcd")
+    a, b, c, d = (ring.var(i) for i in range(4))
+    I = IdealHandle(ring, [a * b, c * d])
+    with pytest.raises(BudgetExceeded) as info:
+        krull_dimension(I, deadline=deadline)
+    assert len(done) == 1
+    assert [entry.name for entry in info.traceback][-2:] == ["search", "_check_deadline"]
 
 
 # -- work counts ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from detkit.harness import (
     suite_document,
 )
 from detkit.poly import field_from_name
+from helpers import expire_after_basis
 
 
 def mk(case="case", **kw):
@@ -297,6 +298,17 @@ def test_heights_cases():
     assert rep.verdict == "EQUAL" and rep.height == 3
     rep2 = run_case(mk("hh2", check="heights", kind="skew", n=4, t=2))
     assert rep2.verdict == "EQUAL" and rep2.height == 6
+
+
+def test_heights_budget_skip_in_dimension_search(monkeypatch):
+    # the basis is done when the clock passes the deadline, so the skip
+    # comes from the transversal search and the basis stats stay
+    done = expire_after_basis(monkeypatch)
+    rep = run_case(mk("hb", check="heights", kind="skew", n=6, t=4))
+    assert len(done) == 1
+    assert rep.verdict == "SKIPPED" and rep.reason == "budget exceeded"
+    assert rep.stats == {"lhs_gens": 15, "rhs_gb_size": 15}
+    assert rep.height is None
 
 
 def test_asl_cases():
