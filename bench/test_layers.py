@@ -1,0 +1,117 @@
+"""Layer micro-benchmarks: the packed monomial primitives, one reduction,
+one elimination and one dimension search.
+
+Run them from the repository root with
+
+    python -m pytest bench --benchmark-only
+
+Tier-1 collects only ``tests/``, so these never run there.  Every input is
+built once, outside the timed call, and each bench checks its result, so a
+broken layer fails instead of timing nonsense.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from detkit.detideals import MatrixSpec, coefficient_matrix, constrained_ideal, matrix_ring
+from detkit.groebner import (
+    _BasisElem,
+    _Divisors,
+    _Packing,
+    _reduce_rows,
+    ideal_height,
+    s_polynomial,
+)
+from detkit.harness import standard_products, _product_poly
+from detkit.linalg import row_reduce
+from detkit.poly import PrimeField
+
+FP = PrimeField(32003)
+
+
+@pytest.fixture(scope="module")
+def minors55():
+    """The reduced grevlex basis of the 4-minors of a generic 5x5 matrix
+    (25 elements), packed as divisors."""
+    ms = MatrixSpec("generic", 5, 5)
+    ring = matrix_ring(ms, FP)
+    G = constrained_ideal(ring, ms, 4).groebner()
+    pk = _Packing(ring.order, 8)
+    divs = _Divisors(pk.n)
+    for g in G:
+        divs.add(_BasisElem(pk.rows(g), g.degree(), pk))
+    return ring, G, pk, divs
+
+
+@pytest.fixture(scope="module")
+def leads(minors55):
+    """Every pair of lead monomials of that basis, packed, with their keys."""
+    _, _, pk, divs = minors55
+    return pk, list(combinations([(e.lmkey, e.lm) for e in divs.elems], 2))
+
+
+def test_packed_product(benchmark, leads):
+    # a product and its key are one addition each
+    pk, pairs = leads
+    out = benchmark(lambda: [(ku + kv, u + v) for (ku, u), (kv, v) in pairs])
+    assert all(k == pk.key(m) for k, m in out[:50])
+
+
+def test_packed_key(benchmark, leads):
+    # the key of an lcm, read off its fields
+    pk, pairs = leads
+    key = pk.key
+    out = benchmark(lambda: [key(u) for (_, u), _ in pairs])
+    assert out[0] == pairs[0][0][0]
+
+
+def test_packed_divides(benchmark, leads):
+    pk, pairs = leads
+    guards = pk.guards
+    hits = benchmark(lambda: sum(not (v - u) & guards for (_, u), (_, v) in pairs))
+    assert hits == 0  # the leads of a reduced basis divide no other lead
+
+
+def test_packed_lcm(benchmark, leads):
+    pk, pairs = leads
+    lcm = pk.lcm
+    out = benchmark(lambda: [lcm(u, v) for (_, u), (_, v) in pairs])
+    g = pk.guards
+    assert all(not (w - u) & g and not (w - v) & g for w, ((_, u), (_, v)) in zip(out, pairs))
+
+
+def test_reduce_rows_5x5_s_polynomial(benchmark, minors55):
+    # the longest S-polynomial of the first basis element with another whose
+    # lead shares a variable: 46 terms, 15 reduction steps down to zero
+    ring, G, pk, divs = minors55
+    first = set(dict(G[0].lm.exps))
+    s = max(
+        (s_polynomial(G[0], g) for g in G[1:] if first & set(dict(g.lm.exps))),
+        key=lambda s: len(s.terms),
+    )
+    rows = pk.rows(s)
+    out, _ = benchmark(_reduce_rows, rows, s.degree(), divs, ring.field, pk, None)
+    assert rows and out == []
+
+
+def test_row_reduce_asl_degree_4(benchmark):
+    # the degree-4 elimination of the asl 3x3 d4 check: its 495 chain
+    # products, which span the degree-4 slice
+    ms = MatrixSpec("generic", 3, 3)
+    ring = matrix_ring(ms, FP)
+    chains = [ch for ch in standard_products(3, 3, 4) if sum(ix.size for ix in ch) == 4]
+    vectors, monos = coefficient_matrix(ring, [_product_poly(ring, ms, ch) for ch in chains])
+    mat = [list(r) for r in zip(*vectors)]
+    reduced, pivots = benchmark(row_reduce, mat, ring.field)
+    assert len(pivots) == len(chains) == len(monos) == 495
+
+
+def test_krull_dimension_pfaffians_8x8(benchmark):
+    # the height of the 4-Pfaffians of a generic 8x8 skew matrix, basis
+    # cached: only the transversal search is timed
+    ms = MatrixSpec("skew", 8, 8)
+    ring = matrix_ring(ms, FP)
+    I = constrained_ideal(ring, ms, 4)
+    I.groebner()
+    assert benchmark(ideal_height, I) == 15

@@ -4,9 +4,9 @@ minors and Pfaffians, with a verification harness and CLI.
 The layers, bottom up:
 
 - :mod:`detkit.poly`: exact fields, monomial orders, sparse polynomials.
-- :mod:`detkit.linalg`: dense exact row reduction.
 - :mod:`detkit.groebner`: Buchberger engine, normal forms, intersections,
-  dimension.
+  dimension, and the deadline every long computation checks.
+- :mod:`detkit.linalg`: dense exact row reduction.
 - :mod:`detkit.combinat`: minor / Pfaffian index posets and order ideals.
 - :mod:`detkit.detideals`: matrix shapes, minors, Pfaffians, constrained
   ideals, gradings, truncations.

@@ -1,15 +1,25 @@
 """Buchberger engine, normal forms, and ideal-level operations.
 
-The engine keeps polynomials as lists of ``(sort_key, Monomial, coeff)``
-rows in strictly descending key order, so merges compare precomputed keys
-instead of re-deriving them.  Bases are kept monic.  Pair selection uses the
-sugar strategy.  Each new basis element runs the Gebauer-Moller pair update
-(criteria B, M and F plus the product criterion), so popping a pair does no
-scan.  Every basis element and pending pair carries the support of its lead
-or lcm as an int bit mask, and a divisibility test runs only when the
-divisor's support lies inside the other support.  All choices are
-deterministic, so a given generator list always yields the same reduced
-basis.
+The engine packs every monomial into one int: position ``p`` owns the bits
+``[p*width, (p+1)*width)``, an exponent under a guard bit that stays clear
+(Monagan and Pearce, *Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors*, CASC 2007).  A product is one ``+``, ``d``
+divides ``m`` when ``m - d`` sets no guard bit, and the lcm is a fieldwise
+max.  Every order here (lex, grevlex, and the block elimination order over
+either) has a sort key that is a dot product of the exponents with fixed
+int weights, so the key of a product is the sum of the keys.
+
+Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
+rows in strictly descending key order; ``support`` has bit ``pos`` set for
+each variable present.  They leave it as :class:`Polynomial` again.  Bases
+are kept monic.  Pair selection uses the sugar strategy.  Each new basis
+element runs the Gebauer-Moller pair update (criteria B, M and F plus the
+product criterion), so popping a pair does no scan.  A divisibility test
+runs only on the divisors whose lead support lies inside the term's
+support, which an index by variable yields without a scan.  All
+choices are deterministic, so a given generator list always yields the same
+reduced basis.  A product whose exponent reaches a guard bit aborts the
+computation, which reruns with fields twice as wide.
 
 Long-running entry points accept a ``deadline`` (a ``time.monotonic`` value);
 crossing it raises :class:`BudgetExceeded`.
@@ -17,19 +27,22 @@ crossing it raises :class:`BudgetExceeded`.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, islice
+from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
     BlockElimOrder,
+    GrevlexOrder,
+    LexOrder,
     PolyRing,
     Polynomial,
+    _mk,
     mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
     mono_shift,
     order_from_name,
 )
@@ -73,117 +86,245 @@ def _support(m) -> int:
     return mask
 
 
+# ---------------------------------------------------------------------------
+# packed monomials
+
+
+class _Overflow(Exception):
+    """An exponent outgrew its field; the caller reruns with wider fields."""
+
+
+def _key_weights(order, base: int) -> list:
+    """Per-position weights whose dot product with an exponent vector sorts
+    like ``order``, for every exponent below ``base``.  Position 0 is the
+    greatest variable."""
+    n = len(order.table)
+    if isinstance(order, BlockElimOrder):
+        inner = _key_weights(order.inner, base)
+        # inner keys lie in [0, span), so one unit of the front key
+        # outweighs any inner difference
+        span = sum(inner) * (base - 1) + 1
+        f = order.front
+        return [
+            (base**f - base**p) * span + w if p < f else w for p, w in enumerate(inner)
+        ]
+    if isinstance(order, GrevlexOrder):
+        # deg * base**n - sum(e_p * base**p): degree first, then the last
+        # variable where two monomials differ, the smaller exponent winning
+        return [base**n - base**p for p in range(n)]
+    if isinstance(order, LexOrder):
+        return [base ** (n - 1 - p) for p in range(n)]
+    raise TypeError(f"no packed key for {order!r}")
+
+
+class _Packing:
+    """The field layout and the key weights for one order at one width."""
+
+    __slots__ = ("order", "n", "width", "ones", "guards", "weights", "fields", "_monos")
+
+    def __init__(self, order, width: int):
+        self.order = order
+        self.n = n = len(order.table)
+        self.width = width
+        self.ones = sum(1 << (p * width) for p in range(n))
+        self.guards = self.ones << (width - 1)
+        self.weights = _key_weights(order, 1 << (width - 1))
+        # fields(packed): the exponent of each position, in position order;
+        # at the starting width each byte is one exponent
+        if width == 8:
+            self.fields = partial(int.to_bytes, length=n, byteorder="little")
+        else:
+            self.fields = self._split
+        self._monos: dict = {}
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.order, 2 * self.width)
+
+    def rows(self, f: Polynomial) -> list:
+        out = []
+        width, weights = self.width, self.weights
+        top = 1 << (width - 1)
+        for m, c in f.terms:
+            packed = key = mask = 0
+            for pos, e in m.exps:
+                if e >= top:
+                    raise _Overflow
+                packed |= e << (pos * width)
+                key += e * weights[pos]
+                mask |= 1 << pos
+            out.append((key, packed, c, mask))
+        return out
+
+    def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
+        return Polynomial(ring, tuple((self.monomial(p), c) for _, p, c, _ in rows))
+
+    def _split(self, packed: int) -> list:
+        low = (1 << self.width) - 1
+        return [(packed >> (p * self.width)) & low for p in range(self.n)]
+
+    def monomial(self, packed: int):
+        m = self._monos.get(packed)
+        if m is None:
+            exps = tuple((p, e) for p, e in enumerate(self.fields(packed)) if e)
+            m = self._monos[packed] = _mk(exps, sum(e for _, e in exps))
+        return m
+
+    def degree(self, packed: int) -> int:
+        return sum(self.fields(packed))
+
+    def key(self, packed: int) -> int:
+        return sum(map(mul, self.fields(packed), self.weights))
+
+    def support(self, packed: int) -> int:
+        # a field's guard bit survives subtracting one exactly when the
+        # field is nonzero
+        nz = ((packed | self.guards) - self.ones) & self.guards
+        mask = 0
+        while nz:
+            low = nz & -nz
+            mask |= 1 << (low.bit_length() // self.width - 1)
+            nz ^= low
+        return mask
+
+    def lcm(self, u: int, v: int) -> int:
+        g = self.guards
+        # guard bit kept where u's field is at least v's; spread it over
+        # that field's exponent bits
+        ge = ((u | g) - v) & g
+        pick = ge - (ge >> (self.width - 1))
+        return v ^ ((u ^ v) & pick)
+
+
 class _BasisElem:
     """A monic divisor: its rows, its sugar, and its lead read off ``rows[0]``."""
 
-    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask")
+    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask", "deg")
 
-    def __init__(self, rows, sugar):
-        self.lmkey, self.lm, _ = rows[0]
+    def __init__(self, rows, sugar, pk: _Packing):
+        self.lmkey, self.lm, _, self.mask = rows[0]
         self.rows = rows
         self.sugar = sugar
-        self.mask = _support(self.lm)
+        self.deg = pk.degree(self.lm)
 
 
-def _rows_of(f: Polynomial, key) -> list:
-    return [(key(m), m, c) for m, c in f.terms]
-
-
-def _poly_of(ring: PolyRing, rows: Sequence) -> Polynomial:
-    return Polynomial(ring, tuple((m, c) for _, m, c in rows))
-
-
-def _shift_rows(rows: Sequence, qmono, key) -> list:
+def _shift_rows(rows: Sequence, qk, qp, qs, guards) -> list:
     # multiplying by one monomial preserves the descending order
-    out = []
-    for _, m, c in rows:
-        m2 = mono_mul(m, qmono)
-        out.append((key(m2), m2, c))
+    out = [(k + qk, p + qp, c, s | qs) for k, p, c, s in rows]
+    for row in out:
+        if row[1] & guards:
+            raise _Overflow
     return out
 
 
-def _scaled_sub(work: Sequence, start: int, grows: Sequence, qmono, qc, field, key) -> list:
-    """work[start:] - qc * qmono * grows[1:]; the caller has dropped the term
-    that cancels the divisor's head.
-
-    The scaled divisor term is materialized lazily and cached, so a long
-    irreducible stretch of ``work`` costs one key comparison per term.
-    """
+def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, field, guards) -> list:
+    """work[start:] - qc * q * grows[1:], with q the monomial of key ``qk``,
+    packing ``qp`` and support ``qs``; the caller has dropped the term that
+    cancels the divisor's head."""
     out = []
-    i = start
-    j = 1
-    na, ng = len(work), len(grows)
-    mul, sub, neg = field.mul, field.sub, field.neg
-    cur = None
-    while i < na and j < ng:
-        if cur is None:
-            _, gm, gc = grows[j]
-            gm2 = mono_mul(gm, qmono)
-            cur = (key(gm2), gm2, mul(gc, qc))
-        ak = work[i][0]
-        if ak > cur[0]:
+    i, na = start, len(work)
+    add, mul_ = field.add, field.mul
+    nqc = field.neg(qc)
+    for gk, gp, gc, gs in islice(grows, 1, None):
+        ck = gk + qk
+        cp = gp + qp
+        if cp & guards:
+            raise _Overflow
+        while i < na and work[i][0] > ck:
             out.append(work[i])
             i += 1
-        elif ak < cur[0]:
-            out.append((cur[0], cur[1], neg(cur[2])))
-            j += 1
-            cur = None
-        else:
-            c = sub(work[i][2], cur[2])
-            if c != 0:
-                out.append((ak, work[i][1], c))
+        if i < na and work[i][0] == ck:
+            c = add(work[i][2], mul_(gc, nqc))
+            if c:
+                out.append((ck, cp, c, work[i][3]))
             i += 1
-            j += 1
-            cur = None
+        else:
+            out.append((ck, cp, mul_(gc, nqc), gs | qs))
     out.extend(work[i:])
-    if cur is not None:
-        out.append((cur[0], cur[1], neg(cur[2])))
-        j += 1
-    while j < ng:
-        _, gm, gc = grows[j]
-        gm2 = mono_mul(gm, qmono)
-        out.append((key(gm2), gm2, neg(mul(gc, qc))))
-        j += 1
     return out
 
 
-def _reduce_rows(rows, sugar, elems, field, key, deadline):
-    """Fully reduce ``rows`` against ``elems``; returns (rows, sugar).
+class _Divisors:
+    """Monic divisors in a fixed order, indexed by lead support.
 
-    Every monomial of the result is divisible by no element's lead.  The
-    divisor tried first is always the earliest in ``elems``.
+    ``_tables[c][b]`` has bit ``k`` set when the lead of divisor ``k`` uses a
+    variable of nibble ``c`` (positions ``4c`` to ``4c+3``) that the nibble
+    value ``b`` lacks.  The divisors whose lead support lies inside a given
+    support are then the bits that no table hit sets, one lookup per four
+    variables in place of a scan over every divisor.
+    """
+
+    __slots__ = ("elems", "_tables", "_all")
+
+    def __init__(self, n: int):
+        self.elems: list = []
+        self._tables = [[0] * 16 for _ in range((n + 3) // 4)]
+        self._all = 0
+
+    def add(self, e: _BasisElem) -> None:
+        bit = 1 << len(self.elems)
+        self.elems.append(e)
+        self._all |= bit
+        mask = e.mask
+        for table in self._tables:
+            nib = mask & 15
+            if nib:
+                for b in range(16):
+                    if nib & ~b:
+                        table[b] |= bit
+            mask >>= 4
+
+    def candidates(self, support: int) -> int:
+        """Bit ``k`` set for each divisor whose lead support lies inside
+        ``support``; a lead divides a monomial only then."""
+        outside = 0
+        for table in self._tables:
+            outside |= table[support & 15]
+            support >>= 4
+        return self._all ^ outside
+
+
+def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, deadline):
+    """Fully reduce ``rows`` against ``divs``; returns (rows, sugar).
+
+    Every monomial of the result is divisible by no divisor's lead.  The
+    divisor tried first is always the earliest in ``divs``.
     """
     out = []
-    work = list(rows)
+    work = rows
     idx = 0
     steps = 0
+    guards = pk.guards
+    elems, candidates = divs.elems, divs.candidates
     while idx < len(work):
-        m = work[idx][1]
-        outside = ~_support(m)
-        hit = None
-        for e in elems:
-            if not e.mask & outside and mono_divides(e.lm, m):
-                hit = e
+        mk, m, mc, ms = work[idx]
+        cand = candidates(ms)
+        while cand:
+            low = cand & -cand
+            hit = elems[low.bit_length() - 1]
+            q = m - hit.lm
+            if not q & guards:
                 break
-        if hit is None:
+            cand ^= low
+        else:
             idx += 1
             continue
         steps += 1
         if (steps & 0xFF) == 0:
             _check_deadline(deadline)
-        qmono = mono_div(m, hit.lm)
         if idx:
             out.extend(work[:idx])
-        work = _scaled_sub(work, idx + 1, hit.rows, qmono, work[idx][2], field, key)
+        work = _scaled_sub(
+            work, idx + 1, hit.rows, mk - hit.lmkey, q, pk.support(q), mc, field, guards
+        )
         idx = 0
-        s = qmono.deg + hit.sugar
+        s = pk.degree(q) + hit.sugar
         if s > sugar:
             sugar = s
     out.extend(work)
     return out, sugar
 
 
-def _update(elems, active, pending, heap, h, key, tick, deadline) -> None:
+def _update(elems, active, pending, heap, h, pk: _Packing, tick, deadline) -> None:
     """Gebauer-Moller pair update for ``h``, the element about to be
     appended to ``elems`` (Becker-Weispfenning, *Groebner Bases*, UPDATE).
 
@@ -195,17 +336,15 @@ def _update(elems, active, pending, heap, h, key, tick, deadline) -> None:
     _check_deadline(deadline)
     hi = len(elems)
     hlm, hmask = h.lm, h.mask
+    guards, lcm_of = pk.guards, pk.lcm
     # criterion B: a pending pair whose lcm the new lead divides, and equals
     # neither of its members' lcms with the new lead, is covered by those
     # two pairs
     dropped = []
     for pair, (lcm, pmask) in pending.items():
-        if not hmask & ~pmask and mono_divides(hlm, lcm):
+        if not hmask & ~pmask and not (lcm - hlm) & guards:
             i, j = pair
-            if (
-                mono_lcm(elems[i].lm, hlm).deg != lcm.deg
-                and mono_lcm(elems[j].lm, hlm).deg != lcm.deg
-            ):
+            if lcm_of(elems[i].lm, hlm) != lcm and lcm_of(elems[j].lm, hlm) != lcm:
                 dropped.append(pair)
     for pair in dropped:
         del pending[pair]
@@ -216,27 +355,32 @@ def _update(elems, active, pending, heap, h, key, tick, deadline) -> None:
     cands = []
     for j in active:
         g = elems[j]
-        lcm = mono_lcm(g.lm, hlm)
-        coprime = lcm.deg == g.lm.deg + hlm.deg
-        cands.append((lcm.deg, not coprime, j, lcm, g.mask | hmask))
-    cands.sort(key=lambda c: c[:3])
+        if g.mask & hmask:
+            lcm = lcm_of(g.lm, hlm)
+            cands.append((pk.degree(lcm), True, j, lcm, g.mask | hmask))
+        else:
+            cands.append((g.deg + h.deg, False, j, g.lm + hlm, g.mask | hmask))
+    cands.sort()  # by (degree, not coprime, j); j is unique
     minimal = []
-    for _, plain, j, lcm, pmask in cands:
-        if plain and any(
-            not kmask & ~pmask and mono_divides(klcm, lcm) for klcm, kmask in minimal
-        ):
-            continue
+    for deg, plain, j, lcm, pmask in cands:
+        if plain:
+            outside = ~pmask
+            covered = False
+            for klcm, kmask in minimal:
+                if not kmask & outside and not (lcm - klcm) & guards:
+                    covered = True
+                    break
+            if covered:
+                continue
         minimal.append((lcm, pmask))
         if plain:
             g = elems[j]
-            s = max(g.sugar + lcm.deg - g.lm.deg, h.sugar + lcm.deg - hlm.deg)
-            heappush(heap, (s, key(lcm), next(tick), j, hi, lcm))
+            s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
+            heappush(heap, (s, pk.key(lcm), next(tick), j, hi, lcm))
             pending[(j, hi)] = (lcm, pmask)
 
     active[:] = [
-        j
-        for j in active
-        if hmask & ~elems[j].mask or not mono_divides(hlm, elems[j].lm)
+        j for j in active if hmask & ~elems[j].mask or (elems[j].lm - hlm) & guards
     ]
     active.append(hi)
 
@@ -255,10 +399,19 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
     for g in gens[1:]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    fld = ring.field
-    key = ring.order.key
+    pk = _Packing(ring.order, 8)
+    while True:
+        try:
+            return _buchberger(ring, gens, pk, deadline)
+        except _Overflow:
+            pk = pk.wider()
 
-    elems: list = []
+
+def _buchberger(ring: PolyRing, gens: list, pk: _Packing, deadline) -> tuple:
+    fld = ring.field
+    guards = pk.guards
+    divs = _Divisors(pk.n)
+    elems = divs.elems
     active: list = []
     heap: list = []
     pending: dict = {}
@@ -268,36 +421,39 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
         c0 = rows[0][2]
         if c0 != fld.one:
             inv = fld.inv(c0)
-            rows = [(k, m, fld.mul(c, inv)) for k, m, c in rows]
-        e = _BasisElem(rows, sugar)
-        _update(elems, active, pending, heap, e, key, tick, deadline)
-        elems.append(e)
+            rows = [(k, p, fld.mul(c, inv), s) for k, p, c, s in rows]
+        e = _BasisElem(rows, sugar, pk)
+        _update(elems, active, pending, heap, e, pk, tick, deadline)
+        divs.add(e)
         return e
 
     unit = False
     for g in gens:
-        rows, sugar = _reduce_rows(_rows_of(g, key), g.degree(), elems, fld, key, deadline)
+        rows, sugar = _reduce_rows(pk.rows(g), g.degree(), divs, fld, pk, deadline)
         if rows:
             e = insert(rows, sugar)
-            if not e.lm.exps:
+            if not e.lm:
                 unit = True
                 break
 
     while heap and not unit:
         _check_deadline(deadline)
-        s, _, _, i, j, lcm = heappop(heap)
+        s, lk, _, i, j, lcm = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
         ei, ej = elems[i], elems[j]
-        qi = mono_div(lcm, ei.lm)
-        qj = mono_div(lcm, ej.lm)
+        qi = lcm - ei.lm
+        qj = lcm - ej.lm
         # both elements are monic, so their heads cancel at the lcm and only
         # the tails are shifted
-        rows = _scaled_sub(_shift_rows(ei.rows[1:], qi, key), 0, ej.rows, qj, fld.one, fld, key)
-        rows, sugar = _reduce_rows(rows, s, elems, fld, key, deadline)
+        rows = _scaled_sub(
+            _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, pk.support(qi), guards),
+            0, ej.rows, lk - ej.lmkey, qj, pk.support(qj), fld.one, fld, guards,
+        )
+        rows, sugar = _reduce_rows(rows, s, divs, fld, pk, deadline)
         if rows:
             e = insert(rows, sugar)
-            if not e.lm.exps:
+            if not e.lm:
                 unit = True
 
     if unit:
@@ -305,15 +461,44 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
 
     # one interreduction pass over the minimal basis gives the reduced basis:
     # leads are fixed, and full tail reduction against the others' leads pins
-    # each element
+    # each element.  Elements go from the smallest lead up, each reduced by
+    # the ones already done and the ones still to come; no lead divides a
+    # term of its own tail, so every element can sit in one index.
     kept = sorted((elems[i] for i in active), key=lambda e: e.lmkey)
-    final: list = []
-    for i, e in enumerate(kept):
-        others = final + kept[i + 1 :]
-        rows, _ = _reduce_rows(e.rows, e.sugar, others, fld, key, deadline)
-        final.append(_BasisElem(rows, e.sugar))
-    final.sort(key=lambda e: e.lmkey, reverse=True)
-    return tuple(_poly_of(ring, e.rows) for e in final)
+    others = _Divisors(pk.n)
+    for e in kept:
+        others.add(e)
+    for e in kept:
+        tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk, deadline)
+        e.rows = [e.rows[0]] + tail
+    return tuple(pk.poly(ring, e.rows) for e in reversed(kept))
+
+
+class _Reducer:
+    """Monic polynomials packed once as divisors, for repeated reductions;
+    a reduction that outgrows the fields repacks them wider."""
+
+    __slots__ = ("polys", "pk", "divs")
+
+    def __init__(self, ring: PolyRing, polys: Sequence[Polynomial]):
+        self.polys = polys
+        self.pk = _Packing(ring.order, 8)
+        self.divs = None
+
+    def remainder(self, f: Polynomial, deadline) -> Polynomial:
+        while True:
+            pk = self.pk
+            try:
+                if self.divs is None:
+                    divs = _Divisors(pk.n)
+                    for g in self.polys:
+                        divs.add(_BasisElem(pk.rows(g), g.degree(), pk))
+                    self.divs = divs
+                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self.divs, f.ring.field, pk, deadline)
+                return pk.poly(f.ring, rows)
+            except _Overflow:
+                self.pk = pk.wider()
+                self.divs = None
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polynomial:
@@ -324,20 +509,16 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polyno
     deadline is checked on entry, so a loop of short reductions is bounded.
     """
     ring = f.ring
-    key = ring.order.key
-    elems = []
     for g in G:
         if not g:
             raise ValueError("zero polynomial in divisor list")
         if g.ring != ring:
             raise ValueError("divisor in a different ring")
-        # a monic divisor leaves the same remainder
-        elems.append(_BasisElem(_rows_of(g.monic(), key), g.degree()))
     if not f:
         return f
     _check_deadline(deadline)
-    rows, _ = _reduce_rows(_rows_of(f, key), f.degree(), elems, ring.field, key, deadline)
-    return _poly_of(ring, rows)
+    # a monic divisor leaves the same remainder
+    return _Reducer(ring, [g.monic() for g in G]).remainder(f, deadline)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -355,7 +536,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class IdealHandle:
     """An ideal given by generators, with a lazily cached reduced basis."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_packed")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g)
@@ -365,11 +546,19 @@ class IdealHandle:
         self.ring = ring
         self.gens = gens
         self._gb = None
+        self._packed = None
 
     def groebner(self, deadline=None) -> tuple:
         if self._gb is None:
             self._gb = buchberger(self.gens, deadline=deadline)
         return self._gb
+
+    def _reducer(self, deadline=None) -> _Reducer:
+        """The reduced basis packed as divisors, kept next to it so that
+        repeated membership tests pack it once."""
+        if self._packed is None:
+            self._packed = _Reducer(self.ring, self.groebner(deadline))
+        return self._packed
 
     def is_zero(self, deadline=None) -> bool:
         if not self.gens:
@@ -387,7 +576,11 @@ class IdealHandle:
 def ideal_member(f: Polynomial, I: IdealHandle, deadline=None) -> bool:
     if not f:
         return True
-    return not normal_form(f, I.groebner(deadline), deadline=deadline)
+    if f.ring != I.ring:
+        raise ValueError("polynomial and ideal live in different rings")
+    reducer = I._reducer(deadline)
+    _check_deadline(deadline)
+    return not reducer.remainder(f, deadline)
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle, deadline=None) -> bool:

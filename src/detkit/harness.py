@@ -66,7 +66,7 @@ from .groebner import (
     ideal_member,
     intersect_all,
 )
-from .linalg import rank, solve_column
+from .linalg import solve_columns
 from .poly import field_from_name
 
 __all__ = [
@@ -531,10 +531,38 @@ def _check_asl(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
     m, n, d = spec.m, spec.n, spec.d
     chains = standard_products(m, n, d)
     report.stats["lhs_gens"] = len(chains)
-    polys = []
+    # every product is homogeneous, so the slice splits by degree
+    chains_by_degree: Dict[int, List[Tuple[tuple, object]]] = {}
     for ch in chains:
         _check_deadline(deadline)
-        polys.append(_product_poly(ring, ms, ch))
+        deg = sum(ix.size for ix in ch)
+        chains_by_degree.setdefault(deg, []).append((ch, _product_poly(ring, ms, ch)))
+
+    # straightening: an incomparable pair rewrites into chains through
+    # lower-bounded leading factors
+    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
+    pairs = []
+    for a, b in combinations(universe, 2):
+        if minor_leq(a, b) or minor_leq(b, a):
+            continue
+        if a.size + b.size > d:
+            continue
+        _check_deadline(deadline)
+        pairs.append((a, b, minor_poly(ring, ms, a) * minor_poly(ring, ms, b)))
+
+    # one elimination per degree: the chain products, then the pair products
+    slice_rank = 0
+    solved = {}
+    for deg in sorted(set(chains_by_degree) | {a.size + b.size for a, b, _ in pairs}):
+        basis = chains_by_degree.get(deg, [])
+        prods = [(a, b, f) for a, b, f in pairs if a.size + b.size == deg]
+        vectors, _ = coefficient_matrix(ring, [f for _, f in basis] + [f for _, _, f in prods])
+        rk, coeffs = solve_columns(
+            vectors[: len(basis)], vectors[len(basis) :], ring.field, deadline
+        )
+        slice_rank += rk
+        for (a, b, _), x in zip(prods, coeffs):
+            solved[a, b] = (basis, x)
 
     problems = []
     # basis of the degree-<=d slice: the count matches the monomial count
@@ -544,29 +572,11 @@ def _check_asl(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
         problems.append(
             f"chain count {len(chains)} != dim {expected_dim} of the <=d slice"
         )
-    mat, _ = coefficient_matrix(ring, polys)
-    if rank(mat, ring.field) != len(polys):
+    if slice_rank != len(chains):
         problems.append("chain products are linearly dependent")
-
-    # straightening: an incomparable pair rewrites into chains through
-    # lower-bounded leading factors
-    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
-    by_degree: Dict[int, List[Tuple[tuple, object]]] = {}
-    for ch, f in zip(chains, polys):
-        deg = sum(ix.size for ix in ch)
-        by_degree.setdefault(deg, []).append((ch, f))
     checked = 0
-    for a, b in combinations(universe, 2):
-        if minor_leq(a, b) or minor_leq(b, a):
-            continue
-        deg = a.size + b.size
-        if deg > d:
-            continue
-        _check_deadline(deadline)
-        prod = minor_poly(ring, ms, a) * minor_poly(ring, ms, b)
-        basis = by_degree.get(deg, [])
-        vectors, _ = coefficient_matrix(ring, [f for _, f in basis] + [prod])
-        coeffs = solve_column(vectors[:-1], vectors[-1], ring.field)
+    for a, b, _ in pairs:
+        basis, coeffs = solved[a, b]
         if coeffs is None:
             problems.append(f"{a} * {b} does not straighten")
             continue

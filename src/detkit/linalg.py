@@ -6,9 +6,12 @@ Gauss-Jordan with exact arithmetic; no floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-__all__ = ["row_reduce", "rank", "solve_column"]
+from .groebner import _check_deadline
+
+__all__ = ["row_reduce", "rank", "solve_columns"]
 
 
 def row_reduce(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
@@ -17,16 +20,24 @@ def row_reduce(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
     Returns (nonzero rows, pivot column indices); zero rows are dropped.
     """
     mat = [list(r) for r in rows]
+    if mat:
+        ncols = len(mat[0])
+        for r in mat:
+            if len(r) != ncols:
+                raise ValueError("ragged matrix")
+    return _eliminate(mat, field, None)
+
+
+def _eliminate(mat: List[list], field, deadline) -> Tuple[List[list], List[int]]:
+    """Gauss-Jordan on ``mat`` in place; the deadline is checked once per
+    column."""
     if not mat:
         return [], []
-    ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
     pivots: List[int] = []
     zero, one = field.zero, field.one
     lead = 0
-    for col in range(ncols):
+    for col in range(len(mat[0])):
+        _check_deadline(deadline)
         piv = None
         for i in range(lead, len(mat)):
             if mat[i][col] != zero:
@@ -55,22 +66,36 @@ def rank(rows: Sequence[Sequence], field) -> int:
     return len(row_reduce(rows, field)[0])
 
 
-def solve_column(columns: Sequence[Sequence], target: Sequence, field) -> Optional[list]:
-    """Coefficients expressing ``target`` as a combination of ``columns``.
+def solve_columns(
+    columns: Sequence[Sequence], targets: Sequence[Sequence], field, deadline=None
+) -> Tuple[int, List[Optional[list]]]:
+    """Express each target as a combination of ``columns``.
 
-    Solves A x = target where A's columns are given; returns None when the
-    system is inconsistent.  Free variables, if any, are set to zero.
+    Returns the rank of ``columns`` and, per target, its coefficients over
+    ``columns`` or None when the target lies outside their span; free
+    coefficients are zero.  One elimination of ``[columns | targets]``
+    serves every target: the pivots among ``columns`` do not depend on the
+    columns to their right, and a target lies in the span of ``columns``
+    exactly when it is no pivot and is zero on every row whose pivot is a
+    target.  The deadline is checked once per column.
     """
-    n = len(target)
-    for c in columns:
-        if len(c) != n:
-            raise ValueError("column length mismatch")
+    vectors = list(columns) + list(targets)
+    if vectors:
+        n = len(vectors[0])
+        for v in vectors:
+            if len(v) != n:
+                raise ValueError("column length mismatch")
     k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    reduced, pivots = row_reduce(aug, field)
-    if k in pivots:
-        return None  # pivot in the augmented column
-    x = [field.zero] * k
-    for r, col in zip(reduced, pivots):
-        x[col] = r[k]
-    return x
+    reduced, pivots = _eliminate([list(r) for r in zip(*vectors)], field, deadline)
+    r = bisect_left(pivots, k)
+    zero = field.zero
+    solutions: List[Optional[list]] = []
+    for col in range(k, len(vectors)):
+        if col in pivots[r:] or any(row[col] != zero for row in reduced[r:]):
+            solutions.append(None)
+            continue
+        x = [zero] * k
+        for row, p in zip(reduced, pivots[:r]):
+            x[p] = row[col]
+        solutions.append(x)
+    return r, solutions

@@ -277,6 +277,24 @@ def expire_after_basis(monkeypatch):
     return done
 
 
+def expire_in_elimination(monkeypatch):
+    """Make ``groebner``'s clock pass every deadline once a ``linalg``
+    elimination has started.  Returns the list that gains one entry per
+    elimination started."""
+    from detkit import groebner, linalg
+
+    real_clock, real_eliminate = groebner.monotonic, linalg._eliminate
+    started = []
+
+    def eliminate_after_expiry(mat, field, deadline):
+        started.append(None)
+        return real_eliminate(mat, field, deadline)
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_after_expiry)
+    monkeypatch.setattr(groebner, "monotonic", lambda: float("inf") if started else real_clock())
+    return started
+
+
 def frac(n, d=1):
     return Fraction(n, d)
 

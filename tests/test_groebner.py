@@ -10,6 +10,8 @@ from detkit.groebner import (
     BudgetExceeded,
     IdealHandle,
     UnitIdealError,
+    _Packing,
+    _support,
     buchberger,
     ideal_equal,
     ideal_height,
@@ -23,12 +25,17 @@ from detkit.groebner import (
 )
 from detkit.poly import (
     QQ,
+    BlockElimOrder,
     LexOrder,
     Monomial,
     PolyRing,
     PrimeField,
     VariableTable,
     field_from_name,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
     order_from_name,
 )
 from helpers import (
@@ -169,6 +176,30 @@ def test_membership():
     J = IdealHandle(ring, [x * x, y])
     assert not ideal_member(x, J)
     assert ideal_member(x * x + y * y, J)
+    with pytest.raises(ValueError):
+        ideal_member(mkring("xy", order="lex").var(0), J)
+
+
+def test_membership_packs_the_basis_once(monkeypatch):
+    from detkit import groebner
+
+    packed = []
+    real_rows = groebner._Packing.rows
+
+    def counting_rows(pk, f):
+        packed.append(f)
+        return real_rows(pk, f)
+
+    monkeypatch.setattr(groebner._Packing, "rows", counting_rows)
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    I = IdealHandle(ring, [x * y - z * z, y * z - x * x, x * z - y * y])
+    G = I.groebner()
+    packed.clear()
+    tests = [x**3 - y * y * x, x * y, (x * y - z * z) * z, (y * z - x * x) * (x + y)]
+    assert [ideal_member(f, I) for f in tests] == [False, False, True, True]
+    # each basis element once, then one row list per tested polynomial
+    assert len(packed) == len(G) + len(tests)
 
 
 def test_s_polynomial_cancels_heads():
@@ -328,6 +359,73 @@ def test_buchberger_matches_textbook_engine(field, order, drawn):
     if expected is None:
         reject()
     assert buchberger(gens) == expected
+
+
+@st.composite
+def _packed_pairs(draw):
+    """An order (lex, grevlex, or a block order over either with any front
+    size), a field width, and two exponent vectors below its guard bits."""
+    n = draw(st.integers(2, 6))
+    table = VariableTable([f"v{i}" for i in range(n)])
+    order = order_from_name(draw(st.sampled_from(["lex", "grevlex"])), table)
+    front = draw(st.integers(0, n - 1))
+    if front:
+        order = BlockElimOrder(order, front)
+    width = draw(st.sampled_from([8, 16]))
+    top = (1 << (width - 1)) - 1
+    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, top)), min_size=n, max_size=n)
+    return order, width, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_pairs())
+def test_packed_monomials_match_poly(case):
+    order, width, ue, ve = case
+    ring = PolyRing(order.table, order, QQ)
+    pk = _Packing(order, width)
+    u = Monomial([(p, e) for p, e in enumerate(ue) if e])
+    v = Monomial([(p, e) for p, e in enumerate(ve) if e])
+    ((ku, pu, _, su),) = pk.rows(ring.monomial_poly(u))
+    ((kv, pv, _, _),) = pk.rows(ring.monomial_poly(v))
+    assert pk.monomial(pu) == u and pk.degree(pu) == u.deg
+    assert su == _support(u) == pk.support(pu)
+    # the key is linear and sorts like the order
+    assert pk.key(pu) == ku
+    assert (ku > kv) - (ku < kv) == order.compare(u, v)
+    # a guard bit stays clear exactly when no exponent carries out
+    prod = pu + pv
+    fits = all(a + b < 1 << (width - 1) for a, b in zip(ue, ve))
+    assert (not prod & pk.guards) == fits
+    if fits:
+        assert pk.monomial(prod) == mono_mul(u, v)
+        assert pk.key(prod) == ku + kv
+    divides = not (pv - pu) & pk.guards
+    assert divides == mono_divides(u, v)
+    if divides:
+        assert pk.monomial(pv - pu) == mono_div(v, u)
+    assert pk.monomial(pk.lcm(pu, pv)) == mono_lcm(u, v)
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_exponents_past_the_first_field_width(order):
+    # 8-bit fields hold exponents up to 127: x^300 cannot be packed at all,
+    # and the last pair packs but has a basis element past 127 (y^160 - 1
+    # under lex, an exponent of 179 under grevlex), so the engine must widen
+    # before the first generator or halfway through
+    ring = mkring("xyz", order=order)
+    x, y, z = (ring.var(i) for i in range(3))
+    late = [x - y**60, x * y**100 - 1] if order == "lex" else [x**90 * y - z, x * y**90 - 1]
+    for gens in ([x**300 - y**299 * z], [x**300 - y**299 * z, y * y - z], late):
+        G = buchberger(gens)
+        assert G == textbook_buchberger(gens)
+        assert_reduced_basis(G)
+    assert max(e for g in G for m, _ in g.terms for _, e in m.exps) > 127
+    # reductions widen too, in a bare normal form and against a cached basis
+    assert normal_form(x**200 * z, [x - y]) == y**200 * z
+    I = IdealHandle(ring, [x - y])
+    assert ideal_member(x**100 - y**100, I)
+    assert ideal_member(x**200 - y**200, I)
+    assert not ideal_member(x**200 - y**199, I)
 
 
 def test_buchberger_matches_textbook_beyond_64_variables():
@@ -568,23 +666,24 @@ def _intersection_calls(monkeypatch, name):
     calls = [0]
     fn = getattr(groebner, name)
 
-    def counting(u, v):
+    def counting(*args):
         calls[0] += 1
-        return fn(u, v)
+        return fn(*args)
 
     monkeypatch.setattr(groebner, name, counting)
     assert len(ideal_intersect(I, J).groebner()) == 40
     return calls[0]
 
 
-def test_mono_divides_call_ceiling(monkeypatch):
-    # 160,697 divisibility tests with the chain criterion scanned at every
-    # pop and an unfiltered divisor search; support masks and the
-    # Gebauer-Moller update bring it to about 2,400
-    assert _intersection_calls(monkeypatch, "mono_divides") <= 8000
+# The engine forms the same S-pairs and takes the same reduction steps as
+# the tuple-row engine it replaced, which made exactly these counts: one
+# _scaled_sub per reduction step and per S-polynomial, one _update per new
+# basis element.
 
 
-def test_mono_mul_call_ceiling(monkeypatch):
-    # 5,302 monomial products when each S-polynomial also shifted the head
-    # of its first element, which cancels; shifting only the tail makes 5,020
-    assert _intersection_calls(monkeypatch, "mono_mul") <= 5150
+def test_scaled_sub_call_ceiling(monkeypatch):
+    assert _intersection_calls(monkeypatch, "_scaled_sub") <= 1178
+
+
+def test_update_call_ceiling(monkeypatch):
+    assert _intersection_calls(monkeypatch, "_update") <= 90

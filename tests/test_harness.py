@@ -15,7 +15,7 @@ from detkit.harness import (
     suite_document,
 )
 from detkit.poly import field_from_name
-from helpers import expire_after_basis
+from helpers import expire_after_basis, expire_in_elimination
 
 
 def mk(case="case", **kw):
@@ -318,6 +318,37 @@ def test_asl_cases():
     rep2 = run_case(mk("a2", check="asl", m=2, n=3, d=2))
     assert rep2.verdict == "EQUAL", rep2.reason
     assert rep2.stats["lhs_gens"] == 28
+
+
+def test_asl_failure_reasons(monkeypatch):
+    # a chain list with one product missing or one repeated must name the
+    # count, the dependence and each pair that no longer straightens, in
+    # that order
+    from detkit import harness
+
+    real = harness.standard_products
+    monkeypatch.setattr(harness, "standard_products", lambda m, n, d: real(m, n, d)[:9] + real(m, n, d)[10:])
+    rep = run_case(mk("a5", check="asl", m=2, n=3, d=2))
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.reason == (
+        "chain count 27 != dim 28 of the <=d slice; [1|2] * [2|1] does not straighten"
+    )
+    monkeypatch.setattr(harness, "standard_products", lambda m, n, d: real(m, n, d) + real(m, n, d)[7:8])
+    rep = run_case(mk("a6", check="asl", m=2, n=3, d=2))
+    assert rep.reason == (
+        "chain count 29 != dim 28 of the <=d slice; chain products are linearly dependent"
+    )
+
+
+def test_asl_budget_stops_the_elimination(monkeypatch):
+    # the budget bounds the linear algebra, not only the product build: a
+    # clock that passes the deadline inside the first elimination ends the
+    # case there, with no later degree eliminated
+    started = expire_in_elimination(monkeypatch)
+    rep = run_case(mk("a4", check="asl", m=2, n=3, d=2))
+    assert len(started) == 1
+    assert rep.verdict == "SKIPPED" and rep.reason == "budget exceeded"
+    assert rep.stats["lhs_gens"] == 28
 
 
 def test_asl_budget_skip():

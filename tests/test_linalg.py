@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from time import monotonic
 
 import pytest
 
-from detkit.linalg import rank, row_reduce, solve_column
+from detkit.groebner import BudgetExceeded
+from detkit.linalg import rank, row_reduce, solve_columns
 from detkit.poly import QQ, PrimeField
+from helpers import expire_in_elimination
 
 
 def test_row_reduce_known():
@@ -71,11 +74,57 @@ def test_solve_column():
         [Fraction(1), Fraction(0), Fraction(1)],
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
-    x = solve_column(cols, [Fraction(2), Fraction(3), Fraction(5)], QQ)
-    assert x == [Fraction(2), Fraction(3)]
-    assert solve_column(cols, [Fraction(1), Fraction(1), Fraction(0)], QQ) is None
+    targets = [
+        [Fraction(2), Fraction(3), Fraction(5)],
+        [Fraction(1), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(0)],
+    ]
+    r, xs = solve_columns(cols, targets, QQ)
+    assert r == 2
+    assert xs == [[Fraction(2), Fraction(3)], None, [Fraction(0), Fraction(0)]]
     # underdetermined: free variable pinned to zero, residual still exact
     cols2 = [[Fraction(1)], [Fraction(2)]]
-    x2 = solve_column(cols2, [Fraction(4)], QQ)
-    assert x2 is not None
-    assert x2[0] + 2 * x2[1] == Fraction(4)
+    r2, (x2,) = solve_columns(cols2, [[Fraction(4)]], QQ)
+    assert r2 == 1
+    assert x2 == [Fraction(4), Fraction(0)]
+    with pytest.raises(ValueError):
+        solve_columns(cols, [[Fraction(1)]], QQ)
+
+
+def test_solve_columns_matches_rank():
+    # a target the columns reach must be solved exactly, one they miss must
+    # raise the rank; an earlier target outside the span must not let a
+    # later one through on its account
+    rng = random.Random(5)
+    fp = PrimeField(7)
+    for _ in range(60):
+        n, k, t = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 4)
+        cols = [[fp.of_int(rng.randint(0, 2)) for _ in range(n)] for _ in range(k)]
+        targets = []
+        for _ in range(t):
+            if cols and rng.random() < 0.5:
+                mix = [fp.of_int(rng.randint(0, 6)) for _ in cols]
+                targets.append([sum(c * v[i] for c, v in zip(mix, cols)) % 7 for i in range(n)])
+            else:
+                targets.append([fp.of_int(rng.randint(0, 6)) for _ in range(n)])
+        r, xs = solve_columns(cols, targets, fp)
+        base = rank([list(row) for row in zip(*cols)], fp) if cols else 0
+        assert r == base
+        for target, x in zip(targets, xs):
+            reachable = rank([list(row) for row in zip(*cols, target)], fp) == base
+            assert (x is not None) == reachable
+            if x is not None:
+                got = [sum(c * v[i] for c, v in zip(x, cols)) % 7 for i in range(n)]
+                assert got == target
+
+
+def test_solve_columns_checks_the_deadline(monkeypatch):
+    # a clock that passes the deadline once the elimination has started
+    # must stop it at its first column
+    started = expire_in_elimination(monkeypatch)
+    fp = PrimeField(101)
+    cols = [[fp.one, fp.zero], [fp.zero, fp.one]]
+    with pytest.raises(BudgetExceeded) as info:
+        solve_columns(cols, [[fp.one, fp.one]], fp, deadline=monotonic() + 60)
+    assert len(started) == 1
+    assert [entry.name for entry in info.traceback][-2:] == ["_eliminate", "_check_deadline"]
