@@ -22,7 +22,6 @@ __all__ = [
     "minor_leq",
     "in_doset",
     "doset_leq",
-    "pfaffian_leq",
     "PosetUniverse",
     "minors_universe",
     "doset_universe",
@@ -110,10 +109,6 @@ def doset_leq(a: MinorIndex, b: MinorIndex) -> bool:
     return subset_leq(a.rows, b.rows)
 
 
-def pfaffian_leq(a: PfaffianIndex, b: PfaffianIndex) -> bool:
-    return subset_leq(a.rows, b.rows)
-
-
 class PosetUniverse:
     """All indices of one kind that fit inside an m x n (or n x n) matrix,
     together with the matching comparison."""
@@ -135,7 +130,7 @@ class PosetUniverse:
             return minor_leq(a, b)
         if self.kind == "doset_minors":
             return doset_leq(a, b)
-        return pfaffian_leq(a, b)
+        return subset_leq(a.rows, b.rows)
 
     def __repr__(self) -> str:
         return f"PosetUniverse({self.kind!r}, {self.m}, {self.n})"

@@ -5,9 +5,12 @@ The engine packs every monomial into one int: position ``p`` owns the bits
 (Monagan and Pearce, *Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors*, CASC 2007).  A product is one ``+``, ``d``
 divides ``m`` when ``m - d`` sets no guard bit, and the lcm is a fieldwise
-max.  Every order here (lex, grevlex, and the block elimination order over
-either) has a sort key that is a dot product of the exponents with fixed
-int weights, so the key of a product is the sum of the keys.
+max.  Lex and grevlex each have a sort key that is a dot product of the
+exponents with fixed int weights (``MonomialOrder.weights``), so the key of
+a product is the sum of the keys.  An intersection packs its auxiliary
+``w`` as one more field past the ring's variables, weighted above every
+``w``-free key, so it eliminates ``w`` in the same engine without a second
+ring.
 
 Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
 rows in strictly descending key order; ``support`` has bit ``pos`` set for
@@ -34,18 +37,7 @@ from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
-from .poly import (
-    BlockElimOrder,
-    GrevlexOrder,
-    LexOrder,
-    PolyRing,
-    Polynomial,
-    _mk,
-    mono_div,
-    mono_lcm,
-    mono_shift,
-    order_from_name,
-)
+from .poly import PolyRing, Polynomial, _mk, mono_div, mono_lcm
 
 __all__ = [
     "BudgetExceeded",
@@ -58,7 +50,6 @@ __all__ = [
     "ideal_equal",
     "ideal_intersect",
     "intersect_all",
-    "ideal_sum",
     "krull_dimension",
     "ideal_height",
 ]
@@ -94,41 +85,29 @@ class _Overflow(Exception):
     """An exponent outgrew its field; the caller reruns with wider fields."""
 
 
-def _key_weights(order, base: int) -> list:
-    """Per-position weights whose dot product with an exponent vector sorts
-    like ``order``, for every exponent below ``base``.  Position 0 is the
-    greatest variable."""
-    n = len(order.table)
-    if isinstance(order, BlockElimOrder):
-        inner = _key_weights(order.inner, base)
-        # inner keys lie in [0, span), so one unit of the front key
-        # outweighs any inner difference
-        span = sum(inner) * (base - 1) + 1
-        f = order.front
-        return [
-            (base**f - base**p) * span + w if p < f else w for p, w in enumerate(inner)
-        ]
-    if isinstance(order, GrevlexOrder):
-        # deg * base**n - sum(e_p * base**p): degree first, then the last
-        # variable where two monomials differ, the smaller exponent winning
-        return [base**n - base**p for p in range(n)]
-    if isinstance(order, LexOrder):
-        return [base ** (n - 1 - p) for p in range(n)]
-    raise TypeError(f"no packed key for {order!r}")
-
-
 class _Packing:
-    """The field layout and the key weights for one order at one width."""
+    """The field layout and the key weights for one order at one width.
 
-    __slots__ = ("order", "n", "width", "ones", "guards", "weights", "fields", "_monos")
+    With ``elim`` the layout carries one field past the order's variables,
+    at position ``len(order.table)``, for an intersection's auxiliary ``w``.  Its weight
+    exceeds the key of every ``w``-free monomial, so monomials compare by
+    their ``w`` exponent first and then by ``order``: the elimination order.
+    """
 
-    def __init__(self, order, width: int):
+    __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
+
+    def __init__(self, order, width: int, elim: bool = False):
         self.order = order
-        self.n = n = len(order.table)
+        self.elim = elim
+        base = 1 << (width - 1)
+        self.weights = weights = order.weights(base)
+        if elim:
+            # w-free keys lie in [0, span)
+            weights.append(sum(weights) * (base - 1) + 1)
+        self.n = n = len(weights)
         self.width = width
         self.ones = sum(1 << (p * width) for p in range(n))
         self.guards = self.ones << (width - 1)
-        self.weights = _key_weights(order, 1 << (width - 1))
         # fields(packed): the exponent of each position, in position order;
         # at the starting width each byte is one exponent
         if width == 8:
@@ -138,7 +117,7 @@ class _Packing:
         self._monos: dict = {}
 
     def wider(self) -> "_Packing":
-        return _Packing(self.order, 2 * self.width)
+        return _Packing(self.order, 2 * self.width, self.elim)
 
     def rows(self, f: Polynomial) -> list:
         out = []
@@ -399,16 +378,29 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
     for g in gens[1:]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    pk = _Packing(ring.order, 8)
+    pk, basis = _basis_rows(
+        _Packing(ring.order, 8),
+        lambda pk: [(pk.rows(g), g.degree()) for g in gens],
+        ring.field,
+        deadline,
+    )
+    return tuple(pk.poly(ring, rows) for rows in basis)
+
+
+def _basis_rows(pk: _Packing, pack, fld, deadline) -> tuple:
+    """``(packing, rows)``: the reduced basis of the ``(rows, sugar)``
+    generators that ``pack(pk)`` returns, as row lists with the greatest
+    lead first.  A run whose exponents outgrow the fields starts over with
+    fields twice as wide, so the packing returned may be wider than ``pk``.
+    """
     while True:
         try:
-            return _buchberger(ring, gens, pk, deadline)
+            return pk, _buchberger(pack(pk), fld, pk, deadline)
         except _Overflow:
             pk = pk.wider()
 
 
-def _buchberger(ring: PolyRing, gens: list, pk: _Packing, deadline) -> tuple:
-    fld = ring.field
+def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
@@ -428,8 +420,8 @@ def _buchberger(ring: PolyRing, gens: list, pk: _Packing, deadline) -> tuple:
         return e
 
     unit = False
-    for g in gens:
-        rows, sugar = _reduce_rows(pk.rows(g), g.degree(), divs, fld, pk, deadline)
+    for rows, sugar in gens:
+        rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk, deadline)
         if rows:
             e = insert(rows, sugar)
             if not e.lm:
@@ -457,7 +449,7 @@ def _buchberger(ring: PolyRing, gens: list, pk: _Packing, deadline) -> tuple:
                 unit = True
 
     if unit:
-        return (ring.one,)
+        return [[(0, 0, fld.one, 0)]]
 
     # one interreduction pass over the minimal basis gives the reduced basis:
     # leads are fixed, and full tail reduction against the others' leads pins
@@ -471,7 +463,7 @@ def _buchberger(ring: PolyRing, gens: list, pk: _Packing, deadline) -> tuple:
     for e in kept:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk, deadline)
         e.rows = [e.rows[0]] + tail
-    return tuple(pk.poly(ring, e.rows) for e in reversed(kept))
+    return [e.rows for e in reversed(kept)]
 
 
 class _Reducer:
@@ -589,22 +581,18 @@ def ideal_equal(I: IdealHandle, J: IdealHandle, deadline=None) -> bool:
     return I.groebner(deadline) == J.groebner(deadline)
 
 
-def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    if I.ring != J.ring:
-        raise ValueError("ideals live in different rings")
-    return IdealHandle(I.ring, I.gens + J.gens)
-
-
 def _gens_have_unit(I: IdealHandle) -> bool:
     return any(g.is_constant() and g for g in I.gens)
 
 
 def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandle:
-    """Intersection via one auxiliary elimination variable.
+    """Intersection via one auxiliary elimination variable ``w``.
 
-    Computes the reduced basis of ``w*I + (1-w)*J`` under an order that
-    eliminates ``w`` and breaks ties by the ring's own order, and keeps the
-    ``w``-free part.  That part is the reduced basis of the intersection
+    Computes the reduced basis of ``w*I + (w-1)*J`` under the order that
+    compares the ``w`` exponent first and breaks ties by the ring's own
+    order, and keeps the ``w``-free part.  ``w`` is one packed field past
+    the ring's variables (see :class:`_Packing`), so no second ring is
+    built.  The ``w``-free part is the reduced basis of the intersection
     under the ring's order and is cached on the returned handle.
     """
     if I.ring != J.ring:
@@ -617,35 +605,30 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
     if _gens_have_unit(J):
         return IdealHandle(ring, I.gens)
 
-    wname = "w"
-    while wname in ring.table.names:
-        wname += "_"
-    table2 = ring.table.prepend(wname)
-    ring2 = PolyRing(
-        table2, BlockElimOrder(order_from_name(ring.order.kind, table2), 1), ring.field
-    )
+    n = len(ring.table)
+    wbit = 1 << n
 
-    # moving every variable up by one keeps the term order: on w-free
-    # monomials the block order is the ring's order
-    def lift(f: Polynomial) -> Polynomial:
-        return Polynomial(ring2, tuple((mono_shift(m, 1), c) for m, c in f.terms))
+    def pack(pk):
+        # w is the field at position n
+        wk, wp = pk.weights[n], 1 << (n * pk.width)
+        guards, neg = pk.guards, ring.field.neg
+        gens = [(_shift_rows(pk.rows(f), wk, wp, wbit, guards), f.degree() + 1) for f in I.gens]
+        for g in J.gens:
+            rows = pk.rows(g)
+            # w*g - g: every term of w*g beats every w-free term
+            tail = [(k, p, neg(c), s) for k, p, c, s in rows]
+            gens.append((_shift_rows(rows, wk, wp, wbit, guards) + tail, g.degree() + 1))
+        return gens
 
-    w = ring2.var(0).lm
-    gens_ext = [lift(f).term_mul(w) for f in I.gens]
-    for g in J.gens:
-        h = lift(g)
-        # every term of w*h beats every w-free term of h
-        gens_ext.append(Polynomial(ring2, (-h.term_mul(w)).terms + h.terms))
-    G = buchberger(gens_ext, deadline=deadline)
-
+    pk, basis = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field, deadline)
     kept = []
-    for g in G:
-        if g.lm.exps and g.lm.exps[0][0] == 0:
+    for rows in basis:
+        if rows[0][3] & wbit:
             continue  # lead involves w
         # elimination order: a w-free lead forces every term w-free
-        if any(m.exps and m.exps[0][0] == 0 for m, _ in g.terms):
+        if any(s & wbit for _, _, _, s in rows):
             raise RuntimeError("elimination basis has a w-free lead over a w term")
-        kept.append(Polynomial(ring, tuple((mono_shift(m, -1), c) for m, c in g.terms)))
+        kept.append(pk.poly(ring, rows))
     result = IdealHandle(ring, kept)
     result._gb = tuple(kept)
     return result

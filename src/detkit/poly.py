@@ -28,11 +28,9 @@ __all__ = [
     "mono_divides",
     "mono_div",
     "mono_lcm",
-    "mono_shift",
     "MonomialOrder",
     "LexOrder",
     "GrevlexOrder",
-    "BlockElimOrder",
     "order_from_name",
     "GradingSpec",
     "MINUS_INFINITY",
@@ -224,10 +222,6 @@ class VariableTable:
     def name(self, pos: int) -> str:
         return self.names[pos]
 
-    def prepend(self, *extra: str) -> "VariableTable":
-        """New table with ``extra`` inserted ahead of (greater than) all."""
-        return VariableTable(tuple(extra) + self.names)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, VariableTable) and other.names == self.names
 
@@ -382,11 +376,6 @@ def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
     return _mk(tuple(out), deg)
 
 
-def mono_shift(m: Monomial, k: int) -> Monomial:
-    """``m`` with every variable position moved by ``k``."""
-    return _mk(tuple((pos + k, e) for pos, e in m.exps), m.deg)
-
-
 # ---------------------------------------------------------------------------
 # monomial orders
 #
@@ -413,6 +402,11 @@ class MonomialOrder:
         return k
 
     def _key(self, m: Monomial) -> tuple:
+        raise NotImplementedError
+
+    def weights(self, base: int) -> list:
+        """Per-position int weights whose dot product with an exponent
+        vector sorts like this order, for every exponent below ``base``."""
         raise NotImplementedError
 
     def compare(self, u: Monomial, v: Monomial) -> int:
@@ -453,16 +447,9 @@ class LexOrder(MonomialOrder):
             key.append(e)
         return tuple(key)
 
-
-def _grevlex_key(exps: tuple, deg: int, n: int) -> tuple:
-    # degree first, then the pairs from the last variable back as
-    # (n - pos, -e): the last variable where two equal-degree monomials
-    # differ decides, and the smaller exponent there wins
-    key = [deg]
-    for pos, e in reversed(exps):
-        key.append(n - pos)
-        key.append(-e)
-    return tuple(key)
+    def weights(self, base: int) -> list:
+        n = len(self.table)
+        return [base ** (n - 1 - p) for p in range(n)]
 
 
 class GrevlexOrder(MonomialOrder):
@@ -470,38 +457,21 @@ class GrevlexOrder(MonomialOrder):
     __slots__ = ()
 
     def _key(self, m: Monomial) -> tuple:
-        return _grevlex_key(m.exps, m.deg, len(self.table))
+        # degree first, then the pairs from the last variable back as
+        # (n - pos, -e): the last variable where two equal-degree monomials
+        # differ decides, and the smaller exponent there wins
+        n = len(self.table)
+        key = [m.deg]
+        for pos, e in reversed(m.exps):
+            key.append(n - pos)
+            key.append(-e)
+        return tuple(key)
 
-
-class BlockElimOrder(MonomialOrder):
-    """Eliminate the first ``front`` variables of ``inner``'s table: any
-    monomial touching the front block beats every monomial free of it.  The
-    front block compares by grevlex; ties go to ``inner``."""
-
-    kind = "block"
-    __slots__ = ("inner", "front")
-
-    def __init__(self, inner: MonomialOrder, front: int):
-        if not 1 <= front < len(inner.table):
-            raise ValueError("front block size out of range")
-        super().__init__(inner.table)
-        self.inner = inner
-        self.front = front
-
-    def _key(self, m: Monomial) -> tuple:
-        exps = m.exps
-        k = 0
-        while k < len(exps) and exps[k][0] < self.front:
-            k += 1
-        head = exps[:k]
-        # equal-degree front keys are never proper prefixes of one another,
-        # so the flat tuple is decided by the front key whenever the front
-        # parts differ, and by ``inner`` otherwise
-        front = _grevlex_key(head, sum(e for _, e in head), len(self.table))
-        return front + self.inner._key(m)
-
-    def _params(self) -> tuple:
-        return (self.inner, self.front)
+    def weights(self, base: int) -> list:
+        # deg * base**n - sum(e_p * base**p): degree first, then the last
+        # variable where two monomials differ, the smaller exponent winning
+        n = len(self.table)
+        return [base**n - base**p for p in range(n)]
 
 
 def order_from_name(name: str, table: VariableTable) -> MonomialOrder:

@@ -32,13 +32,6 @@ def grevlex_greater(u, v):
     return False
 
 
-def block_greater(u, v, front, back_greater):
-    fu, fv = u[:front], v[:front]
-    if tuple(fu) != tuple(fv):
-        return grevlex_greater(fu, fv)
-    return back_greater(u[front:], v[front:])
-
-
 def dense(m, n):
     vec = [0] * n
     for pos, e in m.exps:

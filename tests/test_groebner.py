@@ -17,7 +17,6 @@ from detkit.groebner import (
     ideal_height,
     ideal_intersect,
     ideal_member,
-    ideal_sum,
     intersect_all,
     krull_dimension,
     normal_form,
@@ -25,7 +24,6 @@ from detkit.groebner import (
 )
 from detkit.poly import (
     QQ,
-    BlockElimOrder,
     LexOrder,
     Monomial,
     PolyRing,
@@ -363,35 +361,49 @@ def test_buchberger_matches_textbook_engine(field, order, drawn):
 
 @st.composite
 def _packed_pairs(draw):
-    """An order (lex, grevlex, or a block order over either with any front
-    size), a field width, and two exponent vectors below its guard bits."""
+    """An order (lex or grevlex), a field width, whether the packing has the
+    elimination field ``w`` past the order's variables, and two exponent
+    vectors below the guard bits, with the ``w`` exponent last."""
     n = draw(st.integers(2, 6))
     table = VariableTable([f"v{i}" for i in range(n)])
     order = order_from_name(draw(st.sampled_from(["lex", "grevlex"])), table)
-    front = draw(st.integers(0, n - 1))
-    if front:
-        order = BlockElimOrder(order, front)
     width = draw(st.sampled_from([8, 16]))
+    elim = draw(st.booleans())
     top = (1 << (width - 1)) - 1
-    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, top)), min_size=n, max_size=n)
-    return order, width, draw(exps), draw(exps)
+    size = n + elim
+    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, top)), min_size=size, max_size=size)
+    return order, width, elim, draw(exps), draw(exps)
+
+
+def _elim_case(order, ue, ve):
+    table = VariableTable([f"v{i}" for i in range(len(ue) - 1)])
+    return order_from_name(order, table), 8, True, ue, ve
 
 
 @settings(max_examples=300, deadline=None)
 @given(_packed_pairs())
+# w beats the w-free monomial with every exponent at its maximum
+@example(_elim_case("lex", [127, 127, 127, 0], [0, 0, 0, 1]))
+@example(_elim_case("grevlex", [127, 127, 127, 0], [0, 0, 0, 1]))
 def test_packed_monomials_match_poly(case):
-    order, width, ue, ve = case
+    order, width, elim, ue, ve = case
+    n = len(order.table)
     ring = PolyRing(order.table, order, QQ)
-    pk = _Packing(order, width)
+    pk = _Packing(order, width, elim)
     u = Monomial([(p, e) for p, e in enumerate(ue) if e])
     v = Monomial([(p, e) for p, e in enumerate(ve) if e])
     ((ku, pu, _, su),) = pk.rows(ring.monomial_poly(u))
     ((kv, pv, _, _),) = pk.rows(ring.monomial_poly(v))
     assert pk.monomial(pu) == u and pk.degree(pu) == u.deg
     assert su == _support(u) == pk.support(pu)
-    # the key is linear and sorts like the order
+    # the key is linear and sorts by the w exponent, then like the order
     assert pk.key(pu) == ku
-    assert (ku > kv) - (ku < kv) == order.compare(u, v)
+    if ue[n:] != ve[n:]:
+        assert (ku > kv) == (ue[n:] > ve[n:])
+    else:
+        u_ring = Monomial([(p, e) for p, e in enumerate(ue[:n]) if e])
+        v_ring = Monomial([(p, e) for p, e in enumerate(ve[:n]) if e])
+        assert (ku > kv) - (ku < kv) == order.compare(u_ring, v_ring)
     # a guard bit stays clear exactly when no exponent carries out
     prod = pu + pv
     fits = all(a + b < 1 << (width - 1) for a, b in zip(ue, ve))
@@ -458,7 +470,7 @@ def test_intersection_caches_reduced_basis_under_grevlex():
 def test_intersection_caches_reduced_basis_under_lex(monkeypatch):
     # the elimination order breaks ties by the ring's own order, so under
     # lex as well the w-free part is the reduced basis and the handle needs
-    # no second Buchberger run
+    # no second engine run
     from detkit import groebner
 
     ring = mkring("xyz", order="lex")
@@ -466,17 +478,17 @@ def test_intersection_caches_reduced_basis_under_lex(monkeypatch):
     I = IdealHandle(ring, [x * y - z * z, x - y])
     J = IdealHandle(ring, [x * z - y, y * y - z])
     calls = []
-    run = groebner.buchberger
+    run = groebner._basis_rows
 
-    def counting(gens, deadline=None):
-        calls.append(len(gens))
-        return run(gens, deadline=deadline)
+    def counting(*args):
+        calls.append(None)
+        return run(*args)
 
-    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner, "_basis_rows", counting)
     K = ideal_intersect(I, J)
     G = K.groebner()
     assert len(calls) == 1
-    assert G == run(K.gens)
+    assert G == buchberger(K.gens)
     assert_reduced_basis(G)
 
 
@@ -497,18 +509,30 @@ def test_intersection_rejects_malformed_elimination_basis(monkeypatch):
     # a basis element whose w-free lead sits above a w term breaks the
     # elimination order; the check must hold under python -O as well
     from detkit import groebner
-    from detkit.poly import Monomial, Polynomial
 
-    def bad_buchberger(gens, deadline=None):
-        ring2 = gens[0].ring
-        terms = ((Monomial([(1, 2)]), ring2.field.one), (Monomial([(0, 1)]), ring2.field.one))
-        return (Polynomial(ring2, terms),)
+    def bad_basis(pk, pack, fld, deadline):
+        # x^2 + w, with w the field past the ring's variables x and y
+        x2, w = 2, 1 << (2 * pk.width)
+        return pk, [[(pk.key(x2), x2, fld.one, 0b001), (pk.key(w), w, fld.one, 0b100)]]
 
-    monkeypatch.setattr(groebner, "buchberger", bad_buchberger)
+    monkeypatch.setattr(groebner, "_basis_rows", bad_basis)
     ring = mkring("xy")
     x, y = ring.var(0), ring.var(1)
     with pytest.raises(RuntimeError, match="w-free lead"):
         ideal_intersect(IdealHandle(ring, [x]), IdealHandle(ring, [y]))
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_intersection_of_coprime_principal_ideals(order):
+    # every variable has exponent 2 or more, so w-free keys reach far past
+    # the sum of the weights, and x^130 makes the engine widen its fields;
+    # the w field must still outweigh every w-free key
+    ring = mkring("xyz", order=order)
+    x, y, z = (ring.var(i) for i in range(3))
+    f = x**2 * y**2 * z**2 + y**2
+    g = x**130 * y**2 * z**2 + z**2
+    K = ideal_intersect(IdealHandle(ring, [f]), IdealHandle(ring, [g]))
+    assert K.groebner() == buchberger([f * g])
 
 
 def test_intersection_with_aux_name_collision():
@@ -517,13 +541,6 @@ def test_intersection_with_aux_name_collision():
     w, x = ring.var(0), ring.var(1)
     K = ideal_intersect(IdealHandle(ring, [w]), IdealHandle(ring, [x]))
     assert K.groebner() == (w * x,)
-
-
-def test_ideal_sum():
-    ring = mkring("xy")
-    x, y = ring.var(0), ring.var(1)
-    S = ideal_sum(IdealHandle(ring, [x]), IdealHandle(ring, [y]))
-    assert ideal_equal(S, IdealHandle(ring, [x, y]))
 
 
 # -- dimension -----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from detkit.poly import (
     QQ,
-    BlockElimOrder,
     GradingSpec,
     GrevlexOrder,
     LexOrder,
@@ -26,7 +25,6 @@ from detkit.poly import (
 )
 from helpers import (
     all_monomials,
-    block_greater,
     dense,
     grevlex_greater,
     lex_greater,
@@ -93,13 +91,10 @@ def test_field_from_name():
 # -- variable tables ------------------------------------------------------------
 
 
-def test_variable_table_positions_and_prepend():
+def test_variable_table_positions():
     t = VariableTable(["a", "b", "c"])
     assert t.position("b") == 1
     assert t.name(2) == "c"
-    t2 = t.prepend("w")
-    assert t2.names == ("w", "a", "b", "c")
-    assert t2.position("w") == 0
     with pytest.raises(ValueError):
         VariableTable(["a", "a"])
 
@@ -181,17 +176,17 @@ def test_grevlex_order_four_vars():
     _assert_order_matches(GrevlexOrder(t), grevlex_greater, 4, 2)
 
 
-def test_block_elim_order_exhaustive():
+def test_order_weights_exhaustive():
+    # the dot product with the weights sorts like the dense comparators for
+    # every exponent below the base, here the smallest base that holds 2
     t = VariableTable(["a", "b", "c"])
-    inner = ((GrevlexOrder, grevlex_greater), (LexOrder, lex_greater))
-    for front in (1, 2):
-        for order, back_greater in inner:
-            _assert_order_matches(
-                BlockElimOrder(order(t), front),
-                lambda u, v: block_greater(u, v, front, back_greater),
-                3,
-                2,
-            )
+    vecs = [dense(m, 3) for m in all_monomials(3, 2)]
+    for order, greater in ((LexOrder(t), lex_greater), (GrevlexOrder(t), grevlex_greater)):
+        weights = order.weights(3)
+        keys = [sum(e * w for e, w in zip(u, weights)) for u in vecs]
+        for u, ku in zip(vecs, keys):
+            for v, kv in zip(vecs, keys):
+                assert (ku > kv) == greater(u, v), (u, v)
 
 
 def test_grevlex_tiebreak_examples():
@@ -207,18 +202,6 @@ def test_grevlex_tiebreak_examples():
     diag = Monomial([(0, 1), (3, 1)])
     anti = Monomial([(1, 1), (2, 1)])
     assert o4.compare(anti, diag) == 1
-
-
-def test_block_elim_front_dominates():
-    t = VariableTable(["w", "a", "b"])
-    o = BlockElimOrder(GrevlexOrder(t), 1)
-    w = Monomial([(0, 1)])
-    ab5 = Monomial([(1, 3), (2, 2)])
-    assert o.compare(w, ab5) == 1
-    with pytest.raises(ValueError):
-        BlockElimOrder(GrevlexOrder(t), 0)
-    with pytest.raises(ValueError):
-        BlockElimOrder(GrevlexOrder(t), 3)
 
 
 def test_order_from_name():
@@ -271,7 +254,6 @@ def rings():
         PolyRing(t, GrevlexOrder(t), PrimeField(32003)),
         PolyRing(t, GrevlexOrder(t), QQ),
         PolyRing(t, LexOrder(t), QQ),
-        PolyRing(t, BlockElimOrder(GrevlexOrder(t), 1), PrimeField(32003)),
     )
 
 
