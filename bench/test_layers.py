@@ -14,7 +14,14 @@ from itertools import combinations
 
 import pytest
 
-from detkit.detideals import MatrixSpec, coefficient_matrix, constrained_ideal, matrix_ring
+from detkit.combinat import minors_universe
+from detkit.detideals import (
+    MatrixSpec,
+    coefficient_matrix,
+    constrained_ideal,
+    matrix_ring,
+    minor_poly,
+)
 from detkit.groebner import (
     _BasisElem,
     _Divisors,
@@ -91,7 +98,7 @@ def test_reduce_rows_5x5_s_polynomial(benchmark, minors55):
         key=lambda s: len(s.terms),
     )
     rows = pk.rows(s)
-    out, _ = benchmark(_reduce_rows, rows, s.degree(), divs, ring.field, pk, None)
+    out, _ = benchmark(_reduce_rows, rows, s.degree(), divs, ring.field, pk)
     assert rows and out == []
 
 
@@ -101,7 +108,8 @@ def test_row_reduce_asl_degree_4(benchmark):
     ms = MatrixSpec("generic", 3, 3)
     ring = matrix_ring(ms, FP)
     chains = [ch for ch in standard_products(3, 3, 4) if sum(ix.size for ix in ch) == 4]
-    vectors, monos = coefficient_matrix(ring, [_product_poly(ring, ms, ch) for ch in chains])
+    minors = {ix: minor_poly(ring, ms, ix) for ix in minors_universe(3, 3).elements()}
+    vectors, monos = coefficient_matrix(ring, [_product_poly(ring, minors, ch) for ch in chains])
     mat = [list(r) for r in zip(*vectors)]
     reduced, pivots = benchmark(row_reduce, mat, ring.field)
     assert len(pivots) == len(chains) == len(monos) == 495

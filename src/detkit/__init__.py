@@ -5,7 +5,7 @@ The layers, bottom up:
 
 - :mod:`detkit.poly`: exact fields, monomial orders, sparse polynomials.
 - :mod:`detkit.groebner`: Buchberger engine, normal forms, intersections,
-  dimension, and the deadline every long computation checks.
+  dimension, and :func:`deadline_scope`, which bounds all of them.
 - :mod:`detkit.linalg`: dense exact row reduction.
 - :mod:`detkit.combinat`: minor / Pfaffian index posets and order ideals.
 - :mod:`detkit.detideals`: matrix shapes, minors, Pfaffians, constrained
@@ -45,6 +45,7 @@ from .groebner import (
     IdealHandle,
     UnitIdealError,
     buchberger,
+    deadline_scope,
     ideal_equal,
     ideal_height,
     ideal_intersect,

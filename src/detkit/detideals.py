@@ -541,8 +541,8 @@ def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> Idea
 
 
 def truncation_rank(size: int, p: int, q: int, d: int) -> int:
-    """Least r with some size-step generator of weighted degree <= d, from
-    size*q - r*(q - p) <= d: the ceiling of (size*q - d) / (q - p).
+    """Least r >= 0 with some size-step generator of weighted degree <= d,
+    from size*q - r*(q - p) <= d: the ceiling of (size*q - d) / (q - p).
 
     ``size`` is t for minors under a column grading and 2t for Pfaffians
     under a block grading.
@@ -551,4 +551,4 @@ def truncation_rank(size: int, p: int, q: int, d: int) -> int:
         raise ValueError("weights must satisfy 0 < p < q")
     num = size * q - d
     den = q - p
-    return -((-num) // den)
+    return max(0, -((-num) // den))

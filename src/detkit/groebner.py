@@ -24,24 +24,27 @@ choices are deterministic, so a given generator list always yields the same
 reduced basis.  A product whose exponent reaches a guard bit aborts the
 computation, which reruns with fields twice as wide.
 
-Long-running entry points accept a ``deadline`` (a ``time.monotonic`` value);
-crossing it raises :class:`BudgetExceeded`.
+Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
+their deadlines raises :class:`BudgetExceeded`; outside them none raises.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count, islice
 from operator import mul
 from time import monotonic
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .poly import PolyRing, Polynomial, _mk, mono_div, mono_lcm
 
 __all__ = [
     "BudgetExceeded",
     "UnitIdealError",
+    "deadline_scope",
     "buchberger",
     "normal_form",
     "s_polynomial",
@@ -63,8 +66,21 @@ class UnitIdealError(ValueError):
     """Raised where the unit ideal has no meaningful answer (dimension)."""
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and monotonic() > deadline:
+_deadline: ContextVar[float] = ContextVar("deadline", default=float("inf"))
+
+
+@contextmanager
+def deadline_scope(until: float):
+    """Bound the engine work in the block by ``until``, a ``time.monotonic`` value."""
+    token = _deadline.set(min(until, _deadline.get()))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def _check_deadline() -> None:
+    if monotonic() > _deadline.get():
         raise BudgetExceeded("computation exceeded its time budget")
 
 
@@ -262,7 +278,7 @@ class _Divisors:
         return self._all ^ outside
 
 
-def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, deadline):
+def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
     """Fully reduce ``rows`` against ``divs``; returns (rows, sugar).
 
     Every monomial of the result is divisible by no divisor's lead.  The
@@ -289,7 +305,7 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, deadline):
             continue
         steps += 1
         if (steps & 0xFF) == 0:
-            _check_deadline(deadline)
+            _check_deadline()
         if idx:
             out.extend(work[:idx])
         work = _scaled_sub(
@@ -303,7 +319,7 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, deadline):
     return out, sugar
 
 
-def _update(elems, active, pending, heap, h, pk: _Packing, tick, deadline) -> None:
+def _update(elems, active, pending, heap, h, pk: _Packing, tick) -> None:
     """Gebauer-Moller pair update for ``h``, the element about to be
     appended to ``elems`` (Becker-Weispfenning, *Groebner Bases*, UPDATE).
 
@@ -312,7 +328,7 @@ def _update(elems, active, pending, heap, h, pk: _Packing, tick, deadline) -> No
     the elements whose lead no later lead divides: new pairs form only with
     them, and in the end they are the minimal basis.
     """
-    _check_deadline(deadline)
+    _check_deadline()
     hi = len(elems)
     hlm, hmask = h.lm, h.mask
     guards, lcm_of = pk.guards, pk.lcm
@@ -364,7 +380,7 @@ def _update(elems, active, pending, heap, h, pk: _Packing, tick, deadline) -> No
     active.append(hi)
 
 
-def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
+def buchberger(gens: Iterable[Polynomial]) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
     their ring's order.
 
@@ -382,12 +398,11 @@ def buchberger(gens: Iterable[Polynomial], deadline=None) -> tuple:
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
-        deadline,
     )
     return tuple(pk.poly(ring, rows) for rows in basis)
 
 
-def _basis_rows(pk: _Packing, pack, fld, deadline) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld) -> tuple:
     """``(packing, rows)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
     lead first.  A run whose exponents outgrow the fields starts over with
@@ -395,12 +410,12 @@ def _basis_rows(pk: _Packing, pack, fld, deadline) -> tuple:
     """
     while True:
         try:
-            return pk, _buchberger(pack(pk), fld, pk, deadline)
+            return pk, _buchberger(pack(pk), fld, pk)
         except _Overflow:
             pk = pk.wider()
 
 
-def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
+def _buchberger(gens: list, fld, pk: _Packing) -> list:
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
@@ -415,13 +430,13 @@ def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
             inv = fld.inv(c0)
             rows = [(k, p, fld.mul(c, inv), s) for k, p, c, s in rows]
         e = _BasisElem(rows, sugar, pk)
-        _update(elems, active, pending, heap, e, pk, tick, deadline)
+        _update(elems, active, pending, heap, e, pk, tick)
         divs.add(e)
         return e
 
     unit = False
     for rows, sugar in gens:
-        rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk, deadline)
+        rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
         if rows:
             e = insert(rows, sugar)
             if not e.lm:
@@ -429,7 +444,7 @@ def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
                 break
 
     while heap and not unit:
-        _check_deadline(deadline)
+        _check_deadline()
         s, lk, _, i, j, lcm = heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
@@ -442,7 +457,7 @@ def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
             _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, pk.support(qi), guards),
             0, ej.rows, lk - ej.lmkey, qj, pk.support(qj), fld.one, fld, guards,
         )
-        rows, sugar = _reduce_rows(rows, s, divs, fld, pk, deadline)
+        rows, sugar = _reduce_rows(rows, s, divs, fld, pk)
         if rows:
             e = insert(rows, sugar)
             if not e.lm:
@@ -461,7 +476,7 @@ def _buchberger(gens: list, fld, pk: _Packing, deadline) -> list:
     for e in kept:
         others.add(e)
     for e in kept:
-        tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk, deadline)
+        tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
     return [e.rows for e in reversed(kept)]
 
@@ -477,7 +492,7 @@ class _Reducer:
         self.pk = _Packing(ring.order, 8)
         self.divs = None
 
-    def remainder(self, f: Polynomial, deadline) -> Polynomial:
+    def remainder(self, f: Polynomial) -> Polynomial:
         while True:
             pk = self.pk
             try:
@@ -486,19 +501,19 @@ class _Reducer:
                     for g in self.polys:
                         divs.add(_BasisElem(pk.rows(g), g.degree(), pk))
                     self.divs = divs
-                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self.divs, f.ring.field, pk, deadline)
+                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self.divs, f.ring.field, pk)
                 return pk.poly(f.ring, rows)
             except _Overflow:
                 self.pk = pk.wider()
                 self.divs = None
 
 
-def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polynomial:
+def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
     """Remainder of full reduction of ``f`` by ``G`` (in G's listed order).
 
     ``G`` need not be a Groebner basis; the remainder is only canonical when
     it is.  Membership in the zero ideal (empty ``G``) returns ``f``.  The
-    deadline is checked on entry, so a loop of short reductions is bounded.
+    clock is read on entry, so a loop of short reductions is bounded.
     """
     ring = f.ring
     for g in G:
@@ -508,9 +523,9 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], deadline=None) -> Polyno
             raise ValueError("divisor in a different ring")
     if not f:
         return f
-    _check_deadline(deadline)
+    _check_deadline()
     # a monic divisor leaves the same remainder
-    return _Reducer(ring, [g.monic() for g in G]).remainder(f, deadline)
+    return _Reducer(ring, [g.monic() for g in G]).remainder(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -540,52 +555,52 @@ class IdealHandle:
         self._gb = None
         self._packed = None
 
-    def groebner(self, deadline=None) -> tuple:
+    def groebner(self) -> tuple:
         if self._gb is None:
-            self._gb = buchberger(self.gens, deadline=deadline)
+            self._gb = buchberger(self.gens)
         return self._gb
 
-    def _reducer(self, deadline=None) -> _Reducer:
+    def _reducer(self) -> _Reducer:
         """The reduced basis packed as divisors, kept next to it so that
         repeated membership tests pack it once."""
         if self._packed is None:
-            self._packed = _Reducer(self.ring, self.groebner(deadline))
+            self._packed = _Reducer(self.ring, self.groebner())
         return self._packed
 
-    def is_zero(self, deadline=None) -> bool:
+    def is_zero(self) -> bool:
         if not self.gens:
             return True
-        return not self.groebner(deadline)
+        return not self.groebner()
 
-    def is_unit(self, deadline=None) -> bool:
-        gb = self.groebner(deadline)
+    def is_unit(self) -> bool:
+        gb = self.groebner()
         return len(gb) == 1 and gb[0].is_constant() and bool(gb[0])
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.gens)} gens over {self.ring!r})"
 
 
-def ideal_member(f: Polynomial, I: IdealHandle, deadline=None) -> bool:
+def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     if not f:
         return True
     if f.ring != I.ring:
         raise ValueError("polynomial and ideal live in different rings")
-    reducer = I._reducer(deadline)
-    _check_deadline(deadline)
-    return not reducer.remainder(f, deadline)
+    reducer = I._reducer()
+    _check_deadline()
+    return not reducer.remainder(f)
 
 
-def ideal_equal(I: IdealHandle, J: IdealHandle, deadline=None) -> bool:
+def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    return I.groebner(deadline) == J.groebner(deadline)
+    return I.groebner() == J.groebner()
 
 
 def _gens_have_unit(I: IdealHandle) -> bool:
     return any(g.is_constant() and g for g in I.gens)
 
 
-def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandle:
+def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """Intersection via one auxiliary elimination variable ``w``.
 
     Computes the reduced basis of ``w*I + (w-1)*J`` under the order that
@@ -620,7 +635,7 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
             gens.append((_shift_rows(rows, wk, wp, wbit, guards) + tail, g.degree() + 1))
         return gens
 
-    pk, basis = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field, deadline)
+    pk, basis = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
     kept = []
     for rows in basis:
         if rows[0][3] & wbit:
@@ -634,14 +649,14 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle, deadline=None) -> IdealHandl
     return result
 
 
-def intersect_all(ring: PolyRing, handles: Sequence[IdealHandle], deadline=None) -> IdealHandle:
+def intersect_all(ring: PolyRing, handles: Sequence[IdealHandle]) -> IdealHandle:
     result = IdealHandle(ring, (ring.one,))
     for h in handles:
-        result = ideal_intersect(result, h, deadline=deadline)
+        result = ideal_intersect(result, h)
     return result
 
 
-def _min_transversal(supports, n: int, deadline=None) -> int:
+def _min_transversal(supports, n: int) -> int:
     """Size of the smallest variable set that meets every mask in
     ``supports`` (each non-empty), by exact branch and bound.
 
@@ -651,7 +666,7 @@ def _min_transversal(supports, n: int, deadline=None) -> int:
     one of them was searched under that earlier branch.  A node is pruned
     when its size plus a greedy packing of pairwise-disjoint supports, each
     of which needs a variable of its own, cannot beat the best set found.
-    The deadline is checked at every node.
+    The clock is read at every node.
     """
     minimal: list = []
     for s in sorted(set(supports), key=int.bit_count):
@@ -661,7 +676,7 @@ def _min_transversal(supports, n: int, deadline=None) -> int:
 
     def search(sets, size):
         nonlocal best
-        _check_deadline(deadline)
+        _check_deadline()
         if not sets:
             best = size  # the parent's bound let this node through: size < best
             return
@@ -694,24 +709,24 @@ def _min_transversal(supports, n: int, deadline=None) -> int:
     return best
 
 
-def krull_dimension(I: IdealHandle, deadline=None) -> int:
+def krull_dimension(I: IdealHandle) -> int:
     """Dimension of the quotient by ``I``: ``n`` minus the size of the
     smallest variable set that meets the support of every lead monomial of
     the reduced basis.  The variables outside such a set form a largest set
     that no lead monomial lives entirely inside.
 
-    Raises :class:`UnitIdealError` for the unit ideal.  The deadline bounds
-    the basis and the transversal search alike.
+    Raises :class:`UnitIdealError` for the unit ideal.  A deadline scope
+    bounds the basis and the transversal search alike.
     """
-    gb = I.groebner(deadline)
+    gb = I.groebner()
     n = len(I.ring.table)
     if not gb:
         return n
     if len(gb) == 1 and gb[0].is_constant():
         raise UnitIdealError("unit ideal has no dimension")
-    return n - _min_transversal([_support(g.lm) for g in gb], n, deadline)
+    return n - _min_transversal([_support(g.lm) for g in gb], n)
 
 
-def ideal_height(I: IdealHandle, deadline=None) -> int:
+def ideal_height(I: IdealHandle) -> int:
     """Codimension: number of variables minus the dimension."""
-    return len(I.ring.table) - krull_dimension(I, deadline)
+    return len(I.ring.table) - krull_dimension(I)

@@ -15,10 +15,10 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
   degree, and products of incomparable pairs straighten into such chains.
 
 :func:`run_case` is the only runner.  It validates the spec, starts the
-clock, sets the deadline, builds the ring and an empty :class:`Report`, and
-hands all of them to the check function registered for ``spec.check``.  A
-check fills the report in place (components, stats, witnesses, height) and
-settles the verdict last.  When the deadline passes, the engine raises
+clock, builds the ring and an empty :class:`Report`, and runs the check
+registered for ``spec.check`` on them inside a ``deadline_scope``.  A check
+fills the report in place (components, stats, witnesses, height) and settles
+the verdict last.  When the deadline passes, the engine raises
 :class:`BudgetExceeded`; the runner then marks the report ``SKIPPED``
 ("budget exceeded") and keeps whatever the check had filled in so far.
 The one exception is a decomposition already shown ``NOT_EQUAL``: the search
@@ -60,6 +60,7 @@ from .groebner import (
     BudgetExceeded,
     IdealHandle,
     _check_deadline,
+    deadline_scope,
     ideal_equal,
     ideal_height,
     ideal_intersect,
@@ -292,7 +293,7 @@ def _flip_blocks(spec: CaseSpec) -> Tuple[tuple, tuple]:
 # checks: each fills ``report`` in place and settles it last
 
 
-def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
     lhs = constrained_ideal(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
     if spec.mutate == "drop-generator":
         if not lhs.gens:
@@ -304,34 +305,34 @@ def _check_decomposition(spec: CaseSpec, ms, ring, deadline, report: Report) -> 
     comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
     report.components = [{"name": name, "irredundant": None} for name, _ in comps]
     report.stats["lhs_gens"] = len(lhs.gens)
-    rhs = intersect_all(ring, [h for _, h in comps], deadline)
-    report.stats["rhs_gb_size"] = len(rhs.groebner(deadline))
-    equal = ideal_equal(lhs, rhs, deadline)
+    rhs = intersect_all(ring, [h for _, h in comps])
+    report.stats["rhs_gb_size"] = len(rhs.groebner())
+    equal = ideal_equal(lhs, rhs)
     if spec.kind == "symmetric":
         doset_lhs = constrained_symmetric_ideal(
             ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
-        report.doset_generators_equal = ideal_equal(lhs, doset_lhs, deadline)
+        report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
     report.settle(equal)
     if not equal:
         # the verdict stands even if the budget runs out during the search
         try:
-            report.reason = _separating_element(lhs, rhs, deadline)
+            report.reason = _separating_element(lhs, rhs)
         except BudgetExceeded:
             report.reason = "separating element not computed: budget exceeded"
 
 
-def _separating_element(lhs: IdealHandle, rhs: IdealHandle, deadline) -> str:
+def _separating_element(lhs: IdealHandle, rhs: IdealHandle) -> str:
     """Name a reduced-basis element of one side outside the other; unequal
     ideals always have one, and the RHS side is searched first."""
     for side, I, other, J in (("rhs", rhs, "lhs", lhs), ("lhs", lhs, "rhs", rhs)):
-        for g in I.groebner(deadline):
-            if not ideal_member(g, J, deadline):
+        for g in I.groebner():
+            if not ideal_member(g, J):
                 return f"{side} basis element not in {other}: {g}"
     raise RuntimeError("unequal ideals without a separating basis element")
 
 
-def _check_truncation(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+def _check_truncation(spec: CaseSpec, ms, ring, report: Report) -> None:
     rk = truncation_rank(spec.t, spec.p, spec.q, spec.d)
     if spec.kind == "generic":
         axis, cut = "cols", spec.C[0]
@@ -348,11 +349,9 @@ def _check_truncation(spec: CaseSpec, ms, ring, deadline, report: Report) -> Non
     ]
     report.stats["lhs_gens"] = len(filtered.gens)
     graded = truncated_ideal_graded(base, grading, spec.d)
-    rhs = ideal_intersect(base, extra[1], deadline=deadline)
-    report.stats["rhs_gb_size"] = len(rhs.groebner(deadline))
-    report.settle(
-        ideal_equal(filtered, graded, deadline) and ideal_equal(graded, rhs, deadline)
-    )
+    rhs = ideal_intersect(base, extra[1])
+    report.stats["rhs_gb_size"] = len(rhs.groebner())
+    report.settle(ideal_equal(filtered, graded) and ideal_equal(graded, rhs))
 
 
 def check_irredundancy_hypotheses(spec: CaseSpec) -> Dict[str, bool]:
@@ -434,18 +433,18 @@ def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
     return str(ix), f
 
 
-def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+def _check_irredundancy(spec: CaseSpec, ms, ring, report: Report) -> None:
     comps = components(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
     handles = [h for _, h in comps]
     report.components = [{"name": name, "irredundant": None} for name, _ in comps]
-    J = intersect_all(ring, handles, deadline)
+    J = intersect_all(ring, handles)
     report.stats["lhs_gens"] = len(J.gens)
-    report.stats["rhs_gb_size"] = len(J.groebner(deadline))
+    report.stats["rhs_gb_size"] = len(J.groebner())
 
     # probe 1: drop each component and see whether the intersection grows
     for i, doc in enumerate(report.components):
-        without = intersect_all(ring, handles[:i] + handles[i + 1 :], deadline)
-        doc["irredundant"] = not ideal_equal(without, J, deadline)
+        without = intersect_all(ring, handles[:i] + handles[i + 1 :])
+        doc["irredundant"] = not ideal_equal(without, J)
 
     # probe 2: closed-form witnesses, where the formulas fit
     witness_plan = [("size", -1)]
@@ -457,9 +456,7 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> N
         if built is None:
             continue
         label, w = built
-        memberships = {
-            name: ideal_member(w, h, deadline) for name, h in comps
-        }
+        memberships = {name: ideal_member(w, h) for name, h in comps}
         report.witnesses.append({"element": label, "memberships": memberships})
         target = comps[comp_pos][0]
         expected = {
@@ -482,11 +479,11 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, deadline, report: Report) -> N
     report.settle(not lazy and agree, reason)
 
 
-def _check_heights(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+def _check_heights(spec: CaseSpec, ms, ring, report: Report) -> None:
     I = constrained_ideal(ring, ms, spec.t)
     report.stats["lhs_gens"] = len(I.gens)
-    report.stats["rhs_gb_size"] = len(I.groebner(deadline))
-    h = ideal_height(I, deadline)
+    report.stats["rhs_gb_size"] = len(I.groebner())
+    h = ideal_height(I)
     gap = spec.n - spec.t
     expected = (gap + 1) * (gap + 2) // 2
     report.height = h
@@ -520,35 +517,36 @@ def standard_products(m: int, n: int, d: int) -> List[Tuple[MinorIndex, ...]]:
     return out
 
 
-def _product_poly(ring, ms, chain) -> "object":
+def _product_poly(ring, minors, chain) -> "object":
     f = ring.one
     for ix in chain:
-        f = f * minor_poly(ring, ms, ix)
+        f = f * minors[ix]
     return f
 
 
-def _check_asl(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
+def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:
     m, n, d = spec.m, spec.n, spec.d
     chains = standard_products(m, n, d)
     report.stats["lhs_gens"] = len(chains)
+    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
+    minors = {ix: minor_poly(ring, ms, ix) for ix in universe}
     # every product is homogeneous, so the slice splits by degree
     chains_by_degree: Dict[int, List[Tuple[tuple, object]]] = {}
     for ch in chains:
-        _check_deadline(deadline)
+        _check_deadline()
         deg = sum(ix.size for ix in ch)
-        chains_by_degree.setdefault(deg, []).append((ch, _product_poly(ring, ms, ch)))
+        chains_by_degree.setdefault(deg, []).append((ch, _product_poly(ring, minors, ch)))
 
     # straightening: an incomparable pair rewrites into chains through
     # lower-bounded leading factors
-    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
     pairs = []
     for a, b in combinations(universe, 2):
         if minor_leq(a, b) or minor_leq(b, a):
             continue
         if a.size + b.size > d:
             continue
-        _check_deadline(deadline)
-        pairs.append((a, b, minor_poly(ring, ms, a) * minor_poly(ring, ms, b)))
+        _check_deadline()
+        pairs.append((a, b, minors[a] * minors[b]))
 
     # one elimination per degree: the chain products, then the pair products
     slice_rank = 0
@@ -557,9 +555,7 @@ def _check_asl(spec: CaseSpec, ms, ring, deadline, report: Report) -> None:
         basis = chains_by_degree.get(deg, [])
         prods = [(a, b, f) for a, b, f in pairs if a.size + b.size == deg]
         vectors, _ = coefficient_matrix(ring, [f for _, f in basis] + [f for _, _, f in prods])
-        rk, coeffs = solve_columns(
-            vectors[: len(basis)], vectors[len(basis) :], ring.field, deadline
-        )
+        rk, coeffs = solve_columns(vectors[: len(basis)], vectors[len(basis) :], ring.field)
         slice_rank += rk
         for (a, b, _), x in zip(prods, coeffs):
             solved[a, b] = (basis, x)
@@ -610,7 +606,6 @@ def run_case(spec: CaseSpec) -> Report:
     """Run one case; the module docstring gives the contract with the checks."""
     spec.validate(spec.case)
     start = monotonic()
-    deadline = start + spec.budget_sec
     ms = MatrixSpec(spec.kind, spec.rows, spec.n)
     ring = matrix_ring(ms, field_from_name(spec.field), order=spec.order)
     report = Report(
@@ -628,7 +623,8 @@ def run_case(spec: CaseSpec) -> Report:
         millis=0,
     )
     try:
-        CHECKS[spec.check](spec, ms, ring, deadline, report)
+        with deadline_scope(start + spec.budget_sec):
+            CHECKS[spec.check](spec, ms, ring, report)
     except BudgetExceeded:
         report.verdict = "SKIPPED"
         report.reason = "budget exceeded"

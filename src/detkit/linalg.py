@@ -15,29 +15,24 @@ __all__ = ["row_reduce", "rank", "solve_columns"]
 
 
 def row_reduce(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form, by Gauss-Jordan elimination.
 
     Returns (nonzero rows, pivot column indices); zero rows are dropped.
+    The clock is read once per column, so a deadline scope bounds it.
     """
-    mat = [list(r) for r in rows]
-    if mat:
-        ncols = len(mat[0])
-        for r in mat:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix")
-    return _eliminate(mat, field, None)
-
-
-def _eliminate(mat: List[list], field, deadline) -> Tuple[List[list], List[int]]:
-    """Gauss-Jordan on ``mat`` in place; the deadline is checked once per
-    column."""
-    if not mat:
-        return [], []
+    # rows are replaced by new lists, never written in place; dropping
+    # ``rows`` lets a temporary matrix from the caller go row by row
+    mat = list(rows)
+    del rows
+    ncols = len(mat[0]) if mat else 0
+    for r in mat:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
     pivots: List[int] = []
     zero, one = field.zero, field.one
     lead = 0
-    for col in range(len(mat[0])):
-        _check_deadline(deadline)
+    for col in range(ncols):
+        _check_deadline()
         piv = None
         for i in range(lead, len(mat)):
             if mat[i][col] != zero:
@@ -46,9 +41,12 @@ def _eliminate(mat: List[list], field, deadline) -> Tuple[List[list], List[int]]
         if piv is None:
             continue
         mat[lead], mat[piv] = mat[piv], mat[lead]
-        inv = field.inv(mat[lead][col])
-        if mat[lead][col] != one:
-            mat[lead] = [field.mul(inv, v) for v in mat[lead]]
+        row = mat[lead]
+        if row[col] != one:
+            inv = field.inv(row[col])
+            mat[lead] = [field.mul(inv, v) for v in row]
+        else:
+            mat[lead] = list(row)  # no input row is returned
         for i in range(len(mat)):
             if i != lead and mat[i][col] != zero:
                 c = mat[i][col]
@@ -67,7 +65,7 @@ def rank(rows: Sequence[Sequence], field) -> int:
 
 
 def solve_columns(
-    columns: Sequence[Sequence], targets: Sequence[Sequence], field, deadline=None
+    columns: Sequence[Sequence], targets: Sequence[Sequence], field
 ) -> Tuple[int, List[Optional[list]]]:
     """Express each target as a combination of ``columns``.
 
@@ -77,7 +75,7 @@ def solve_columns(
     serves every target: the pivots among ``columns`` do not depend on the
     columns to their right, and a target lies in the span of ``columns``
     exactly when it is no pivot and is zero on every row whose pivot is a
-    target.  The deadline is checked once per column.
+    target.
     """
     vectors = list(columns) + list(targets)
     if vectors:
@@ -86,9 +84,9 @@ def solve_columns(
             if len(v) != n:
                 raise ValueError("column length mismatch")
     k = len(columns)
-    reduced, pivots = _eliminate([list(r) for r in zip(*vectors)], field, deadline)
+    reduced, pivots = row_reduce(list(zip(*vectors)), field)
     r = bisect_left(pivots, k)
-    zero = field.zero
+    zero, one = field.zero, field.one
     solutions: List[Optional[list]] = []
     for col in range(k, len(vectors)):
         if col in pivots[r:] or any(row[col] != zero for row in reduced[r:]):

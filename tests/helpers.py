@@ -271,19 +271,24 @@ def expire_after_basis(monkeypatch):
 
 
 def expire_in_elimination(monkeypatch):
-    """Make ``groebner``'s clock pass every deadline once a ``linalg``
-    elimination has started.  Returns the list that gains one entry per
-    elimination started."""
+    """Make ``groebner``'s clock pass every deadline once a
+    ``linalg.row_reduce`` call has started, patching it in every detkit
+    namespace that binds it.  Returns the list that gains one entry per
+    call started."""
+    import sys
+
     from detkit import groebner, linalg
 
-    real_clock, real_eliminate = groebner.monotonic, linalg._eliminate
+    real_clock, real_row_reduce = groebner.monotonic, linalg.row_reduce
     started = []
 
-    def eliminate_after_expiry(mat, field, deadline):
+    def row_reduce_after_expiry(rows, field):
         started.append(None)
-        return real_eliminate(mat, field, deadline)
+        return real_row_reduce(rows, field)
 
-    monkeypatch.setattr(linalg, "_eliminate", eliminate_after_expiry)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("detkit.") and getattr(module, "row_reduce", None) is real_row_reduce:
+            monkeypatch.setattr(module, "row_reduce", row_reduce_after_expiry)
     monkeypatch.setattr(groebner, "monotonic", lambda: float("inf") if started else real_clock())
     return started
 

@@ -1,10 +1,16 @@
 """The layer micro-benches (``bench/test_layers.py``) reach into private
-engine names such as ``_Packing`` and ``_reduce_rows``.  Only ``tests/`` is
-collected here, so this imports the bench module without running it: a
-rename in detkit must not leave the benches pointing at nothing."""
+engine names such as ``_Packing`` and ``_reduce_rows`` and call them
+positionally.  Only ``tests/`` is collected here, so one test imports the
+bench module without running it, and another runs every bench once with
+timing off: a rename or a changed signature in detkit must not leave the
+benches pointing at nothing or calling with the wrong arguments."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,3 +20,15 @@ def test_layer_benches_import():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert any(name.startswith("test_") for name in vars(module))
+
+
+def test_layer_benches_run():
+    pytest.importorskip("pytest_benchmark")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "--benchmark-disable", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

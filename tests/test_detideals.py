@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from time import monotonic
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,8 @@ from detkit.detideals import (
     variable_table,
 )
 from detkit.groebner import (
+    BudgetExceeded,
+    deadline_scope,
     ideal_equal,
     ideal_height,
     ideal_member,
@@ -50,7 +53,12 @@ from detkit.groebner import (
     normal_form,
 )
 from detkit.poly import QQ, PrimeField, weighted_degree
-from helpers import assert_reduced_basis, det_by_permanents, pfaffian_by_matchings
+from helpers import (
+    assert_reduced_basis,
+    det_by_permanents,
+    expire_in_elimination,
+    pfaffian_by_matchings,
+)
 
 FP = PrimeField(32003)
 
@@ -594,6 +602,8 @@ def test_truncation_rank_values():
     assert truncation_rank(2, 1, 2, 3) == 1
     assert truncation_rank(2, 1, 2, 4) == 0
     assert truncation_rank(4, 1, 2, 7) == 1
+    # d past size*q: every generator fits, and no count goes below 0
+    assert truncation_rank(2, 1, 2, 100) == 0
     with pytest.raises(ValueError):
         truncation_rank(2, 2, 2, 3)
 
@@ -610,6 +620,19 @@ def test_truncated_ideal_filter_vs_graded_reference():
     assert truncated_ideal(I, g, 2).is_zero()
     assert len(truncated_ideal(I, g, 3).gens) == 2
     assert len(truncated_ideal(I, g, 4).gens) == 3
+
+
+def test_truncation_reference_checks_the_deadline(monkeypatch):
+    # the reference row-reduces each weighted-degree slice; a clock that
+    # passes the deadline once an elimination has started must stop it there
+    started = expire_in_elimination(monkeypatch)
+    ms = generic_matrix(2, 3)
+    ring = matrix_ring(ms, FP)
+    I = ideal_of_minors(ring, ms, 2)
+    with deadline_scope(monotonic() + 60), pytest.raises(BudgetExceeded) as info:
+        truncated_ideal_graded(I, column_grading(ms, 1, 1, 2), 5)
+    assert len(started) == 1
+    assert [entry.name for entry in info.traceback][-2:] == ["row_reduce", "_check_deadline"]
 
 
 def test_truncation_rejects_inhomogeneous_generator():

@@ -13,6 +13,7 @@ from detkit.groebner import (
     _Packing,
     _support,
     buchberger,
+    deadline_scope,
     ideal_equal,
     ideal_height,
     ideal_intersect,
@@ -510,7 +511,7 @@ def test_intersection_rejects_malformed_elimination_basis(monkeypatch):
     # elimination order; the check must hold under python -O as well
     from detkit import groebner
 
-    def bad_basis(pk, pack, fld, deadline):
+    def bad_basis(pk, pack, fld):
         # x^2 + w, with w the field past the ring's variables x and y
         x2, w = 2, 1 << (2 * pk.width)
         return pk, [[(pk.key(x2), x2, fld.one, 0b001), (pk.key(w), w, fld.one, 0b100)]]
@@ -608,11 +609,11 @@ def test_transversal_search_node_ceiling(monkeypatch):
     nodes = [0]
     real_check = groebner._check_deadline
 
-    def counting(deadline):
+    def counting():
         nodes[0] += 1
         if nodes[0] > 250:
             raise AssertionError("transversal search passed 250 nodes")
-        real_check(deadline)
+        real_check()
 
     monkeypatch.setattr(groebner, "_check_deadline", counting)
     assert ideal_height(I) == 15
@@ -624,13 +625,18 @@ def test_transversal_search_node_ceiling(monkeypatch):
 def test_expired_deadline_raises():
     ring = mkring("xy")
     x, y = ring.var(0), ring.var(1)
-    with pytest.raises(BudgetExceeded):
-        buchberger([x * x + y * y, x * y], deadline=monotonic() - 1)
+    with deadline_scope(monotonic() - 1), pytest.raises(BudgetExceeded):
+        buchberger([x * x + y * y, x * y])
     I = IdealHandle(ring, [x * x + y * y, x * y])
-    with pytest.raises(BudgetExceeded):
-        I.groebner(deadline=monotonic() - 1)
-    # a failed run must not poison the cache
+    with deadline_scope(monotonic() - 1), pytest.raises(BudgetExceeded):
+        I.groebner()
+    # a failed run must not poison the cache, and outside the scope no
+    # clock reading raises
     assert I.groebner() == (y**3, x * x + y * y, x * y)
+    # a scope inside another never extends the outer deadline
+    with deadline_scope(monotonic() - 1), deadline_scope(monotonic() + 60):
+        with pytest.raises(BudgetExceeded):
+            buchberger([x * x + y * y, x * y])
 
 
 def test_pair_update_checks_the_deadline(monkeypatch):
@@ -648,8 +654,8 @@ def test_pair_update_checks_the_deadline(monkeypatch):
     monkeypatch.setattr(groebner, "monotonic", late_clock)
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
-    with pytest.raises(BudgetExceeded) as info:
-        buchberger([x * y - z * z, y * z - x * x, x * z - y * y], deadline=1.0)
+    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+        buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
     assert len(readings) == 1
     assert [entry.name for entry in info.traceback][-2:] == ["_update", "_check_deadline"]
 
@@ -662,8 +668,8 @@ def test_dimension_search_checks_the_deadline(monkeypatch):
     ring = mkring("abcd")
     a, b, c, d = (ring.var(i) for i in range(4))
     I = IdealHandle(ring, [a * b, c * d])
-    with pytest.raises(BudgetExceeded) as info:
-        krull_dimension(I, deadline=deadline)
+    with deadline_scope(deadline), pytest.raises(BudgetExceeded) as info:
+        krull_dimension(I)
     assert len(done) == 1
     assert [entry.name for entry in info.traceback][-2:] == ["search", "_check_deadline"]
 

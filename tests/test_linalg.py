@@ -4,7 +4,7 @@ from time import monotonic
 
 import pytest
 
-from detkit.groebner import BudgetExceeded
+from detkit.groebner import BudgetExceeded, deadline_scope
 from detkit.linalg import rank, row_reduce, solve_columns
 from detkit.poly import QQ, PrimeField
 from helpers import expire_in_elimination
@@ -59,9 +59,15 @@ def test_rref_is_projection():
     for _ in range(20):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[fp.of_int(rng.randint(-5, 5)) for _ in range(m)] for _ in range(n)]
+        before = [list(r) for r in rows]
         red, piv = row_reduce(rows, fp)
         again, piv2 = row_reduce(red, fp)
         assert again == red and piv2 == piv
+        # the input stays as it was, and no output row is an input row, even
+        # where the input is already reduced
+        assert rows == before
+        assert not any(r is s for r in red for s in rows)
+        assert not any(r is s for r in again for s in red)
         for r, c in zip(red, piv):
             assert r[c] == fp.one
             for other in red:
@@ -124,7 +130,7 @@ def test_solve_columns_checks_the_deadline(monkeypatch):
     started = expire_in_elimination(monkeypatch)
     fp = PrimeField(101)
     cols = [[fp.one, fp.zero], [fp.zero, fp.one]]
-    with pytest.raises(BudgetExceeded) as info:
-        solve_columns(cols, [[fp.one, fp.one]], fp, deadline=monotonic() + 60)
+    with deadline_scope(monotonic() + 60), pytest.raises(BudgetExceeded) as info:
+        solve_columns(cols, [[fp.one, fp.one]], fp)
     assert len(started) == 1
-    assert [entry.name for entry in info.traceback][-2:] == ["_eliminate", "_check_deadline"]
+    assert [entry.name for entry in info.traceback][-2:] == ["row_reduce", "_check_deadline"]
