@@ -5,7 +5,8 @@ The layers, bottom up:
 
 - :mod:`detkit.poly`: exact fields, monomial orders, sparse polynomials.
 - :mod:`detkit.groebner`: Buchberger engine, normal forms, intersections,
-  dimension, and :func:`deadline_scope`, which bounds all of them.
+  Hilbert numerators, dimension, and :func:`deadline_scope`, which bounds
+  all of them.
 - :mod:`detkit.linalg`: dense exact row reduction.
 - :mod:`detkit.combinat`: minor / Pfaffian index posets and order ideals.
 - :mod:`detkit.detideals`: matrix shapes, minors, Pfaffians, constrained

@@ -24,6 +24,15 @@ choices are deterministic, so a given generator list always yields the same
 reduced basis.  A product whose exponent reaches a guard bit aborts the
 computation, which reruns with fields twice as wide.
 
+:func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
+series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, by
+Bigatti's pivot recursion on packed leads (plain support masks when every
+lead is squarefree).  :func:`buchberger` can take such a numerator as a
+``target``: it then stops once the leads of its partial basis have that
+series, which is sound for a homogeneous ideal already known to lie inside
+an ideal with that series (Traverso, *Hilbert functions and the Buchberger
+algorithm*, JSC 1997).
+
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
 """
@@ -37,7 +46,7 @@ from heapq import heappop, heappush
 from itertools import count, islice
 from operator import mul
 from time import monotonic
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .poly import PolyRing, Polynomial, _mk, mono_div, mono_lcm
 
@@ -49,6 +58,7 @@ __all__ = [
     "normal_form",
     "s_polynomial",
     "IdealHandle",
+    "hilbert_numerator",
     "ideal_member",
     "ideal_equal",
     "ideal_intersect",
@@ -380,12 +390,23 @@ def _update(elems, active, pending, heap, h, pk: _Packing, tick) -> None:
     active.append(hi)
 
 
-def buchberger(gens: Iterable[Polynomial]) -> tuple:
+def buchberger(gens: Iterable[Polynomial], target: Optional[Sequence[int]] = None) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
     their ring's order.
 
     Returns a tuple of monic polynomials sorted with the greatest lead
     first; the zero ideal gives ``()``.
+
+    ``target``, when given, is a Hilbert numerator (see
+    :func:`hilbert_numerator`) that the run may stop at: once the leads of
+    the partial basis have exactly that numerator, the pairs still pending
+    are dropped and the partial basis is interreduced.  This is sound only
+    when the generators are homogeneous and the caller has shown that their
+    ideal ``L`` lies inside an ideal whose quotient has series ``target``.
+    Then the partial lead ideal lies inside ``in(L)``, so ``HF(S/in(G)) >=
+    HF(S/L) >= target`` in every degree, and equality forces ``G`` to be a
+    Groebner basis of ``L``: the result is the same reduced basis.  A
+    target the run never meets changes nothing.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -398,24 +419,26 @@ def buchberger(gens: Iterable[Polynomial]) -> tuple:
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
+        None if target is None else list(target),
     )
     return tuple(pk.poly(ring, rows) for rows in basis)
 
 
-def _basis_rows(pk: _Packing, pack, fld) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld, target=None) -> tuple:
     """``(packing, rows)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
     lead first.  A run whose exponents outgrow the fields starts over with
     fields twice as wide, so the packing returned may be wider than ``pk``.
+    ``target`` is :func:`buchberger`'s stop, kept across reruns.
     """
     while True:
         try:
-            return pk, _buchberger(pack(pk), fld, pk)
+            return pk, _buchberger(pack(pk), fld, pk, target)
         except _Overflow:
             pk = pk.wider()
 
 
-def _buchberger(gens: list, fld, pk: _Packing) -> list:
+def _buchberger(gens: list, fld, pk: _Packing, target=None) -> list:
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
@@ -423,6 +446,10 @@ def _buchberger(gens: list, fld, pk: _Packing) -> list:
     heap: list = []
     pending: dict = {}
     tick = count()
+    # the stop is tested before the first pair and whenever the sugar
+    # rises, each time only if the basis has grown since the last test
+    popped = -1
+    tested = -1
 
     def insert(rows, sugar):
         c0 = rows[0][2]
@@ -445,7 +472,13 @@ def _buchberger(gens: list, fld, pk: _Packing) -> list:
 
     while heap and not unit:
         _check_deadline()
+        if target is not None and heap[0][0] > popped and len(elems) != tested:
+            tested = len(elems)
+            leads = [(elems[i].lm, elems[i].mask, elems[i].deg) for i in active]
+            if _lead_numerator(leads, pk.width, pk.guards) == target:
+                break
         s, lk, _, i, j, lcm = heappop(heap)
+        popped = s
         if pending.pop((i, j), None) is None:
             continue
         ei, ej = elems[i], elems[j]
@@ -479,6 +512,85 @@ def _buchberger(gens: list, fld, pk: _Packing) -> list:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
     return [e.rows for e in reversed(kept)]
+
+
+# ---------------------------------------------------------------------------
+# Hilbert numerators of monomial ideals
+
+
+def _lead_numerator(leads: list, width: int, guards: int) -> list:
+    """Coefficients of ``N(t)`` with ``HS(S/M) = N(t)/(1-t)^n``, for the
+    monomial ideal ``M`` minimally generated by ``leads``: ``(packed,
+    support, degree)`` triples packed ``width`` bits per field under
+    ``guards``.  Trailing zero coefficients are dropped, but ``M = S``
+    keeps its ``[0]``.  Squarefree leads are worked as bare support masks.
+    """
+    if all(s.bit_count() == d for _, s, d in leads):
+        leads = [(s, s, d) for _, s, d in leads]
+        width, guards = 1, 0
+    num = _pivot_numerator(leads, width, guards)
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
+
+
+def _pivot_numerator(gens: list, width: int, guards: int) -> list:
+    """Bigatti's pivot recursion (*Computation of Hilbert-Poincare series*,
+    JPAA 1997) on the minimal generators ``gens``: ``N(M) = N(M + (x)) +
+    t*N(M : x)`` with ``x`` the variable in the most generators, down to
+    pairwise-coprime generators, where ``N = prod(1 - t^deg)``.
+
+    ``M + (x)`` is ``(x)`` plus the generators free of ``x``, so its
+    numerator is ``(1 - t)`` times theirs.  ``M : x`` divides the
+    generators that ``x`` divides by ``x``; those quotients stay minimal,
+    and only they can divide a generator free of ``x``.
+    """
+    seen = overlap = 0
+    for _, s, _ in gens:
+        overlap |= seen & s
+        seen |= s
+    if not overlap:
+        out = [1]
+        for _, _, d in gens:
+            # out * (1 - t^d)
+            nxt = out + [0] * d
+            for i, c in enumerate(out):
+                nxt[i + d] -= c
+            out = nxt
+        return out
+    _check_deadline()
+    counts: dict = {}
+    for _, s, _ in gens:
+        s &= overlap
+        while s:
+            low = s & -s
+            counts[low] = counts.get(low, 0) + 1
+            s ^= low
+    x = max(counts, key=counts.__getitem__)
+    shift = (x.bit_length() - 1) * width
+    one, field = 1 << shift, ((1 << width) - 1) << shift
+    free, cut = [], []
+    for g in gens:
+        p, s, d = g
+        if s & x:
+            p -= one
+            cut.append((p, s if p & field else s ^ x, d - 1))
+        else:
+            free.append(g)
+    quotient = cut + [
+        (p, s, d)
+        for p, s, d in free
+        if not any(not cs & ~s and not (p - cp) & guards for cp, cs, _ in cut)
+    ]
+    a = _pivot_numerator(free, width, guards)
+    b = _pivot_numerator(quotient, width, guards)
+    out = [0] * (max(len(a), len(b)) + 1)
+    for i, c in enumerate(a):
+        out[i] += c
+        out[i + 1] -= c
+    for i, c in enumerate(b):
+        out[i + 1] += c
+    return out
 
 
 class _Reducer:
@@ -543,7 +655,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class IdealHandle:
     """An ideal given by generators, with a lazily cached reduced basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed")
+    __slots__ = ("ring", "gens", "_gb", "_packed", "_hilbert")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g)
@@ -554,10 +666,13 @@ class IdealHandle:
         self.gens = gens
         self._gb = None
         self._packed = None
+        self._hilbert = None
 
-    def groebner(self) -> tuple:
+    def groebner(self, target: Optional[Sequence[int]] = None) -> tuple:
+        """The reduced basis; the first call computes it, with
+        :func:`buchberger`'s ``target`` stop when one is given."""
         if self._gb is None:
-            self._gb = buchberger(self.gens)
+            self._gb = buchberger(self.gens, target)
         return self._gb
 
     def _reducer(self) -> _Reducer:
@@ -578,6 +693,24 @@ class IdealHandle:
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.gens)} gens over {self.ring!r})"
+
+
+def hilbert_numerator(I: IdealHandle) -> list:
+    """Coefficients of ``N(t)``, where ``HS(S/I) = N(t)/(1-t)^n`` and ``n``
+    is the number of variables, read off the leads of the reduced basis
+    (for a homogeneous ``I``, ``S/I`` and ``S/in(I)`` share the series).
+    The zero ideal gives ``[1]`` and the unit ideal ``[0]``.  Computed
+    once per handle; the clock is read at every pivot."""
+    if I._hilbert is None:
+        leads = [g.lm for g in I.groebner()]
+        width = max((e for m in leads for _, e in m.exps), default=1).bit_length() + 1
+        guards = sum(1 << (p * width + width - 1) for p in range(len(I.ring.table)))
+        I._hilbert = _lead_numerator(
+            [(sum(e << (p * width) for p, e in m.exps), _support(m), m.deg) for m in leads],
+            width,
+            guards,
+        )
+    return list(I._hilbert)
 
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:

@@ -4,6 +4,13 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 
 - ``decomposition``: the ideal generated by block-constrained minors or
   Pfaffians equals the intersection of the per-block component ideals.
+  It is certified one block at a time, with no elimination: the ideal
+  constrained by the first ``i`` blocks lies in the previous one and in
+  block ``i``'s component by membership, and its Hilbert series is that
+  of their intersection, computed from the two ideals and their sum.  That
+  series also stops its Groebner basis early.  When a step fails, the
+  intersection is computed by elimination, as for ``NOT_EQUAL`` cases,
+  and the verdict comes from comparing reduced bases.
 - ``truncation``: dropping generators above a weighted-degree bound yields
   the honest degree truncation, and that truncation matches an intersection
   with one extra block component.
@@ -61,6 +68,7 @@ from .groebner import (
     IdealHandle,
     _check_deadline,
     deadline_scope,
+    hilbert_numerator,
     ideal_equal,
     ideal_height,
     ideal_intersect,
@@ -294,7 +302,7 @@ def _flip_blocks(spec: CaseSpec) -> Tuple[tuple, tuple]:
 
 
 def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
-    lhs = constrained_ideal(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
+    lhs = full = constrained_ideal(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
     if spec.mutate == "drop-generator":
         if not lhs.gens:
             raise CaseError(f"{spec.case}: no generator to drop")
@@ -305,7 +313,11 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
     comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
     report.components = [{"name": name, "irredundant": None} for name, _ in comps]
     report.stats["lhs_gens"] = len(lhs.gens)
-    rhs = intersect_all(ring, [h for _, h in comps])
+    handles = [h for _, h in comps]
+    last = None if spec.mutate == "flip-block" else full
+    rhs = _chain_intersection(ring, ms, spec, R, C, handles, last)
+    if rhs is None:
+        rhs = intersect_all(ring, handles)
     report.stats["rhs_gb_size"] = len(rhs.groebner())
     equal = ideal_equal(lhs, rhs)
     if spec.kind == "symmetric":
@@ -320,6 +332,66 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
             report.reason = _separating_element(lhs, rhs)
         except BudgetExceeded:
             report.reason = "separating element not computed: budget exceeded"
+
+
+def _chain_intersection(ring, ms, spec: CaseSpec, R, C, comps, last) -> Optional[IdealHandle]:
+    """The constrained ideal over the blocks ``R``/``C``, certified equal to
+    the intersection of ``comps`` without an elimination, or None when a
+    step fails to certify.  ``last``, when given, is that ideal already
+    built.
+
+    ``K_0 = comps[0]``, and ``K_i`` is the constrained ideal over the first
+    ``i`` blocks, row blocks first.  Step ``i`` shows ``K_i = K_{i-1} ∩ J_i``
+    with ``J_i = comps[i]``: every generator of ``K_i`` lies in both by
+    membership, and ``S/K_i`` has the series of ``S/(K_{i-1} ∩ J_i)``,
+    whose numerator comes from ``K_{i-1}`` and ``J_i`` alone
+    (:func:`_intersection_numerator`).  That numerator is also the target
+    that lets the basis of ``K_i`` stop early.
+    """
+    K = comps[0]
+    for i, J in enumerate(comps[1:], 1):
+        if i == len(comps) - 1 and last is not None:
+            step = last
+        else:
+            j = max(0, i - len(R))
+            step = constrained_ideal(ring, ms, spec.t, R[:i], spec.r[:i], C[:j], spec.c[:j])
+        # the stop is sound only once step lies inside K ∩ J
+        if not (_inside(step, K) and _inside(step, J)):
+            return None
+        target = _intersection_numerator(K, J)
+        step.groebner(target)
+        if hilbert_numerator(step) != target:
+            return None
+        K = step
+    return K
+
+
+def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> List[int]:
+    """Hilbert numerator of ``S/(K ∩ J)`` for homogeneous ``K`` and ``J``,
+    from the exact sequence ``0 -> S/(K∩J) -> S/K ⊕ S/J -> S/(K+J) -> 0``.
+    When one side lies in the other, the intersection is that side and no
+    basis of ``K + J`` is needed."""
+    if _inside(J, K):
+        return hilbert_numerator(J)
+    if _inside(K, J):
+        return hilbert_numerator(K)
+    total = IdealHandle(K.ring, K.groebner() + J.gens)
+    out: List[int] = []
+    for sign, I in ((1, K), (1, J), (-1, total)):
+        num = hilbert_numerator(I)
+        out += [0] * (len(num) - len(out))
+        for d, c in enumerate(num):
+            out[d] += sign * c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _inside(I: IdealHandle, J: IdealHandle) -> bool:
+    """Whether ``I`` lies in ``J``, by membership of each generator; one
+    that is also a generator of ``J`` needs no reduction."""
+    own = set(J.gens)
+    return all(g in own or ideal_member(g, J) for g in I.gens)
 
 
 def _separating_element(lhs: IdealHandle, rhs: IdealHandle) -> str:

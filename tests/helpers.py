@@ -6,7 +6,8 @@ honest to disagree with.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 from detkit.groebner import normal_form, s_polynomial
 from detkit.poly import Monomial, Polynomial, mono_div, mono_divides
@@ -172,6 +173,34 @@ def brute_force_dimension(supports, n):
             if not any(s <= chosen for s in supports):
                 return size
     raise AssertionError("unreachable: the empty subset contains no support")
+
+
+# -- Hilbert functions the slow way ----------------------------------------------
+
+
+def brute_force_hilbert_function(gens, n, top):
+    """Number of monomials in ``n`` variables outside the monomial ideal of
+    ``gens`` (dicts position -> exponent), in each degree ``0..top``, by
+    listing every monomial of that degree."""
+    out = []
+    for d in range(top + 1):
+        count = 0
+        for combo in combinations_with_replacement(range(n), d):
+            exps = [0] * n
+            for pos in combo:
+                exps[pos] += 1
+            if not any(all(exps[p] >= e for p, e in g.items()) for g in gens):
+                count += 1
+        out.append(count)
+    return out
+
+
+def series_from_numerator(num, n, top):
+    """Coefficients of ``num(t) / (1 - t)^n`` in degrees ``0..top``."""
+    return [
+        sum(c * comb(d - i + n - 1, n - 1) for i, c in enumerate(num) if i <= d)
+        for d in range(top + 1)
+    ]
 
 
 # -- determinants and Pfaffians the textbook way -----------------------------

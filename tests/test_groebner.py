@@ -14,6 +14,7 @@ from detkit.groebner import (
     _support,
     buchberger,
     deadline_scope,
+    hilbert_numerator,
     ideal_equal,
     ideal_height,
     ideal_intersect,
@@ -40,8 +41,10 @@ from detkit.poly import (
 from helpers import (
     assert_reduced_basis,
     brute_force_dimension,
+    brute_force_hilbert_function,
     expire_after_basis,
     random_poly,
+    series_from_numerator,
     textbook_buchberger,
 )
 
@@ -294,8 +297,8 @@ def _homogeneous_gens(draw, count):
     return out
 
 
-def _ring_and_polys(field, *term_lists):
-    ring = mkring("abc", field=field_from_name(field))
+def _ring_and_polys(field, *term_lists, order="grevlex"):
+    ring = mkring("abc", field=field_from_name(field), order=order)
     polys = [
         [ring.from_terms((Monomial([(i, k) for i, k in enumerate(e) if k]),
                           ring.field.of_int(c)) for e, c in terms) for terms in tl]
@@ -710,3 +713,137 @@ def test_scaled_sub_call_ceiling(monkeypatch):
 
 def test_update_call_ceiling(monkeypatch):
     assert _intersection_calls(monkeypatch, "_update") <= 90
+
+
+# -- Hilbert numerators and the stop at a target -------------------------------------
+
+
+@st.composite
+def _monomial_ideals_for_series(draw):
+    """(n, generators) in 1 to 6 variables, each generator a dict position ->
+    exponent; the draw is squarefree throughout or has exponents up to 3."""
+    n = draw(st.integers(1, 6))
+    top = 1 if draw(st.booleans()) else 3
+    support = st.dictionaries(st.integers(0, n - 1), st.integers(1, top), min_size=1, max_size=3)
+    return n, draw(st.lists(support, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), _monomial_ideals_for_series())
+@example("qq", (3, []))
+@example("fp:32003", (2, [{}]))
+def test_hilbert_numerator_counts_standard_monomials(field, ideal):
+    n, gens = ideal
+    ring = mkring([f"x{i}" for i in range(n)], field_from_name(field))
+    polys = [
+        ring.monomial_poly(Monomial(sorted(g.items())), 2 * i - 7) for i, g in enumerate(gens)
+    ]
+    num = hilbert_numerator(IdealHandle(ring, polys))
+    if not gens:
+        assert num == [1]
+    if {} in gens:
+        assert num == [0]
+    # the numerator has degree at most that of the lcm of all generators
+    # (Taylor's resolution), so counting up to that degree pins it
+    lcm_degree = sum(max((g.get(p, 0) for g in gens), default=0) for p in range(n))
+    assert len(num) - 1 <= lcm_degree
+    top = min(lcm_degree, 9)
+    assert series_from_numerator(num, n, top) == brute_force_hilbert_function(gens, n, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), _homogeneous_gens(3))
+def test_hilbert_numerator_ignores_the_order(field, terms):
+    # a homogeneous ideal and its lead ideal share their series under any order
+    nums = []
+    for order in ("lex", "grevlex"):
+        ring, (gens,) = _ring_and_polys(field, terms, order=order)
+        nums.append(hilbert_numerator(IdealHandle(ring, gens)))
+    assert nums[0] == nums[1]
+
+
+def test_hilbert_numerator_is_cached_and_copied(monkeypatch):
+    from detkit import groebner
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    I = IdealHandle(ring, [x * x, x * y, y * z])
+    calls = []
+    real = groebner._lead_numerator
+    monkeypatch.setattr(
+        groebner, "_lead_numerator", lambda *args: calls.append(None) or real(*args)
+    )
+    hilbert_numerator(I).append(99)
+    # inclusion-exclusion over the lcms: three of degree 2, x^2*y and x*y*z
+    # of degree 3, and x^2*y*z twice with opposite signs
+    assert hilbert_numerator(I) == [1, 0, -3, 2]
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["fp:32003", "qq"]),
+    st.sampled_from(["grevlex", "lex"]),
+    _homogeneous_gens(4),
+)
+def test_stop_at_the_full_series_gives_the_full_basis(field, order, terms):
+    ring, (gens,) = _ring_and_polys(field, terms, order=order)
+    full = buchberger(gens)
+    target = hilbert_numerator(IdealHandle(ring, full))
+    assert buchberger(gens, target=target) == full
+
+
+@pytest.mark.parametrize("field", ["fp:32003", "qq"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_unreachable_target_gives_the_full_basis(field, order):
+    # the series of a strictly larger ideal lies below every partial series
+    # of the smaller one, so the run never stops early
+    ring = mkring("xyz", field_from_name(field), order)
+    x, y, z = (ring.var(i) for i in range(3))
+    gens = [x * x + y * y, x * y]
+    full = buchberger(gens)
+    assert len(full) == 3
+    target = hilbert_numerator(IdealHandle(ring, gens + [z]))
+    assert buchberger(gens, target=target) == full
+
+
+def _lhs_4x5_calls(monkeypatch, name, stop):
+    """Calls of ``groebner.<name>`` made by the basis of the minors 4x5 t3
+    R2 r1 ideal, with or without the target its components give."""
+    from detkit import groebner
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+
+    ms = MatrixSpec("generic", 4, 5)
+    ring = matrix_ring(ms, PrimeField(32003))
+    lhs = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    full = buchberger(lhs.gens)
+    (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+    # HS(S/(I∩J)) = HS(S/I) + HS(S/J) - HS(S/(I+J))
+    parts = [hilbert_numerator(h) for h in (I, J, IdealHandle(ring, I.gens + J.gens))]
+    target = [0] * max(map(len, parts))
+    for sign, num in zip((1, 1, -1), parts):
+        for d, c in enumerate(num):
+            target[d] += sign * c
+    while target[-1] == 0:
+        target.pop()
+    assert target == hilbert_numerator(IdealHandle(ring, full))
+    calls = [0]
+    fn = getattr(groebner, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(groebner, name, counting)
+    assert buchberger(lhs.gens, target=target if stop else None) == full
+    return calls[0]
+
+
+def test_stop_saves_reductions_on_a_decomposition_lhs(monkeypatch):
+    # every 3-minor of a 4x5 matrix meets the first two rows, and the
+    # 3-minors already form a Groebner basis: the stop fires before the
+    # first pair, where the full run reduces 528 S-polynomials to zero
+    stopped = _lhs_4x5_calls(monkeypatch, "_scaled_sub", True)
+    monkeypatch.undo()
+    assert stopped < _lhs_4x5_calls(monkeypatch, "_scaled_sub", False)
+    assert stopped <= 0

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from detkit.harness import (
 )
 from detkit.poly import field_from_name
 from helpers import expire_after_basis, expire_in_elimination
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mk(case="case", **kw):
@@ -118,10 +121,15 @@ def _assert_separates(spec, rep):
 
 def test_decomposition_canaries_fail():
     base = dict(m=3, n=3, t=2, R=(1,), r=(1,))
-    for spec in (mk("c1", mutate="drop-generator", **base), mk("c2", mutate="flip-block", **base)):
+    reasons = {
+        "drop-generator": "x[1,1]*x[2,2]*x[3,1] + 32002*x[1,1]*x[2,1]*x[3,2]",
+        "flip-block": "x[2,2]*x[3,1] + 32002*x[2,1]*x[3,2]",
+    }
+    for mutate, element in reasons.items():
+        spec = mk(mutate, mutate=mutate, **base)
         rep = run_case(spec)
         assert rep.verdict == "NOT_EQUAL"
-        assert rep.reason.startswith("rhs basis element not in lhs: ")
+        assert rep.reason == "rhs basis element not in lhs: " + element
         _assert_separates(spec, rep)
 
 
@@ -207,6 +215,107 @@ def test_decomposition_over_rationals_and_lex():
     assert rep.verdict == "EQUAL"
     rep2 = run_case(mk("q2", m=2, n=3, t=2, R=(1,), r=(1,), order="lex"))
     assert rep2.verdict == "EQUAL"
+
+
+# -- decomposition certified by Hilbert series ------------------------------------------
+
+# the EQUAL cases of the decompose benchmark workload
+DECOMPOSE_EQUAL = [
+    dict(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)),
+    dict(case="pfaffian-8-t4-R2-r1", kind="skew", n=8, t=4, R=(2,), r=(1,)),
+    dict(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)),
+]
+
+
+def _count_intersections(monkeypatch):
+    """A list that gains one entry per call of ``harness.intersect_all`` or
+    ``groebner.ideal_intersect``."""
+    from detkit import groebner, harness
+
+    calls = []
+    for module, name in ((harness, "intersect_all"), (groebner, "ideal_intersect")):
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _one_block_decompositions():
+    specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
+    return [s for s in specs if s.check == "decomposition" and len(s.R + s.C) == 1]
+
+
+def test_equal_decompositions_run_no_elimination(monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    specs = [mk(**kw) for kw in DECOMPOSE_EQUAL] + _one_block_decompositions()
+    assert len(specs) == 10
+    for spec in specs:
+        rep = run_case(spec)
+        assert rep.verdict == "EQUAL", spec.case
+        assert calls == [], spec.case
+
+
+def test_not_equal_decomposition_falls_back_to_elimination(monkeypatch):
+    calls = _count_intersections(monkeypatch)
+    rep = run_case(mk("p7", kind="skew", n=7, t=4, R=(3,), r=(2,)))
+    assert calls
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.stats == {"lhs_gens": 22, "rhs_gb_size": 81}
+    assert rep.reason == (
+        "rhs basis element not in lhs: z[1,2]*z[4,7]*z[5,6]"
+        " + 32002*z[1,2]*z[4,6]*z[5,7] + z[1,2]*z[4,5]*z[6,7]"
+    )
+
+
+def test_wrong_component_series_makes_the_chain_refuse(monkeypatch):
+    # lowering the series of the linear component lowers the target below
+    # the series of every partial basis, so no stop fires and the full basis
+    # misses it; the intersection then comes from the elimination
+    from detkit import harness
+
+    real = harness.hilbert_numerator
+    moved = []
+
+    def moving(I):
+        num = real(I)
+        if I.gens and all(g.degree() == 1 for g in I.gens):
+            moved.append(I)
+            num += [0] * (6 - len(num)) + [-1]
+        return num
+
+    monkeypatch.setattr(harness, "hilbert_numerator", moving)
+    calls = _count_intersections(monkeypatch)
+    rep = run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,)))
+    assert moved and calls
+    assert rep.verdict == "EQUAL"
+    assert rep.stats == {"lhs_gens": 6, "rhs_gb_size": 10}
+
+
+def test_no_target_before_membership(monkeypatch):
+    # the stop is sound only for an ideal inside the intersection: when a
+    # generator of the constrained ideal misses a component, no basis run
+    # gets a target
+    from detkit import groebner
+
+    real = groebner.buchberger
+    targets = []
+
+    def recording(gens, target=None):
+        targets.append(target)
+        return real(gens, target)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    calls = _count_intersections(monkeypatch)
+    rep = run_case(mk("p4", kind="skew", n=5, t=4, R=(2,), r=(2,)))
+    assert rep.verdict == "NOT_EQUAL" and calls
+    assert targets and not any(targets)
+    targets.clear()
+    assert run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,))).verdict == "EQUAL"
+    assert any(targets)
 
 
 # -- truncation ----------------------------------------------------------------------
