@@ -27,11 +27,12 @@ computation, which reruns with fields twice as wide.
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, by
 Bigatti's pivot recursion on packed leads (plain support masks when every
-lead is squarefree).  :func:`buchberger` can take such a numerator as a
-``target``: it then stops once the leads of its partial basis have that
-series, which is sound for a homogeneous ideal already known to lie inside
-an ideal with that series (Traverso, *Hilbert functions and the Buchberger
-algorithm*, JSC 1997).
+lead is squarefree), and :func:`krull_dimension` reads the dimension off
+it.  :func:`buchberger` can take such a numerator as a ``target``: it
+then stops once the leads of its partial basis have that series, which is
+sound for a homogeneous ideal already known to lie inside an ideal with
+that series (Traverso, *Hilbert functions and the Buchberger algorithm*,
+JSC 1997).
 
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
@@ -43,7 +44,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
@@ -789,75 +790,27 @@ def intersect_all(ring: PolyRing, handles: Sequence[IdealHandle]) -> IdealHandle
     return result
 
 
-def _min_transversal(supports, n: int) -> int:
-    """Size of the smallest variable set that meets every mask in
-    ``supports`` (each non-empty), by exact branch and bound.
-
-    Only the minimal supports matter.  A node branches on a smallest
-    support not yet met, taking each of its variables in turn; a later
-    branch excludes the variables already tried there, since a set using
-    one of them was searched under that earlier branch.  A node is pruned
-    when its size plus a greedy packing of pairwise-disjoint supports, each
-    of which needs a variable of its own, cannot beat the best set found.
-    The clock is read at every node.
-    """
-    minimal: list = []
-    for s in sorted(set(supports), key=int.bit_count):
-        if all(s & k != k for k in minimal):
-            minimal.append(s)
-    best = n  # every variable: meets every non-empty support
-
-    def search(sets, size):
-        nonlocal best
-        _check_deadline()
-        if not sets:
-            best = size  # the parent's bound let this node through: size < best
-            return
-        sets.sort(key=int.bit_count)
-        used = 0
-        bound = size
-        for s in sets:
-            if not s & used:
-                used |= s
-                bound += 1
-        if bound >= best:
-            return
-        pick = sets[0]
-        tried = 0
-        while pick:
-            bit = pick & -pick
-            pick ^= bit
-            rest = []
-            for s in sets:
-                if not s & bit:
-                    s &= ~tried
-                    if not s:
-                        break
-                    rest.append(s)
-            else:
-                search(rest, size + 1)
-            tried |= bit
-
-    search(minimal, 0)
-    return best
-
-
 def krull_dimension(I: IdealHandle) -> int:
-    """Dimension of the quotient by ``I``: ``n`` minus the size of the
-    smallest variable set that meets the support of every lead monomial of
-    the reduced basis.  The variables outside such a set form a largest set
-    that no lead monomial lives entirely inside.
+    """Dimension of the quotient by ``I``, read off :func:`hilbert_numerator`.
+
+    ``S/I`` and ``S/in(I)`` have the same dimension, and with
+    ``HS(S/in(I)) = N(t)/(1-t)^n`` that dimension is the order of the pole
+    at ``t = 1``: ``n`` minus the number of times ``1 - t`` divides
+    ``N(t)``.  Each division is exact when the coefficients sum to zero,
+    and the quotient's coefficients are the prefix sums of ``N``'s, the
+    last one (the zero sum) dropped.
 
     Raises :class:`UnitIdealError` for the unit ideal.  A deadline scope
-    bounds the basis and the transversal search alike.
+    bounds the basis and the numerator alike.
     """
-    gb = I.groebner()
-    n = len(I.ring.table)
-    if not gb:
-        return n
-    if len(gb) == 1 and gb[0].is_constant():
+    num = hilbert_numerator(I)
+    if num == [0]:
         raise UnitIdealError("unit ideal has no dimension")
-    return n - _min_transversal([_support(g.lm) for g in gb], n)
+    height = 0
+    while not sum(num):
+        num = list(accumulate(num))[:-1]
+        height += 1
+    return len(I.ring.table) - height
 
 
 def ideal_height(I: IdealHandle) -> int:

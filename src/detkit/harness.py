@@ -338,7 +338,7 @@ def _chain_intersection(ring, ms, spec: CaseSpec, R, C, comps, last) -> Optional
     """The constrained ideal over the blocks ``R``/``C``, certified equal to
     the intersection of ``comps`` without an elimination, or None when a
     step fails to certify.  ``last``, when given, is that ideal already
-    built.
+    built, and any ``K_i`` with its generators is ``last`` itself.
 
     ``K_0 = comps[0]``, and ``K_i`` is the constrained ideal over the first
     ``i`` blocks, row blocks first.  Step ``i`` shows ``K_i = K_{i-1} ∩ J_i``
@@ -355,6 +355,8 @@ def _chain_intersection(ring, ms, spec: CaseSpec, R, C, comps, last) -> Optional
         else:
             j = max(0, i - len(R))
             step = constrained_ideal(ring, ms, spec.t, R[:i], spec.r[:i], C[:j], spec.c[:j])
+            if last is not None and step.gens == last.gens:
+                step = last  # one basis serves both
         # the stop is sound only once step lies inside K ∩ J
         if not (_inside(step, K) and _inside(step, J)):
             return None

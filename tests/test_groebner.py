@@ -586,6 +586,7 @@ def _monomial_ideals(draw):
 @given(st.sampled_from(["fp:32003", "qq"]), _monomial_ideals())
 @example("qq", (5, []))
 @example("fp:32003", (4, [{2: 1}]))
+@example("qq", (3, [{0: 2}, {0: 1, 1: 1}]))
 def test_krull_dimension_matches_subset_scan(field, ideal):
     n, gens = ideal
     ring = mkring([f"x{i}" for i in range(n)], field_from_name(field))
@@ -596,30 +597,30 @@ def test_krull_dimension_matches_subset_scan(field, ideal):
     assert krull_dimension(I) == brute_force_dimension(gens, n)
 
 
-def test_transversal_search_node_ceiling(monkeypatch):
-    # the search reads the deadline once per node; on the 70 lead supports
-    # of the 4-Pfaffians of a generic 8x8 skew matrix it visits 125 nodes.
-    # Testing the packing bound with > instead of >=, dropping the exclusion
-    # of tried variables, or keeping supersets without pruning each visits
-    # more than 700
+def test_dimension_pivot_ceiling(monkeypatch):
+    # the numerator reads the deadline once per pivot; on the 70 lead
+    # supports of the 4-Pfaffians of a generic 8x8 skew matrix the pivot on
+    # the variable in the most generators reads it 34 times, and a pivot on
+    # the lowest variable 89 times
     from detkit import groebner
     from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("skew", 8, 8)
     ring = matrix_ring(ms, PrimeField(32003))
     I = constrained_ideal(ring, ms, 4)
-    I.groebner()
-    nodes = [0]
+    assert len(I.groebner()) == 70
+    pivots = [0]
     real_check = groebner._check_deadline
 
     def counting():
-        nodes[0] += 1
-        if nodes[0] > 250:
-            raise AssertionError("transversal search passed 250 nodes")
+        pivots[0] += 1
+        if pivots[0] > 50:
+            raise AssertionError("Hilbert numerator passed 50 pivots")
         real_check()
 
     monkeypatch.setattr(groebner, "_check_deadline", counting)
     assert ideal_height(I) == 15
+    assert pivots[0] == 34
 
 
 # -- budget ---------------------------------------------------------------------------
@@ -665,16 +666,20 @@ def test_pair_update_checks_the_deadline(monkeypatch):
 
 def test_dimension_search_checks_the_deadline(monkeypatch):
     # a clock that passes the deadline only after the basis is computed
-    # must stop the transversal search itself
+    # must stop the numerator's pivot recursion itself; leads that share a
+    # variable need a pivot
     deadline = monotonic() + 60
     done = expire_after_basis(monkeypatch)
     ring = mkring("abcd")
     a, b, c, d = (ring.var(i) for i in range(4))
-    I = IdealHandle(ring, [a * b, c * d])
+    I = IdealHandle(ring, [a * b, b * c, c * d])
     with deadline_scope(deadline), pytest.raises(BudgetExceeded) as info:
         krull_dimension(I)
     assert len(done) == 1
-    assert [entry.name for entry in info.traceback][-2:] == ["search", "_check_deadline"]
+    assert [entry.name for entry in info.traceback][-2:] == [
+        "_pivot_numerator",
+        "_check_deadline",
+    ]
 
 
 # -- work counts ----------------------------------------------------------------------

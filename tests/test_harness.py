@@ -318,6 +318,28 @@ def test_no_target_before_membership(monkeypatch):
     assert any(targets)
 
 
+def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
+    # on minors-3x3-t3-R12-r12 the first block already gives the 3x3
+    # determinant, so K_1 is the LHS: one basis each for the LHS and the
+    # three components, and the report is the recorded one
+    from detkit import groebner
+
+    real = groebner.buchberger
+    calls = []
+
+    def counting(gens, target=None):
+        calls.append(target)
+        return real(gens, target)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
+    (spec,) = [s for s in specs if s.case == "minors-3x3-t3-R12-r12"]
+    golden = json.loads((ROOT / "tests" / "golden" / "acceptance-no-timing.json").read_text())
+    (recorded,) = [c for c in golden["cases"] if c["case"] == spec.case]
+    assert run_case(spec).to_dict(include_timing=False) == recorded
+    assert len(calls) == 4
+
+
 # -- truncation ----------------------------------------------------------------------
 
 
@@ -411,7 +433,7 @@ def test_heights_cases():
 
 def test_heights_budget_skip_in_dimension_search(monkeypatch):
     # the basis is done when the clock passes the deadline, so the skip
-    # comes from the transversal search and the basis stats stay
+    # comes from the Hilbert numerator and the basis stats stay
     done = expire_after_basis(monkeypatch)
     rep = run_case(mk("hb", check="heights", kind="skew", n=6, t=4))
     assert len(done) == 1
