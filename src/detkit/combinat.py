@@ -67,9 +67,6 @@ class MinorIndex:
     def size(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "MinorIndex":
-        return MinorIndex(self.cols, self.rows)
-
     def __str__(self) -> str:
         return format_bracket(self)
 

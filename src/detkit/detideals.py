@@ -46,7 +46,6 @@ __all__ = [
     "variable_table",
     "matrix_ring",
     "entry",
-    "entry_poly",
     "minor_poly",
     "pfaffian_poly",
     "generator",
@@ -137,14 +136,6 @@ def entry(ms: MatrixSpec, i: int, j: int) -> Tuple[int, Optional[int]]:
     if (j, i) in pos:
         return (1 if ms.kind == "symmetric" else -1), pos[(j, i)]
     return 0, None
-
-
-def entry_poly(ring: PolyRing, ms: MatrixSpec, i: int, j: int):
-    sign, p = entry(ms, i, j)
-    if sign == 0:
-        return ring.zero
-    f = ring.var(p)
-    return f if sign > 0 else -f
 
 
 # ---------------------------------------------------------------------------

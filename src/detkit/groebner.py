@@ -34,6 +34,11 @@ sound for a homogeneous ideal already known to lie inside an ideal with
 that series (Traverso, *Hilbert functions and the Buchberger algorithm*,
 JSC 1997).
 
+:func:`intersect_all` is the one way to intersect a list of ideals.  It
+folds from the first, and each step either keeps an expected result that
+membership and the series of the intersection certify, with the basis
+stopped at that series, or eliminates with :func:`ideal_intersect`.
+
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
 """
@@ -683,15 +688,6 @@ class IdealHandle:
             self._packed = _Reducer(self.ring, self.groebner())
         return self._packed
 
-    def is_zero(self) -> bool:
-        if not self.gens:
-            return True
-        return not self.groebner()
-
-    def is_unit(self) -> bool:
-        gb = self.groebner()
-        return len(gb) == 1 and gb[0].is_constant() and bool(gb[0])
-
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.gens)} gens over {self.ring!r})"
 
@@ -722,6 +718,34 @@ def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     reducer = I._reducer()
     _check_deadline()
     return not reducer.remainder(f)
+
+
+def _inside(I: IdealHandle, J: IdealHandle) -> bool:
+    """Whether ``I`` lies in ``J``, by membership of each generator; one
+    that is also a generator of ``J`` needs no reduction."""
+    own = set(J.gens)
+    return all(g in own or ideal_member(g, J) for g in I.gens)
+
+
+def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
+    """Hilbert numerator of ``S/(K ∩ J)`` for homogeneous ``K`` and ``J``,
+    from the exact sequence ``0 -> S/(K∩J) -> S/K ⊕ S/J -> S/(K+J) -> 0``.
+    When one side lies in the other, the intersection is that side and no
+    basis of ``K + J`` is needed."""
+    if _inside(J, K):
+        return hilbert_numerator(J)
+    if _inside(K, J):
+        return hilbert_numerator(K)
+    total = IdealHandle(K.ring, K.groebner() + J.gens)
+    out: list = []
+    for sign, I in ((1, K), (1, J), (-1, total)):
+        num = hilbert_numerator(I)
+        out += [0] * (len(num) - len(out))
+        for d, c in enumerate(num):
+            out[d] += sign * c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
@@ -783,11 +807,37 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return result
 
 
-def intersect_all(ring: PolyRing, handles: Sequence[IdealHandle]) -> IdealHandle:
-    result = IdealHandle(ring, (ring.one,))
-    for h in handles:
-        result = ideal_intersect(result, h)
-    return result
+def intersect_all(
+    ring: PolyRing, handles: Sequence[IdealHandle], expect: Sequence[IdealHandle] = ()
+) -> IdealHandle:
+    """The intersection of ``handles``, folded left from ``handles[0]``; no
+    handles give the unit ideal.
+
+    ``expect[i-1]``, when given, is a homogeneous ideal claimed to equal
+    ``K_i = K_{i-1} ∩ handles[i]``.  Step ``i`` keeps it when that is
+    certified: every generator lies in ``K_{i-1}`` and in ``handles[i]`` by
+    membership, and ``S/expect[i-1]`` has the series of ``S/K_i``, whose
+    numerator comes from ``K_{i-1}`` and ``handles[i]`` alone
+    (:func:`_intersection_numerator`).  That numerator is also the target
+    that lets the basis of ``expect[i-1]`` stop early.  A step without a
+    certified expectation eliminates with :func:`ideal_intersect`; the steps
+    before it are not redone.
+    """
+    if not handles:
+        return IdealHandle(ring, (ring.one,))
+    K = handles[0]
+    for i, J in enumerate(handles[1:]):
+        if i < len(expect):
+            step = expect[i]
+            # the stop is sound only once step lies inside K ∩ J
+            if _inside(step, K) and _inside(step, J):
+                target = _intersection_numerator(K, J)
+                step.groebner(target)
+                if hilbert_numerator(step) == target:
+                    K = step
+                    continue
+        K = ideal_intersect(K, J)
+    return K
 
 
 def krull_dimension(I: IdealHandle) -> int:

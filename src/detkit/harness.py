@@ -4,13 +4,11 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 
 - ``decomposition``: the ideal generated by block-constrained minors or
   Pfaffians equals the intersection of the per-block component ideals.
-  It is certified one block at a time, with no elimination: the ideal
-  constrained by the first ``i`` blocks lies in the previous one and in
-  block ``i``'s component by membership, and its Hilbert series is that
-  of their intersection, computed from the two ideals and their sum.  That
-  series also stops its Groebner basis early.  When a step fails, the
-  intersection is computed by elimination, as for ``NOT_EQUAL`` cases,
-  and the verdict comes from comparing reduced bases.
+  The ideals constrained by the first ``i`` blocks are the expected
+  results of the steps of :func:`~detkit.groebner.intersect_all`, which
+  certifies each one by membership and a Hilbert series, with no
+  elimination, or else eliminates that step alone.  The verdict comes
+  from comparing reduced bases.
 - ``truncation``: dropping generators above a weighted-degree bound yields
   the honest degree truncation, and that truncation matches an intersection
   with one extra block component.
@@ -20,6 +18,9 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 - ``heights``: the Pfaffian ideal has the expected codimension.
 - ``asl``: products of minors indexed by poset chains form a basis in low
   degree, and products of incomparable pairs straighten into such chains.
+
+The three checks that intersect do so through ``intersect_all``; only the
+decomposition passes expected results, so the other two eliminate.
 
 :func:`run_case` is the only runner.  It validates the spec, starts the
 clock, builds the ring and an empty :class:`Report`, and runs the check
@@ -68,10 +69,8 @@ from .groebner import (
     IdealHandle,
     _check_deadline,
     deadline_scope,
-    hilbert_numerator,
     ideal_equal,
     ideal_height,
-    ideal_intersect,
     ideal_member,
     intersect_all,
 )
@@ -315,9 +314,7 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
     report.stats["lhs_gens"] = len(lhs.gens)
     handles = [h for _, h in comps]
     last = None if spec.mutate == "flip-block" else full
-    rhs = _chain_intersection(ring, ms, spec, R, C, handles, last)
-    if rhs is None:
-        rhs = intersect_all(ring, handles)
+    rhs = intersect_all(ring, handles, _prefix_ideals(ring, ms, spec, R, C, last))
     report.stats["rhs_gb_size"] = len(rhs.groebner())
     equal = ideal_equal(lhs, rhs)
     if spec.kind == "symmetric":
@@ -334,66 +331,24 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
             report.reason = "separating element not computed: budget exceeded"
 
 
-def _chain_intersection(ring, ms, spec: CaseSpec, R, C, comps, last) -> Optional[IdealHandle]:
-    """The constrained ideal over the blocks ``R``/``C``, certified equal to
-    the intersection of ``comps`` without an elimination, or None when a
-    step fails to certify.  ``last``, when given, is that ideal already
-    built, and any ``K_i`` with its generators is ``last`` itself.
-
-    ``K_0 = comps[0]``, and ``K_i`` is the constrained ideal over the first
-    ``i`` blocks, row blocks first.  Step ``i`` shows ``K_i = K_{i-1} ∩ J_i``
-    with ``J_i = comps[i]``: every generator of ``K_i`` lies in both by
-    membership, and ``S/K_i`` has the series of ``S/(K_{i-1} ∩ J_i)``,
-    whose numerator comes from ``K_{i-1}`` and ``J_i`` alone
-    (:func:`_intersection_numerator`).  That numerator is also the target
-    that lets the basis of ``K_i`` stop early.
-    """
-    K = comps[0]
-    for i, J in enumerate(comps[1:], 1):
-        if i == len(comps) - 1 and last is not None:
+def _prefix_ideals(ring, ms, spec: CaseSpec, R, C, last) -> List[IdealHandle]:
+    """``K_1..K_k``: ``K_i`` is the constrained ideal over the first ``i``
+    blocks ``R``/``C``, row blocks first, and the expected intersection of
+    the first ``i + 1`` components.  ``last``, when given, is ``K_k``
+    already built, and any ``K_i`` with its generators is ``last`` itself,
+    so one basis serves both."""
+    k = len(R) + len(C)
+    out = []
+    for i in range(1, k + 1):
+        if i == k and last is not None:
             step = last
         else:
             j = max(0, i - len(R))
             step = constrained_ideal(ring, ms, spec.t, R[:i], spec.r[:i], C[:j], spec.c[:j])
             if last is not None and step.gens == last.gens:
-                step = last  # one basis serves both
-        # the stop is sound only once step lies inside K ∩ J
-        if not (_inside(step, K) and _inside(step, J)):
-            return None
-        target = _intersection_numerator(K, J)
-        step.groebner(target)
-        if hilbert_numerator(step) != target:
-            return None
-        K = step
-    return K
-
-
-def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> List[int]:
-    """Hilbert numerator of ``S/(K ∩ J)`` for homogeneous ``K`` and ``J``,
-    from the exact sequence ``0 -> S/(K∩J) -> S/K ⊕ S/J -> S/(K+J) -> 0``.
-    When one side lies in the other, the intersection is that side and no
-    basis of ``K + J`` is needed."""
-    if _inside(J, K):
-        return hilbert_numerator(J)
-    if _inside(K, J):
-        return hilbert_numerator(K)
-    total = IdealHandle(K.ring, K.groebner() + J.gens)
-    out: List[int] = []
-    for sign, I in ((1, K), (1, J), (-1, total)):
-        num = hilbert_numerator(I)
-        out += [0] * (len(num) - len(out))
-        for d, c in enumerate(num):
-            out[d] += sign * c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
+                step = last
+        out.append(step)
     return out
-
-
-def _inside(I: IdealHandle, J: IdealHandle) -> bool:
-    """Whether ``I`` lies in ``J``, by membership of each generator; one
-    that is also a generator of ``J`` needs no reduction."""
-    own = set(J.gens)
-    return all(g in own or ideal_member(g, J) for g in I.gens)
 
 
 def _separating_element(lhs: IdealHandle, rhs: IdealHandle) -> str:
@@ -423,7 +378,7 @@ def _check_truncation(spec: CaseSpec, ms, ring, report: Report) -> None:
     ]
     report.stats["lhs_gens"] = len(filtered.gens)
     graded = truncated_ideal_graded(base, grading, spec.d)
-    rhs = ideal_intersect(base, extra[1])
+    rhs = intersect_all(ring, [base, extra[1]])
     report.stats["rhs_gb_size"] = len(rhs.groebner())
     report.settle(ideal_equal(filtered, graded) and ideal_equal(graded, rhs))
 

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .groebner import _check_deadline
 
-__all__ = ["row_reduce", "rank", "solve_columns"]
+__all__ = ["row_reduce", "solve_columns"]
 
 
 def row_reduce(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
@@ -58,10 +58,6 @@ def row_reduce(rows: Sequence[Sequence], field) -> Tuple[List[list], List[int]]:
         if lead == len(mat):
             break
     return mat[:lead], pivots
-
-
-def rank(rows: Sequence[Sequence], field) -> int:
-    return len(row_reduce(rows, field)[0])
 
 
 def solve_columns(

@@ -503,10 +503,6 @@ class GradingSpec:
         self.table = table
         self.weights = weights
 
-    @classmethod
-    def uniform(cls, table: VariableTable, weight: int = 1) -> "GradingSpec":
-        return cls(table, (weight,) * len(table))
-
     def monomial_degree(self, m: Monomial) -> int:
         w = self.weights
         return sum(w[pos] * e for pos, e in m.exps)

@@ -82,9 +82,9 @@ def test_unit_and_zero_ideals():
     assert buchberger([]) == ()
     assert buchberger([ring.zero]) == ()
     assert buchberger([x, x + 1]) == (ring.one,)
-    assert IdealHandle(ring, [x, x + 1]).is_unit()
-    assert IdealHandle(ring, []).is_zero()
-    assert not IdealHandle(ring, [x]).is_unit()
+    assert IdealHandle(ring, [x, x + 1]).groebner() == (ring.one,)
+    assert not IdealHandle(ring, []).groebner()
+    assert IdealHandle(ring, [x]).groebner() != (ring.one,)
 
 
 def test_duplicate_and_redundant_generators_collapse():
@@ -253,6 +253,23 @@ def test_monomial_ideal_intersections():
     assert L.groebner() == (x * y * y,)
     M = intersect_all(ring, [I, J, IdealHandle(ring, [z])])
     assert M.groebner() == (x * y * z,)
+    assert intersect_all(ring, [I]) is I
+
+
+def test_intersect_all_keeps_only_a_certified_expectation():
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    I, J = IdealHandle(ring, [x]), IdealHandle(ring, [y])
+    right = IdealHandle(ring, [x * y])
+    assert intersect_all(ring, [I, J], expect=[right]) is right
+    # inside I ∩ J with a smaller series, and not inside J: both eliminate
+    for wrong in ([x * x * y], [x]):
+        K = intersect_all(ring, [I, J], expect=[IdealHandle(ring, wrong)])
+        assert K.groebner() == (x * y,)
+    # a refused first step leaves the second to be certified from its result
+    Z = IdealHandle(ring, [z])
+    both = [IdealHandle(ring, [x]), IdealHandle(ring, [x * y * z])]
+    assert intersect_all(ring, [I, J, Z], expect=both) is both[1]
 
 
 def test_univariate_intersection_is_lcm():
@@ -502,11 +519,11 @@ def test_intersection_shortcuts():
     I = IdealHandle(ring, [x])
     zero = IdealHandle(ring, [])
     unit = IdealHandle(ring, [ring.one])
-    assert ideal_intersect(I, zero).is_zero()
-    assert ideal_intersect(zero, I).is_zero()
+    assert not ideal_intersect(I, zero).groebner()
+    assert not ideal_intersect(zero, I).groebner()
     assert ideal_intersect(unit, I).gens == I.gens
     assert ideal_intersect(I, unit).gens == I.gens
-    assert intersect_all(ring, []).is_unit()
+    assert intersect_all(ring, []).groebner() == (ring.one,)
 
 
 def test_intersection_rejects_malformed_elimination_basis(monkeypatch):

@@ -228,19 +228,18 @@ DECOMPOSE_EQUAL = [
 
 
 def _count_intersections(monkeypatch):
-    """A list that gains one entry per call of ``harness.intersect_all`` or
-    ``groebner.ideal_intersect``."""
-    from detkit import groebner, harness
+    """A list that gains one entry per call of ``groebner.ideal_intersect``,
+    which every elimination goes through."""
+    from detkit import groebner
 
     calls = []
-    for module, name in ((harness, "intersect_all"), (groebner, "ideal_intersect")):
-        real = getattr(module, name)
+    real = groebner.ideal_intersect
 
-        def counting(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counting(*args):
+        calls.append("ideal_intersect")
+        return real(*args)
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(groebner, "ideal_intersect", counting)
     return calls
 
 
@@ -275,9 +274,9 @@ def test_wrong_component_series_makes_the_chain_refuse(monkeypatch):
     # lowering the series of the linear component lowers the target below
     # the series of every partial basis, so no stop fires and the full basis
     # misses it; the intersection then comes from the elimination
-    from detkit import harness
+    from detkit import groebner
 
-    real = harness.hilbert_numerator
+    real = groebner.hilbert_numerator
     moved = []
 
     def moving(I):
@@ -287,12 +286,37 @@ def test_wrong_component_series_makes_the_chain_refuse(monkeypatch):
             num += [0] * (6 - len(num)) + [-1]
         return num
 
-    monkeypatch.setattr(harness, "hilbert_numerator", moving)
+    monkeypatch.setattr(groebner, "hilbert_numerator", moving)
     calls = _count_intersections(monkeypatch)
     rep = run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,)))
     assert moved and calls
     assert rep.verdict == "EQUAL"
     assert rep.stats == {"lhs_gens": 6, "rhs_gb_size": 10}
+
+
+def test_refused_step_eliminates_only_itself(monkeypatch):
+    # the wrong linear series refuses the first of two steps; that step is
+    # eliminated, and the second is still certified from its result
+    from detkit import groebner
+
+    spec = mk("d2", m=3, n=4, t=2, R=(1, 2), r=(1, 1))
+    recorded = run_case(spec).to_dict(include_timing=False)
+    real = groebner.hilbert_numerator
+    moved = []
+
+    def moving(I):
+        num = real(I)
+        if I.gens and all(g.degree() == 1 for g in I.gens):
+            moved.append(I)
+            num += [0] * (6 - len(num)) + [-1]
+        return num
+
+    monkeypatch.setattr(groebner, "hilbert_numerator", moving)
+    calls = _count_intersections(monkeypatch)
+    rep = run_case(spec)
+    assert moved
+    assert calls == ["ideal_intersect"]
+    assert rep.to_dict(include_timing=False) == recorded
 
 
 def test_no_target_before_membership(monkeypatch):
@@ -412,6 +436,31 @@ def test_irredundancy_size_one_block_edge():
     ).values())
     assert rep.verdict == "NOT_EQUAL"
     assert "pfaffians(2)" in rep.reason
+
+
+def test_irredundancy_reuses_the_component_bases(monkeypatch):
+    # one elimination for the full intersection and one basis per
+    # component; a drop-one intersection of a single component is that
+    # component, and the witness memberships reuse its basis
+    from detkit import groebner
+
+    real = groebner._basis_rows
+    runs = []
+
+    def counting(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_basis_rows", counting)
+    specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
+    golden = json.loads((ROOT / "tests" / "golden" / "acceptance-no-timing.json").read_text())
+    recorded = {c["case"]: c for c in golden["cases"]}
+    cases = [s for s in specs if s.check == "irredundancy"]
+    assert len(cases) == 3
+    for spec in cases:
+        runs.clear()
+        assert run_case(spec).to_dict(include_timing=False) == recorded[spec.case]
+        assert len(runs) == 3, spec.case
 
 
 def test_irredundancy_pfaffian_good():

@@ -241,7 +241,7 @@ def test_weighted_degree_signals():
     assert weighted_degree(g, b) == 2
     assert weighted_degree(g, a * a + b) == 2
     assert weighted_degree(g, a + b) is None
-    assert weighted_degree(GradingSpec.uniform(t), a + b) == 1
+    assert weighted_degree(GradingSpec(t, (1,) * len(t)), a + b) == 1
 
 
 # -- polynomials ------------------------------------------------------------------
