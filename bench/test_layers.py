@@ -1,5 +1,7 @@
 """Layer micro-benchmarks: the packed monomial primitives, one reduction,
-one elimination and one Hilbert numerator read as a dimension.
+one elimination, one Hilbert numerator read as a dimension, and the two
+bases of a certified decomposition block: the sum basis that extends a
+known one, and the basis stopped at its target series.
 
 Run them from the repository root with
 
@@ -18,15 +20,20 @@ from detkit.combinat import minors_universe
 from detkit.detideals import (
     MatrixSpec,
     coefficient_matrix,
+    components,
     constrained_ideal,
     matrix_ring,
     minor_poly,
 )
 from detkit.groebner import (
+    IdealHandle,
     _BasisElem,
     _Divisors,
     _Packing,
+    _intersection_numerator,
     _reduce_rows,
+    buchberger,
+    hilbert_numerator,
     ideal_height,
     s_polynomial,
 )
@@ -128,3 +135,42 @@ def test_krull_dimension_pfaffians_8x8(benchmark):
         I._hilbert = None
 
     assert benchmark.pedantic(ideal_height, (I,), setup=uncache, rounds=50) == 15
+
+
+@pytest.fixture(scope="module")
+def block55():
+    """The second block of minors 5x5 t3 R2,3 r1,2: ``K_1`` (t3 R2 r1,
+    basis cached), the component ``J_2`` and the ideal ``K_2``, which is
+    the LHS, with its full reduced basis."""
+    ms = MatrixSpec("generic", 5, 5)
+    ring = matrix_ring(ms, FP)
+    k1 = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    k1.groebner()
+    j2 = components(ring, ms, 3, R=(2, 3), r=(1, 2))[2][1]
+    lhs = constrained_ideal(ring, ms, 3, R=(2, 3), r=(1, 2))
+    return k1, j2, lhs, buchberger(lhs.gens)
+
+
+def test_sum_basis_5x5_second_block(benchmark, block55):
+    # the series of S/(K_1 ∩ J_2): the basis of K_1 + J_2 extends K_1's
+    # cached basis by J_2's generators; each round clears the numerators so
+    # that they are timed too
+    k1, j2, _, full = block55
+
+    def uncache():
+        k1._hilbert = j2._hilbert = None
+
+    num = benchmark.pedantic(_intersection_numerator, (k1, j2), setup=uncache, rounds=10)
+    assert num == hilbert_numerator(IdealHandle(full[0].ring, full))
+
+
+def test_target_stopped_lhs_basis_5x5(benchmark, block55):
+    # K_2's basis stopped at the series of K_1 ∩ J_2; each round clears the
+    # cached basis and numerator
+    k1, j2, lhs, full = block55
+    target = _intersection_numerator(k1, j2)
+
+    def uncache():
+        lhs._gb = lhs._hilbert = lhs._packed = None
+
+    assert benchmark.pedantic(lhs.groebner, (target,), setup=uncache, rounds=10) == full

@@ -24,8 +24,6 @@ __all__ = [
     "doset_leq",
     "PosetUniverse",
     "minors_universe",
-    "doset_universe",
-    "pfaffian_universe",
     "order_ideal_generated",
     "order_ideal_cogenerated",
     "format_bracket",
@@ -152,14 +150,6 @@ def _universe_elements(kind: str, m: int, n: int) -> tuple:
 
 def minors_universe(m: int, n: int) -> PosetUniverse:
     return PosetUniverse("minors", m, n)
-
-
-def doset_universe(n: int) -> PosetUniverse:
-    return PosetUniverse("doset_minors", n, n)
-
-
-def pfaffian_universe(n: int) -> PosetUniverse:
-    return PosetUniverse("pfaffians", n, n)
 
 
 def order_ideal_generated(universe: PosetUniverse, gens: Iterable) -> tuple:

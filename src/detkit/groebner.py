@@ -17,7 +17,10 @@ rows in strictly descending key order; ``support`` has bit ``pos`` set for
 each variable present.  They leave it as :class:`Polynomial` again.  Bases
 are kept monic.  Pair selection uses the sugar strategy.  Each new basis
 element runs the Gebauer-Moller pair update (criteria B, M and F plus the
-product criterion), so popping a pair does no scan.  A divisibility test
+product criterion), so popping a pair does no scan; criterion B finds the
+pending pairs it may drop through an index of their lcms by variable.  A
+reduced basis already known can seed a run: its elements go in unpaired,
+since their S-pairs reduce to zero.  A divisibility test
 runs only on the divisors whose lead support lies inside the term's
 support, which an index by variable yields without a scan.  All
 choices are deterministic, so a given generator list always yields the same
@@ -28,16 +31,19 @@ computation, which reruns with fields twice as wide.
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, by
 Bigatti's pivot recursion on packed leads (plain support masks when every
 lead is squarefree), and :func:`krull_dimension` reads the dimension off
-it.  :func:`buchberger` can take such a numerator as a ``target``: it
-then stops once the leads of its partial basis have that series, which is
-sound for a homogeneous ideal already known to lie inside an ideal with
-that series (Traverso, *Hilbert functions and the Buchberger algorithm*,
-JSC 1997).
+it.  :func:`buchberger` can take such a numerator as a ``target``: it then
+drops the S-pairs of each degree in which the leads of its partial basis
+meet the target's Hilbert function, and stops once they have the whole
+series.  This is sound for a homogeneous ideal already known to lie inside
+an ideal with that series (Traverso, *Hilbert functions and the Buchberger
+algorithm*, JSC 1997).
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result that
 membership and the series of the intersection certify, with the basis
-stopped at that series, or eliminates with :func:`ideal_intersect`.
+stopped at that series, or eliminates with :func:`ideal_intersect`.  The
+series of a sum ``K + J`` comes from ``K``'s reduced basis extended by
+``J``'s generators.
 
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
@@ -49,7 +55,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
+from math import comb
 from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
@@ -335,14 +342,70 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
     return out, sugar
 
 
-def _update(elems, active, pending, heap, h, pk: _Packing, tick) -> None:
+class _Pending:
+    """The pairs not yet reduced, each under a tick that also orders it in
+    the heap.
+
+    ``pairs`` maps a tick to ``(i, j, lcm, support)``, ``i < j``, with the
+    lcm's support.  ``_byvar[v]`` has bit ``tick`` set for each pair whose
+    lcm uses variable ``v``, so the pairs whose lcm uses a given set of
+    variables are one AND per variable in place of a scan.  A pair leaves
+    ``pairs`` when it is reduced or dropped, and its bits stay set: the
+    lookup in ``pairs`` skips them.
+    """
+
+    __slots__ = ("pairs", "_byvar", "_ticks")
+
+    def __init__(self, n: int):
+        self.pairs: dict = {}
+        self._byvar = [0] * n
+        self._ticks = 0
+
+    def add(self, hmask: int, new: list) -> int:
+        """Take ``new``, the pairs that one new element forms, whose lead
+        has support ``hmask``, under consecutive ticks; returns the first."""
+        first = self._ticks
+        self._ticks += len(new)
+        bits = ((1 << len(new)) - 1) << first
+        byvar, pairs = self._byvar, self.pairs
+        # every lcm here uses the new lead's variables; only the other
+        # member's remaining ones are set pair by pair
+        for v in _positions(hmask):
+            byvar[v] |= bits
+        for t, pair in enumerate(new, first):
+            pairs[t] = pair
+            for v in _positions(pair[3] & ~hmask):
+                byvar[v] |= 1 << t
+        return first
+
+    def using(self, support: int) -> list:
+        """Ticks of the pending pairs whose lcm uses every variable of
+        ``support``; an lcm divisible by a monomial of that support can only
+        be among them."""
+        hits = (1 << self._ticks) - 1
+        for v in _positions(support):
+            hits &= self._byvar[v]
+        return [t for t in _positions(hits) if t in self.pairs]
+
+
+def _positions(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _update(elems, active, pending: _Pending, heap, h, pk: _Packing) -> None:
     """Gebauer-Moller pair update for ``h``, the element about to be
     appended to ``elems`` (Becker-Weispfenning, *Groebner Bases*, UPDATE).
 
-    ``pending`` maps each pair ``(i, j)``, ``i < j``, to its lcm and the
-    lcm's support; ``heap`` orders the same pairs by sugar.  ``active`` lists
-    the elements whose lead no later lead divides: new pairs form only with
-    them, and in the end they are the minimal basis.
+    ``pending`` holds the pairs not yet reduced; ``heap`` orders them by
+    sugar.  ``active`` lists the elements whose lead no later lead divides:
+    new pairs form only with them, and in the end they are the minimal
+    basis.
     """
     _check_deadline()
     hi = len(elems)
@@ -351,44 +414,42 @@ def _update(elems, active, pending, heap, h, pk: _Packing, tick) -> None:
     # criterion B: a pending pair whose lcm the new lead divides, and equals
     # neither of its members' lcms with the new lead, is covered by those
     # two pairs
-    dropped = []
-    for pair, (lcm, pmask) in pending.items():
-        if not hmask & ~pmask and not (lcm - hlm) & guards:
-            i, j = pair
-            if lcm_of(elems[i].lm, hlm) != lcm and lcm_of(elems[j].lm, hlm) != lcm:
-                dropped.append(pair)
-    for pair in dropped:
-        del pending[pair]
+    pairs = pending.pairs
+    for t in pending.using(hmask):
+        i, j, lcm, _ = pairs[t]
+        if (
+            not (lcm - hlm) & guards
+            and lcm_of(elems[i].lm, hlm) != lcm
+            and lcm_of(elems[j].lm, hlm) != lcm
+        ):
+            del pairs[t]
 
     # criteria M and F: among the new pairs keep one per minimal lcm, taken
-    # in increasing degree with coprime leads first; a coprime pair then
-    # drops everything its lcm divides and itself (product criterion)
+    # in increasing degree.  A pair with coprime leads is dropped (product
+    # criterion) and covers nothing either: its lcm g*h would divide another
+    # new lcm lcm(k, h) only if g divided k, and no active lead divides
+    # another
     cands = []
     for j in active:
         g = elems[j]
         if g.mask & hmask:
             lcm = lcm_of(g.lm, hlm)
-            cands.append((pk.degree(lcm), True, j, lcm, g.mask | hmask))
+            cands.append((pk.degree(lcm), j, lcm, g.mask | hmask))
+    cands.sort()  # by (degree, j); j is unique
+    minimal, new = [], []
+    for deg, j, lcm, pmask in cands:
+        outside = ~pmask
+        for klcm, kmask in minimal:
+            if not kmask & outside and not (lcm - klcm) & guards:
+                break
         else:
-            cands.append((g.deg + h.deg, False, j, g.lm + hlm, g.mask | hmask))
-    cands.sort()  # by (degree, not coprime, j); j is unique
-    minimal = []
-    for deg, plain, j, lcm, pmask in cands:
-        if plain:
-            outside = ~pmask
-            covered = False
-            for klcm, kmask in minimal:
-                if not kmask & outside and not (lcm - klcm) & guards:
-                    covered = True
-                    break
-            if covered:
-                continue
-        minimal.append((lcm, pmask))
-        if plain:
+            minimal.append((lcm, pmask))
             g = elems[j]
             s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
-            heappush(heap, (s, pk.key(lcm), next(tick), j, hi, lcm))
-            pending[(j, hi)] = (lcm, pmask)
+            new.append((s, pk.key(lcm), j, lcm, pmask))
+    first = pending.add(hmask, [(j, hi, lcm, pmask) for _, _, j, lcm, pmask in new])
+    for t, (s, key, j, lcm, _) in enumerate(new, first):
+        heappush(heap, (s, key, t, j, hi, lcm))
 
     active[:] = [
         j for j in active if hmask & ~elems[j].mask or (elems[j].lm - hlm) & guards
@@ -396,29 +457,48 @@ def _update(elems, active, pending, heap, h, pk: _Packing, tick) -> None:
     active.append(hi)
 
 
-def buchberger(gens: Iterable[Polynomial], target: Optional[Sequence[int]] = None) -> tuple:
+def buchberger(
+    gens: Iterable[Polynomial],
+    target: Optional[Sequence[int]] = None,
+    known: Sequence[Polynomial] = (),
+) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
     their ring's order.
 
     Returns a tuple of monic polynomials sorted with the greatest lead
     first; the zero ideal gives ``()``.
 
+    ``known``, when given, must be a reduced Groebner basis in the same
+    ring and order, and the result is then the reduced basis of ``known``
+    and ``gens`` together.  Its elements enter the basis as they are, and
+    no S-pair between two of them is formed: each already reduces to zero
+    (Gebauer and Moller, *On an installation of Buchberger's algorithm*,
+    JSC 1988).  Only ``gens`` are reduced and paired.
+
     ``target``, when given, is a Hilbert numerator (see
-    :func:`hilbert_numerator`) that the run may stop at: once the leads of
-    the partial basis have exactly that numerator, the pairs still pending
-    are dropped and the partial basis is interreduced.  This is sound only
-    when the generators are homogeneous and the caller has shown that their
-    ideal ``L`` lies inside an ideal whose quotient has series ``target``.
-    Then the partial lead ideal lies inside ``in(L)``, so ``HF(S/in(G)) >=
-    HF(S/L) >= target`` in every degree, and equality forces ``G`` to be a
-    Groebner basis of ``L``: the result is the same reduced basis.  A
-    target the run never meets changes nothing.
+    :func:`hilbert_numerator`) that the run may stop at.  This is sound
+    only when the generators are homogeneous and the caller has shown that
+    their ideal ``L`` lies inside an ideal whose quotient has series
+    ``target``.  Then the partial lead ideal lies inside ``in(L)``, so
+    ``HF(S/in(G)) >= HF(S/L) >= target`` in every degree (Traverso,
+    *Hilbert functions and the Buchberger algorithm*, JSC 1997):
+
+    - once the leads of the partial basis have exactly that numerator,
+      ``G`` is a Groebner basis of ``L``, so the pairs still pending are
+      dropped and the partial basis is interreduced;
+    - in degree ``d``, once ``HF(S/in(G))(d)`` meets ``target``'s, every
+      element of ``L`` of degree ``d`` already has its lead in ``in(G)``,
+      so the remaining pairs of degree ``d`` reduce to zero and are dropped
+      unreduced.
+
+    Either way the result is the same reduced basis, and a target the run
+    never meets changes nothing.
     """
     gens = [g for g in gens if g]
-    if not gens:
+    if not gens and not known:
         return ()
-    ring = gens[0].ring
-    for g in gens[1:]:
+    ring = (gens or known)[0].ring
+    for g in [*gens, *known]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
     pk, basis = _basis_rows(
@@ -426,36 +506,47 @@ def buchberger(gens: Iterable[Polynomial], target: Optional[Sequence[int]] = Non
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
         None if target is None else list(target),
+        known,
     )
     return tuple(pk.poly(ring, rows) for rows in basis)
 
 
-def _basis_rows(pk: _Packing, pack, fld, target=None) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld, target=None, known=()) -> tuple:
     """``(packing, rows)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
     lead first.  A run whose exponents outgrow the fields starts over with
     fields twice as wide, so the packing returned may be wider than ``pk``.
-    ``target`` is :func:`buchberger`'s stop, kept across reruns.
+    ``target`` and ``known`` are :func:`buchberger`'s, kept across reruns.
     """
     while True:
         try:
-            return pk, _buchberger(pack(pk), fld, pk, target)
+            prefix = [(pk.rows(g), g.degree()) for g in known]
+            return pk, _buchberger(pack(pk), fld, pk, target, prefix)
         except _Overflow:
             pk = pk.wider()
 
 
-def _buchberger(gens: list, fld, pk: _Packing, target=None) -> list:
+def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
+    """``HF(d)`` of the series ``N(t)/(1-t)^n``: the coefficient of ``t^d``."""
+    return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(num[: d + 1]))
+
+
+def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
     active: list = []
     heap: list = []
-    pending: dict = {}
-    tick = count()
-    # the stop is tested before the first pair and whenever the sugar
-    # rises, each time only if the basis has grown since the last test
-    popped = -1
+    pending = _Pending(pk.n)
+    # with a target, the numerator of the active leads is read before the
+    # first pair and whenever the sugar rises, each time only if the basis
+    # has grown since the last reading.  ``deficit`` is then how far the
+    # leads' Hilbert function lies above the target's in the current
+    # degree; each new element of that degree lowers it by one, and at
+    # zero the degree's remaining pairs are dropped
+    degree = -1
     tested = -1
+    deficit = None
 
     def insert(rows, sugar):
         c0 = rows[0][2]
@@ -463,29 +554,40 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None) -> list:
             inv = fld.inv(c0)
             rows = [(k, p, fld.mul(c, inv), s) for k, p, c, s in rows]
         e = _BasisElem(rows, sugar, pk)
-        _update(elems, active, pending, heap, e, pk, tick)
+        _update(elems, active, pending, heap, e, pk)
         divs.add(e)
         return e
 
-    unit = False
-    for rows, sugar in gens:
-        rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
-        if rows:
-            e = insert(rows, sugar)
-            if not e.lm:
-                unit = True
-                break
+    # a reduced basis is a minimal one whose pairs all reduce to zero, so
+    # its elements go in unpaired and all active
+    for rows, sugar in known:
+        active.append(len(elems))
+        divs.add(_BasisElem(rows, sugar, pk))
+    unit = any(not e.lm for e in elems)
+    if not unit:
+        for rows, sugar in gens:
+            rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
+            if rows:
+                e = insert(rows, sugar)
+                if not e.lm:
+                    unit = True
+                    break
 
     while heap and not unit:
         _check_deadline()
-        if target is not None and heap[0][0] > popped and len(elems) != tested:
-            tested = len(elems)
-            leads = [(elems[i].lm, elems[i].mask, elems[i].deg) for i in active]
-            if _lead_numerator(leads, pk.width, pk.guards) == target:
-                break
-        s, lk, _, i, j, lcm = heappop(heap)
-        popped = s
-        if pending.pop((i, j), None) is None:
+        if target is not None and heap[0][0] > degree:
+            degree = heap[0][0]
+            if len(elems) != tested:
+                tested = len(elems)
+                leads = [(elems[i].lm, elems[i].mask, elems[i].deg) for i in active]
+                num = _lead_numerator(leads, pk.width, pk.guards)
+                if num == target:
+                    break
+            deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
+                target, pk.n, degree
+            )
+        s, lk, t, i, j, lcm = heappop(heap)
+        if pending.pairs.pop(t, None) is None or deficit == 0:
             continue
         ei, ej = elems[i], elems[j]
         qi = lcm - ei.lm
@@ -501,6 +603,8 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None) -> list:
             e = insert(rows, sugar)
             if not e.lm:
                 unit = True
+            if deficit:
+                deficit -= 1
 
     if unit:
         return [[(0, 0, fld.one, 0)]]
@@ -736,7 +840,10 @@ def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
         return hilbert_numerator(J)
     if _inside(K, J):
         return hilbert_numerator(K)
+    # K's reduced basis seeds the basis of K + J: only J's generators are
+    # reduced and paired
     total = IdealHandle(K.ring, K.groebner() + J.gens)
+    total._gb = buchberger(J.gens, known=K.groebner())
     out: list = []
     for sign, I in ((1, K), (1, J), (-1, total)):
         num = hilbert_numerator(I)

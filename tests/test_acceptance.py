@@ -13,11 +13,10 @@ from pathlib import Path
 from detkit.combinat import (
     MinorIndex,
     PfaffianIndex,
-    doset_universe,
+    PosetUniverse,
     minors_universe,
     order_ideal_cogenerated,
     order_ideal_generated,
-    pfaffian_universe,
 )
 from detkit.detideals import matrix_ring, minor_poly, pfaffian_poly, skew_matrix
 from detkit.harness import (
@@ -384,7 +383,7 @@ def test_order_ideal_descriptions_exhaustive():
                         failures.append((m, n, C, c, "col cogen form", mins))
 
     for n in range(2, 5):
-        univ = doset_universe(n)
+        univ = PosetUniverse("doset_minors", n, n)
         elems = univ.elements()
         for a in elems:
             for b in elems:
@@ -421,7 +420,7 @@ def test_order_ideal_descriptions_exhaustive():
                         failures.append((n, R, r, "doset row cogenerated"))
 
     for n in (4, 6):
-        univ = pfaffian_universe(n)
+        univ = PosetUniverse("pfaffians", n, n)
         elems = univ.elements()
         up = {a: {b for b in elems if univ.leq(a, b)} for a in elems}
         for a in elems:

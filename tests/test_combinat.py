@@ -6,15 +6,14 @@ import pytest
 from detkit.combinat import (
     MinorIndex,
     PfaffianIndex,
+    PosetUniverse,
     doset_leq,
-    doset_universe,
     format_bracket,
     in_doset,
     minor_leq,
     minors_universe,
     order_ideal_cogenerated,
     order_ideal_generated,
-    pfaffian_universe,
     subset_leq,
 )
 
@@ -98,10 +97,10 @@ def test_universe_enumeration_counts():
     u = minors_universe(2, 2)
     # 4 one-by-one + 1 two-by-two
     assert len(u.elements()) == 5
-    d = doset_universe(2)
+    d = PosetUniverse("doset_minors", 2, 2)
     # [1|1], [1|2], [2|2], [1,2|1,2]
     assert len(d.elements()) == 4
-    p = pfaffian_universe(4)
+    p = PosetUniverse("pfaffians", 4, 4)
     # six pairs + one quadruple
     assert len(p.elements()) == 7
     sizes = [ix.size for ix in u.elements()]
@@ -109,8 +108,6 @@ def test_universe_enumeration_counts():
 
 
 def test_universe_shape_checks():
-    from detkit.combinat import PosetUniverse
-
     with pytest.raises(ValueError):
         PosetUniverse("pfaffians", 3, 4)
     with pytest.raises(ValueError):
@@ -164,7 +161,7 @@ def test_cogenerated_matches_row_bound_description():
 def test_pfaffian_cogenerated_ideal():
     # [1,2,3,4] lies below every index of size 2 or 4 (entrywise bounds are
     # automatic for increasing lists), so only the full size-6 index stays
-    u = pfaffian_universe(6)
+    u = PosetUniverse("pfaffians", 6, 6)
     kept = set(order_ideal_cogenerated(u, [PfaffianIndex((1, 2, 3, 4))]))
     assert kept == {PfaffianIndex((1, 2, 3, 4, 5, 6))}
     for a in u.elements():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from detkit.combinat import (
     MinorIndex,
     PfaffianIndex,
+    PosetUniverse,
     in_doset,
     minors_universe,
-    pfaffian_universe,
 )
 from detkit.detideals import (
     column_grading,
@@ -431,7 +431,7 @@ def _reference(ring, ms, size, rows=((), ()), cols=((), ()), keep=lambda ix: Tru
     if size <= 0:
         return None
     if ms.kind == "skew":
-        universe, poly = pfaffian_universe(ms.n).elements(), pfaffian_poly
+        universe, poly = PosetUniverse("pfaffians", ms.n, ms.n).elements(), pfaffian_poly
     else:
         universe, poly = minors_universe(ms.m, ms.n).elements(), minor_poly
 

@@ -813,6 +813,13 @@ def test_stop_at_the_full_series_gives_the_full_basis(field, order, terms):
     full = buchberger(gens)
     target = hilbert_numerator(IdealHandle(ring, full))
     assert buchberger(gens, target=target) == full
+    # adding c^d gives a larger ideal whose series agrees below degree d
+    # only: those degrees drop their pairs once met, and the run never
+    # reaches the full series
+    c = ring.var(2)
+    for d in range(1, 6):
+        lower = hilbert_numerator(IdealHandle(ring, gens + [c**d]))
+        assert buchberger(gens, target=lower) == full
 
 
 @pytest.mark.parametrize("field", ["fp:32003", "qq"])
@@ -829,10 +836,9 @@ def test_unreachable_target_gives_the_full_basis(field, order):
     assert buchberger(gens, target=target) == full
 
 
-def _lhs_4x5_calls(monkeypatch, name, stop):
-    """Calls of ``groebner.<name>`` made by the basis of the minors 4x5 t3
-    R2 r1 ideal, with or without the target its components give."""
-    from detkit import groebner
+def _lhs_4x5():
+    """``(ring, lhs, full, target)``: the minors 4x5 t3 R2 r1 ideal, its
+    reduced basis and the target its components give."""
     from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("generic", 4, 5)
@@ -849,23 +855,87 @@ def _lhs_4x5_calls(monkeypatch, name, stop):
     while target[-1] == 0:
         target.pop()
     assert target == hilbert_numerator(IdealHandle(ring, full))
-    calls = [0]
-    fn = getattr(groebner, name)
+    return ring, lhs, full, target
 
-    def counting(*args):
+
+def _calls(monkeypatch, name, fn, *args, **kwargs):
+    """``(result, count)``: ``fn(*args, **kwargs)`` and the calls of
+    ``groebner.<name>`` it made."""
+    from detkit import groebner
+
+    calls = [0]
+    real = getattr(groebner, name)
+
+    def counting(*a):
         calls[0] += 1
-        return fn(*args)
+        return real(*a)
 
     monkeypatch.setattr(groebner, name, counting)
-    assert buchberger(lhs.gens, target=target if stop else None) == full
-    return calls[0]
+    try:
+        return fn(*args, **kwargs), calls[0]
+    finally:
+        monkeypatch.undo()
 
 
 def test_stop_saves_reductions_on_a_decomposition_lhs(monkeypatch):
     # every 3-minor of a 4x5 matrix meets the first two rows, and the
     # 3-minors already form a Groebner basis: the stop fires before the
     # first pair, where the full run reduces 528 S-polynomials to zero
-    stopped = _lhs_4x5_calls(monkeypatch, "_scaled_sub", True)
-    monkeypatch.undo()
-    assert stopped < _lhs_4x5_calls(monkeypatch, "_scaled_sub", False)
+    _, lhs, full, target = _lhs_4x5()
+    G, stopped = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, target=target)
+    assert G == full
+    G, unstopped = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens)
+    assert G == full
+    assert stopped < unstopped
     assert stopped <= 0
+
+
+def test_unreachable_target_skips_no_pair(monkeypatch):
+    # with one variable added the series lies below the ideal's own in
+    # every positive degree, so no degree is met and every pair is reduced
+    ring, lhs, full, _ = _lhs_4x5()
+    lower = hilbert_numerator(IdealHandle(ring, lhs.gens + (ring.var(0),)))
+    G, skipping = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, target=lower)
+    assert G == full
+    G, plain = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens)
+    assert G == full
+    assert skipping == plain > 500
+
+
+# -- extending a known basis ---------------------------------------------------------
+
+
+_UNIT = [[((0, 0, 0), 1)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["fp:32003", "qq"]),
+    st.sampled_from(["grevlex", "lex"]),
+    st.one_of(st.integers(0, 2).flatmap(_homogeneous_gens), st.just(_UNIT)),
+    st.integers(0, 2).flatmap(_homogeneous_gens),
+)
+# the new lead a divides the old lead a^2, which leaves the minimal basis
+@example("qq", "grevlex", [[((2, 0, 0), 1), ((0, 1, 1), 1)]], [[((1, 0, 0), 1), ((0, 0, 1), 1)]])
+@example("fp:32003", "lex", [[((2, 0, 0), 1), ((0, 1, 1), 1)]], [[((1, 0, 0), 1), ((0, 0, 1), 1)]])
+@example("fp:32003", "lex", _UNIT, [[((1, 0, 0), 1)]])
+@example("qq", "grevlex", [[((1, 1, 0), 1)]], _UNIT)
+@example("fp:32003", "grevlex", [], [[((0, 1, 0), 2)]])
+def test_extending_a_reduced_basis_gives_the_full_basis(field, order, old_terms, new_terms):
+    ring, (old, new) = _ring_and_polys(field, old_terms, new_terms, order=order)
+    known = buchberger(old)
+    assert buchberger(new, known=known) == buchberger(old + new)
+    assert buchberger([], known=known) == known
+
+
+def test_decomposition_reduction_ceiling(monkeypatch):
+    # minors-5x5-t3-R23-r12 makes 8,622 _scaled_sub calls: one per
+    # reduction step and per S-polynomial.  Re-pairing K_1's basis inside
+    # the basis of K_1 + J_2 makes 11,958, reducing the pairs of a met
+    # degree 10,150, and both 13,486
+    from detkit.harness import CaseSpec, run_case
+
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
+    assert report.verdict == "EQUAL"
+    assert calls <= 8622

@@ -328,9 +328,9 @@ def test_no_target_before_membership(monkeypatch):
     real = groebner.buchberger
     targets = []
 
-    def recording(gens, target=None):
+    def recording(gens, target=None, known=()):
         targets.append(target)
-        return real(gens, target)
+        return real(gens, target, known)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     calls = _count_intersections(monkeypatch)
@@ -351,9 +351,9 @@ def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
     real = groebner.buchberger
     calls = []
 
-    def counting(gens, target=None):
+    def counting(gens, target=None, known=()):
         calls.append(target)
-        return real(gens, target)
+        return real(gens, target, known)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
