@@ -535,8 +535,8 @@ def truncation_rank(size: int, p: int, q: int, d: int) -> int:
     """Least r >= 0 with some size-step generator of weighted degree <= d,
     from size*q - r*(q - p) <= d: the ceiling of (size*q - d) / (q - p).
 
-    ``size`` is t for minors under a column grading and 2t for Pfaffians
-    under a block grading.
+    ``size`` is t for t-minors under a column grading and for t-Pfaffians
+    under a block grading: a term of either covers t column or row indices.
     """
     if not 0 < p < q:
         raise ValueError("weights must satisfy 0 < p < q")

@@ -33,10 +33,10 @@ Bigatti's pivot recursion on packed leads (plain support masks when every
 lead is squarefree), and :func:`krull_dimension` reads the dimension off
 it.  :func:`buchberger` can take such a numerator as a ``target``: it then
 drops the S-pairs of each degree in which the leads of its partial basis
-meet the target's Hilbert function, and stops once they have the whole
-series.  This is sound for a homogeneous ideal already known to lie inside
-an ideal with that series (Traverso, *Hilbert functions and the Buchberger
-algorithm*, JSC 1997).
+meet the target's Hilbert function; once they have the whole series, every
+later degree is met.  This is sound for a homogeneous ideal already known
+to lie inside an ideal with that series (Traverso, *Hilbert functions and
+the Buchberger algorithm*, JSC 1997).
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result that
@@ -481,18 +481,14 @@ def buchberger(
     their ideal ``L`` lies inside an ideal whose quotient has series
     ``target``.  Then the partial lead ideal lies inside ``in(L)``, so
     ``HF(S/in(G)) >= HF(S/L) >= target`` in every degree (Traverso,
-    *Hilbert functions and the Buchberger algorithm*, JSC 1997):
-
-    - once the leads of the partial basis have exactly that numerator,
-      ``G`` is a Groebner basis of ``L``, so the pairs still pending are
-      dropped and the partial basis is interreduced;
-    - in degree ``d``, once ``HF(S/in(G))(d)`` meets ``target``'s, every
-      element of ``L`` of degree ``d`` already has its lead in ``in(G)``,
-      so the remaining pairs of degree ``d`` reduce to zero and are dropped
-      unreduced.
-
-    Either way the result is the same reduced basis, and a target the run
-    never meets changes nothing.
+    *Hilbert functions and the Buchberger algorithm*, JSC 1997).  So in
+    degree ``d``, once ``HF(S/in(G))(d)`` meets ``target``'s, every element
+    of ``L`` of degree ``d`` already has its lead in ``in(G)``: the
+    remaining pairs of degree ``d`` reduce to zero and are dropped
+    unreduced.  Once the leads have exactly the numerator ``target``, every
+    later degree is met as it comes, so no pair is reduced again.  The
+    result is the same reduced basis, and a target the run never meets
+    changes nothing.
     """
     gens = [g for g in gens if g]
     if not gens and not known:
@@ -581,8 +577,6 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
                 tested = len(elems)
                 leads = [(elems[i].lm, elems[i].mask, elems[i].deg) for i in active]
                 num = _lead_numerator(leads, pk.width, pk.guards)
-                if num == target:
-                    break
             deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
                 target, pk.n, degree
             )
@@ -834,10 +828,10 @@ def _inside(I: IdealHandle, J: IdealHandle) -> bool:
 def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
     """Hilbert numerator of ``S/(K ∩ J)`` for homogeneous ``K`` and ``J``,
     from the exact sequence ``0 -> S/(K∩J) -> S/K ⊕ S/J -> S/(K+J) -> 0``.
-    When one side lies in the other, the intersection is that side and no
-    basis of ``K + J`` is needed."""
-    if _inside(J, K):
-        return hilbert_numerator(J)
+    When ``K`` lies in ``J`` the intersection is ``K``, and no basis of
+    ``K + J`` is needed.  When ``J`` lies in ``K``, each generator of ``J``
+    reduces to zero against ``K``'s basis, the one the basis of ``K + J``
+    starts from, and the formula gives ``J``'s series."""
     if _inside(K, J):
         return hilbert_numerator(K)
     # K's reduced basis seeds the basis of K + J: only J's generators are

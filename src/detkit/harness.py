@@ -19,8 +19,10 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 - ``asl``: products of minors indexed by poset chains form a basis in low
   degree, and products of incomparable pairs straighten into such chains.
 
-The three checks that intersect do so through ``intersect_all``; only the
-decomposition passes expected results, so the other two eliminate.
+The three checks that intersect do so through ``intersect_all``; the
+decomposition and the truncation pass the ideals they claim, so their
+``EQUAL`` verdicts run no elimination.  Irredundancy claims none, as its
+``lhs_gens`` counts the generators its elimination returns.
 
 :func:`run_case` is the only runner.  It validates the spec, starts the
 clock, builds the ring and an empty :class:`Report`, and runs the check
@@ -29,8 +31,9 @@ fills the report in place (components, stats, witnesses, height) and settles
 the verdict last.  When the deadline passes, the engine raises
 :class:`BudgetExceeded`; the runner then marks the report ``SKIPPED``
 ("budget exceeded") and keeps whatever the check had filled in so far.
-The one exception is a decomposition already shown ``NOT_EQUAL``: the search
-for a separating element may run out of budget, and the verdict stays.
+The one exception is a decomposition or truncation already shown
+``NOT_EQUAL``: its separator search may run out of budget, and the verdict
+stays.
 
 Reports serialize to a stable JSON layout; the wall-clock field ``millis``
 is the only nondeterministic entry and can be excluded.
@@ -276,10 +279,10 @@ class Report:
         """A failed check: NOT_EQUAL, or unequal symmetric generator lists."""
         return self.verdict == "NOT_EQUAL" or self.doset_generators_equal is False
 
-    def settle(self, ok: bool, reason: Optional[str] = None) -> None:
-        """Set the final verdict; ``reason`` is kept only when ``ok`` is false."""
-        self.verdict = "EQUAL" if ok else "NOT_EQUAL"
-        self.reason = None if ok else reason
+    def settle(self, reason: Optional[str]) -> None:
+        """Set the final verdict: ``EQUAL`` without a reason, else ``NOT_EQUAL``."""
+        self.verdict = "NOT_EQUAL" if reason else "EQUAL"
+        self.reason = reason or None
 
 
 def _flip_blocks(spec: CaseSpec) -> Tuple[tuple, tuple]:
@@ -316,19 +319,12 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
     last = None if spec.mutate == "flip-block" else full
     rhs = intersect_all(ring, handles, _prefix_ideals(ring, ms, spec, R, C, last))
     report.stats["rhs_gb_size"] = len(rhs.groebner())
-    equal = ideal_equal(lhs, rhs)
     if spec.kind == "symmetric":
         doset_lhs = constrained_symmetric_ideal(
             ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
-    report.settle(equal)
-    if not equal:
-        # the verdict stands even if the budget runs out during the search
-        try:
-            report.reason = _separating_element(lhs, rhs)
-        except BudgetExceeded:
-            report.reason = "separating element not computed: budget exceeded"
+    report.settle(_separating_element(lhs, ("rhs", rhs)))
 
 
 def _prefix_ideals(ring, ms, spec: CaseSpec, R, C, last) -> List[IdealHandle]:
@@ -351,14 +347,24 @@ def _prefix_ideals(ring, ms, spec: CaseSpec, R, C, last) -> List[IdealHandle]:
     return out
 
 
-def _separating_element(lhs: IdealHandle, rhs: IdealHandle) -> str:
-    """Name a reduced-basis element of one side outside the other; unequal
-    ideals always have one, and the RHS side is searched first."""
-    for side, I, other, J in (("rhs", rhs, "lhs", lhs), ("lhs", lhs, "rhs", rhs)):
-        for g in I.groebner():
-            if not ideal_member(g, J):
-                return f"{side} basis element not in {other}: {g}"
-    raise RuntimeError("unequal ideals without a separating basis element")
+def _separating_element(lhs: IdealHandle, *others: Tuple[str, IdealHandle]) -> Optional[str]:
+    """None when ``lhs`` equals each ``(name, ideal)`` of ``others``.  For
+    the first that differs, a reason naming a reduced-basis element of one
+    side outside the other, which unequal ideals always have, the named
+    side searched first.  The bases already differ, so a budget that runs
+    out during the search gives a reason that says so."""
+    for name, rhs in others:
+        if ideal_equal(lhs, rhs):
+            continue
+        try:
+            for side, I, other, J in ((name, rhs, "lhs", lhs), ("lhs", lhs, name, rhs)):
+                for g in I.groebner():
+                    if not ideal_member(g, J):
+                        return f"{side} basis element not in {other}: {g}"
+        except BudgetExceeded:
+            return "separating element not computed: budget exceeded"
+        raise RuntimeError("unequal ideals without a separating basis element")
+    return None
 
 
 def _check_truncation(spec: CaseSpec, ms, ring, report: Report) -> None:
@@ -378,9 +384,9 @@ def _check_truncation(spec: CaseSpec, ms, ring, report: Report) -> None:
     ]
     report.stats["lhs_gens"] = len(filtered.gens)
     graded = truncated_ideal_graded(base, grading, spec.d)
-    rhs = intersect_all(ring, [base, extra[1]])
+    rhs = intersect_all(ring, [base, extra[1]], [filtered])
     report.stats["rhs_gb_size"] = len(rhs.groebner())
-    report.settle(ideal_equal(filtered, graded) and ideal_equal(graded, rhs))
+    report.settle(_separating_element(filtered, ("rhs", rhs), ("graded", graded)))
 
 
 def check_irredundancy_hypotheses(spec: CaseSpec) -> Dict[str, bool]:
@@ -502,10 +508,9 @@ def _check_irredundancy(spec: CaseSpec, ms, ring, report: Report) -> None:
         return
     lazy = [cd["name"] for cd in report.components if not cd["irredundant"]]
     if lazy:
-        reason = "redundant components: " + ", ".join(lazy)
+        report.settle("redundant components: " + ", ".join(lazy))
     else:
-        reason = "witness memberships disagree with drop-one probes"
-    report.settle(not lazy and agree, reason)
+        report.settle(None if agree else "witness memberships disagree with drop-one probes")
 
 
 def _check_heights(spec: CaseSpec, ms, ring, report: Report) -> None:
@@ -516,7 +521,7 @@ def _check_heights(spec: CaseSpec, ms, ring, report: Report) -> None:
     gap = spec.n - spec.t
     expected = (gap + 1) * (gap + 2) // 2
     report.height = h
-    report.settle(h == expected, f"height {h}, expected {expected}")
+    report.settle(None if h == expected else f"height {h}, expected {expected}")
 
 
 # -- chain monomials and straightening -----------------------------------------
@@ -616,7 +621,7 @@ def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:
         checked += 1
     if checked == 0:
         problems.append("no incomparable pair fits the degree bound")
-    report.settle(not problems, "; ".join(problems))
+    report.settle("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,9 @@ def test_truncation_rank_values():
     assert truncation_rank(2, 1, 2, 3) == 1
     assert truncation_rank(2, 1, 2, 4) == 0
     assert truncation_rank(4, 1, 2, 7) == 1
+    # a 4-Pfaffian under a block grading weighs 4*q - r*(q - p) with r of
+    # its row indices in the block, so degree 6 needs r = 2
+    assert truncation_rank(4, 1, 2, 6) == 2
     # d past size*q: every generator fits, and no count goes below 0
     assert truncation_rank(2, 1, 2, 100) == 0
     with pytest.raises(ValueError):

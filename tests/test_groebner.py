@@ -939,3 +939,15 @@ def test_decomposition_reduction_ceiling(monkeypatch):
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
     assert report.verdict == "EQUAL"
     assert calls <= 8622
+
+
+def test_decomposition_reducer_builds(monkeypatch):
+    # minors-5x5-t3-R23-r12 packs two bases as divisors: those of J_1 and
+    # J_2, which K_i and K_{i-1} are tested against.  Testing J_i ⊆ K_{i-1}
+    # as well packs K_0's and K_1's, 4 in all
+    from detkit.harness import CaseSpec, run_case
+
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    report, calls = _calls(monkeypatch, "_Reducer", run_case, spec)
+    assert report.verdict == "EQUAL"
+    assert calls == 2

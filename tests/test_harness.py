@@ -367,19 +367,105 @@ def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
 # -- truncation ----------------------------------------------------------------------
 
 
-def test_truncation_generic_sweep():
+def test_truncation_generic_sweep(monkeypatch):
+    calls = _count_intersections(monkeypatch)
     for d, expected in [(2, "EQUAL"), (3, "EQUAL"), (4, "EQUAL"), (5, "EQUAL")]:
         rep = run_case(
             mk(f"t{d}", check="truncation", m=2, n=3, t=2, C=(1,), p=1, q=2, d=d)
         )
         assert rep.verdict == expected, d
+        assert calls == [], d
 
 
-def test_truncation_skew():
+def test_truncation_skew(monkeypatch):
+    calls = _count_intersections(monkeypatch)
     rep = run_case(
         mk("ts", check="truncation", kind="skew", n=5, t=4, R=(2,), p=1, q=2, d=7)
     )
     assert rep.verdict == "EQUAL"
+    assert calls == []
+
+
+# the truncation cases of the linear benchmark workload
+LINEAR_TRUNCATIONS = [
+    dict(case="truncation-3x4-t2-a2-d3", check="truncation", m=3, n=4, t=2, C=(2,), p=1, q=2, d=3),
+    dict(
+        case="truncation-skew6-t4-R3-d7", check="truncation", kind="skew",
+        n=6, t=4, R=(3,), p=1, q=2, d=7,
+    ),
+]
+
+
+def test_equal_truncations_run_no_elimination(monkeypatch):
+    # the filtered generators are the claimed intersection, and membership
+    # and the Hilbert series certify it
+    calls = _count_intersections(monkeypatch)
+    specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
+    specs = [mk(**kw) for kw in LINEAR_TRUNCATIONS] + [s for s in specs if s.check == "truncation"]
+    assert len(specs) == 5
+    for spec in specs:
+        assert run_case(spec).verdict == "EQUAL", spec.case
+        assert calls == [], spec.case
+
+
+def _truncation_sides(spec, d):
+    """The filtered generators of degree <= d and ``base ∩ extra`` by
+    elimination, rebuilt for a truncation case."""
+    from detkit.detideals import (
+        block_component,
+        skew_block_grading,
+        truncated_ideal,
+        truncation_rank,
+    )
+
+    ms = MatrixSpec(spec.kind, spec.rows, spec.n)
+    ring = matrix_ring(ms, field_from_name(spec.field), order=spec.order)
+    base = constrained_ideal(ring, ms, spec.t)
+    grading = skew_block_grading(ms, spec.R[0], spec.p, spec.q)
+    _, extra = block_component(ring, ms, truncation_rank(spec.t, spec.p, spec.q, d), spec.R[0])
+    return truncated_ideal(base, grading, d), intersect_all(ring, [base, extra])
+
+
+def test_failed_truncation_names_a_separating_element(monkeypatch):
+    # truncation_rank gives 2 here, so the extra component is the even-r
+    # Pfaffian one, z[1,2] alone, and the filtered 4-Pfaffian of rows 1..4
+    # lies outside base ∩ extra
+    calls = _count_intersections(monkeypatch)
+    spec = mk("ts6", check="truncation", kind="skew", n=5, t=4, R=(2,), p=1, q=2, d=6)
+    rep = run_case(spec)
+    assert calls == ["ideal_intersect"]
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.stats == {"lhs_gens": 3, "rhs_gb_size": 5}
+    assert rep.reason == (
+        "lhs basis element not in rhs: z[1,4]*z[2,3] + 32002*z[1,3]*z[2,4] + z[1,2]*z[3,4]"
+    )
+    head, _, text = rep.reason.partition(": ")
+    side, other = head.split(" basis element not in ")
+    filtered, rhs = _truncation_sides(spec, spec.d)
+    sides = {"lhs": filtered, "rhs": rhs}
+    named = [g for g in sides[side].groebner() if str(g) == text]
+    assert len(named) == 1
+    assert not ideal_member(named[0], sides[other])
+
+
+def test_truncation_names_a_graded_reference_mismatch(monkeypatch):
+    # a reference built one degree short misses the filtered generators of
+    # degree d, while the intersection still certifies the filtered ideal;
+    # the reference equals the filter at d - 1
+    from detkit import harness
+
+    real = harness.truncated_ideal_graded
+    monkeypatch.setattr(harness, "truncated_ideal_graded", lambda I, g, d: real(I, g, d - 1))
+    spec = mk("ts7", check="truncation", kind="skew", n=5, t=4, R=(2,), p=1, q=2, d=7)
+    rep = run_case(spec)
+    assert rep.verdict == "NOT_EQUAL"
+    side, _, text = rep.reason.partition(" basis element not in graded: ")
+    assert side == "lhs"
+    filtered, _ = _truncation_sides(spec, spec.d)
+    short, _ = _truncation_sides(spec, spec.d - 1)
+    named = [g for g in filtered.groebner() if str(g) == text]
+    assert len(named) == 1
+    assert not ideal_member(named[0], short)
 
 
 # -- irredundancy --------------------------------------------------------------------
