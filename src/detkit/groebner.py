@@ -867,7 +867,8 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     order, and keeps the ``w``-free part.  ``w`` is one packed field past
     the ring's variables (see :class:`_Packing`), so no second ring is
     built.  The ``w``-free part is the reduced basis of the intersection
-    under the ring's order and is cached on the returned handle.
+    under the ring's order and is cached on the returned handle.  When one
+    side is the unit ideal, the other handle itself is returned.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
@@ -875,9 +876,9 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     if not I.gens or not J.gens:
         return IdealHandle(ring, ())
     if _gens_have_unit(I):
-        return IdealHandle(ring, J.gens)
+        return J
     if _gens_have_unit(J):
-        return IdealHandle(ring, I.gens)
+        return I
 
     n = len(ring.table)
     wbit = 1 << n

@@ -12,17 +12,16 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
 - ``truncation``: dropping generators above a weighted-degree bound yields
   the honest degree truncation, and that truncation matches an intersection
   with one extra block component.
-- ``irredundancy``: no component of the intersection can be dropped; probed
-  both by recomputing drop-one intersections and by explicit witness
-  elements, which must agree.
+- ``irredundancy``: no component of the intersection can be dropped.  A
+  closed-form witness inside every other component but outside one proves
+  that one irredundant.  A component no witness proves gets its drop-one
+  intersection, and a witness whose memberships miss fails the verdict.
 - ``heights``: the Pfaffian ideal has the expected codimension.
 - ``asl``: products of minors indexed by poset chains form a basis in low
   degree, and products of incomparable pairs straighten into such chains.
 
-The three checks that intersect do so through ``intersect_all``; the
-decomposition and the truncation pass the ideals they claim, so their
-``EQUAL`` verdicts run no elimination.  Irredundancy claims none, as its
-``lhs_gens`` counts the generators its elimination returns.
+The three checks that intersect do so through ``intersect_all`` and pass
+the ideals they claim, so they eliminate only a step whose claim is refused.
 
 :func:`run_case` is the only runner.  It validates the spec, starts the
 clock, builds the ring and an empty :class:`Report`, and runs the check
@@ -309,22 +308,29 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
         if not lhs.gens:
             raise CaseError(f"{spec.case}: no generator to drop")
         lhs = IdealHandle(ring, lhs.gens[1:])
-    R, C = spec.R, spec.C
-    if spec.mutate == "flip-block":
-        R, C = _flip_blocks(spec)
-    comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
-    report.components = [{"name": name, "irredundant": None} for name, _ in comps]
     report.stats["lhs_gens"] = len(lhs.gens)
-    handles = [h for _, h in comps]
-    last = None if spec.mutate == "flip-block" else full
-    rhs = intersect_all(ring, handles, _prefix_ideals(ring, ms, spec, R, C, last))
-    report.stats["rhs_gb_size"] = len(rhs.groebner())
+    R, C, last = spec.R, spec.C, full
+    if spec.mutate == "flip-block":
+        (R, C), last = _flip_blocks(spec), None
+    _, rhs = _intersect_components(spec, ms, ring, report, R, C, last)
     if spec.kind == "symmetric":
         doset_lhs = constrained_symmetric_ideal(
             ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
     report.settle(_separating_element(lhs, ("rhs", rhs)))
+
+
+def _intersect_components(spec: CaseSpec, ms, ring, report: Report, R, C, last):
+    """The components over ``R``/``C``, listed in ``report``, and their
+    intersection under the claims of :func:`_prefix_ideals`, whose reduced
+    basis size is ``rhs_gb_size``."""
+    comps = components(ring, ms, spec.t, R, spec.r, C, spec.c)
+    report.components = [{"name": name, "irredundant": None} for name, _ in comps]
+    claims = _prefix_ideals(ring, ms, spec, R, C, last)
+    rhs = intersect_all(ring, [h for _, h in comps], claims)
+    report.stats["rhs_gb_size"] = len(rhs.groebner())
+    return comps, rhs
 
 
 def _prefix_ideals(ring, ms, spec: CaseSpec, R, C, last) -> List[IdealHandle]:
@@ -442,25 +448,27 @@ def _block_escape(t: int, cut: int, need: int, limit: int):
     return ix
 
 
-def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
-    """Explicit element expected inside every component except ``which``.
+def _witness_for(spec: CaseSpec, ms, ring, i: int):
+    """Explicit element expected inside every component except the ``i``-th:
+    the size component, then the row blocks, then the column blocks.
 
     Returns (label, polynomial) or None when the closed form does not fit
     the shape.  A Pfaffian witness uses the row list only.
     """
     t = spec.t
     full = tuple(range(1, t + 1))
-    if which == "size":
+    col = i - 1 - len(spec.R)
+    if i == 0:
         # the corner generator one size step down; Pfaffian sizes step by 2
         step = 2 if spec.kind == "skew" else 1
         rows = cols = full[: t - step] if t - step >= step else None
-    elif which == "row":
-        rows = _block_escape(t, spec.R[block_index], spec.r[block_index], spec.rows)
+    elif col < 0:
+        rows = _block_escape(t, spec.R[i - 1], spec.r[i - 1], spec.rows)
         # mirrored entries put any column inside the block under symmetry, so
         # the separating minor must be principal on the shifted row set
         cols = rows if spec.kind == "symmetric" else full
     else:
-        cols = _block_escape(t, spec.C[block_index], spec.c[block_index], spec.n)
+        cols = _block_escape(t, spec.C[col], spec.c[col], spec.n)
         rows = full
     if rows is None or cols is None:
         return None
@@ -469,36 +477,26 @@ def _witness_for(spec: CaseSpec, ms, ring, which: str, block_index: int = -1):
 
 
 def _check_irredundancy(spec: CaseSpec, ms, ring, report: Report) -> None:
-    comps = components(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)
-    handles = [h for _, h in comps]
-    report.components = [{"name": name, "irredundant": None} for name, _ in comps]
-    J = intersect_all(ring, handles)
-    report.stats["lhs_gens"] = len(J.gens)
-    report.stats["rhs_gb_size"] = len(J.groebner())
+    comps, J = _intersect_components(spec, ms, ring, report, spec.R, spec.C, None)
+    report.stats["lhs_gens"] = len(J.groebner())
 
-    # probe 1: drop each component and see whether the intersection grows
-    for i, doc in enumerate(report.components):
-        without = intersect_all(ring, handles[:i] + handles[i + 1 :])
-        doc["irredundant"] = not ideal_equal(without, J)
-
-    # probe 2: closed-form witnesses, where the formulas fit
-    witness_plan = [("size", -1)]
-    witness_plan += [("row", i) for i in range(len(spec.R))]
-    witness_plan += [("col", i) for i in range(len(spec.C))]
+    # a witness in every other component but not in component i lies in the
+    # drop-one intersection and not in J, so it proves i irredundant; the
+    # drop-one intersection runs only for a component no witness proves
     agree = True
-    for comp_pos, (which, bi) in enumerate(witness_plan):
-        built = _witness_for(spec, ms, ring, which, bi)
-        if built is None:
-            continue
-        label, w = built
-        memberships = {name: ideal_member(w, h) for name, h in comps}
-        report.witnesses.append({"element": label, "memberships": memberships})
-        target = comps[comp_pos][0]
-        expected = {
-            name: (name != target) for name, _ in comps
-        }
-        if memberships != expected:
-            agree = False
+    for i, doc in enumerate(report.components):
+        built = _witness_for(spec, ms, ring, i)
+        irredundant = False
+        if built is not None:
+            label, w = built
+            memberships = {name: ideal_member(w, h) for name, h in comps}
+            report.witnesses.append({"element": label, "memberships": memberships})
+            irredundant = memberships == {name: name != doc["name"] for name, _ in comps}
+            agree = agree and irredundant
+        if not irredundant:
+            without = intersect_all(ring, [h for k, (_, h) in enumerate(comps) if k != i])
+            irredundant = not ideal_equal(without, J)
+        doc["irredundant"] = irredundant
 
     hypotheses = check_irredundancy_hypotheses(spec)
     failed = sorted(name for name, ok in hypotheses.items() if not ok)

@@ -216,9 +216,9 @@ def test_irredundancy_certified_and_violations_flagged():
         if flags.get(lazy_name) is not False:
             failures.append((kw, "expected redundancy not observed", flags))
     _report(
-        "every component is independently certified by drop-one intersections "
-        "and closed-form witnesses on 6 hypothesis-satisfying cases; on 3 "
-        "violating cases the predicted component is observed redundant",
+        "every component is certified irredundant by a closed-form witness on "
+        "6 hypothesis-satisfying cases; on 3 violating cases the drop-one "
+        "probes observe the predicted component redundant",
         failures,
     )
 

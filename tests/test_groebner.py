@@ -513,6 +513,15 @@ def test_intersection_caches_reduced_basis_under_lex(monkeypatch):
     assert_reduced_basis(G)
 
 
+def test_intersection_with_the_unit_ideal_is_the_other_handle():
+    # the other side's cached basis is kept, not recomputed on a copy
+    ring = mkring("xy")
+    I = IdealHandle(ring, [ring.var(0)])
+    unit = IdealHandle(ring, [ring.one])
+    assert ideal_intersect(unit, I) is I
+    assert ideal_intersect(I, unit) is I
+
+
 def test_intersection_shortcuts():
     ring = mkring("xy")
     x = ring.var(0)

@@ -525,9 +525,10 @@ def test_irredundancy_size_one_block_edge():
 
 
 def test_irredundancy_reuses_the_component_bases(monkeypatch):
-    # one elimination for the full intersection and one basis per
-    # component; a drop-one intersection of a single component is that
-    # component, and the witness memberships reuse its basis
+    # one basis per component, the sum basis and the claim's basis certify
+    # the full intersection, and each witness proves its component with the
+    # component bases alone.  The Pfaffian claim is refused by membership,
+    # so that case runs one elimination in place of the last two bases
     from detkit import groebner
 
     real = groebner._basis_rows
@@ -538,15 +539,70 @@ def test_irredundancy_reuses_the_component_bases(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(groebner, "_basis_rows", counting)
+    calls = _count_intersections(monkeypatch)
     specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
     golden = json.loads((ROOT / "tests" / "golden" / "acceptance-no-timing.json").read_text())
     recorded = {c["case"]: c for c in golden["cases"]}
+    expected = {
+        "irredundancy-4x3-t2-R2-r1": (4, 0),
+        "irredundancy-sym4-t2-R2-r1": (4, 0),
+        "irredundancy-pfaff6-t4-R2-r2": (3, 1),
+    }
     cases = [s for s in specs if s.check == "irredundancy"]
-    assert len(cases) == 3
+    assert sorted(s.case for s in cases) == sorted(expected)
     for spec in cases:
         runs.clear()
+        calls.clear()
         assert run_case(spec).to_dict(include_timing=False) == recorded[spec.case]
-        assert len(runs) == 3, spec.case
+        assert (len(runs), len(calls)) == expected[spec.case], spec.case
+
+
+def test_irredundancy_witnesses_replace_the_drop_one_intersections(monkeypatch):
+    # three components, each proved by its witness: the full intersection is
+    # certified against its claim and no drop-one intersection runs
+    calls = _count_intersections(monkeypatch)
+    rep = run_case(mk("w3", check="irredundancy", m=5, n=4, t=3, R=(1, 3), r=(1, 2)))
+    assert rep.verdict == "EQUAL"
+    assert [c["irredundant"] for c in rep.components] == [True, True, True]
+    assert len(rep.witnesses) == 3
+    assert rep.stats == {"lhs_gens": 92, "rhs_gb_size": 92}
+    assert calls == []
+
+
+def test_irredundancy_probes_a_component_its_witness_does_not_prove(monkeypatch):
+    # a size witness inside both components proves nothing: that component
+    # alone gets its drop-one intersection, which still finds it irredundant
+    from detkit import harness
+    from detkit.detideals import generator
+
+    real_witness, real_intersect = harness._witness_for, harness.intersect_all
+    folds = []
+
+    def inside_both(spec, ms, ring, i):
+        if i == 0:
+            ix, f = generator(ring, ms, (1, 2), (1, 2))
+            return str(ix), f
+        return real_witness(spec, ms, ring, i)
+
+    def counting(ring, handles, expect=()):
+        folds.append(len(handles))
+        return real_intersect(ring, handles, expect)
+
+    monkeypatch.setattr(harness, "_witness_for", inside_both)
+    monkeypatch.setattr(harness, "intersect_all", counting)
+    rep = run_case(mk("wbad", check="irredundancy", m=4, n=3, t=2, R=(2,), r=(1,)))
+    assert folds == [2, 1]  # the full intersection, then minors(2) dropped
+    assert rep.witnesses[0]["memberships"] == {"minors(2)": True, "minors(1,rows<=2)": True}
+    assert [c["irredundant"] for c in rep.components] == [True, True]
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.reason == "witness memberships disagree with drop-one probes"
+
+
+def test_irredundancy_unit_component_counts_the_reduced_basis():
+    # r = 0 makes the block component the unit ideal; lhs_gens counts the
+    # reduced basis of the intersection, not the size component's generators
+    rep = run_case(mk("unit", check="irredundancy", kind="symmetric", n=4, t=2, R=(2,), r=(0,)))
+    assert rep.stats == {"lhs_gens": 20, "rhs_gb_size": 20}
 
 
 def test_irredundancy_pfaffian_good():
