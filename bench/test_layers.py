@@ -1,7 +1,7 @@
-"""Layer micro-benchmarks: the packed monomial primitives, one reduction,
-one elimination, one Hilbert numerator read as a dimension, and the two
-bases of a certified decomposition block: the sum basis that extends a
-known one, and the basis stopped at its target series.
+"""Layer micro-benchmarks: the generator builds, the packed monomial
+primitives, one reduction, one elimination, one Hilbert numerator read as a
+dimension, and the two bases of a certified decomposition block: the sum
+basis that extends a known one, and the basis stopped at its target series.
 
 Run them from the repository root with
 
@@ -12,18 +12,20 @@ built once, outside the timed call, and each bench checks its result, so a
 broken layer fails instead of timing nonsense.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from detkit.combinat import minors_universe
+from detkit.combinat import MinorIndex, PfaffianIndex, minors_universe
 from detkit.detideals import (
     MatrixSpec,
     coefficient_matrix,
     components,
     constrained_ideal,
+    entry,
     matrix_ring,
     minor_poly,
+    pfaffian_poly,
 )
 from detkit.groebner import (
     IdealHandle,
@@ -42,6 +44,39 @@ from detkit.linalg import row_reduce
 from detkit.poly import PrimeField
 
 FP = PrimeField(32003)
+
+
+def _det_by_permutations(ring, ms, ix):
+    """The determinant of a generic minor as a sum over permutations, with
+    the sign read off the inversion count."""
+    total = ring.zero
+    for perm in permutations(ix.cols):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = ring.const(-1 if inversions % 2 else 1)
+        for i, j in zip(ix.rows, perm):
+            term = term * ring.var(entry(ms, i, j)[1])
+        total = total + term
+    return total
+
+
+def test_generator_build(benchmark):
+    # the 100 3-minors of a generic 5x5 and the 70 4-Pfaffians of a skew 8,
+    # checked against the permutation sum and against Pf^2 = det
+    gen, skw = MatrixSpec("generic", 5, 5), MatrixSpec("skew", 8, 8)
+    ring, zring = matrix_ring(gen, FP), matrix_ring(skw, FP)
+    three = list(combinations(range(1, 6), 3))
+    minors = [MinorIndex(r, c) for r in three for c in three]
+    pfaffians = [PfaffianIndex(r) for r in combinations(range(1, 9), 4)]
+
+    def build():
+        dets = [minor_poly(ring, gen, ix) for ix in minors]
+        return dets, [pfaffian_poly(zring, skw, ix) for ix in pfaffians]
+
+    dets, pfs = benchmark(build)
+    assert len(dets) == 100 and len(pfs) == 70
+    assert all(f == _det_by_permutations(ring, gen, ix) for f, ix in zip(dets, minors))
+    for pf, ix in zip(pfs, pfaffians):
+        assert pf * pf == minor_poly(zring, skw, MinorIndex(ix.rows, ix.rows))
 
 
 @pytest.fixture(scope="module")

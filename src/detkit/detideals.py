@@ -12,7 +12,9 @@ asks for at least ``r[i]`` rows inside the first ``R[i]`` rows.  Column
 constraints ``C`` / ``c`` mirror this on columns; Pfaffians take none.
 
 The generators are the minors of a generic or symmetric matrix and the
-Pfaffians of a skew one; only this module makes that choice.
+Pfaffians of a skew one; only this module makes that choice.  Each is one
+signed sum of Laplace products or perfect matchings, canonicalized once, and
+each build reads the clock of :func:`~detkit.groebner.deadline_scope`.
 :func:`constrained_ideal` and :func:`components` build the constrained ideal
 and its named intersectands for every shape; the per-shape names
 (``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
@@ -27,13 +29,14 @@ from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import MinorIndex, PfaffianIndex, in_doset
-from .groebner import IdealHandle
+from .groebner import IdealHandle, _check_deadline
 from .linalg import row_reduce
 from .poly import (
     GradingSpec,
     Monomial,
     PolyRing,
     VariableTable,
+    _mk,
     order_from_name,
     weighted_degree,
 )
@@ -142,64 +145,60 @@ def entry(ms: MatrixSpec, i: int, j: int) -> Tuple[int, Optional[int]]:
 # minors and Pfaffians
 
 
+def _laplace(ms: MatrixSpec, rows: tuple, cols: tuple) -> Iterator[Tuple[int, tuple]]:
+    """``(sign, positions)`` for each nonzero product of the determinant on
+    ``rows`` x ``cols``, expanded along its first column; :func:`entry`
+    supplies the symmetric mirror, the skew sign and the skew zero diagonal."""
+    if not rows:
+        yield 1, ()
+    for k, row in enumerate(rows):
+        sign, p = entry(ms, row, cols[0])
+        if sign:
+            for s, ps in _laplace(ms, rows[:k] + rows[k + 1 :], cols[1:]):
+                yield (-sign if k % 2 else sign) * s, (p,) + ps
+
+
+def _matchings(ms: MatrixSpec, rows: tuple) -> Iterator[Tuple[int, tuple]]:
+    """``(sign, positions)`` for each perfect matching of ``rows``, expanding
+    the Pfaffian along its first row: the term pairing ``rows[0]`` with
+    ``rows[k]`` has sign ``(-1)^(k+1)``."""
+    if not rows:
+        yield 1, ()
+    for k in range(1, len(rows)):
+        p = entry(ms, rows[0], rows[k])[1]
+        for s, ps in _matchings(ms, rows[1:k] + rows[k + 1 :]):
+            yield (s if k % 2 else -s), (p,) + ps
+
+
+def _signed_sum(ring: PolyRing, products: Iterator[Tuple[int, tuple]]):
+    """The polynomial of ``(sign, positions)`` products, canonicalized once;
+    the one clock read of a generator build."""
+    _check_deadline()
+    terms = []
+    for sign, ps in products:
+        exps: dict = {}
+        for p in sorted(ps):
+            exps[p] = exps.get(p, 0) + 1
+        terms.append((_mk(tuple(exps.items()), len(ps)), sign))
+    return ring.from_terms(terms)
+
+
 def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
-    """Determinant of the submatrix on ``ix.rows`` x ``ix.cols``, by
-    cofactor expansion along the first column with memoized subminors."""
+    """Determinant of the submatrix on ``ix.rows`` x ``ix.cols``: the
+    signed sum of its Laplace products along the first column."""
     if ix.rows[-1] > ms.m or ix.cols[-1] > ms.n:
         raise ValueError(f"minor {ix} does not fit a {ms.m}x{ms.n} matrix")
-    fld = ring.field
-    memo: dict = {}
-
-    def rec(rows: tuple, cols: tuple):
-        if not rows:
-            return ring.one
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        col = cols[0]
-        rest = cols[1:]
-        terms: list = []
-        for k, row in enumerate(rows):
-            sign, p = entry(ms, row, col)
-            if sign == 0:
-                continue
-            sub = rec(rows[:k] + rows[k + 1 :], rest)
-            c = fld.one if (k % 2 == 0) == (sign > 0) else fld.neg(fld.one)
-            terms.extend(sub.term_mul(Monomial(((p, 1),)), c).terms)
-        # gather every cofactor's terms so the expansion is sorted once
-        total = ring.from_terms(terms)
-        memo[(rows, cols)] = total
-        return total
-
-    return rec(ix.rows, ix.cols)
+    return _signed_sum(ring, _laplace(ms, ix.rows, ix.cols))
 
 
 def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
-    """Pfaffian of the principal skew submatrix on ``ix.rows``."""
+    """Pfaffian of the principal skew submatrix on ``ix.rows``: the signed
+    sum over its perfect matchings."""
     if ms.kind != "skew":
         raise ValueError("Pfaffians require a skew matrix")
     if ix.rows[-1] > ms.n:
         raise ValueError(f"Pfaffian {ix} does not fit size {ms.n}")
-    fld = ring.field
-    pos = _layout(ms)[1]
-    memo: dict = {(): ring.one}
-
-    def rec(rows: tuple):
-        got = memo.get(rows)
-        if got is not None:
-            return got
-        a = rows[0]
-        terms: list = []
-        for idx in range(1, len(rows)):
-            b = rows[idx]
-            sub = rec(rows[1:idx] + rows[idx + 1 :])
-            c = fld.one if idx % 2 == 1 else fld.neg(fld.one)
-            terms.extend(sub.term_mul(Monomial(((pos[(a, b)], 1),)), c).terms)
-        total = ring.from_terms(terms)
-        memo[rows] = total
-        return total
-
-    return rec(ix.rows)
+    return _signed_sum(ring, _matchings(ms, ix.rows))
 
 
 def generator(ring: PolyRing, ms: MatrixSpec, rows: Sequence[int], cols: Sequence[int]):
@@ -256,6 +255,7 @@ def _block_indices(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Iterato
     and the column blocks ``C``/``c``; rows vary slowest, and row and column
     lists each come in lexicographic order."""
     for rows in combinations(range(1, ms.m + 1), size):
+        _check_deadline()
         if not _passes(rows, R, r):
             continue
         if ms.kind == "skew":
@@ -439,16 +439,18 @@ def skew_block_grading(ms: MatrixSpec, R: int, p: int, q: int) -> GradingSpec:
     return GradingSpec(variable_table(ms), weights)
 
 
+def _weighted_degrees(I: IdealHandle, grading: GradingSpec) -> List[int]:
+    """The weighted degree of each generator; all must be homogeneous."""
+    degs = [weighted_degree(grading, g) for g in I.gens]
+    if None in degs:
+        raise ValueError("generator is not homogeneous for this grading")
+    return degs
+
+
 def truncated_ideal(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle:
     """Ideal generated by the listed generators of weighted degree <= d."""
-    kept = []
-    for g in I.gens:
-        e = weighted_degree(grading, g)
-        if e is None:
-            raise ValueError("generator is not homogeneous for this grading")
-        if e <= d:
-            kept.append(g)
-    return IdealHandle(I.ring, kept)
+    degs = _weighted_degrees(I, grading)
+    return IdealHandle(I.ring, [g for g, e in zip(I.gens, degs) if e <= d])
 
 
 def monomials_of_weighted_degree(grading: GradingSpec, e: int) -> List[Monomial]:
@@ -504,12 +506,7 @@ def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> Idea
     ring = I.ring
     if not I.gens:
         return IdealHandle(ring, ())
-    degs = []
-    for g in I.gens:
-        e = weighted_degree(grading, g)
-        if e is None:
-            raise ValueError("generator is not homogeneous for this grading")
-        degs.append(e)
+    degs = _weighted_degrees(I, grading)
     out_gens = []
     for e in range(min(degs), d + 1):
         slice_polys = []

@@ -51,7 +51,7 @@ from detkit.groebner import (
     krull_dimension,
     normal_form,
 )
-from detkit.poly import QQ, PrimeField, weighted_degree
+from detkit.poly import QQ, PolyRing, PrimeField, weighted_degree
 from helpers import (
     assert_reduced_basis,
     det_by_permanents,
@@ -118,26 +118,30 @@ def _entries(ring, ms, rows, cols):
     return [[_entry_poly(ring, ms, i, j) for j in cols] for i in rows]
 
 
-@pytest.mark.parametrize("shape", ["generic", "symmetric", "skew"])
+# per shape: a small matrix for the sizes 1 to 3, and one with room for size 4
+MINOR_SHAPES = {
+    "generic": (generic_matrix(3, 4), generic_matrix(4, 5)),
+    "symmetric": (symmetric_matrix(4), symmetric_matrix(5)),
+    "skew": (skew_matrix(4), skew_matrix(5)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MINOR_SHAPES))
 def test_minor_poly_matches_permutation_sum(shape):
-    if shape == "generic":
-        ms = generic_matrix(3, 4)
-    elif shape == "symmetric":
-        ms = symmetric_matrix(4)
-    else:
-        ms = skew_matrix(4)
-    ring = matrix_ring(ms, QQ)
+    small, large = MINOR_SHAPES[shape]
     rng = random.Random(17)
     seen = 0
-    for size in (1, 2, 3):
-        for _ in range(4):
-            rows = tuple(sorted(rng.sample(range(1, ms.m + 1), size)))
-            cols = tuple(sorted(rng.sample(range(1, ms.n + 1), size)))
-            got = minor_poly(ring, ms, MinorIndex(rows, cols))
-            want = det_by_permanents(_entries(ring, ms, rows, cols))
-            assert got == want, (rows, cols)
-            seen += 1
-    assert seen == 12
+    for ms, sizes in ((small, (1, 2, 3)), (large, (4,))):
+        ring = matrix_ring(ms, QQ)
+        for size in sizes:
+            for _ in range(4):
+                rows = tuple(sorted(rng.sample(range(1, ms.m + 1), size)))
+                cols = tuple(sorted(rng.sample(range(1, ms.n + 1), size)))
+                got = minor_poly(ring, ms, MinorIndex(rows, cols))
+                want = det_by_permanents(_entries(ring, ms, rows, cols))
+                assert got == want, (rows, cols)
+                seen += 1
+    assert seen == 16
 
 
 def test_two_by_two_dets_written_out():
@@ -190,12 +194,16 @@ def test_pfaffian_written_out():
 
 
 def test_pfaffian_matches_matching_sum():
-    ms = skew_matrix(6)
-    ring = matrix_ring(ms, FP)
-    for rows in [(1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 4, 6), (1, 2, 3, 4, 5, 6)]:
-        got = pfaffian_poly(ring, ms, PfaffianIndex(rows))
-        want = pfaffian_by_matchings(rows, lambda i, j: _entry_poly(ring, ms, i, j))
-        assert got == want, rows
+    for n, draws in (
+        (6, [(1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 4, 6), (1, 2, 3, 4, 5, 6)]),
+        (8, [tuple(range(1, 9))]),
+    ):
+        ms = skew_matrix(n)
+        ring = matrix_ring(ms, FP)
+        for rows in draws:
+            got = pfaffian_poly(ring, ms, PfaffianIndex(rows))
+            want = pfaffian_by_matchings(rows, lambda i, j: _entry_poly(ring, ms, i, j))
+            assert got == want, rows
 
 
 def test_pfaffian_squares_to_determinant():
@@ -205,6 +213,48 @@ def test_pfaffian_squares_to_determinant():
         pf = pfaffian_poly(ring, ms, PfaffianIndex(rows))
         det = minor_poly(ring, ms, MinorIndex(rows, rows))
         assert pf * pf == det, rows
+
+
+@pytest.mark.parametrize(
+    "ms, build, ix",
+    [
+        (generic_matrix(3, 3), minor_poly, MinorIndex((1, 2, 3), (1, 2, 3))),
+        (generic_matrix(4, 4), minor_poly, MinorIndex((1, 2, 3, 4), (1, 2, 3, 4))),
+        (symmetric_matrix(4), minor_poly, MinorIndex((1, 2, 3), (2, 3, 4))),
+        (skew_matrix(6), pfaffian_poly, PfaffianIndex((1, 2, 3, 4, 5, 6))),
+    ],
+    ids=["minor-3x3", "minor-4x4", "symmetric-3x3", "pfaffian-6"],
+)
+def test_each_generator_is_canonicalized_once(monkeypatch, ms, build, ix):
+    # one signed sum per generator: no polynomial for a sub-minor or a
+    # sub-Pfaffian
+    ring = matrix_ring(ms, FP)
+    calls = []
+    real = PolyRing.from_terms
+
+    def counting(self, pairs):
+        calls.append(None)
+        return real(self, pairs)
+
+    monkeypatch.setattr(PolyRing, "from_terms", counting)
+    assert build(ring, ms, ix)
+    assert len(calls) == 1
+
+
+def test_generator_builds_read_the_clock():
+    gen, skw = generic_matrix(3, 3), skew_matrix(4)
+    ring, zring = matrix_ring(gen, FP), matrix_ring(skw, FP)
+    with deadline_scope(monotonic() - 1):
+        with pytest.raises(BudgetExceeded):
+            minor_poly(ring, gen, MinorIndex((1, 2), (1, 2)))
+        with pytest.raises(BudgetExceeded):
+            pfaffian_poly(zring, skw, PfaffianIndex((1, 2, 3, 4)))
+        with pytest.raises(BudgetExceeded):
+            constrained_ideal(ring, gen, 2)
+        # a column block that rejects every index builds nothing, and the
+        # scan over the row lists still stops
+        with pytest.raises(BudgetExceeded):
+            constrained_ideal(ring, gen, 2, C=(1,), c=(2,))
 
 
 def test_pfaffian_requires_skew():

@@ -201,13 +201,24 @@ def test_not_equal_survives_budget_during_separator_search(monkeypatch):
     assert rep.failed
 
 
-def test_decomposition_budget_skip():
-    rep = run_case(mk("b1", m=3, n=4, t=2, R=(2,), r=(1,), budget_sec=1e-6))
+def test_decomposition_budget_skip(monkeypatch):
+    # the deadline passes once the first component basis is done
+    expire_after_basis(monkeypatch)
+    rep = run_case(mk("b1", m=3, n=4, t=2, R=(2,), r=(1,)))
     assert rep.verdict == "SKIPPED"
     assert rep.reason == "budget exceeded"
     # what the check filled in before the deadline stays in the report
     assert [c["name"] for c in rep.components] == ["minors(2)", "minors(1,rows<=2)"]
     assert rep.stats == {"lhs_gens": 18, "rhs_gb_size": None}
+
+
+def test_budget_bounds_the_generator_build():
+    # a deadline past before the first generator stops the build itself
+    rep = run_case(mk("b1", m=3, n=4, t=2, R=(2,), r=(1,), budget_sec=1e-6))
+    assert rep.verdict == "SKIPPED"
+    assert rep.reason == "budget exceeded"
+    assert rep.components == []
+    assert rep.stats == {"lhs_gens": None, "rhs_gb_size": None}
 
 
 def test_decomposition_over_rationals_and_lex():
