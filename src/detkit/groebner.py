@@ -18,9 +18,10 @@ each variable present.  They leave it as :class:`Polynomial` again.  Bases
 are kept monic.  Pair selection uses the sugar strategy.  Each new basis
 element runs the Gebauer-Moller pair update (criteria B, M and F plus the
 product criterion), so popping a pair does no scan; criterion B finds the
-pending pairs it may drop through an index of their lcms by variable.  A
-reduced basis already known can seed a run: its elements go in unpaired,
-since their S-pairs reduce to zero.  A divisibility test
+pending pairs it may drop through an index of their lcms by variable, and
+the minimal leads that a new lead divides come out of an index of their
+variables.  A reduced basis already known can seed a run: its elements go
+in unpaired, since their S-pairs reduce to zero.  A divisibility test
 runs only on the divisors whose lead support lies inside the term's
 support, which an index by variable yields without a scan.  All
 choices are deterministic, so a given generator list always yields the same
@@ -33,10 +34,12 @@ Bigatti's pivot recursion on packed leads (plain support masks when every
 lead is squarefree), and :func:`krull_dimension` reads the dimension off
 it.  :func:`buchberger` can take such a numerator as a ``target``: it then
 drops the S-pairs of each degree in which the leads of its partial basis
-meet the target's Hilbert function; once they have the whole series, every
-later degree is met.  This is sound for a homogeneous ideal already known
-to lie inside an ideal with that series (Traverso, *Hilbert functions and
-the Buchberger algorithm*, JSC 1997).
+meet the target's Hilbert function, and ends once they have the whole
+series.  Each new element's pair update waits until the run leaves its
+degree, so a run that ends there never forms those pairs.  This is sound
+for a homogeneous ideal already known to lie inside an ideal with that
+series (Traverso, *Hilbert functions and the Buchberger algorithm*, JSC
+1997).
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result that
@@ -398,17 +401,58 @@ def _positions(mask: int) -> list:
     return out
 
 
-def _update(elems, active, pending: _Pending, heap, h, pk: _Packing) -> None:
-    """Gebauer-Moller pair update for ``h``, the element about to be
-    appended to ``elems`` (Becker-Weispfenning, *Groebner Bases*, UPDATE).
+class _Minimal:
+    """The elements whose lead no later lead divides, by index in insertion
+    order: a minimal basis of the leads taken so far.
+
+    ``_byvar[v]`` has bit ``k`` set for each member whose lead uses
+    variable ``v``.  A new lead divides only leads that use all of its
+    variables, so the members it displaces are one AND per variable away
+    in place of a scan.
+    """
+
+    __slots__ = ("members", "_byvar")
+
+    def __init__(self, n: int):
+        self.members: dict = {}
+        self._byvar = [0] * n
+
+    def copy(self) -> "_Minimal":
+        out = _Minimal(0)
+        out.members = dict(self.members)
+        out._byvar = list(self._byvar)
+        return out
+
+    def add(self, elems, hi: int, guards: int) -> None:
+        """Take ``elems[hi]``, whose lead no member's lead divides, and drop
+        the members whose leads it divides."""
+        hlm = elems[hi].lm
+        hvars = _positions(elems[hi].mask)
+        byvar, members = self._byvar, self.members
+        # a constant lead uses no variable and divides every member
+        hits = (1 << hi) - 1
+        for v in hvars:
+            hits &= byvar[v]
+        for k in _positions(hits):
+            if k in members and not (elems[k].lm - hlm) & guards:
+                del members[k]
+                for v in _positions(elems[k].mask):
+                    byvar[v] ^= 1 << k
+        members[hi] = None
+        for v in hvars:
+            byvar[v] |= 1 << hi
+
+
+def _update(elems, hi: int, active: _Minimal, pending: _Pending, heap, pk: _Packing) -> None:
+    """Gebauer-Moller pair update for ``h = elems[hi]`` (Becker-Weispfenning,
+    *Groebner Bases*, UPDATE).
 
     ``pending`` holds the pairs not yet reduced; ``heap`` orders them by
-    sugar.  ``active`` lists the elements whose lead no later lead divides:
-    new pairs form only with them, and in the end they are the minimal
-    basis.
+    sugar.  ``active`` holds the earlier elements whose lead no later lead
+    divides: new pairs form only with them, and ``h`` joins them.
     """
     _check_deadline()
-    hi = len(elems)
+    h = elems[hi]
     hlm, hmask = h.lm, h.mask
     guards, lcm_of = pk.guards, pk.lcm
     # criterion B: a pending pair whose lcm the new lead divides, and equals
@@ -428,13 +472,19 @@ def _update(elems, active, pending: _Pending, heap, h, pk: _Packing) -> None:
     # in increasing degree.  A pair with coprime leads is dropped (product
     # criterion) and covers nothing either: its lcm g*h would divide another
     # new lcm lcm(k, h) only if g divided k, and no active lead divides
-    # another
+    # another.  Each field of a packed monomial weighs a power of
+    # ``2**width``, which is 1 modulo ``2**width - 1``, so the lcm modulo
+    # that is its degree whenever the degree, at most ``g.deg + h.deg``,
+    # lies below it
+    mod = (1 << pk.width) - 1
+    cap = mod - h.deg
     cands = []
-    for j in active:
+    for j in active.members:
         g = elems[j]
         if g.mask & hmask:
             lcm = lcm_of(g.lm, hlm)
-            cands.append((pk.degree(lcm), j, lcm, g.mask | hmask))
+            deg = lcm % mod if g.deg < cap else pk.degree(lcm)
+            cands.append((deg, j, lcm, g.mask | hmask))
     cands.sort()  # by (degree, j); j is unique
     minimal, new = [], []
     for deg, j, lcm, pmask in cands:
@@ -450,11 +500,15 @@ def _update(elems, active, pending: _Pending, heap, h, pk: _Packing) -> None:
     first = pending.add(hmask, [(j, hi, lcm, pmask) for _, _, j, lcm, pmask in new])
     for t, (s, key, j, lcm, _) in enumerate(new, first):
         heappush(heap, (s, key, t, j, hi, lcm))
+    active.add(elems, hi, guards)
 
-    active[:] = [
-        j for j in active if hmask & ~elems[j].mask or (elems[j].lm - hlm) & guards
-    ]
-    active.append(hi)
+
+class _Basis(tuple):
+    """A reduced basis that :func:`buchberger` returns.  ``numerator`` is
+    its Hilbert numerator when the run ended on a reading of its leads that
+    met the target, and ``None`` otherwise."""
+
+    numerator = None
 
 
 def buchberger(
@@ -486,38 +540,54 @@ def buchberger(
     of ``L`` of degree ``d`` already has its lead in ``in(G)``: the
     remaining pairs of degree ``d`` reduce to zero and are dropped
     unreduced.  Once the leads have exactly the numerator ``target``, every
-    later degree is met as it comes, so no pair is reduced again.  The
-    result is the same reduced basis, and a target the run never meets
-    changes nothing.
+    later degree is met, and the run ends.  The result is the same reduced
+    basis, and a target the run never meets changes nothing.
+
+    Under a target, each new element's pair update waits until the run
+    leaves the element's degree ``d``; the numerator of the leads is read
+    there, and the waiting updates run, in the order the elements came,
+    only if it misses the target.  The run then reduces the same pairs in
+    the same order.  Every new pair has degree above ``d``, since its lcm
+    is a proper multiple of the new lead, which no earlier lead divides.
+    And criterion B of the new element drops no pending pair of degree
+    ``d``: such a pair's lcm would be the new lead itself, which equals the
+    lcm of that lead with either member of the pair.  A run that ends on
+    the target returns it as the basis's ``numerator``, which
+    :meth:`IdealHandle.groebner` keeps for :func:`hilbert_numerator`.
     """
     gens = [g for g in gens if g]
     if not gens and not known:
-        return ()
+        return _Basis()
     ring = (gens or known)[0].ring
     for g in [*gens, *known]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    pk, basis = _basis_rows(
+    target = None if target is None else list(target)
+    pk, basis, met = _basis_rows(
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
-        None if target is None else list(target),
+        target,
         known,
     )
-    return tuple(pk.poly(ring, rows) for rows in basis)
+    out = _Basis(pk.poly(ring, rows) for rows in basis)
+    if met:
+        out.numerator = target
+    return out
 
 
 def _basis_rows(pk: _Packing, pack, fld, target=None, known=()) -> tuple:
-    """``(packing, rows)``: the reduced basis of the ``(rows, sugar)``
+    """``(packing, rows, met)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
-    lead first.  A run whose exponents outgrow the fields starts over with
+    lead first, and whether the run ended on a reading that met
+    ``target``.  A run whose exponents outgrow the fields starts over with
     fields twice as wide, so the packing returned may be wider than ``pk``.
     ``target`` and ``known`` are :func:`buchberger`'s, kept across reruns.
     """
     while True:
         try:
             prefix = [(pk.rows(g), g.degree()) for g in known]
-            return pk, _buchberger(pack(pk), fld, pk, target, prefix)
+            return (pk, *_buchberger(pack(pk), fld, pk, target, prefix))
         except _Overflow:
             pk = pk.wider()
 
@@ -527,21 +597,33 @@ def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
     return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(num[: d + 1]))
 
 
-def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
+def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
+    """``(rows, met)`` for :func:`_basis_rows`."""
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
-    active: list = []
+    active = _Minimal(pk.n)
     heap: list = []
     pending = _Pending(pk.n)
-    # with a target, the numerator of the active leads is read before the
-    # first pair and whenever the sugar rises, each time only if the basis
-    # has grown since the last reading.  ``deficit`` is then how far the
-    # leads' Hilbert function lies above the target's in the current
-    # degree; each new element of that degree lowers it by one, and at
-    # zero the degree's remaining pairs are dropped
+
+    # a reduced basis is a minimal one whose pairs all reduce to zero, so
+    # its elements go in unpaired and all active
+    for rows, sugar in known:
+        divs.add(_BasisElem(rows, sugar, pk))
+        active.add(elems, len(elems) - 1, guards)
+    # with a target, a new element joins the divisors at once, so that the
+    # reductions of its own degree see it, but its pair update waits in
+    # ``queued``; ``minimal`` runs ahead of ``active`` by the queued leads.
+    # Whenever the next pair's sugar passes the current degree, or no pair
+    # is left, the numerator of the minimal leads is read if any element
+    # waits.  Meeting the target ends the run; otherwise the waiting
+    # updates run in order.  ``deficit`` is then how far the leads' Hilbert
+    # function lies above the target's in the new degree; each new element
+    # of that degree lowers it by one, and at zero the degree's remaining
+    # pairs are dropped
+    minimal = active if target is None else active.copy()
+    queued: list = []
     degree = -1
-    tested = -1
     deficit = None
 
     def insert(rows, sugar):
@@ -550,15 +632,15 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
             inv = fld.inv(c0)
             rows = [(k, p, fld.mul(c, inv), s) for k, p, c, s in rows]
         e = _BasisElem(rows, sugar, pk)
-        _update(elems, active, pending, heap, e, pk)
         divs.add(e)
+        hi = len(elems) - 1
+        if target is None:
+            _update(elems, hi, active, pending, heap, pk)
+        else:
+            queued.append(hi)
+            minimal.add(elems, hi, guards)
         return e
 
-    # a reduced basis is a minimal one whose pairs all reduce to zero, so
-    # its elements go in unpaired and all active
-    for rows, sugar in known:
-        active.append(len(elems))
-        divs.add(_BasisElem(rows, sugar, pk))
     unit = any(not e.lm for e in elems)
     if not unit:
         for rows, sugar in gens:
@@ -569,17 +651,24 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
                     unit = True
                     break
 
-    while heap and not unit:
+    while not unit:
         _check_deadline()
-        if target is not None and heap[0][0] > degree:
-            degree = heap[0][0]
-            if len(elems) != tested:
-                tested = len(elems)
-                leads = [(elems[i].lm, elems[i].mask, elems[i].deg) for i in active]
-                num = _lead_numerator(leads, pk.width, pk.guards)
-            deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
-                target, pk.n, degree
-            )
+        if target is not None and (not heap or heap[0][0] > degree):
+            if queued:
+                leads = [(e.lm, e.mask, e.deg) for e in map(elems.__getitem__, minimal.members)]
+                num = _lead_numerator(leads, pk.width, guards)
+                if num == target:
+                    break
+                for hi in queued:
+                    _update(elems, hi, active, pending, heap, pk)
+                queued.clear()
+            if heap:
+                degree = heap[0][0]
+                deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
+                    target, pk.n, degree
+                )
+        if not heap:
+            break
         s, lk, t, i, j, lcm = heappop(heap)
         if pending.pairs.pop(t, None) is None or deficit == 0:
             continue
@@ -601,21 +690,23 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> list:
                 deficit -= 1
 
     if unit:
-        return [[(0, 0, fld.one, 0)]]
+        return [[(0, 0, fld.one, 0)]], False
 
     # one interreduction pass over the minimal basis gives the reduced basis:
     # leads are fixed, and full tail reduction against the others' leads pins
     # each element.  Elements go from the smallest lead up, each reduced by
     # the ones already done and the ones still to come; no lead divides a
     # term of its own tail, so every element can sit in one index.
-    kept = sorted((elems[i] for i in active), key=lambda e: e.lmkey)
+    kept = sorted(map(elems.__getitem__, minimal.members), key=lambda e: e.lmkey)
     others = _Divisors(pk.n)
     for e in kept:
         others.add(e)
     for e in kept:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
-    return [e.rows for e in reversed(kept)]
+    # elements still wait only when a reading after the last insert met
+    # the target
+    return [e.rows for e in reversed(kept)], bool(queued)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +868,8 @@ class IdealHandle:
         :func:`buchberger`'s ``target`` stop when one is given."""
         if self._gb is None:
             self._gb = buchberger(self.gens, target)
+            # a run that ended on a reading of the target has that numerator
+            self._hilbert = self._gb.numerator
         return self._gb
 
     def _reducer(self) -> _Reducer:
@@ -795,7 +888,8 @@ def hilbert_numerator(I: IdealHandle) -> list:
     is the number of variables, read off the leads of the reduced basis
     (for a homogeneous ``I``, ``S/I`` and ``S/in(I)`` share the series).
     The zero ideal gives ``[1]`` and the unit ideal ``[0]``.  Computed
-    once per handle; the clock is read at every pivot."""
+    once per handle, unless its basis run ended on its target, which is
+    then the numerator; the clock is read at every pivot."""
     if I._hilbert is None:
         leads = [g.lm for g in I.groebner()]
         width = max((e for m in leads for _, e in m.exps), default=1).bit_length() + 1
@@ -895,7 +989,7 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
             gens.append((_shift_rows(rows, wk, wp, wbit, guards) + tail, g.degree() + 1))
         return gens
 
-    pk, basis = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
+    pk, basis, _ = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
     kept = []
     for rows in basis:
         if rows[0][3] & wbit:

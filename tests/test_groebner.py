@@ -543,7 +543,7 @@ def test_intersection_rejects_malformed_elimination_basis(monkeypatch):
     def bad_basis(pk, pack, fld):
         # x^2 + w, with w the field past the ring's variables x and y
         x2, w = 2, 1 << (2 * pk.width)
-        return pk, [[(pk.key(x2), x2, fld.one, 0b001), (pk.key(w), w, fld.one, 0b100)]]
+        return pk, [[(pk.key(x2), x2, fld.one, 0b001), (pk.key(w), w, fld.one, 0b100)]], False
 
     monkeypatch.setattr(groebner, "_basis_rows", bad_basis)
     ring = mkring("xy")
@@ -735,7 +735,8 @@ def _intersection_calls(monkeypatch, name):
 # The engine forms the same S-pairs and takes the same reduction steps as
 # the tuple-row engine it replaced, which made exactly these counts: one
 # _scaled_sub per reduction step and per S-polynomial, one _update per new
-# basis element.
+# basis element.  A run without a target, as an elimination is, updates at
+# every insert; under a target an update waits, and may never run.
 
 
 def test_scaled_sub_call_ceiling(monkeypatch):
@@ -744,6 +745,27 @@ def test_scaled_sub_call_ceiling(monkeypatch):
 
 def test_update_call_ceiling(monkeypatch):
     assert _intersection_calls(monkeypatch, "_update") <= 90
+
+
+def test_pair_degree_past_the_field_sum():
+    # the pair update reads an lcm's degree as the packed int modulo
+    # 2**width - 1, which is exact only while the two leads' degrees sum
+    # below it.  At width 4 that is 15: x^3*y^3 and x^3*z^3 stay below it,
+    # and x^7*y^7 and x^7*z^7, whose lcm of degree 21 reads 6 modulo 15,
+    # take the fallback
+    from detkit.groebner import _BasisElem, _Minimal, _Pending, _update
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    pk = _Packing(ring.order, 4)
+    for e, degree in ((3, 9), (7, 21)):
+        elems = [_BasisElem(pk.rows(f), f.degree(), pk) for f in (x**e * y**e, x**e * z**e)]
+        active, pending, heap = _Minimal(pk.n), _Pending(pk.n), []
+        for hi in range(2):
+            _update(elems, hi, active, pending, heap, pk)
+        (pair,) = heap
+        assert pair[0] == pk.degree(pair[-1]) == degree
+        assert list(active.members) == [0, 1]
 
 
 # -- Hilbert numerators and the stop at a target -------------------------------------
@@ -817,6 +839,18 @@ def test_hilbert_numerator_is_cached_and_copied(monkeypatch):
     st.sampled_from(["grevlex", "lex"]),
     _homogeneous_gens(4),
 )
+# the later lead a*b, of lower degree, divides the earlier lead a^2*b: the
+# minimal leads the run reads must lose it before any update has run
+@example(
+    "qq",
+    "grevlex",
+    [[((2, 1, 0), 1), ((0, 0, 3), 1)], [((1, 1, 0), 1), ((0, 1, 1), 2)], [((0, 0, 2), 3)]],
+)
+@example("fp:32003", "lex", [[((2, 1, 0), 1), ((0, 0, 3), 1)], [((1, 1, 0), 1), ((0, 1, 1), 2)]])
+# already a Groebner basis: the first reading meets the full series, and
+# no pair is ever formed
+@example("qq", "grevlex", [[((1, 1, 0), 1)], [((1, 0, 1), 1)], [((0, 1, 1), 1), ((0, 0, 2), 3)]])
+@example("fp:32003", "lex", [[((1, 1, 0), 1)], [((1, 0, 1), 1)], [((0, 1, 1), 1), ((0, 0, 2), 3)]])
 def test_stop_at_the_full_series_gives_the_full_basis(field, order, terms):
     ring, (gens,) = _ring_and_polys(field, terms, order=order)
     full = buchberger(gens)
@@ -843,6 +877,10 @@ def test_unreachable_target_gives_the_full_basis(field, order):
     assert len(full) == 3
     target = hilbert_numerator(IdealHandle(ring, gens + [z]))
     assert buchberger(gens, target=target) == full
+    # a handle whose run missed its target reads its own numerator
+    I = IdealHandle(ring, gens)
+    assert I.groebner(target) == full
+    assert hilbert_numerator(I) == hilbert_numerator(IdealHandle(ring, full)) != target
 
 
 def _lhs_4x5():
@@ -897,6 +935,72 @@ def test_stop_saves_reductions_on_a_decomposition_lhs(monkeypatch):
     assert G == full
     assert stopped < unstopped
     assert stopped <= 0
+
+
+def test_stop_defers_the_pair_updates(monkeypatch):
+    # under a target a pair update waits until the run leaves its degree,
+    # and a run that meets the target there never makes it.  The 3-minors
+    # of 4x5 are a Groebner basis, so the first reading stops the run
+    # before any update, where updating at every insert makes 40.
+    # minors-5x5-t3-R23-r12 makes 385 updates, 553 when each insert makes
+    # its own
+    from detkit.harness import CaseSpec, run_case
+
+    _, lhs, full, target = _lhs_4x5()
+    G, updates = _calls(monkeypatch, "_update", buchberger, lhs.gens, target=target)
+    assert G == full
+    assert updates == 0
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    report, updates = _calls(monkeypatch, "_update", run_case, spec)
+    assert report.verdict == "EQUAL"
+    assert updates <= 385
+
+
+def test_a_met_target_is_the_numerator(monkeypatch):
+    # the run that stops on the target has read it off its leads; the
+    # handle keeps it, so the numerator costs no second reading
+    ring, lhs, full, target = _lhs_4x5()
+    step = IdealHandle(ring, lhs.gens)
+    assert step.groebner(target) == full
+    num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, step)
+    assert num == target
+    assert readings == 0
+    # a handle whose basis came without a target reads it once
+    I = IdealHandle(ring, lhs.gens)
+    num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, I)
+    assert num == target
+    assert readings == 1
+
+
+@pytest.mark.parametrize("where", ["_pivot_numerator", "_update"])
+def test_a_flush_checks_the_deadline(monkeypatch, where):
+    # a clock that passes the deadline at the first reading of the leads
+    # stops the run inside that reading when the leads share a variable,
+    # and otherwise inside the first waiting update, which runs because the
+    # target is out of reach
+    from detkit import groebner
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    if where == "_pivot_numerator":
+        gens = [x * y - z * z, y * z - x * x, x * z - y * y]
+        target = hilbert_numerator(IdealHandle(ring, buchberger(gens)))
+    else:
+        gens = [x * x + y * z, y * y + x * z]
+        target = hilbert_numerator(IdealHandle(ring, gens + [z]))
+    real = groebner._lead_numerator
+    readings = []
+
+    def reading(*args):
+        readings.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_lead_numerator", reading)
+    monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if readings else 0.0)
+    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+        buchberger(gens, target=target)
+    assert len(readings) == 1
+    assert [entry.name for entry in info.traceback][-2:] == [where, "_check_deadline"]
 
 
 def test_unreachable_target_skips_no_pair(monkeypatch):

@@ -349,6 +349,12 @@ def test_no_target_before_membership(monkeypatch):
     assert rep.verdict == "NOT_EQUAL" and calls
     assert targets and not any(targets)
     targets.clear()
+    # pfaffian-7-t4-R3-r2's claim fails membership the same way, so no run
+    # can stop on a target and hand it to the claim as its numerator
+    rep = run_case(mk("p7", kind="skew", n=7, t=4, R=(3,), r=(2,)))
+    assert rep.verdict == "NOT_EQUAL"
+    assert targets and not any(targets)
+    targets.clear()
     assert run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,))).verdict == "EQUAL"
     assert any(targets)
 
