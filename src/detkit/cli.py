@@ -11,6 +11,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import fields
 from typing import List, Optional
 
 from .harness import (
@@ -23,7 +25,10 @@ from .harness import (
     suite_document,
 )
 
-KIND_BY_NAME = {"minors": "generic", "symmetric": "symmetric", "pfaffian": "skew"}
+# a subcommand's kind name, as its flags or defaults give it, to a CaseSpec kind
+KIND_BY_NAME = {"minors": "generic", "symmetric": "symmetric", "pfaffian": "skew",
+                "generic": "generic", "skew": "skew"}
+SPEC_FIELDS = {f.name for f in fields(CaseSpec)}
 
 
 def _int_list(text: str) -> tuple:
@@ -73,10 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="family", required=True)
     for fam in ("minors", "symmetric", "pfaffian"):
         p = vsub.add_parser(fam)
+        p.set_defaults(check="decomposition", kind=fam, prefix=fam)
         _add_shape_args(p, with_cols=(fam == "minors"))
         _add_common_args(p)
 
     trunc = sub.add_parser("truncation", help="degree truncation vs extra component")
+    trunc.set_defaults(check="truncation", prefix="truncation-{kind}")
     trunc.add_argument("--kind", default="generic", choices=["generic", "skew"])
     _add_shape_args(trunc, with_cols=True)
     trunc.add_argument("--p", type=int, required=True, help="light weight")
@@ -85,17 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(trunc)
 
     irr = sub.add_parser("irredundancy", help="no intersection component can be dropped")
+    irr.set_defaults(check="irredundancy", prefix="irredundancy-{kind}")
     irr.add_argument("--kind", default="minors",
                      choices=["minors", "symmetric", "pfaffian"])
     _add_shape_args(irr, with_cols=True)
     _add_common_args(irr)
 
     heights = sub.add_parser("heights", help="codimension of a Pfaffian ideal")
+    heights.set_defaults(check="heights", kind="skew", prefix="heights")
     heights.add_argument("--n", type=int, required=True)
     heights.add_argument("--t", type=int, required=True, help="even Pfaffian size")
     _add_common_args(heights)
 
     asl = sub.add_parser("asl-check", help="chain products form a low-degree basis")
+    asl.set_defaults(check="asl", kind="generic", prefix="asl")
     asl.add_argument("--m", type=int, required=True)
     asl.add_argument("--n", type=int, required=True)
     asl.add_argument("--d", type=int, required=True, help="degree bound")
@@ -112,66 +122,28 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _default_case_id(prefix: str, args) -> str:
+def _default_case_id(prefix: str, doc: dict) -> str:
     bits = [prefix]
-    if getattr(args, "m", None):
-        bits.append(f"m{args.m}")
-    if getattr(args, "n", None):
-        bits.append(f"n{args.n}")
-    if getattr(args, "t", None):
-        bits.append(f"t{args.t}")
-    for name in ("R", "r", "C", "c"):
-        vals = getattr(args, name, ())
-        if vals:
-            bits.append(name + "_".join(str(v) for v in vals))
-    for name in ("p", "q", "d"):
-        v = getattr(args, name, None)
-        if v is not None:
-            bits.append(f"{name}{v}")
+    bits += [f"{k}{doc[k]}" for k in ("m", "n", "t") if doc.get(k)]
+    bits += [k + "_".join(map(str, doc[k])) for k in ("R", "r", "C", "c") if doc.get(k)]
+    bits += [f"{k}{doc[k]}" for k in ("p", "q", "d") if k in doc]
     return "-".join(bits)
 
 
 def _spec_from_args(args) -> CaseSpec:
-    if args.command == "verify":
-        kind = KIND_BY_NAME[args.family]
-        check = "decomposition"
-        prefix = args.family
-    elif args.command == "truncation":
-        kind = args.kind
-        check = "truncation"
-        prefix = f"truncation-{args.kind}"
-    elif args.command == "irredundancy":
-        kind = KIND_BY_NAME[args.kind]
-        check = "irredundancy"
-        prefix = f"irredundancy-{args.kind}"
-    elif args.command == "heights":
-        kind = "skew"
-        check = "heights"
-        prefix = "heights"
-    else:
-        kind = "generic"
-        check = "asl"
-        prefix = "asl"
-    spec = CaseSpec(
-        case=args.case or _default_case_id(prefix, args),
-        check=check,
-        kind=kind,
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        t=getattr(args, "t", None),
-        R=getattr(args, "R", ()),
-        r=getattr(args, "r", ()),
-        C=getattr(args, "C", ()),
-        c=getattr(args, "c", ()),
-        p=getattr(args, "p", None),
-        q=getattr(args, "q", None),
-        d=getattr(args, "d", None),
-        field=args.field,
-        order=args.order,
-        budget_sec=args.budget_sec,
-    )
-    spec.validate(spec.case)
-    return spec
+    """The case a subcommand runs: its flags as a suite entry, so a
+    subcommand is a suite of one."""
+    doc = {k: v for k, v in vars(args).items() if k in SPEC_FIELDS and v is not None}
+    doc["kind"] = KIND_BY_NAME[args.kind]
+    doc["case"] = args.case or _default_case_id(args.prefix.format(kind=args.kind), doc)
+    return CaseSpec.from_dict(doc, where=doc["case"])
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise CaseError(f"{path}: {e}") from None
 
 
 def _print_human(report: Report) -> None:
@@ -207,20 +179,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.budget_sec is not None:
                 for s in specs:
                     s.budget_sec = args.budget_sec
-            reports, ok = run_suite(specs)
-            code = 0 if ok else 1
-            doc = suite_document(reports, include_timing=not args.no_timing)
-            text = json.dumps(doc, indent=2)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-                summary = doc["summary"]
-                print(
-                    "suite: {total} cases, {equal} equal, {not_equal} not equal, "
-                    "{skipped} skipped".format(**summary)
-                )
-            else:
-                print(text)
+                    s.validate(s.case)
+            # open the report first, so an unwritable path fails before any run
+            with _open_out(args.out) if args.out else nullcontext() as out:
+                reports, ok = run_suite(specs)
+                code = 0 if ok else 1
+                doc = suite_document(reports, include_timing=not args.no_timing)
+                text = json.dumps(doc, indent=2)
+                if out:
+                    out.write(text + "\n")
+                    print(
+                        "suite: {total} cases, {equal} equal, {not_equal} not equal, "
+                        "{skipped} skipped".format(**doc["summary"])
+                    )
+                else:
+                    print(text)
         else:
             report = run_case(_spec_from_args(args))
             code = 1 if report.failed else 0

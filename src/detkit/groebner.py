@@ -505,8 +505,8 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, heap, pk: _Pack
 
 class _Basis(tuple):
     """A reduced basis that :func:`buchberger` returns.  ``numerator`` is
-    its Hilbert numerator when the run ended on a reading of its leads that
-    met the target, and ``None`` otherwise."""
+    its Hilbert numerator when a target run read its leads, whether or not
+    the reading met the target, and ``None`` otherwise."""
 
     numerator = None
 
@@ -551,9 +551,10 @@ def buchberger(
     is a proper multiple of the new lead, which no earlier lead divides.
     And criterion B of the new element drops no pending pair of degree
     ``d``: such a pair's lcm would be the new lead itself, which equals the
-    lcm of that lead with either member of the pair.  A run that ends on
-    the target returns it as the basis's ``numerator``, which
-    :meth:`IdealHandle.groebner` keeps for :func:`hilbert_numerator`.
+    lcm of that lead with either member of the pair.  The last reading
+    comes after the last insert, so it is the numerator of the final
+    leads, met or not: the run returns it as the basis's ``numerator``,
+    which :meth:`IdealHandle.groebner` keeps for :func:`hilbert_numerator`.
     """
     gens = [g for g in gens if g]
     if not gens and not known:
@@ -563,7 +564,7 @@ def buchberger(
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
     target = None if target is None else list(target)
-    pk, basis, met = _basis_rows(
+    pk, basis, num = _basis_rows(
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
@@ -571,17 +572,17 @@ def buchberger(
         known,
     )
     out = _Basis(pk.poly(ring, rows) for rows in basis)
-    if met:
-        out.numerator = target
+    out.numerator = num
     return out
 
 
 def _basis_rows(pk: _Packing, pack, fld, target=None, known=()) -> tuple:
-    """``(packing, rows, met)``: the reduced basis of the ``(rows, sugar)``
+    """``(packing, rows, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
-    lead first, and whether the run ended on a reading that met
-    ``target``.  A run whose exponents outgrow the fields starts over with
-    fields twice as wide, so the packing returned may be wider than ``pk``.
+    lead first, and the Hilbert numerator of its leads when a ``target``
+    run read it, else ``None``.  A run whose exponents outgrow the fields
+    starts over with fields twice as wide, so the packing returned may be
+    wider than ``pk``.
     ``target`` and ``known`` are :func:`buchberger`'s, kept across reruns.
     """
     while True:
@@ -598,7 +599,7 @@ def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
 
 
 def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
-    """``(rows, met)`` for :func:`_basis_rows`."""
+    """``(rows, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
@@ -624,7 +625,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     minimal = active if target is None else active.copy()
     queued: list = []
     degree = -1
-    deficit = None
+    deficit = num = None
 
     def insert(rows, sugar):
         c0 = rows[0][2]
@@ -690,7 +691,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
                 deficit -= 1
 
     if unit:
-        return [[(0, 0, fld.one, 0)]], False
+        return [[(0, 0, fld.one, 0)]], None
 
     # one interreduction pass over the minimal basis gives the reduced basis:
     # leads are fixed, and full tail reduction against the others' leads pins
@@ -704,9 +705,9 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     for e in kept:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
-    # elements still wait only when a reading after the last insert met
-    # the target
-    return [e.rows for e in reversed(kept)], bool(queued)
+    # under a target the last reading follows the last insert, so ``num``
+    # is the series of these leads
+    return [e.rows for e in reversed(kept)], num
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +869,7 @@ class IdealHandle:
         :func:`buchberger`'s ``target`` stop when one is given."""
         if self._gb is None:
             self._gb = buchberger(self.gens, target)
-            # a run that ended on a reading of the target has that numerator
+            # a target run has read the numerator off the final leads
             self._hilbert = self._gb.numerator
         return self._gb
 
@@ -888,8 +889,8 @@ def hilbert_numerator(I: IdealHandle) -> list:
     is the number of variables, read off the leads of the reduced basis
     (for a homogeneous ``I``, ``S/I`` and ``S/in(I)`` share the series).
     The zero ideal gives ``[1]`` and the unit ideal ``[0]``.  Computed
-    once per handle, unless its basis run ended on its target, which is
-    then the numerator; the clock is read at every pivot."""
+    once per handle, unless a target run of its basis has read it already;
+    the clock is read at every pivot."""
     if I._hilbert is None:
         leads = [g.lm for g in I.groebner()]
         width = max((e for m in leads for _, e in m.exps), default=1).bit_length() + 1

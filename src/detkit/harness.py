@@ -159,6 +159,8 @@ class CaseSpec:
             raise CaseError(f"{where}.check: must be one of {tuple(CHECKS)}")
         if self.kind not in KINDS:
             raise CaseError(f"{where}.kind: must be one of {KINDS}")
+        if self.kind != "generic" and self.m not in (None, self.n):
+            raise CaseError(f"{where}.m: a square shape takes only n")
         if self.mutate is not None:
             if self.mutate not in MUTATIONS:
                 raise CaseError(f"{where}.mutate: must be one of {MUTATIONS}")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from detkit.cli import main
+from detkit.harness import CaseSpec, run_case
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -204,6 +205,7 @@ def test_closed_stdout_keeps_exit_code(argv, expected):
     {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "budget_sec": 10 ** 400}]},
     {"cases": [{"m": 3, "n": 3, "t": 2}]},
     {"cases": [{"case": "a", "kind": "skew", "n": 1, "t": 2}]},
+    {"cases": [{"case": "a", "kind": "skew", "m": 7, "n": 4, "t": 2}]},
 ])
 def test_suite_rejects_mistyped_fields(tmp_path, capsys, doc):
     # json writes NaN and Infinity literals, which json.load reads back
@@ -227,3 +229,63 @@ def test_non_finite_budget_is_config_error(tmp_path, capsys, budget):
     captured = capsys.readouterr()
     assert "budget_sec" in captured.err
     assert captured.out == ""
+
+
+def test_square_shape_rejects_m(capsys):
+    # a square shape has n rows; an m that disagrees would mislabel the case
+    assert main(["verify", "symmetric", "--m", "3", "--n", "4", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: symmetric-m3-n4-t2.m:")
+    assert captured.out == ""
+
+
+def test_suite_unwritable_out_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    from detkit import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "run_case", lambda spec: runs.append(spec))
+    config = tmp_path / "cases.json"
+    config.write_text(json.dumps({"cases": [{"case": "a", "m": 2, "n": 2, "t": 2}]}))
+    out = tmp_path / "missing" / "report.json"
+    assert main(["suite", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert runs == []
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["verify", "minors", "--m", "3", "--n", "3", "--t", "2", "--R", "1", "--r", "1"],
+     {"case": "minors-m3-n3-t2-R1-r1", "m": 3, "n": 3, "t": 2, "R": [1], "r": [1]}),
+    (["verify", "symmetric", "--n", "4", "--t", "2", "--R", "2", "--r", "1"],
+     {"case": "symmetric-n4-t2-R2-r1", "kind": "symmetric", "n": 4, "t": 2,
+      "R": [2], "r": [1]}),
+    (["verify", "pfaffian", "--n", "5", "--t", "4", "--R", "2", "--r", "2"],
+     {"case": "pfaffian-n5-t4-R2-r2", "kind": "skew", "n": 5, "t": 4,
+      "R": [2], "r": [2]}),
+    (["truncation", "--kind", "generic", "--m", "2", "--n", "3", "--t", "2",
+      "--C", "1", "--p", "1", "--q", "2", "--d", "3"],
+     {"case": "truncation-generic-m2-n3-t2-C1-p1-q2-d3", "check": "truncation",
+      "m": 2, "n": 3, "t": 2, "C": [1], "p": 1, "q": 2, "d": 3}),
+    (["truncation", "--kind", "skew", "--n", "4", "--t", "2", "--R", "2",
+      "--p", "1", "--q", "2", "--d", "3"],
+     {"case": "truncation-skew-n4-t2-R2-p1-q2-d3", "check": "truncation",
+      "kind": "skew", "n": 4, "t": 2, "R": [2], "p": 1, "q": 2, "d": 3}),
+    (["irredundancy", "--m", "4", "--n", "3", "--t", "2", "--R", "2", "--r", "1"],
+     {"case": "irredundancy-minors-m4-n3-t2-R2-r1", "check": "irredundancy",
+      "m": 4, "n": 3, "t": 2, "R": [2], "r": [1]}),
+    (["heights", "--n", "5", "--t", "4"],
+     {"case": "heights-n5-t4", "check": "heights", "kind": "skew", "n": 5, "t": 4}),
+    (["asl-check", "--m", "2", "--n", "2", "--d", "2", "--order", "lex",
+      "--field", "qq", "--case", "x"],
+     {"case": "x", "check": "asl", "m": 2, "n": 2, "d": 2, "order": "lex",
+      "field": "qq"}),
+])
+def test_subcommand_is_a_suite_of_one(capsys, argv, entry):
+    code = main(argv + ["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    del doc["millis"]
+    report = run_case(CaseSpec.from_dict(entry))
+    assert doc == report.to_dict(include_timing=False)
+    assert code == (1 if report.failed else 0)

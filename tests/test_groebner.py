@@ -972,6 +972,20 @@ def test_a_met_target_is_the_numerator(monkeypatch):
     assert readings == 1
 
 
+def test_a_missed_target_keeps_the_read_numerator(monkeypatch):
+    # a run that misses its target has still read its final leads; the
+    # handle keeps that reading, which is its own series, not the target
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    gens = [x * x + y * y, x * y]
+    target = hilbert_numerator(IdealHandle(ring, gens + [z]))
+    I = IdealHandle(ring, gens)
+    full = I.groebner(target)
+    num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, I)
+    assert readings == 0
+    assert num == hilbert_numerator(IdealHandle(ring, full)) != target
+
+
 @pytest.mark.parametrize("where", ["_pivot_numerator", "_update"])
 def test_a_flush_checks_the_deadline(monkeypatch, where):
     # a clock that passes the deadline at the first reading of the leads
