@@ -159,7 +159,7 @@ def test_row_reduce_asl_degree_4(benchmark):
 
 def test_krull_dimension_pfaffians_8x8(benchmark):
     # the height of the 4-Pfaffians of a generic 8x8 skew matrix, basis
-    # cached: the handle also caches its numerator, so each round clears it
+    # cached: the basis also caches its numerator, so each round clears it
     # and only the numerator and the division by 1 - t are timed
     ms = MatrixSpec("skew", 8, 8)
     ring = matrix_ring(ms, FP)
@@ -167,7 +167,7 @@ def test_krull_dimension_pfaffians_8x8(benchmark):
     I.groebner()
 
     def uncache():
-        I._hilbert = None
+        I._gb._num = None
 
     assert benchmark.pedantic(ideal_height, (I,), setup=uncache, rounds=50) == 15
 
@@ -188,12 +188,13 @@ def block55():
 
 def test_sum_basis_5x5_second_block(benchmark, block55):
     # the series of S/(K_1 ∩ J_2): the basis of K_1 + J_2 extends K_1's
-    # cached basis by J_2's generators; each round clears the numerators so
-    # that they are timed too
+    # cached basis by J_2's generators; each round clears the numerators of
+    # both cached bases so that they are timed too
     k1, j2, _, full = block55
+    j2.groebner()
 
     def uncache():
-        k1._hilbert = j2._hilbert = None
+        k1._gb._num = j2._gb._num = None
 
     num = benchmark.pedantic(_intersection_numerator, (k1, j2), setup=uncache, rounds=10)
     assert num == hilbert_numerator(IdealHandle(full[0].ring, full))
@@ -201,11 +202,11 @@ def test_sum_basis_5x5_second_block(benchmark, block55):
 
 def test_target_stopped_lhs_basis_5x5(benchmark, block55):
     # K_2's basis stopped at the series of K_1 ∩ J_2; each round clears the
-    # cached basis and numerator
+    # cached basis, which holds its numerator
     k1, j2, lhs, full = block55
     target = _intersection_numerator(k1, j2)
 
     def uncache():
-        lhs._gb = lhs._hilbert = lhs._packed = None
+        lhs._gb = lhs._packed = None
 
     assert benchmark.pedantic(lhs.groebner, (target,), setup=uncache, rounds=10) == full

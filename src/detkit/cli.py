@@ -143,7 +143,7 @@ def _open_out(path: str):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as e:
-        raise CaseError(f"{path}: {e}") from None
+        raise CaseError(f"{path}: {e.strerror or e}") from None
 
 
 def _print_human(report: Report) -> None:

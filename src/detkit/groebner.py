@@ -17,26 +17,25 @@ rows in strictly descending key order; ``support`` has bit ``pos`` set for
 each variable present.  They leave it as :class:`Polynomial` again.  Bases
 are kept monic.  Pair selection uses the sugar strategy.  Each new basis
 element runs the Gebauer-Moller pair update (criteria B, M and F plus the
-product criterion), so popping a pair does no scan; criterion B finds the
-pending pairs it may drop through an index of their lcms by variable, and
-the minimal leads that a new lead divides come out of an index of their
-variables.  A reduced basis already known can seed a run: its elements go
-in unpaired, since their S-pairs reduce to zero.  A divisibility test
-runs only on the divisors whose lead support lies inside the term's
-support, which an index by variable yields without a scan.  All
-choices are deterministic, so a given generator list always yields the same
-reduced basis.  A product whose exponent reaches a guard bit aborts the
-computation, which reruns with fields twice as wide.
+product criterion) once the run leaves its sugar degree, so popping a pair
+does no scan; criterion B finds the pending pairs it may drop through an
+index of their lcms by variable, and the minimal leads that a new lead
+divides come out of an index of their variables.  A reduced basis already
+known can seed a run: its elements go in unpaired, since their S-pairs
+reduce to zero.  A divisibility test runs only on the divisors whose lead
+support lies inside the term's support, which an index by variable yields
+without a scan.  All choices are deterministic, so a given generator list
+always yields the same reduced basis.  A product whose exponent reaches a
+guard bit aborts the computation, which reruns with fields twice as wide.
 
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
-series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, by
-Bigatti's pivot recursion on packed leads (plain support masks when every
-lead is squarefree), and :func:`krull_dimension` reads the dimension off
-it.  :func:`buchberger` can take such a numerator as a ``target``: it then
-drops the S-pairs of each degree in which the leads of its partial basis
-meet the target's Hilbert function, and ends once they have the whole
-series.  Each new element's pair update waits until the run leaves its
-degree, so a run that ends there never forms those pairs.  This is sound
+series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
+its run packed them, by Bigatti's pivot recursion (plain support masks
+when every lead is squarefree), and :func:`krull_dimension` reads the
+dimension off it.  :func:`buchberger` can take such a numerator as a
+``target``: it then drops the S-pairs of each degree in which the leads of
+its partial basis meet the target's Hilbert function, and ends once they
+have the whole series, before the updates that wait there.  This is sound
 for a homogeneous ideal already known to lie inside an ideal with that
 series (Traverso, *Hilbert functions and the Buchberger algorithm*, JSC
 1997).
@@ -108,15 +107,6 @@ def deadline_scope(until: float):
 def _check_deadline() -> None:
     if monotonic() > _deadline.get():
         raise BudgetExceeded("computation exceeded its time budget")
-
-
-def _support(m) -> int:
-    """Bit ``pos`` set for each variable of ``m``.  A monomial divides
-    another only if its support lies inside the other's."""
-    mask = 0
-    for pos, _ in m.exps:
-        mask |= 1 << pos
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +407,6 @@ class _Minimal:
         self.members: dict = {}
         self._byvar = [0] * n
 
-    def copy(self) -> "_Minimal":
-        out = _Minimal(0)
-        out.members = dict(self.members)
-        out._byvar = list(self._byvar)
-        return out
-
     def add(self, elems, hi: int, guards: int) -> None:
         """Take ``elems[hi]``, whose lead no member's lead divides, and drop
         the members whose leads it divides."""
@@ -504,11 +488,25 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, heap, pk: _Pack
 
 
 class _Basis(tuple):
-    """A reduced basis that :func:`buchberger` returns.  ``numerator`` is
-    its Hilbert numerator when a target run read its leads, whether or not
-    the reading met the target, and ``None`` otherwise."""
+    """A reduced basis as :func:`buchberger` and :func:`ideal_intersect`
+    return it, the greatest lead first.  Its leads stay as the run packed
+    them, ``(packed, support, degree)`` under the run's width and guards;
+    :meth:`numerator` reads their Hilbert numerator once, or hands back the
+    reading ``num`` that a target run took of them."""
 
-    numerator = None
+    _leads, _width, _guards, _num = (), 1, 0, None
+
+    @classmethod
+    def of(cls, ring: PolyRing, pk: _Packing, basis: Sequence, num=None) -> "_Basis":
+        out = cls(pk.poly(ring, rows) for rows in basis)
+        out._leads = [(p, s, pk.degree(p)) for _, p, _, s in (rows[0] for rows in basis)]
+        out._width, out._guards, out._num = pk.width, pk.guards, num
+        return out
+
+    def numerator(self) -> list:
+        if self._num is None:
+            self._num = _lead_numerator(self._leads, self._width, self._guards)
+        return self._num
 
 
 def buchberger(
@@ -529,6 +527,17 @@ def buchberger(
     (Gebauer and Moller, *On an installation of Buchberger's algorithm*,
     JSC 1988).  Only ``gens`` are reduced and paired.
 
+    A new element's pair update waits until the run leaves its sugar degree
+    ``d``; the waiting updates then run in the order the elements came.
+    Every pair a new element forms has sugar above ``d``, since its lcm is
+    a proper multiple of the new lead, which no earlier lead divides, so
+    the heap pops the same pairs in the same order as if each update ran at
+    its insert.  On homogeneous input, criterion B of the new element drops
+    no pending pair of degree ``d`` either: such a pair's lcm would be the
+    new lead itself, the lcm of that lead with either member of the pair.
+    On other input such a pair may be reduced instead of dropped; the
+    reduced basis is the same.
+
     ``target``, when given, is a Hilbert numerator (see
     :func:`hilbert_numerator`) that the run may stop at.  This is sound
     only when the generators are homogeneous and the caller has shown that
@@ -543,18 +552,11 @@ def buchberger(
     later degree is met, and the run ends.  The result is the same reduced
     basis, and a target the run never meets changes nothing.
 
-    Under a target, each new element's pair update waits until the run
-    leaves the element's degree ``d``; the numerator of the leads is read
-    there, and the waiting updates run, in the order the elements came,
-    only if it misses the target.  The run then reduces the same pairs in
-    the same order.  Every new pair has degree above ``d``, since its lcm
-    is a proper multiple of the new lead, which no earlier lead divides.
-    And criterion B of the new element drops no pending pair of degree
-    ``d``: such a pair's lcm would be the new lead itself, which equals the
-    lcm of that lead with either member of the pair.  The last reading
-    comes after the last insert, so it is the numerator of the final
-    leads, met or not: the run returns it as the basis's ``numerator``,
-    which :meth:`IdealHandle.groebner` keeps for :func:`hilbert_numerator`.
+    Under a target the numerator of the leads is read where the run leaves
+    a degree with updates waiting; one that meets the target ends the run
+    before they run.  The last reading follows the last insert, so it is
+    the numerator of the final leads, met or not: :meth:`_Basis.numerator`
+    hands it back.
     """
     gens = [g for g in gens if g]
     if not gens and not known:
@@ -571,9 +573,7 @@ def buchberger(
         target,
         known,
     )
-    out = _Basis(pk.poly(ring, rows) for rows in basis)
-    out.numerator = num
-    return out
+    return _Basis.of(ring, pk, basis, num)
 
 
 def _basis_rows(pk: _Packing, pack, fld, target=None, known=()) -> tuple:
@@ -603,7 +603,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     guards = pk.guards
     divs = _Divisors(pk.n)
     elems = divs.elems
-    active = _Minimal(pk.n)
+    active, minimal = _Minimal(pk.n), _Minimal(pk.n)
     heap: list = []
     pending = _Pending(pk.n)
 
@@ -612,17 +612,16 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     for rows, sugar in known:
         divs.add(_BasisElem(rows, sugar, pk))
         active.add(elems, len(elems) - 1, guards)
-    # with a target, a new element joins the divisors at once, so that the
-    # reductions of its own degree see it, but its pair update waits in
-    # ``queued``; ``minimal`` runs ahead of ``active`` by the queued leads.
-    # Whenever the next pair's sugar passes the current degree, or no pair
-    # is left, the numerator of the minimal leads is read if any element
-    # waits.  Meeting the target ends the run; otherwise the waiting
-    # updates run in order.  ``deficit`` is then how far the leads' Hilbert
-    # function lies above the target's in the new degree; each new element
-    # of that degree lowers it by one, and at zero the degree's remaining
-    # pairs are dropped
-    minimal = active if target is None else active.copy()
+        minimal.add(elems, len(elems) - 1, guards)
+    # a new element joins the divisors at once, so that the reductions of
+    # its own degree see it, but its pair update waits in ``queued``;
+    # ``minimal`` runs ahead of ``active`` by the queued leads.  Whenever
+    # the next pair's sugar passes the current degree, or no pair is left,
+    # the waiting updates run in order.  Under a target the numerator of the
+    # minimal leads is read first, and meeting the target ends the run.
+    # ``deficit`` is then how far the leads' Hilbert function lies above the
+    # target's in the new degree; each new element of that degree lowers it
+    # by one, and at zero the degree's remaining pairs are dropped
     queued: list = []
     degree = -1
     deficit = num = None
@@ -635,11 +634,8 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
         e = _BasisElem(rows, sugar, pk)
         divs.add(e)
         hi = len(elems) - 1
-        if target is None:
-            _update(elems, hi, active, pending, heap, pk)
-        else:
-            queued.append(hi)
-            minimal.add(elems, hi, guards)
+        queued.append(hi)
+        minimal.add(elems, hi, guards)
         return e
 
     unit = any(not e.lm for e in elems)
@@ -653,23 +649,25 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
                     break
 
     while not unit:
-        _check_deadline()
-        if target is not None and (not heap or heap[0][0] > degree):
+        if not heap or heap[0][0] > degree:
             if queued:
-                leads = [(e.lm, e.mask, e.deg) for e in map(elems.__getitem__, minimal.members)]
-                num = _lead_numerator(leads, pk.width, guards)
-                if num == target:
-                    break
+                if target is not None:
+                    leads = [(elems[k].lm, elems[k].mask, elems[k].deg) for k in minimal.members]
+                    num = _lead_numerator(leads, pk.width, guards)
+                    if num == target:
+                        break
                 for hi in queued:
                     _update(elems, hi, active, pending, heap, pk)
                 queued.clear()
             if heap:
                 degree = heap[0][0]
-                deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
-                    target, pk.n, degree
-                )
+                if target is not None:
+                    deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
+                        target, pk.n, degree
+                    )
         if not heap:
             break
+        _check_deadline()
         s, lk, t, i, j, lcm = heappop(heap)
         if pending.pairs.pop(t, None) is None or deficit == 0:
             continue
@@ -851,7 +849,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class IdealHandle:
     """An ideal given by generators, with a lazily cached reduced basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed", "_hilbert")
+    __slots__ = ("ring", "gens", "_gb", "_packed")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         gens = tuple(g for g in gens if g)
@@ -862,15 +860,12 @@ class IdealHandle:
         self.gens = gens
         self._gb = None
         self._packed = None
-        self._hilbert = None
 
     def groebner(self, target: Optional[Sequence[int]] = None) -> tuple:
         """The reduced basis; the first call computes it, with
         :func:`buchberger`'s ``target`` stop when one is given."""
         if self._gb is None:
             self._gb = buchberger(self.gens, target)
-            # a target run has read the numerator off the final leads
-            self._hilbert = self._gb.numerator
         return self._gb
 
     def _reducer(self) -> _Reducer:
@@ -889,18 +884,9 @@ def hilbert_numerator(I: IdealHandle) -> list:
     is the number of variables, read off the leads of the reduced basis
     (for a homogeneous ``I``, ``S/I`` and ``S/in(I)`` share the series).
     The zero ideal gives ``[1]`` and the unit ideal ``[0]``.  Computed
-    once per handle, unless a target run of its basis has read it already;
-    the clock is read at every pivot."""
-    if I._hilbert is None:
-        leads = [g.lm for g in I.groebner()]
-        width = max((e for m in leads for _, e in m.exps), default=1).bit_length() + 1
-        guards = sum(1 << (p * width + width - 1) for p in range(len(I.ring.table)))
-        I._hilbert = _lead_numerator(
-            [(sum(e << (p * width) for p, e in m.exps), _support(m), m.deg) for m in leads],
-            width,
-            guards,
-        )
-    return list(I._hilbert)
+    once per basis (see :meth:`_Basis.numerator`); the clock is read at
+    every pivot."""
+    return list(I.groebner().numerator())
 
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
@@ -931,11 +917,9 @@ def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
         return hilbert_numerator(K)
     # K's reduced basis seeds the basis of K + J: only J's generators are
     # reduced and paired
-    total = IdealHandle(K.ring, K.groebner() + J.gens)
-    total._gb = buchberger(J.gens, known=K.groebner())
+    total = buchberger(J.gens, known=K.groebner()).numerator()
     out: list = []
-    for sign, I in ((1, K), (1, J), (-1, total)):
-        num = hilbert_numerator(I)
+    for sign, num in ((1, hilbert_numerator(K)), (1, hilbert_numerator(J)), (-1, total)):
         out += [0] * (len(num) - len(out))
         for d, c in enumerate(num):
             out[d] += sign * c
@@ -998,9 +982,10 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
         # elimination order: a w-free lead forces every term w-free
         if any(s & wbit for _, _, _, s in rows):
             raise RuntimeError("elimination basis has a w-free lead over a w term")
-        kept.append(pk.poly(ring, rows))
-    result = IdealHandle(ring, kept)
-    result._gb = tuple(kept)
+        kept.append(rows)
+    basis = _Basis.of(ring, pk, kept)
+    result = IdealHandle(ring, basis)
+    result._gb = basis
     return result
 
 

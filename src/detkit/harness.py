@@ -91,6 +91,15 @@ __all__ = [
 
 KINDS = ("generic", "symmetric", "skew")
 MUTATIONS = ("drop-generator", "flip-block")
+SHAPE = ("m", "n", "t", "R", "r", "C", "c")
+# the size, block and weight fields each check reads; truncation has its
+# own rule in CaseSpec.validate
+READS = {
+    "decomposition": SHAPE,
+    "irredundancy": SHAPE,
+    "heights": ("n", "t"),
+    "asl": ("m", "n", "d"),
+}
 
 
 class CaseError(ValueError):
@@ -202,6 +211,10 @@ class CaseSpec:
             self._need(where, m=self.m, n=self.n, d=self.d)
             if self.m < 1 or self.n < 1 or self.d < 1:
                 raise CaseError(f"{where}: m, n, d must be positive")
+        for name in (*SHAPE, "p", "q", "d"):
+            unread = self.check in READS and name not in READS[self.check]
+            if unread and getattr(self, name) not in (None, ()):
+                raise CaseError(f"{where}.{name}: not used by check={self.check}")
 
     def _validate_size(self, where: str) -> None:
         """Dimensions and generator size: m (generic only), n and t, with
@@ -693,8 +706,10 @@ def load_suite_config(path: str) -> List[CaseSpec]:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise CaseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+    except UnicodeDecodeError:
+        raise CaseError(f"{path}: not UTF-8 text")
     except OSError as e:
-        raise CaseError(f"{path}: {e}")
+        raise CaseError(f"{path}: {e.strerror or e}")
     if not isinstance(doc, dict) or "cases" not in doc:
         raise CaseError(f"{path}: expected an object with a 'cases' list")
     cases = doc["cases"]

@@ -206,6 +206,11 @@ def test_closed_stdout_keeps_exit_code(argv, expected):
     {"cases": [{"m": 3, "n": 3, "t": 2}]},
     {"cases": [{"case": "a", "kind": "skew", "n": 1, "t": 2}]},
     {"cases": [{"case": "a", "kind": "skew", "m": 7, "n": 4, "t": 2}]},
+    # fields the check does not read
+    {"cases": [{"case": "a", "check": "heights", "kind": "skew", "n": 5, "t": 4,
+                "R": [2], "r": [1], "d": 3}]},
+    {"cases": [{"case": "a", "check": "asl", "m": 2, "n": 2, "d": 2, "t": 2, "p": 1}]},
+    {"cases": [{"case": "a", "m": 3, "n": 3, "t": 2, "p": 1, "q": 2, "d": 3}]},
 ])
 def test_suite_rejects_mistyped_fields(tmp_path, capsys, doc):
     # json writes NaN and Infinity literals, which json.load reads back
@@ -250,9 +255,29 @@ def test_suite_unwritable_out_fails_before_any_run(tmp_path, capsys, monkeypatch
     assert main(["suite", str(config), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {out}: ")
+    assert captured.err.count(str(out)) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert runs == []
+
+
+def test_suite_missing_config_names_the_path_once(tmp_path, capsys):
+    config = tmp_path / "missing.json"
+    assert main(["suite", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {config}: ")
+    assert captured.err.count(str(config)) == 1
+    assert captured.out == ""
+
+
+def test_suite_config_not_utf8_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cases.json"
+    config.write_bytes(b"\xff\xfe" + '{"cases": []}'.encode("utf-16-le"))
+    assert main(["suite", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}: not UTF-8 text\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, entry", [
