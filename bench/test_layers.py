@@ -39,7 +39,7 @@ from detkit.groebner import (
     ideal_height,
     s_polynomial,
 )
-from detkit.harness import standard_products, _product_poly
+from detkit.harness import standard_products
 from detkit.linalg import row_reduce
 from detkit.poly import PrimeField
 
@@ -146,14 +146,21 @@ def test_reduce_rows_5x5_s_polynomial(benchmark, minors55):
 
 def test_row_reduce_asl_degree_4(benchmark):
     # the degree-4 elimination of the asl 3x3 d4 check: its 495 chain
-    # products, which span the degree-4 slice
+    # products, which span the degree-4 slice, as sparse rows over the
+    # monomials; each chain's product is its prefix's times one minor
     ms = MatrixSpec("generic", 3, 3)
     ring = matrix_ring(ms, FP)
-    chains = [ch for ch in standard_products(3, 3, 4) if sum(ix.size for ix in ch) == 4]
     minors = {ix: minor_poly(ring, ms, ix) for ix in minors_universe(3, 3).elements()}
-    vectors, monos = coefficient_matrix(ring, [_product_poly(ring, minors, ch) for ch in chains])
-    mat = [list(r) for r in zip(*vectors)]
-    reduced, pivots = benchmark(row_reduce, mat, ring.field)
+    products = {(): ring.one}
+    for ch in standard_products(3, 3, 4)[1:]:
+        products[ch] = products[ch[:-1]] * minors[ch[-1]]
+    chains = [ch for ch in products if sum(ix.size for ix in ch) == 4]
+    vectors, monos = coefficient_matrix(ring, [products[ch] for ch in chains])
+    rows = [{} for _ in monos]
+    for j, vec in enumerate(vectors):
+        for i, v in vec.items():
+            rows[i][j] = v
+    reduced, pivots = benchmark(row_reduce, rows, ring.field)
     assert len(pivots) == len(chains) == len(monos) == 495
 
 

@@ -7,7 +7,7 @@ The layers, bottom up:
 - :mod:`detkit.groebner`: Buchberger engine, normal forms, intersections,
   Hilbert numerators, dimension, and :func:`deadline_scope`, which bounds
   all of them.
-- :mod:`detkit.linalg`: dense exact row reduction.
+- :mod:`detkit.linalg`: exact row reduction of sparse rows.
 - :mod:`detkit.combinat`: minor / Pfaffian index posets and order ideals.
 - :mod:`detkit.detideals`: matrix shapes, minors, Pfaffians, constrained
   ideals, gradings, truncations.

@@ -475,23 +475,18 @@ def monomials_of_weighted_degree(grading: GradingSpec, e: int) -> List[Monomial]
     return out
 
 
-def coefficient_matrix(ring: PolyRing, polys: Sequence) -> Tuple[List[list], List[Monomial]]:
-    """Dense coefficient rows of ``polys`` over the monomials they use.
+def coefficient_matrix(ring: PolyRing, polys: Sequence) -> Tuple[List[dict], List[Monomial]]:
+    """Sparse coefficient rows of ``polys`` over the monomials they use.
 
-    Returns ``(rows, monomials)``; the columns follow ``monomials``, which
-    are sorted greatest first under the ring's order.
+    Returns ``(rows, monomials)``; each row maps a column index to a
+    nonzero coefficient, and the columns follow ``monomials``, which are
+    sorted greatest first under the ring's order.
     """
     monos = sorted(
         {m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True
     )
     index = {m.exps: i for i, m in enumerate(monos)}
-    rows = []
-    for f in polys:
-        vec = [ring.field.zero] * len(monos)
-        for m, c in f.terms:
-            vec[index[m.exps]] = c
-        rows.append(vec)
-    return rows, monos
+    return [{index[m.exps]: c for m, c in f.terms} for f in polys], monos
 
 
 def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle:
@@ -520,11 +515,7 @@ def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> Idea
         mat, monos = coefficient_matrix(ring, slice_polys)
         reduced, _ = row_reduce(mat, ring.field)
         for rvec in reduced:
-            out_gens.append(
-                ring.from_terms(
-                    (monos[i], coeff) for i, coeff in enumerate(rvec) if coeff != 0
-                )
-            )
+            out_gens.append(ring.from_terms((monos[i], coeff) for i, coeff in rvec.items()))
     return IdealHandle(ring, out_gens)
 
 

@@ -564,25 +564,23 @@ def standard_products(m: int, n: int, d: int) -> List[Tuple[MinorIndex, ...]]:
     return out
 
 
-def _product_poly(ring, minors, chain) -> "object":
-    f = ring.one
-    for ix in chain:
-        f = f * minors[ix]
-    return f
-
-
 def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:
     m, n, d = spec.m, spec.n, spec.d
     chains = standard_products(m, n, d)
     report.stats["lhs_gens"] = len(chains)
     universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
     minors = {ix: minor_poly(ring, ms, ix) for ix in universe}
-    # every product is homogeneous, so the slice splits by degree
+    # each chain follows the chain it extends, so its product is that
+    # product times one minor; every product is homogeneous, so the slice
+    # splits by degree
+    products = {(): ring.one}
     chains_by_degree: Dict[int, List[Tuple[tuple, object]]] = {}
     for ch in chains:
         _check_deadline()
+        if ch:
+            products[ch] = products[ch[:-1]] * minors[ch[-1]]
         deg = sum(ix.size for ix in ch)
-        chains_by_degree.setdefault(deg, []).append((ch, _product_poly(ring, minors, ch)))
+        chains_by_degree.setdefault(deg, []).append((ch, products[ch]))
 
     # straightening: an incomparable pair rewrites into chains through
     # lower-bounded leading factors

@@ -278,6 +278,60 @@ def pfaffian_by_matchings(rows, entry):
     return total
 
 
+# -- dense Gauss-Jordan ------------------------------------------------------------
+
+
+def dense_row_reduce(rows, field):
+    """Reduced row echelon form of a dense matrix (a list of row lists), by
+    Gauss-Jordan elimination column by column.  Returns (nonzero rows,
+    pivot column indices)."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    for r in mat:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+    pivots = []
+    zero, one = field.zero, field.one
+    lead = 0
+    for col in range(ncols):
+        piv = next((i for i in range(lead, len(mat)) if mat[i][col] != zero), None)
+        if piv is None:
+            continue
+        mat[lead], mat[piv] = mat[piv], mat[lead]
+        row = mat[lead]
+        if row[col] != one:
+            inv = field.inv(row[col])
+            mat[lead] = row = [field.mul(inv, v) for v in row]
+        for i in range(len(mat)):
+            if i != lead and mat[i][col] != zero:
+                c = mat[i][col]
+                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], row)]
+        pivots.append(col)
+        lead += 1
+        if lead == len(mat):
+            break
+    return mat[:lead], pivots
+
+
+def dense_solve_columns(columns, targets, field):
+    """``linalg.solve_columns`` on dense columns of one length, through
+    :func:`dense_row_reduce` of ``[columns | targets]``."""
+    vectors = list(columns) + list(targets)
+    k = len(columns)
+    reduced, pivots = dense_row_reduce([list(r) for r in zip(*vectors)], field)
+    r = sum(1 for p in pivots if p < k)
+    solutions = []
+    for col in range(k, len(vectors)):
+        if col in pivots[r:] or any(row[col] != field.zero for row in reduced[r:]):
+            solutions.append(None)
+            continue
+        x = [field.zero] * k
+        for row, p in zip(reduced, pivots[:r]):
+            x[p] = row[col]
+        solutions.append(x)
+    return r, solutions
+
+
 # -- misc ---------------------------------------------------------------------
 
 
