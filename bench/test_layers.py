@@ -1,7 +1,9 @@
 """Layer micro-benchmarks: the generator builds, the packed monomial
 primitives, one reduction, one elimination, one Hilbert numerator read as a
-dimension, and the two bases of a certified decomposition block: the sum
-basis that extends a known one, and the basis stopped at its target series.
+dimension, the closed-form series of two plain ideals and a basis run that
+ends at its first reading because it meets that series, and the two bases
+of a certified decomposition block: the sum basis that extends a known one,
+and the basis stopped at its target series.
 
 Run them from the repository root with
 
@@ -12,11 +14,11 @@ built once, outside the timed call, and each bench checks its result, so a
 broken layer fails instead of timing nonsense.
 """
 
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 
-from detkit.combinat import MinorIndex, PfaffianIndex, minors_universe
+from detkit.combinat import MinorIndex, PfaffianIndex, determinantal_numerator, minors_universe
 from detkit.detideals import (
     MatrixSpec,
     coefficient_matrix,
@@ -166,8 +168,10 @@ def test_row_reduce_asl_degree_4(benchmark):
 
 def test_krull_dimension_pfaffians_8x8(benchmark):
     # the height of the 4-Pfaffians of a generic 8x8 skew matrix, basis
-    # cached: the basis also caches its numerator, so each round clears it
-    # and only the numerator and the division by 1 - t are timed
+    # cached: their run meets their series at its first reading and caches
+    # that reading as the basis's numerator, so each round clears it and
+    # only the numerator read off the leads and the division by 1 - t are
+    # timed
     ms = MatrixSpec("skew", 8, 8)
     ring = matrix_ring(ms, FP)
     I = constrained_ideal(ring, ms, 4)
@@ -177,6 +181,44 @@ def test_krull_dimension_pfaffians_8x8(benchmark):
         I._gb._num = None
 
     assert benchmark.pedantic(ideal_height, (I,), setup=uncache, rounds=50) == 15
+
+
+@pytest.mark.parametrize(
+    "kind, n, t, degree, dimension",
+    [
+        # matrices of rank at most 2: dimension 2 * (8 + 8 - 2)
+        ("generic", 8, 3, 48, 28),
+        # skew matrices of rank at most 4: height (10 - 6 + 1)(10 - 6 + 2)/2
+        ("skew", 10, 6, 25, 30),
+    ],
+)
+def test_closed_form_series(benchmark, kind, n, t, degree, dimension):
+    # the series of the 3-minors of a generic 8x8 and of the 6-Pfaffians of
+    # a skew 10x10, uncached; checked by its degree and by the dimension
+    # read off it: the number of variables less the times 1 - t divides it
+    num = benchmark(determinantal_numerator.__wrapped__, kind, n, n, t)
+    assert len(num) - 1 == degree
+    nvars = len(matrix_ring(MatrixSpec(kind, n, n), FP).table)
+    num, height = list(num), 0
+    while not sum(num):
+        num, height = list(accumulate(num))[:-1], height + 1
+    assert nvars - height == dimension
+
+
+def test_series_stopped_basis_pfaffians_8x8(benchmark):
+    # the basis run of the 70 4-Pfaffians of a skew 8x8, which ends at its
+    # first reading: the series of their leads meets the closed form; each
+    # round clears the cached basis
+    ms = MatrixSpec("skew", 8, 8)
+    ring = matrix_ring(ms, FP)
+    I = constrained_ideal(ring, ms, 4)
+    full = buchberger(I.gens)
+
+    def uncache():
+        I._gb = I._packed = None
+
+    G = benchmark.pedantic(I.groebner, setup=uncache, rounds=10)
+    assert G == full and G.numerator() == list(I.series)
 
 
 @pytest.fixture(scope="module")

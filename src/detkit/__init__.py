@@ -8,7 +8,8 @@ The layers, bottom up:
   Hilbert numerators, dimension, and :func:`deadline_scope`, which bounds
   all of them.
 - :mod:`detkit.linalg`: exact row reduction of sparse rows.
-- :mod:`detkit.combinat`: minor / Pfaffian index posets and order ideals.
+- :mod:`detkit.combinat`: minor / Pfaffian index posets, order ideals, and
+  the closed-form Hilbert series of determinantal and Pfaffian ideals.
 - :mod:`detkit.detideals`: matrix shapes, minors, Pfaffians, constrained
   ideals, gradings, truncations.
 - :mod:`detkit.harness`: named verification cases and JSON reports.

@@ -19,6 +19,14 @@ each build reads the clock of :func:`~detkit.groebner.deadline_scope`.
 and its named intersectands for every shape; the per-shape names
 (``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
 and delegate to them.
+
+A handle that is a plain ideal of a submatrix carries its closed-form
+Hilbert numerator as its ``series`` (:func:`_series`): the unblocked
+generators of every shape, the generic row and column components, and the
+skew row components of even ``need``.  Its basis run checks that series at
+its first reading and ends there when the reading meets it, which it does
+when the generators are already a Groebner basis.  Symmetric row components,
+odd-``need`` skew components and ``keep``-filtered lists carry none.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .combinat import MinorIndex, PfaffianIndex, in_doset
+from .combinat import MinorIndex, PfaffianIndex, determinantal_numerator, in_doset
 from .groebner import IdealHandle, _check_deadline
 from .linalg import row_reduce
 from .poly import (
@@ -266,9 +274,28 @@ def _block_indices(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Iterato
                 yield MinorIndex(rows, cols)
 
 
+def _series(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Optional[tuple]:
+    """The closed-form Hilbert numerator of the ideal of the ``size``
+    generators that pass the blocks, when that ideal is a plain one of a
+    submatrix: every generator without blocks, those of the first ``cut``
+    rows or columns of a generic matrix, or the Pfaffians of the first
+    ``cut`` rows of a skew one.  The entries outside the submatrix are free
+    variables, which leave the numerator as it is.  Other ideals, symmetric
+    row blocks among them, get ``None``."""
+    dims = [ms.m, ms.n]
+    for axis, (cuts, needs) in enumerate(((R, r), (C, c))):
+        if cuts:
+            if ms.kind == "symmetric" or len(cuts) > 1 or needs[0] != size:
+                return None
+            dims[axis] = cuts[0]
+    m, n = dims
+    return determinantal_numerator(ms.kind, m, m if ms.kind == "skew" else n, size)
+
+
 def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> IdealHandle:
     """Ideal of the generators at ``_block_indices(ms, size, *blocks)`` that
-    ``keep`` (when given) accepts.  Size 0 or below gives the unit ideal, no
+    ``keep`` (when given) accepts, with its :func:`_series` when it has one
+    and ``keep`` is not given.  Size 0 or below gives the unit ideal, no
     index the zero ideal."""
     if size <= 0:
         return IdealHandle(ring, (ring.one,))
@@ -276,7 +303,8 @@ def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> Ide
         raise ValueError("Pfaffian size must be even")
     poly = pfaffian_poly if ms.kind == "skew" else minor_poly
     kept = (ix for ix in _block_indices(ms, size, *blocks) if keep is None or keep(ix))
-    return IdealHandle(ring, [poly(ring, ms, ix) for ix in kept])
+    gens = [poly(ring, ms, ix) for ix in kept]
+    return IdealHandle(ring, gens, _series(ms, size, *blocks) if keep is None else None)
 
 
 def constrained_ideal(

@@ -38,7 +38,12 @@ its partial basis meet the target's Hilbert function, and ends once they
 have the whole series, before the updates that wait there.  This is sound
 for a homogeneous ideal already known to lie inside an ideal with that
 series (Traverso, *Hilbert functions and the Buchberger algorithm*, JSC
-1997).
+1997).  An :class:`IdealHandle` may also carry a ``series``, the numerator
+over the rationals that a closed form gives a plain determinantal or
+Pfaffian ideal (:func:`~detkit.combinat.determinantal_numerator`).  Its
+basis run checks the series at the first reading only: a reading equal to
+it ends the run with the generators as the basis, and a miss leaves the run
+as it would be without a series.
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result that
@@ -513,6 +518,7 @@ def buchberger(
     gens: Iterable[Polynomial],
     target: Optional[Sequence[int]] = None,
     known: Sequence[Polynomial] = (),
+    series: Optional[Sequence[int]] = None,
 ) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
     their ring's order.
@@ -557,6 +563,17 @@ def buchberger(
     before they run.  The last reading follows the last insert, so it is
     the numerator of the final leads, met or not: :meth:`_Basis.numerator`
     hands it back.
+
+    ``series``, when given, is the Hilbert numerator of the ideal of
+    ``gens`` over the rationals, from a closed form that holds over every
+    field (see :class:`IdealHandle`).  It is checked at the first reading
+    only, which the run takes where it first leaves a degree with updates
+    waiting.  A reading equal to ``series`` ends the run there, and the
+    reading is the basis's numerator.  Over ``fp:p`` the Hilbert function
+    is never below the one over ``qq``, and the leads' is never below
+    either, so a reading equal to the series forces ``in(gens) = in(I)``.
+    A reading that differs drops the series, and the run goes on exactly
+    as a run without it: the series never drops a pair.
     """
     gens = [g for g in gens if g]
     if not gens and not known:
@@ -566,29 +583,32 @@ def buchberger(
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
     target = None if target is None else list(target)
+    series = None if series is None else list(series)
     pk, basis, num = _basis_rows(
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
         target,
         known,
+        series,
     )
     return _Basis.of(ring, pk, basis, num)
 
 
-def _basis_rows(pk: _Packing, pack, fld, target=None, known=()) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld, target=None, known=(), series=None) -> tuple:
     """``(packing, rows, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as row lists with the greatest
     lead first, and the Hilbert numerator of its leads when a ``target``
-    run read it, else ``None``.  A run whose exponents outgrow the fields
-    starts over with fields twice as wide, so the packing returned may be
-    wider than ``pk``.
-    ``target`` and ``known`` are :func:`buchberger`'s, kept across reruns.
+    run read it or the first reading met ``series``, else ``None``.  A run
+    whose exponents outgrow the fields starts over with fields twice as
+    wide, so the packing returned may be wider than ``pk``.
+    ``target``, ``known`` and ``series`` are :func:`buchberger`'s, kept
+    across reruns.
     """
     while True:
         try:
             prefix = [(pk.rows(g), g.degree()) for g in known]
-            return (pk, *_buchberger(pack(pk), fld, pk, target, prefix))
+            return (pk, *_buchberger(pack(pk), fld, pk, target, prefix, series))
         except _Overflow:
             pk = pk.wider()
 
@@ -598,7 +618,7 @@ def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
     return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(num[: d + 1]))
 
 
-def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
+def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=None) -> tuple:
     """``(rows, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
     divs = _Divisors(pk.n)
@@ -618,10 +638,11 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     # ``minimal`` runs ahead of ``active`` by the queued leads.  Whenever
     # the next pair's sugar passes the current degree, or no pair is left,
     # the waiting updates run in order.  Under a target the numerator of the
-    # minimal leads is read first, and meeting the target ends the run.
-    # ``deficit`` is then how far the leads' Hilbert function lies above the
-    # target's in the new degree; each new element of that degree lowers it
-    # by one, and at zero the degree's remaining pairs are dropped
+    # minimal leads is read first, and meeting the target ends the run; a
+    # series is compared with the first reading alone.  ``deficit`` is then
+    # how far the leads' Hilbert function lies above the target's in the new
+    # degree; each new element of that degree lowers it by one, and at zero
+    # the degree's remaining pairs are dropped
     queued: list = []
     degree = -1
     deficit = num = None
@@ -651,11 +672,14 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     while not unit:
         if not heap or heap[0][0] > degree:
             if queued:
-                if target is not None:
+                if target is not None or series is not None:
                     leads = [(elems[k].lm, elems[k].mask, elems[k].deg) for k in minimal.members]
                     num = _lead_numerator(leads, pk.width, guards)
-                    if num == target:
+                    if num == target or num == series:
                         break
+                    series = None
+                    if target is None:
+                        num = None
                 for hi in queued:
                     _update(elems, hi, active, pending, heap, pk)
                 queued.clear()
@@ -703,8 +727,8 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=()) -> tuple:
     for e in kept:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
-    # under a target the last reading follows the last insert, so ``num``
-    # is the series of these leads
+    # under a target the last reading follows the last insert, and a met
+    # series is the first reading, so ``num`` is the series of these leads
     return [e.rows for e in reversed(kept)], num
 
 
@@ -847,25 +871,40 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class IdealHandle:
-    """An ideal given by generators, with a lazily cached reduced basis."""
+    """An ideal given by generators, with a lazily cached reduced basis.
 
-    __slots__ = ("ring", "gens", "_gb", "_packed")
+    ``series``, when given, is the Hilbert numerator of ``S/I`` over the
+    rationals, known in closed form: :mod:`detkit.detideals` gives it to a
+    plain determinantal or Pfaffian ideal.  The basis run checks it at its
+    first reading only (see :func:`buchberger`): a reading that equals it
+    certifies the generators as a Groebner basis and ends the run, and one
+    that differs leaves the run as it would be without a series.
+    """
 
-    def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
+    __slots__ = ("ring", "gens", "series", "_gb", "_packed")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        gens: Iterable[Polynomial],
+        series: Optional[Sequence[int]] = None,
+    ):
         gens = tuple(g for g in gens if g)
         for g in gens:
             if g.ring != ring:
                 raise ValueError("generator in a different ring")
         self.ring = ring
         self.gens = gens
+        self.series = series
         self._gb = None
         self._packed = None
 
     def groebner(self, target: Optional[Sequence[int]] = None) -> tuple:
         """The reduced basis; the first call computes it, with
-        :func:`buchberger`'s ``target`` stop when one is given."""
+        :func:`buchberger`'s ``target`` stop when one is given and its check
+        of ``series``."""
         if self._gb is None:
-            self._gb = buchberger(self.gens, target)
+            self._gb = buchberger(self.gens, target, series=self.series)
         return self._gb
 
     def _reducer(self) -> _Reducer:

@@ -71,6 +71,7 @@ from .groebner import (
     IdealHandle,
     _check_deadline,
     deadline_scope,
+    hilbert_numerator,
     ideal_equal,
     ideal_height,
     ideal_member,
@@ -332,6 +333,9 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
         doset_lhs = constrained_symmetric_ideal(
             ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
+        # the doset generators are some of full's, so full's series may stop
+        # their basis (see groebner.buchberger's target)
+        doset_lhs.groebner(hilbert_numerator(full))
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
     report.settle(_separating_element(lhs, ("rhs", rhs)))
 

@@ -626,13 +626,14 @@ def test_dimension_pivot_ceiling(monkeypatch):
     # the numerator reads the deadline once per pivot; on the 70 lead
     # supports of the 4-Pfaffians of a generic 8x8 skew matrix the pivot on
     # the variable in the most generators reads it 34 times, and a pivot on
-    # the lowest variable 89 times
+    # the lowest variable 89 times.  The handle has no series, so its basis
+    # run reads no numerator and the pivots all come after it
     from detkit import groebner
     from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("skew", 8, 8)
     ring = matrix_ring(ms, PrimeField(32003))
-    I = constrained_ideal(ring, ms, 4)
+    I = IdealHandle(ring, constrained_ideal(ring, ms, 4).gens)
     assert len(I.groebner()) == 70
     pivots = [0]
     real_check = groebner._check_deadline
@@ -1069,16 +1070,30 @@ def test_extending_a_reduced_basis_gives_the_full_basis(field, order, old_terms,
 
 
 def test_decomposition_reduction_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 makes 8,622 _scaled_sub calls: one per
-    # reduction step and per S-polynomial.  Re-pairing K_1's basis inside
-    # the basis of K_1 + J_2 makes 11,958, reducing the pairs of a met
-    # degree 10,150, and both 13,486
+    # minors-5x5-t3-R23-r12 makes 6,040 _scaled_sub calls: one per
+    # reduction step and per S-polynomial.  The components' runs meet their
+    # series at the first reading and form no pair; without the series the
+    # case makes 8,622.  Re-pairing K_1's basis inside the basis of
+    # K_1 + J_2 makes 11,958, reducing the pairs of a met degree 10,150,
+    # and both 13,486
     from detkit.harness import CaseSpec, run_case
 
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
     assert report.verdict == "EQUAL"
-    assert calls <= 8622
+    assert calls <= 6040
+
+
+def test_heights_update_count(monkeypatch):
+    # heights-pfaff-8-t4: the 70 4-Pfaffians meet their series at the first
+    # reading, so the run makes no pair update; without the series it makes
+    # 70, one per generator, and forms every S-pair only to reduce it to zero
+    from detkit.harness import CaseSpec, run_case
+
+    spec = CaseSpec(case="heights-pfaff-8-t4", check="heights", kind="skew", n=8, t=4)
+    report, calls = _calls(monkeypatch, "_update", run_case, spec)
+    assert report.verdict == "EQUAL" and report.height == 15
+    assert calls == 0
 
 
 def test_decomposition_reducer_builds(monkeypatch):

@@ -339,9 +339,9 @@ def test_no_target_before_membership(monkeypatch):
     real = groebner.buchberger
     targets = []
 
-    def recording(gens, target=None, known=()):
+    def recording(gens, target=None, known=(), series=None):
         targets.append(target)
-        return real(gens, target, known)
+        return real(gens, target, known, series)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     calls = _count_intersections(monkeypatch)
@@ -368,9 +368,9 @@ def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
     real = groebner.buchberger
     calls = []
 
-    def counting(gens, target=None, known=()):
+    def counting(gens, target=None, known=(), series=None):
         calls.append(target)
-        return real(gens, target, known)
+        return real(gens, target, known, series)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
@@ -640,8 +640,31 @@ def test_heights_cases():
 
 
 def test_heights_budget_skip_in_dimension_search(monkeypatch):
-    # the basis is done when the clock passes the deadline, so the skip
-    # comes from the Hilbert numerator and the basis stats stay
+    # the Pfaffians' basis run reads the Hilbert numerator itself, to check
+    # their series: a clock that passes the deadline once that reading
+    # starts skips the case before the basis is done
+    from detkit import detideals, groebner
+
+    real_clock, real_numerator = groebner.monotonic, groebner._lead_numerator
+    started = []
+
+    def numerator_then_expire(*args):
+        started.append(None)
+        return real_numerator(*args)
+
+    monkeypatch.setattr(groebner, "_lead_numerator", numerator_then_expire)
+    monkeypatch.setattr(groebner, "monotonic", lambda: float("inf") if started else real_clock())
+    rep = run_case(mk("hb", check="heights", kind="skew", n=6, t=4))
+    assert len(started) == 1
+    assert rep.verdict == "SKIPPED" and rep.reason == "budget exceeded"
+    assert rep.stats == {"lhs_gens": 15, "rhs_gb_size": None}
+    assert rep.height is None
+    monkeypatch.undo()
+
+    # a series that misses leaves the run without a series: the basis is
+    # done when the clock passes the deadline, so the skip comes from the
+    # Hilbert numerator and the basis stats stay
+    monkeypatch.setattr(detideals, "determinantal_numerator", lambda *shape: (1,))
     done = expire_after_basis(monkeypatch)
     rep = run_case(mk("hb", check="heights", kind="skew", n=6, t=4))
     assert len(done) == 1
