@@ -1,9 +1,9 @@
 """Layer micro-benchmarks: the generator builds, the packed monomial
 primitives, one reduction, one elimination, one Hilbert numerator read as a
 dimension, the closed-form series of two plain ideals and a basis run that
-ends at its first reading because it meets that series, and the two bases
-of a certified decomposition block: the sum basis that extends a known one,
-and the basis stopped at its target series.
+ends at its first reading because it meets that series, and the steps that
+certify a decomposition block: the sum basis that extends a known one, the
+basis stopped at its target series, and the membership of its generators.
 
 Run them from the repository root with
 
@@ -39,6 +39,7 @@ from detkit.groebner import (
     buchberger,
     hilbert_numerator,
     ideal_height,
+    ideal_member,
     s_polynomial,
 )
 from detkit.harness import standard_products
@@ -89,9 +90,7 @@ def minors55():
     ring = matrix_ring(ms, FP)
     G = constrained_ideal(ring, ms, 4).groebner()
     pk = _Packing(ring.order, 8)
-    divs = _Divisors(pk.n)
-    for g in G:
-        divs.add(_BasisElem(pk.rows(g), g.degree(), pk))
+    divs = _Divisors(pk.n, [_BasisElem(pk.rows(g), g.degree(), pk) for g in G])
     return ring, G, pk, divs
 
 
@@ -215,7 +214,7 @@ def test_series_stopped_basis_pfaffians_8x8(benchmark):
     full = buchberger(I.gens)
 
     def uncache():
-        I._gb = I._packed = None
+        I._gb = None
 
     G = benchmark.pedantic(I.groebner, setup=uncache, rounds=10)
     assert G == full and G.numerator() == list(I.series)
@@ -256,6 +255,15 @@ def test_target_stopped_lhs_basis_5x5(benchmark, block55):
     target = _intersection_numerator(k1, j2)
 
     def uncache():
-        lhs._gb = lhs._packed = None
+        lhs._gb = None
 
     assert benchmark.pedantic(lhs.groebner, (target,), setup=uncache, rounds=10) == full
+
+
+def test_membership_5x5(benchmark, block55):
+    # the certification of K_2 in intersect_all: each generator of K_2
+    # tested against J_2's cached basis, reducing against the rows its run
+    # packed
+    _, j2, lhs, _ = block55
+    j2.groebner()
+    assert all(benchmark(lambda: [ideal_member(g, j2) for g in lhs.gens]))

@@ -209,16 +209,21 @@ def partitions(d: int, k: int) -> Iterator[Tuple[int, ...]]:
 
 
 def schur_dimension(shape: Sequence[int], k: int) -> int:
-    """``s_shape(1^k)``: the number of semistandard tableaux of ``shape``
-    with entries in ``1..k``, by the hook-content formula
-    ``prod (k + j - i) / hook(i, j)`` over the cells; zero when ``shape``
-    has more than ``k`` rows."""
-    cols = [sum(1 for a in shape if a > j) for j in range(shape[0])] if shape else []
+    """``s_shape(1^k)``, the semistandard tableaux of ``shape`` with entries
+    in ``1..k``, by Weyl's product over the ``r`` nonzero parts from 0:
+    ``prod_{i<j<r} (mu_i-mu_j+j-i)/(j-i) * prod_{i<r} C(mu_i+k-1-i, k-r) /
+    C(k-1-i, k-r)``, the last factor for the zero parts; 0 when ``r > k``."""
+    mu = [a for a in shape if a]
+    r = len(mu)
+    if r > k:
+        return 0
     num = den = 1
-    for i, a in enumerate(shape):
-        for j in range(a):
-            num *= k + j - i
-            den *= (a - j) + (cols[j] - i) - 1
+    for i, a in enumerate(mu):
+        for j in range(i + 1, r):
+            num *= a - mu[j] + j - i
+            den *= j - i
+        num *= comb(a + k - 1 - i, k - r)
+        den *= comb(k - 1 - i, k - r)
     return num // den
 
 

@@ -27,6 +27,8 @@ support lies inside the term's support, which an index by variable yields
 without a scan.  All choices are deterministic, so a given generator list
 always yields the same reduced basis.  A product whose exponent reaches a
 guard bit aborts the computation, which reruns with fields twice as wide.
+A basis keeps the packed rows its run ended with, and membership and
+:func:`normal_form` reduce against such rows, so no basis is packed twice.
 
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
@@ -271,10 +273,12 @@ class _Divisors:
 
     __slots__ = ("elems", "_tables", "_all")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, elems: Iterable = ()):
         self.elems: list = []
         self._tables = [[0] * 16 for _ in range((n + 3) // 4)]
         self._all = 0
+        for e in elems:
+            self.add(e)
 
     def add(self, e: _BasisElem) -> None:
         bit = 1 << len(self.elems)
@@ -341,27 +345,28 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
 
 
 class _Pending:
-    """The pairs not yet reduced, each under a tick that also orders it in
-    the heap.
+    """The pairs not yet reduced, each under a tick.
 
-    ``pairs`` maps a tick to ``(i, j, lcm, support)``, ``i < j``, with the
-    lcm's support.  ``_byvar[v]`` has bit ``tick`` set for each pair whose
-    lcm uses variable ``v``, so the pairs whose lcm uses a given set of
-    variables are one AND per variable in place of a scan.  A pair leaves
-    ``pairs`` when it is reduced or dropped, and its bits stay set: the
-    lookup in ``pairs`` skips them.
+    ``heap`` holds ``(sugar, key, tick)``, so it pops the pairs by sugar,
+    and ``pairs`` maps a tick to the pair ``(i, j, lcm, support)``,
+    ``i < j``, with the lcm's support.  ``_byvar[v]`` has bit ``tick`` set
+    for each pair whose lcm uses variable ``v``, so the pairs whose lcm uses
+    a given set of variables are one AND per variable in place of a scan.
+    A pair leaves ``pairs`` when it is reduced or dropped, and its bits
+    stay set: the lookup in ``pairs`` skips them.
     """
 
-    __slots__ = ("pairs", "_byvar", "_ticks")
+    __slots__ = ("heap", "pairs", "_byvar", "_ticks")
 
     def __init__(self, n: int):
+        self.heap: list = []
         self.pairs: dict = {}
         self._byvar = [0] * n
         self._ticks = 0
 
-    def add(self, hmask: int, new: list) -> int:
-        """Take ``new``, the pairs that one new element forms, whose lead
-        has support ``hmask``, under consecutive ticks; returns the first."""
+    def add(self, hmask: int, new: list) -> None:
+        """Take ``new``, the ``(sugar, key, pair)`` that one new element
+        forms, whose lead has support ``hmask``, under consecutive ticks."""
         first = self._ticks
         self._ticks += len(new)
         bits = ((1 << len(new)) - 1) << first
@@ -370,11 +375,11 @@ class _Pending:
         # member's remaining ones are set pair by pair
         for v in _positions(hmask):
             byvar[v] |= bits
-        for t, pair in enumerate(new, first):
+        for t, (sugar, key, pair) in enumerate(new, first):
             pairs[t] = pair
+            heappush(self.heap, (sugar, key, t))
             for v in _positions(pair[3] & ~hmask):
                 byvar[v] |= 1 << t
-        return first
 
     def using(self, support: int) -> list:
         """Ticks of the pending pairs whose lcm uses every variable of
@@ -432,13 +437,13 @@ class _Minimal:
             byvar[v] |= 1 << hi
 
 
-def _update(elems, hi: int, active: _Minimal, pending: _Pending, heap, pk: _Packing) -> None:
+def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -> None:
     """Gebauer-Moller pair update for ``h = elems[hi]`` (Becker-Weispfenning,
     *Groebner Bases*, UPDATE).
 
-    ``pending`` holds the pairs not yet reduced; ``heap`` orders them by
-    sugar.  ``active`` holds the earlier elements whose lead no later lead
-    divides: new pairs form only with them, and ``h`` joins them.
+    ``pending`` holds the pairs not yet reduced.  ``active`` holds the
+    earlier elements whose lead no later lead divides: new pairs form only
+    with them, and ``h`` joins them.
     """
     _check_deadline()
     h = elems[hi]
@@ -485,33 +490,58 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, heap, pk: _Pack
             minimal.append((lcm, pmask))
             g = elems[j]
             s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
-            new.append((s, pk.key(lcm), j, lcm, pmask))
-    first = pending.add(hmask, [(j, hi, lcm, pmask) for _, _, j, lcm, pmask in new])
-    for t, (s, key, j, lcm, _) in enumerate(new, first):
-        heappush(heap, (s, key, t, j, hi, lcm))
+            new.append((s, pk.key(lcm), (j, hi, lcm, pmask)))
+    pending.add(hmask, new)
     active.add(elems, hi, guards)
 
 
 class _Basis(tuple):
-    """A reduced basis as :func:`buchberger` and :func:`ideal_intersect`
-    return it, the greatest lead first.  Its leads stay as the run packed
-    them, ``(packed, support, degree)`` under the run's width and guards;
-    :meth:`numerator` reads their Hilbert numerator once, or hands back the
-    reading ``num`` that a target run took of them."""
+    """Monic divisors in a fixed order; from :func:`buchberger` and
+    :func:`ideal_intersect`, a reduced basis, greatest lead first, keeping
+    its run's packing and elements.  :meth:`numerator` reads their leads
+    once, or returns the run's reading ``num``; :meth:`remainder` reduces
+    against their rows.  Without a run it packs its polynomials on first
+    use, and a reduction that outgrows the fields repacks them wider."""
 
-    _leads, _width, _guards, _num = (), 1, 0, None
+    _pk = _divs = _num = None
+    _elems: Sequence = ()
 
     @classmethod
-    def of(cls, ring: PolyRing, pk: _Packing, basis: Sequence, num=None) -> "_Basis":
-        out = cls(pk.poly(ring, rows) for rows in basis)
-        out._leads = [(p, s, pk.degree(p)) for _, p, _, s in (rows[0] for rows in basis)]
-        out._width, out._guards, out._num = pk.width, pk.guards, num
+    def of(cls, ring: PolyRing, pk: _Packing, elems: list, num=None) -> "_Basis":
+        out = cls(pk.poly(ring, e.rows) for e in elems)
+        # the polynomials hold the monomials now; a kept cache costs memory
+        pk._monos.clear()
+        out._pk, out._elems, out._num = pk, elems, num
         return out
+
+    def _pack(self, pk: _Packing) -> None:
+        """Pack the elements at ``pk``'s width, or wider if they outgrow it."""
+        try:
+            self._elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in self]
+        except _Overflow:
+            return self._pack(pk.wider())
+        self._pk, self._divs = pk, None
 
     def numerator(self) -> list:
         if self._num is None:
-            self._num = _lead_numerator(self._leads, self._width, self._guards)
+            if self._pk is None and self:
+                self._pack(_Packing(self[0].ring.order, 8))
+            self._num = _lead_numerator(self._elems, self._pk)
         return self._num
+
+    def remainder(self, f: Polynomial) -> Polynomial:
+        """``f`` fully reduced by the elements, the earliest divisor first."""
+        if self._pk is None:
+            self._pack(_Packing(f.ring.order, 8))
+        while True:
+            pk = self._pk
+            if self._divs is None:
+                self._divs = _Divisors(pk.n, self._elems)
+            try:
+                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self._divs, f.ring.field, pk)
+                return pk.poly(f.ring, rows)
+            except _Overflow:
+                self._pack(pk.wider())
 
 
 def buchberger(
@@ -596,12 +626,12 @@ def buchberger(
 
 
 def _basis_rows(pk: _Packing, pack, fld, target=None, known=(), series=None) -> tuple:
-    """``(packing, rows, num)``: the reduced basis of the ``(rows, sugar)``
-    generators that ``pack(pk)`` returns, as row lists with the greatest
-    lead first, and the Hilbert numerator of its leads when a ``target``
-    run read it or the first reading met ``series``, else ``None``.  A run
-    whose exponents outgrow the fields starts over with fields twice as
-    wide, so the packing returned may be wider than ``pk``.
+    """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
+    generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
+    greatest lead first, and the Hilbert numerator of its leads when a
+    ``target`` run read it or the first reading met ``series``, else
+    ``None``.  A run whose exponents outgrow the fields starts over with
+    fields twice as wide, so the packing returned may be wider than ``pk``.
     ``target``, ``known`` and ``series`` are :func:`buchberger`'s, kept
     across reruns.
     """
@@ -619,20 +649,19 @@ def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
 
 
 def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=None) -> tuple:
-    """``(rows, num)`` for :func:`_basis_rows`."""
+    """``(elems, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
-    divs = _Divisors(pk.n)
+    divs = _Divisors(pk.n, [_BasisElem(rows, sugar, pk) for rows, sugar in known])
     elems = divs.elems
     active, minimal = _Minimal(pk.n), _Minimal(pk.n)
-    heap: list = []
     pending = _Pending(pk.n)
+    heap = pending.heap
 
     # a reduced basis is a minimal one whose pairs all reduce to zero, so
     # its elements go in unpaired and all active
-    for rows, sugar in known:
-        divs.add(_BasisElem(rows, sugar, pk))
-        active.add(elems, len(elems) - 1, guards)
-        minimal.add(elems, len(elems) - 1, guards)
+    for k in range(len(elems)):
+        active.add(elems, k, guards)
+        minimal.add(elems, k, guards)
     # a new element joins the divisors at once, so that the reductions of
     # its own degree see it, but its pair update waits in ``queued``;
     # ``minimal`` runs ahead of ``active`` by the queued leads.  Whenever
@@ -673,15 +702,14 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
         if not heap or heap[0][0] > degree:
             if queued:
                 if target is not None or series is not None:
-                    leads = [(elems[k].lm, elems[k].mask, elems[k].deg) for k in minimal.members]
-                    num = _lead_numerator(leads, pk.width, guards)
+                    num = _lead_numerator(map(elems.__getitem__, minimal.members), pk)
                     if num == target or num == series:
                         break
                     series = None
                     if target is None:
                         num = None
                 for hi in queued:
-                    _update(elems, hi, active, pending, heap, pk)
+                    _update(elems, hi, active, pending, pk)
                 queued.clear()
             if heap:
                 degree = heap[0][0]
@@ -692,10 +720,11 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
         if not heap:
             break
         _check_deadline()
-        s, lk, t, i, j, lcm = heappop(heap)
-        if pending.pairs.pop(t, None) is None or deficit == 0:
+        s, lk, t = heappop(heap)
+        pair = pending.pairs.pop(t, None)
+        if pair is None or deficit == 0:
             continue
-        ei, ej = elems[i], elems[j]
+        ei, ej, lcm = elems[pair[0]], elems[pair[1]], pair[2]
         qi = lcm - ei.lm
         qj = lcm - ej.lm
         # both elements are monic, so their heads cancel at the lcm and only
@@ -713,7 +742,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
                 deficit -= 1
 
     if unit:
-        return [[(0, 0, fld.one, 0)]], None
+        return [_BasisElem([(0, 0, fld.one, 0)], 0, pk)], None
 
     # one interreduction pass over the minimal basis gives the reduced basis:
     # leads are fixed, and full tail reduction against the others' leads pins
@@ -721,32 +750,31 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
     # the ones already done and the ones still to come; no lead divides a
     # term of its own tail, so every element can sit in one index.
     kept = sorted(map(elems.__getitem__, minimal.members), key=lambda e: e.lmkey)
-    others = _Divisors(pk.n)
-    for e in kept:
-        others.add(e)
+    others = _Divisors(pk.n, kept)
     for e in kept:
         tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
     # under a target the last reading follows the last insert, and a met
     # series is the first reading, so ``num`` is the series of these leads
-    return [e.rows for e in reversed(kept)], num
+    return kept[::-1], num
 
 
 # ---------------------------------------------------------------------------
 # Hilbert numerators of monomial ideals
 
 
-def _lead_numerator(leads: list, width: int, guards: int) -> list:
+def _lead_numerator(elems: Iterable, pk: _Packing) -> list:
     """Coefficients of ``N(t)`` with ``HS(S/M) = N(t)/(1-t)^n``, for the
-    monomial ideal ``M`` minimally generated by ``leads``: ``(packed,
-    support, degree)`` triples packed ``width`` bits per field under
-    ``guards``.  Trailing zero coefficients are dropped, but ``M = S``
-    keeps its ``[0]``.  Squarefree leads are worked as bare support masks.
+    monomial ideal ``M`` minimally generated by the leads of ``elems``,
+    basis elements packed by ``pk``.  Trailing zero coefficients are
+    dropped, but ``M = S`` keeps its ``[0]``.  Squarefree leads are worked
+    as bare support masks.
     """
+    leads = [(e.lm, e.mask, e.deg) for e in elems]
     if all(s.bit_count() == d for _, s, d in leads):
-        leads = [(s, s, d) for _, s, d in leads]
-        width, guards = 1, 0
-    num = _pivot_numerator(leads, width, guards)
+        num = _pivot_numerator([(s, s, d) for _, s, d in leads], 1, 0)
+    else:
+        num = _pivot_numerator(leads, pk.width, pk.guards)
     while len(num) > 1 and not num[-1]:
         num.pop()
     return num
@@ -811,33 +839,6 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
     return out
 
 
-class _Reducer:
-    """Monic polynomials packed once as divisors, for repeated reductions;
-    a reduction that outgrows the fields repacks them wider."""
-
-    __slots__ = ("polys", "pk", "divs")
-
-    def __init__(self, ring: PolyRing, polys: Sequence[Polynomial]):
-        self.polys = polys
-        self.pk = _Packing(ring.order, 8)
-        self.divs = None
-
-    def remainder(self, f: Polynomial) -> Polynomial:
-        while True:
-            pk = self.pk
-            try:
-                if self.divs is None:
-                    divs = _Divisors(pk.n)
-                    for g in self.polys:
-                        divs.add(_BasisElem(pk.rows(g), g.degree(), pk))
-                    self.divs = divs
-                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self.divs, f.ring.field, pk)
-                return pk.poly(f.ring, rows)
-            except _Overflow:
-                self.pk = pk.wider()
-                self.divs = None
-
-
 def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
     """Remainder of full reduction of ``f`` by ``G`` (in G's listed order).
 
@@ -855,7 +856,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
         return f
     _check_deadline()
     # a monic divisor leaves the same remainder
-    return _Reducer(ring, [g.monic() for g in G]).remainder(f)
+    return _Basis(g.monic() for g in G).remainder(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -881,7 +882,7 @@ class IdealHandle:
     that differs leaves the run as it would be without a series.
     """
 
-    __slots__ = ("ring", "gens", "series", "_gb", "_packed")
+    __slots__ = ("ring", "gens", "series", "_gb")
 
     def __init__(
         self,
@@ -897,7 +898,6 @@ class IdealHandle:
         self.gens = gens
         self.series = series
         self._gb = None
-        self._packed = None
 
     def groebner(self, target: Optional[Sequence[int]] = None) -> tuple:
         """The reduced basis; the first call computes it, with
@@ -906,13 +906,6 @@ class IdealHandle:
         if self._gb is None:
             self._gb = buchberger(self.gens, target, series=self.series)
         return self._gb
-
-    def _reducer(self) -> _Reducer:
-        """The reduced basis packed as divisors, kept next to it so that
-        repeated membership tests pack it once."""
-        if self._packed is None:
-            self._packed = _Reducer(self.ring, self.groebner())
-        return self._packed
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.gens)} gens over {self.ring!r})"
@@ -929,13 +922,16 @@ def hilbert_numerator(I: IdealHandle) -> list:
 
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
+    """Whether ``f`` lies in ``I``: its remainder by ``I``'s reduced basis,
+    against the rows that the basis's run packed, is zero.  The first test
+    computes the basis; the clock is read before each reduction."""
     if not f:
         return True
     if f.ring != I.ring:
         raise ValueError("polynomial and ideal live in different rings")
-    reducer = I._reducer()
+    G = I.groebner()
     _check_deadline()
-    return not reducer.remainder(f)
+    return not G.remainder(f)
 
 
 def _inside(I: IdealHandle, J: IdealHandle) -> bool:
@@ -968,6 +964,8 @@ def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
+    """Whether ``I`` and ``J`` are the same ideal: reduced bases are unique
+    for the ring's order, so they are equal exactly when the ideals are."""
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
     return I.groebner() == J.groebner()
@@ -1014,14 +1012,10 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
         return gens
 
     pk, basis, _ = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
-    kept = []
-    for rows in basis:
-        if rows[0][3] & wbit:
-            continue  # lead involves w
-        # elimination order: a w-free lead forces every term w-free
-        if any(s & wbit for _, _, _, s in rows):
-            raise RuntimeError("elimination basis has a w-free lead over a w term")
-        kept.append(rows)
+    kept = [e for e in basis if not e.mask & wbit]  # leads free of w
+    # elimination order: a w-free lead forces every term w-free
+    if any(s & wbit for e in kept for _, _, _, s in e.rows):
+        raise RuntimeError("elimination basis has a w-free lead over a w term")
     basis = _Basis.of(ring, pk, kept)
     result = IdealHandle(ring, basis)
     result._gb = basis
