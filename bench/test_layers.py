@@ -50,8 +50,8 @@ FP = PrimeField(32003)
 
 
 def _det_by_permutations(ring, ms, ix):
-    """The determinant of a generic minor as a sum over permutations, with
-    the sign read off the inversion count."""
+    """The determinant of a generic or symmetric minor as a sum over
+    permutations, with the sign read off the inversion count."""
     total = ring.zero
     for perm in permutations(ix.cols):
         inversions = sum(a > b for a, b in combinations(perm, 2))
@@ -63,21 +63,26 @@ def _det_by_permutations(ring, ms, ix):
 
 
 def test_generator_build(benchmark):
-    # the 100 3-minors of a generic 5x5 and the 70 4-Pfaffians of a skew 8,
-    # checked against the permutation sum and against Pf^2 = det
-    gen, skw = MatrixSpec("generic", 5, 5), MatrixSpec("skew", 8, 8)
-    ring, zring = matrix_ring(gen, FP), matrix_ring(skw, FP)
+    # the 100 3-minors of a generic 5x5 and of a symmetric 5x5, whose
+    # entries are mirrored and may repeat in a product, checked against the
+    # permutation sum, and the 70 4-Pfaffians of a skew 8, checked against
+    # Pf^2 = det
+    gen, sym = MatrixSpec("generic", 5, 5), MatrixSpec("symmetric", 5, 5)
+    skw = MatrixSpec("skew", 8, 8)
+    ring, sring, zring = matrix_ring(gen, FP), matrix_ring(sym, FP), matrix_ring(skw, FP)
     three = list(combinations(range(1, 6), 3))
     minors = [MinorIndex(r, c) for r in three for c in three]
     pfaffians = [PfaffianIndex(r) for r in combinations(range(1, 9), 4)]
 
     def build():
         dets = [minor_poly(ring, gen, ix) for ix in minors]
-        return dets, [pfaffian_poly(zring, skw, ix) for ix in pfaffians]
+        sdets = [minor_poly(sring, sym, ix) for ix in minors]
+        return dets, sdets, [pfaffian_poly(zring, skw, ix) for ix in pfaffians]
 
-    dets, pfs = benchmark(build)
-    assert len(dets) == 100 and len(pfs) == 70
+    dets, sdets, pfs = benchmark(build)
+    assert len(dets) == len(sdets) == 100 and len(pfs) == 70
     assert all(f == _det_by_permutations(ring, gen, ix) for f, ix in zip(dets, minors))
+    assert all(f == _det_by_permutations(sring, sym, ix) for f, ix in zip(sdets, minors))
     for pf, ix in zip(pfs, pfaffians):
         assert pf * pf == minor_poly(zring, skw, MinorIndex(ix.rows, ix.rows))
 

@@ -14,7 +14,11 @@ constraints ``C`` / ``c`` mirror this on columns; Pfaffians take none.
 The generators are the minors of a generic or symmetric matrix and the
 Pfaffians of a skew one; only this module makes that choice.  Each is one
 signed sum of Laplace products or perfect matchings, canonicalized once, and
-each build reads the clock of :func:`~detkit.groebner.deadline_scope`.
+each build reads the clock of :func:`~detkit.groebner.deadline_scope`.  The
+factors of a product are read off a table of :func:`entry` values built once
+per shape, so the signs, the zeros, the symmetric mirror and the skew sign
+stay :func:`entry`'s.  The signed permutations or matchings of a size are
+enumerated once per handle build and dropped with it.
 :func:`constrained_ideal` and :func:`components` build the constrained ideal
 and its named intersectands for every shape; the per-shape names
 (``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
@@ -31,6 +35,7 @@ odd-``need`` skew components and ``keep``-filtered lists carry none.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -149,36 +154,67 @@ def entry(ms: MatrixSpec, i: int, j: int) -> Tuple[int, Optional[int]]:
     return 0, None
 
 
+@lru_cache(maxsize=None)
+def _entry_table(ms: MatrixSpec) -> tuple:
+    """:func:`entry` of every ``(i, j)`` at ``[i][j]``, built once per shape;
+    row 0 and column 0 are padding."""
+    pad = (0, None)
+    return ((pad,) * (ms.n + 1),) + tuple(
+        (pad,) + tuple(entry(ms, i, j) for j in range(1, ms.n + 1)) for i in range(1, ms.m + 1)
+    )
+
+
 # ---------------------------------------------------------------------------
 # minors and Pfaffians
 
 
-def _laplace(ms: MatrixSpec, rows: tuple, cols: tuple) -> Iterator[Tuple[int, tuple]]:
-    """``(sign, positions)`` for each nonzero product of the determinant on
-    ``rows`` x ``cols``, expanded along its first column; :func:`entry`
-    supplies the symmetric mirror, the skew sign and the skew zero diagonal."""
-    if not rows:
-        yield 1, ()
-    for k, row in enumerate(rows):
-        sign, p = entry(ms, row, cols[0])
-        if sign:
-            for s, ps in _laplace(ms, rows[:k] + rows[k + 1 :], cols[1:]):
-                yield (-sign if k % 2 else sign) * s, (p,) + ps
+# the patterns of each size, kept for one handle build (see _ideal)
+_patterns: ContextVar[Optional[dict]] = ContextVar("patterns", default=None)
 
 
-def _matchings(ms: MatrixSpec, rows: tuple) -> Iterator[Tuple[int, tuple]]:
-    """``(sign, positions)`` for each perfect matching of ``rows``, expanding
-    the Pfaffian along its first row: the term pairing ``rows[0]`` with
-    ``rows[k]`` has sign ``(-1)^(k+1)``."""
-    if not rows:
-        yield 1, ()
-    for k in range(1, len(rows)):
-        p = entry(ms, rows[0], rows[k])[1]
-        for s, ps in _matchings(ms, rows[1:k] + rows[k + 1 :]):
-            yield (s if k % 2 else -s), (p,) + ps
+def _pattern(expand, size: int) -> list:
+    """``expand(size)``, enumerated once inside a handle build."""
+    memo = _patterns.get()
+    if memo is None:
+        return expand(size)
+    key = (expand, size)
+    if key not in memo:
+        memo[key] = expand(size)
+    return memo[key]
 
 
-def _signed_sum(ring: PolyRing, products: Iterator[Tuple[int, tuple]]):
+def _laplace(size: int) -> list:
+    """``(sign, perm)`` for each term of a ``size``-determinant expanded
+    along its first column: ``perm[c]`` is the row offset in column ``c``.
+    Row ``k`` in the first column has sign ``(-1)^k``."""
+    if not size:
+        return [(1, ())]
+    sub = _laplace(size - 1)
+    out = []
+    for k in range(size):
+        rest = [r for r in range(size) if r != k]
+        for s, perm in sub:
+            out.append((-s if k % 2 else s, (k, *map(rest.__getitem__, perm))))
+    return out
+
+
+def _matchings(size: int) -> list:
+    """``(sign, pairs)`` for each perfect matching of ``range(size)``, the
+    Pfaffian expanded along its first row: ``pairs`` lists the matched
+    offsets flat, each pair in increasing order, and the term pairing ``0``
+    with ``k`` has sign ``(-1)^(k+1)``."""
+    if not size:
+        return [(1, ())]
+    sub = _matchings(size - 2)
+    out = []
+    for k in range(1, size):
+        rest = [r for r in range(1, size) if r != k]
+        for s, pairs in sub:
+            out.append((s if k % 2 else -s, (0, k, *map(rest.__getitem__, pairs))))
+    return out
+
+
+def _signed_sum(ring: PolyRing, products: list):
     """The polynomial of ``(sign, positions)`` products, canonicalized once;
     the one clock read of a generator build."""
     _check_deadline()
@@ -193,20 +229,45 @@ def _signed_sum(ring: PolyRing, products: Iterator[Tuple[int, tuple]]):
 
 def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
     """Determinant of the submatrix on ``ix.rows`` x ``ix.cols``: the
-    signed sum of its Laplace products along the first column."""
+    signed sum of its Laplace products along the first column, each factor
+    read off the entry table, which supplies the symmetric mirror, the skew
+    sign and the skew zero diagonal."""
     if ix.rows[-1] > ms.m or ix.cols[-1] > ms.n:
         raise ValueError(f"minor {ix} does not fit a {ms.m}x{ms.n} matrix")
-    return _signed_sum(ring, _laplace(ms, ix.rows, ix.cols))
+    table, cols = _entry_table(ms), ix.cols
+    rows = [table[i] for i in ix.rows]
+    products = []
+    for sign, perm in _pattern(_laplace, len(cols)):
+        ps = []
+        for k, j in zip(perm, cols):
+            s, p = rows[k][j]
+            if not s:
+                break
+            sign *= s
+            ps.append(p)
+        else:
+            products.append((sign, ps))
+    return _signed_sum(ring, products)
 
 
 def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
     """Pfaffian of the principal skew submatrix on ``ix.rows``: the signed
-    sum over its perfect matchings."""
+    sum over its perfect matchings, each factor the position of the entry
+    above the diagonal, read off the entry table."""
     if ms.kind != "skew":
         raise ValueError("Pfaffians require a skew matrix")
     if ix.rows[-1] > ms.n:
         raise ValueError(f"Pfaffian {ix} does not fit size {ms.n}")
-    return _signed_sum(ring, _matchings(ms, ix.rows))
+    table, idx = _entry_table(ms), ix.rows
+    rows = [table[i] for i in idx]
+    products = []
+    for sign, pairs in _pattern(_matchings, len(idx)):
+        ps = []
+        it = iter(pairs)
+        for a in it:
+            ps.append(rows[a][idx[next(it)]][1])
+        products.append((sign, ps))
+    return _signed_sum(ring, products)
 
 
 def generator(ring: PolyRing, ms: MatrixSpec, rows: Sequence[int], cols: Sequence[int]):
@@ -303,7 +364,11 @@ def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> Ide
         raise ValueError("Pfaffian size must be even")
     poly = pfaffian_poly if ms.kind == "skew" else minor_poly
     kept = (ix for ix in _block_indices(ms, size, *blocks) if keep is None or keep(ix))
-    gens = [poly(ring, ms, ix) for ix in kept]
+    token = _patterns.set({})
+    try:
+        gens = [poly(ring, ms, ix) for ix in kept]
+    finally:
+        _patterns.reset(token)
     return IdealHandle(ring, gens, _series(ms, size, *blocks) if keep is None else None)
 
 

@@ -14,7 +14,10 @@ ring.
 
 Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
 rows in strictly descending key order; ``support`` has bit ``pos`` set for
-each variable present.  They leave it as :class:`Polynomial` again.  Bases
+each variable present.  They leave it as :class:`Polynomial` again: while a
+run packs its inputs it records each packed monomial's :class:`Monomial`,
+and the basis it hands back reuses those objects, so only the monomials the
+run created are unpacked.  The record is dropped at the hand-back.  Bases
 are kept monic.  Pair selection uses the sugar strategy.  Each new basis
 element runs the Gebauer-Moller pair update (criteria B, M and F plus the
 product criterion) once the run leaves its sugar degree, so popping a pair
@@ -28,7 +31,9 @@ without a scan.  All choices are deterministic, so a given generator list
 always yields the same reduced basis.  A product whose exponent reaches a
 guard bit aborts the computation, which reruns with fields twice as wide.
 A basis keeps the packed rows its run ended with, and membership and
-:func:`normal_form` reduce against such rows, so no basis is packed twice.
+:func:`normal_form` reduce against such rows, so no basis is packed twice: a
+run that a known basis seeds at that basis's width takes its rows as they
+are.  Membership reads the remainder's rows and unpacks nothing.
 
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
@@ -66,7 +71,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import accumulate, islice
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
@@ -131,6 +136,12 @@ class _Packing:
     at position ``len(order.table)``, for an intersection's auxiliary ``w``.  Its weight
     exceeds the key of every ``w``-free monomial, so monomials compare by
     their ``w`` exponent first and then by ``order``: the elimination order.
+
+    While a run packs its inputs, :meth:`rows` records each packed
+    monomial's :class:`Monomial`, and :meth:`poly` reuses the recorded
+    objects, so a run's basis unpacks only the monomials the run created.
+    The record is dropped when the run hands its basis back
+    (:meth:`_Basis.of`); a packing without one records nothing.
     """
 
     __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
@@ -153,7 +164,8 @@ class _Packing:
             self.fields = partial(int.to_bytes, length=n, byteorder="little")
         else:
             self.fields = self._split
-        self._monos: dict = {}
+        # packed -> Monomial: the record, or None once it is dropped
+        self._monos: Optional[dict] = {}
 
     def wider(self) -> "_Packing":
         return _Packing(self.order, 2 * self.width, self.elim)
@@ -171,21 +183,34 @@ class _Packing:
                 key += e * weights[pos]
                 mask |= 1 << pos
             out.append((key, packed, c, mask))
-        return out
+        return self.record(out, f)
+
+    def record(self, rows: list, f: Polynomial) -> list:
+        """``rows``, the rows of ``f`` at this packing, after recording the
+        monomial of each while the record is kept."""
+        if self._monos is not None:
+            self._monos.update(zip(map(itemgetter(1), rows), map(itemgetter(0), f.terms)))
+        return rows
 
     def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
-        return Polynomial(ring, tuple((self.monomial(p), c) for _, p, c, _ in rows))
+        """The polynomial of ``rows``: a recorded monomial is reused, and one
+        unpacked here is recorded while the record is kept."""
+        monos = {} if self._monos is None else self._monos
+        terms = []
+        for _, p, c, _ in rows:
+            m = monos.get(p)
+            if m is None:
+                m = monos[p] = self.monomial(p)
+            terms.append((m, c))
+        return Polynomial(ring, tuple(terms))
 
     def _split(self, packed: int) -> list:
         low = (1 << self.width) - 1
         return [(packed >> (p * self.width)) & low for p in range(self.n)]
 
     def monomial(self, packed: int):
-        m = self._monos.get(packed)
-        if m is None:
-            exps = tuple((p, e) for p, e in enumerate(self.fields(packed)) if e)
-            m = self._monos[packed] = _mk(exps, sum(e for _, e in exps))
-        return m
+        exps = tuple((p, e) for p, e in enumerate(self.fields(packed)) if e)
+        return _mk(exps, sum(e for _, e in exps))
 
     def degree(self, packed: int) -> int:
         return sum(self.fields(packed))
@@ -261,6 +286,10 @@ def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, fie
     return out
 
 
+# _MISSING[v]: the nibble values b that the nibble v is not a subset of
+_MISSING = tuple(tuple(b for b in range(16) if v & ~b) for v in range(16))
+
+
 class _Divisors:
     """Monic divisors in a fixed order, indexed by lead support.
 
@@ -268,7 +297,8 @@ class _Divisors:
     variable of nibble ``c`` (positions ``4c`` to ``4c+3``) that the nibble
     value ``b`` lacks.  The divisors whose lead support lies inside a given
     support are then the bits that no table hit sets, one lookup per four
-    variables in place of a scan over every divisor.
+    variables in place of a scan over every divisor.  A new divisor sets its
+    bit at the values ``_MISSING`` lists for each nibble of its lead.
     """
 
     __slots__ = ("elems", "_tables", "_all")
@@ -286,11 +316,10 @@ class _Divisors:
         self._all |= bit
         mask = e.mask
         for table in self._tables:
-            nib = mask & 15
-            if nib:
-                for b in range(16):
-                    if nib & ~b:
-                        table[b] |= bit
+            if not mask:
+                break
+            for b in _MISSING[mask & 15]:
+                table[b] |= bit
             mask >>= 4
 
     def candidates(self, support: int) -> int:
@@ -509,13 +538,15 @@ class _Basis(tuple):
     @classmethod
     def of(cls, ring: PolyRing, pk: _Packing, elems: list, num=None) -> "_Basis":
         out = cls(pk.poly(ring, e.rows) for e in elems)
-        # the polynomials hold the monomials now; a kept cache costs memory
-        pk._monos.clear()
+        # the polynomials hold the monomials now; a kept record costs memory
+        pk._monos = None
         out._pk, out._elems, out._num = pk, elems, num
         return out
 
     def _pack(self, pk: _Packing) -> None:
-        """Pack the elements at ``pk``'s width, or wider if they outgrow it."""
+        """Pack the elements at ``pk``'s width, or wider if they outgrow it;
+        the packing keeps no record."""
+        pk._monos = None
         try:
             self._elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in self]
         except _Overflow:
@@ -529,8 +560,9 @@ class _Basis(tuple):
             self._num = _lead_numerator(self._elems, self._pk)
         return self._num
 
-    def remainder(self, f: Polynomial) -> Polynomial:
-        """``f`` fully reduced by the elements, the earliest divisor first."""
+    def _reduced(self, f: Polynomial) -> tuple:
+        """``(pk, rows)``: the rows of ``f`` fully reduced by the elements,
+        the earliest divisor first, at the packing ``pk`` that they use."""
         if self._pk is None:
             self._pack(_Packing(f.ring.order, 8))
         while True:
@@ -539,9 +571,14 @@ class _Basis(tuple):
                 self._divs = _Divisors(pk.n, self._elems)
             try:
                 rows, _ = _reduce_rows(pk.rows(f), f.degree(), self._divs, f.ring.field, pk)
-                return pk.poly(f.ring, rows)
+                return pk, rows
             except _Overflow:
                 self._pack(pk.wider())
+
+    def remainder(self, f: Polynomial) -> Polynomial:
+        """``f`` fully reduced by the elements, the earliest divisor first."""
+        pk, rows = self._reduced(f)
+        return pk.poly(f.ring, rows)
 
 
 def buchberger(
@@ -635,9 +672,15 @@ def _basis_rows(pk: _Packing, pack, fld, target=None, known=(), series=None) -> 
     ``target``, ``known`` and ``series`` are :func:`buchberger`'s, kept
     across reruns.
     """
+    kp = getattr(known, "_pk", None)
     while True:
         try:
-            prefix = [(pk.rows(g), g.degree()) for g in known]
+            if kp is not None and kp.width == pk.width:
+                # a run's rows at this width are the same at every packing
+                # of the order: an elimination field only adds a position
+                prefix = [(pk.record(e.rows, g), g.degree()) for e, g in zip(known._elems, known)]
+            else:
+                prefix = [(pk.rows(g), g.degree()) for g in known]
             return (pk, *_buchberger(pack(pk), fld, pk, target, prefix, series))
         except _Overflow:
             pk = pk.wider()
@@ -923,15 +966,16 @@ def hilbert_numerator(I: IdealHandle) -> list:
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     """Whether ``f`` lies in ``I``: its remainder by ``I``'s reduced basis,
-    against the rows that the basis's run packed, is zero.  The first test
-    computes the basis; the clock is read before each reduction."""
+    against the rows that the basis's run packed, has no row; nothing is
+    unpacked.  The first test computes the basis; the clock is read before
+    each reduction."""
     if not f:
         return True
     if f.ring != I.ring:
         raise ValueError("polynomial and ideal live in different rings")
     G = I.groebner()
     _check_deadline()
-    return not G.remainder(f)
+    return not G._reduced(f)[1]
 
 
 def _inside(I: IdealHandle, J: IdealHandle) -> bool:

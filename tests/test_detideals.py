@@ -118,30 +118,31 @@ def _entries(ring, ms, rows, cols):
     return [[_entry_poly(ring, ms, i, j) for j in cols] for i in rows]
 
 
-# per shape: a small matrix for the sizes 1 to 3, and one with room for size 4
+# per shape: a small matrix for the sizes 1 to 3, one with room for size 4,
+# and one with room for size 5
 MINOR_SHAPES = {
-    "generic": (generic_matrix(3, 4), generic_matrix(4, 5)),
-    "symmetric": (symmetric_matrix(4), symmetric_matrix(5)),
-    "skew": (skew_matrix(4), skew_matrix(5)),
+    "generic": (generic_matrix(3, 4), generic_matrix(4, 5), generic_matrix(5, 6)),
+    "symmetric": (symmetric_matrix(4), symmetric_matrix(5), symmetric_matrix(6)),
+    "skew": (skew_matrix(4), skew_matrix(5), skew_matrix(6)),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(MINOR_SHAPES))
 def test_minor_poly_matches_permutation_sum(shape):
-    small, large = MINOR_SHAPES[shape]
+    small, large, five = MINOR_SHAPES[shape]
     rng = random.Random(17)
     seen = 0
-    for ms, sizes in ((small, (1, 2, 3)), (large, (4,))):
+    for ms, sizes, draws in ((small, (1, 2, 3), 4), (large, (4,), 4), (five, (5,), 1)):
         ring = matrix_ring(ms, QQ)
         for size in sizes:
-            for _ in range(4):
+            for _ in range(draws):
                 rows = tuple(sorted(rng.sample(range(1, ms.m + 1), size)))
                 cols = tuple(sorted(rng.sample(range(1, ms.n + 1), size)))
                 got = minor_poly(ring, ms, MinorIndex(rows, cols))
                 want = det_by_permanents(_entries(ring, ms, rows, cols))
                 assert got == want, (rows, cols)
                 seen += 1
-    assert seen == 16
+    assert seen == 17
 
 
 def test_two_by_two_dets_written_out():
@@ -197,6 +198,7 @@ def test_pfaffian_matches_matching_sum():
     for n, draws in (
         (6, [(1, 2, 3, 4), (2, 3, 5, 6), (1, 3, 4, 6), (1, 2, 3, 4, 5, 6)]),
         (8, [tuple(range(1, 9))]),
+        (11, [(1, 2, 3, 5, 6, 7, 8, 9, 10, 11)]),
     ):
         ms = skew_matrix(n)
         ring = matrix_ring(ms, FP)

@@ -509,6 +509,93 @@ def test_membership_in_an_intersection_reduces_against_its_elimination_rows():
     assert True in both and False in both
 
 
+def test_membership_leaves_no_monomial_behind():
+    # membership decides on the remainder's rows and unpacks nothing, and a
+    # remainder unpacks without recording: testing the 36 2-minors of a
+    # generic 4x4 against its 3-minors leaves the basis's packing without a
+    # record, as its run handed it back
+    from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
+
+    ms = MatrixSpec("generic", 4, 4)
+    ring = matrix_ring(ms, PrimeField(32003))
+    I = constrained_ideal(ring, ms, 3)
+    G = I.groebner()
+    twos = constrained_ideal(ring, ms, 2).gens
+    assert len(twos) == 36
+    assert not any(ideal_member(f, I) for f in twos)
+    assert not G._pk._monos
+    assert [G.remainder(f) for f in twos] == [normal_form(f, G) for f in twos]
+    assert not G._pk._monos
+
+
+def test_series_stopped_basis_holds_the_generators_monomials():
+    # the 70 4-Pfaffians of a skew 8x8 are their own reduced basis, and the
+    # run that its first reading stops hands back the very Monomial objects
+    # of the generators, then drops its record of them
+    from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
+
+    ms = MatrixSpec("skew", 8, 8)
+    ring = matrix_ring(ms, PrimeField(32003))
+    I = constrained_ideal(ring, ms, 4)
+    G = I.groebner()
+    by_lead = {f.lm: f for f in I.gens}
+    assert len(G) == len(by_lead) == 70
+    for g in G:
+        terms = by_lead[g.lm].terms
+        assert len(g.terms) == len(terms)
+        assert all(m is n for (m, _), (n, _) in zip(g.terms, terms))
+    assert G._pk._monos is None
+
+
+def test_sum_run_reuses_the_rows_of_a_known_basis(monkeypatch):
+    # the basis of K_1 + J_2 in minors 5x5 t3 R2,3 r1,2 extends K_1's
+    # basis, whose run packed its rows at the width the sum run starts at:
+    # the run packs J_2's generators and takes K_1's rows as they are
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+    from detkit.groebner import _intersection_numerator
+
+    ms = MatrixSpec("generic", 5, 5)
+    ring = matrix_ring(ms, PrimeField(32003))
+    k1 = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    j2 = components(ring, ms, 3, R=(2, 3), r=(1, 2))[2][1]
+    known, _ = k1.groebner(), j2.groebner()
+    packed = []
+    real = _Packing.rows
+
+    def rows(self, f):
+        packed.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(_Packing, "rows", rows)
+    num = _intersection_numerator(k1, j2)
+    monkeypatch.undo()
+    assert not any(f is g for f in packed for g in known)
+    # membership of K_1's generators in J_2, then J_2's generators once
+    tested = len(packed) - len(j2.gens)
+    assert packed[:tested] == list(k1.gens[:tested])
+    assert all(f is g for f, g in zip(packed[tested:], j2.gens))
+    lhs = constrained_ideal(ring, ms, 3, R=(2, 3), r=(1, 2))
+    assert num == hilbert_numerator(lhs)
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_extending_a_widened_or_eliminated_basis(order):
+    # a known basis whose run widened its fields is repacked at the width
+    # the sum run starts at, and that run widens too; an intersection's
+    # basis carries the elimination field, which its rows leave at zero
+    ring = mkring("xyz", order=order)
+    x, y, z = (ring.var(i) for i in range(3))
+    late = [x - y**60, x * y**100 - 1] if order == "lex" else [x**90 * y - z, x * y**90 - 1]
+    wide = buchberger(late)
+    assert wide._pk.width == 16
+    new = [x * z - y * y, z**3 - x]
+    assert buchberger(new, known=wide) == buchberger(late + new)
+    K = ideal_intersect(IdealHandle(ring, [x * y - z * z]), IdealHandle(ring, [x - y, z**3]))
+    elim = K.groebner()
+    assert elim._pk.elim
+    assert buchberger(new, known=elim) == buchberger(list(elim) + new)
+
+
 def test_buchberger_matches_textbook_beyond_64_variables():
     # the leads sit on positions 64-69, so support masks need more than 64 bits
     ring = mkring([f"v{i}" for i in range(70)], field=PrimeField(32003))
@@ -1154,21 +1241,21 @@ def test_decomposition_reducer_builds(monkeypatch):
     from detkit.harness import CaseSpec, run_case
 
     inside, built = [False], [0]
-    real_divisors, real_remainder = groebner._Divisors, groebner._Basis.remainder
+    real_divisors, real_reduced = groebner._Divisors, groebner._Basis._reduced
 
     def divisors(*args):
         built[0] += inside[0]
         return real_divisors(*args)
 
-    def remainder(self, f):
+    def reduced(self, f):
         inside[0] = True
         try:
-            return real_remainder(self, f)
+            return real_reduced(self, f)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(groebner, "_Divisors", divisors)
-    monkeypatch.setattr(groebner._Basis, "remainder", remainder)
+    monkeypatch.setattr(groebner._Basis, "_reduced", reduced)
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     assert run_case(spec).verdict == "EQUAL"
     assert built[0] == 2
