@@ -1,9 +1,11 @@
 """Layer micro-benchmarks: the generator builds, the packed monomial
-primitives, one reduction, one elimination, one Hilbert numerator read as a
-dimension, the closed-form series of two plain ideals and a basis run that
-ends at its first reading because it meets that series, and the steps that
-certify a decomposition block: the sum basis that extends a known one, the
-basis stopped at its target series, and the membership of its generators.
+primitives, one reduction over a prime field and over the rationals, one
+elimination, one Hilbert numerator read as a dimension and one read off the
+1,225 leads of the 7x7 3-minors, the closed-form series of two plain ideals
+and a basis run that ends at its first reading because it meets that
+series, and the steps that certify a decomposition block: the sum basis
+that extends a known one, the basis stopped at its target series, and the
+membership of its generators.
 
 Run them from the repository root with
 
@@ -14,6 +16,7 @@ built once, outside the timed call, and each bench checks its result, so a
 broken layer fails instead of timing nonsense.
 """
 
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 
 import pytest
@@ -35,6 +38,7 @@ from detkit.groebner import (
     _Divisors,
     _Packing,
     _intersection_numerator,
+    _lead_numerator,
     _reduce_rows,
     buchberger,
     hilbert_numerator,
@@ -44,7 +48,7 @@ from detkit.groebner import (
 )
 from detkit.harness import standard_products
 from detkit.linalg import row_reduce
-from detkit.poly import PrimeField
+from detkit.poly import PrimeField, field_from_name
 
 FP = PrimeField(32003)
 
@@ -87,16 +91,21 @@ def test_generator_build(benchmark):
         assert pf * pf == minor_poly(zring, skw, MinorIndex(ix.rows, ix.rows))
 
 
-@pytest.fixture(scope="module")
-def minors55():
+@lru_cache(maxsize=None)
+def _minors55(field):
     """The reduced grevlex basis of the 4-minors of a generic 5x5 matrix
-    (25 elements), packed as divisors."""
+    (25 elements) over ``field``, packed as divisors."""
     ms = MatrixSpec("generic", 5, 5)
-    ring = matrix_ring(ms, FP)
+    ring = matrix_ring(ms, field_from_name(field))
     G = constrained_ideal(ring, ms, 4).groebner()
     pk = _Packing(ring.order, 8)
     divs = _Divisors(pk.n, [_BasisElem(pk.rows(g), g.degree(), pk) for g in G])
     return ring, G, pk, divs
+
+
+@pytest.fixture(scope="module")
+def minors55():
+    return _minors55("fp:32003")
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +145,12 @@ def test_packed_lcm(benchmark, leads):
     assert all(not (w - u) & g and not (w - v) & g for w, ((_, u), (_, v)) in zip(out, pairs))
 
 
-def test_reduce_rows_5x5_s_polynomial(benchmark, minors55):
+@pytest.mark.parametrize("field", ["fp:32003", "qq"])
+def test_reduce_rows_5x5_s_polynomial(benchmark, field):
     # the longest S-polynomial of the first basis element with another whose
-    # lead shares a variable: 46 terms, 15 reduction steps down to zero
-    ring, G, pk, divs = minors55
+    # lead shares a variable: 46 terms, 15 reduction steps down to zero; over
+    # the rationals each coefficient is a Fraction
+    ring, G, pk, divs = _minors55(field)
     first = set(dict(G[0].lm.exps))
     s = max(
         (s_polynomial(G[0], g) for g in G[1:] if first & set(dict(g.lm.exps))),
@@ -185,6 +196,20 @@ def test_krull_dimension_pfaffians_8x8(benchmark):
         I._gb._num = None
 
     assert benchmark.pedantic(ideal_height, (I,), setup=uncache, rounds=50) == 15
+
+
+def test_lead_numerator_minors_7x7(benchmark):
+    # the Hilbert numerator read off the leads of the 1,225 3-minors of a
+    # generic 7x7, which are their own reduced basis: the leads are packed
+    # straight from the generators, with no basis run, and all squarefree.
+    # Checked against the closed-form series of the ideal
+    ms = MatrixSpec("generic", 7, 7)
+    ring = matrix_ring(ms, FP)
+    I = constrained_ideal(ring, ms, 3)
+    pk = _Packing(ring.order, 8)
+    elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in I.gens]
+    assert len(elems) == 1225
+    assert benchmark(_lead_numerator, elems, pk) == list(I.series)
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,17 @@ class PfaffianIndex:
         return format_bracket(self)
 
 
+def _unchecked(cls, *lists):
+    """An index of ``cls`` (:class:`MinorIndex` or :class:`PfaffianIndex`)
+    over tuples already strictly increasing, positive and of a valid length,
+    as ``combinations`` of ``range(1, k)`` yields them: built without the
+    checks of ``__post_init__``, which indices from user input keep."""
+    ix = object.__new__(cls)
+    for name, val in zip(("rows", "cols"), lists):
+        object.__setattr__(ix, name, val)
+    return ix
+
+
 def minor_leq(a: MinorIndex, b: MinorIndex) -> bool:
     return subset_leq(a.rows, b.rows) and subset_leq(a.cols, b.cols)
 

@@ -41,7 +41,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .combinat import MinorIndex, PfaffianIndex, determinantal_numerator, in_doset
+from .combinat import MinorIndex, PfaffianIndex, _unchecked, determinantal_numerator, in_doset
 from .groebner import IdealHandle, _check_deadline
 from .linalg import row_reduce
 from .poly import (
@@ -322,17 +322,18 @@ def _block_indices(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Iterato
     """Indices of the ``size``-Pfaffians of a skew matrix, or of the
     ``size``-minors of another shape, that pass the row blocks ``R``/``r``
     and the column blocks ``C``/``c``; rows vary slowest, and row and column
-    lists each come in lexicographic order."""
+    lists each come in lexicographic order.  ``combinations`` yields only
+    valid index lists, so the indices skip their checks."""
     for rows in combinations(range(1, ms.m + 1), size):
         _check_deadline()
         if not _passes(rows, R, r):
             continue
         if ms.kind == "skew":
-            yield PfaffianIndex(rows)
+            yield _unchecked(PfaffianIndex, rows)
             continue
         for cols in combinations(range(1, ms.n + 1), size):
             if _passes(cols, C, c):
-                yield MinorIndex(rows, cols)
+                yield _unchecked(MinorIndex, rows, cols)
 
 
 def _series(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Optional[tuple]:

@@ -35,22 +35,35 @@ A basis keeps the packed rows its run ended with, and membership and
 run that a known basis seeds at that basis's width takes its rows as they
 are.  Membership reads the remainder's rows and unpacks nothing.
 
+Two invariants of every row let a reduction step skip unpacking its
+quotient: a row's stored support is exactly the support of its packed
+monomial, and a row's sugar is at least the degree of every term.  So the
+quotient's support follows from the term's and from which lead variables
+cancel, and its degree is the packed int modulo ``2**width - 1`` while the
+sugar lies below that.  Coefficients combine as one sum ``c + gc*nqc``,
+reduced modulo ``p`` over ``fp:p``, in one loop for both fields.
+
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
 its run packed them, by Bigatti's pivot recursion (plain support masks
 when every lead is squarefree), and :func:`krull_dimension` reads the
-dimension off it.  :func:`buchberger` can take such a numerator as a
-``target``: it then drops the S-pairs of each degree in which the leads of
-its partial basis meet the target's Hilbert function, and ends once they
-have the whole series, before the updates that wait there.  This is sound
-for a homogeneous ideal already known to lie inside an ideal with that
-series (Traverso, *Hilbert functions and the Buchberger algorithm*, JSC
-1997).  An :class:`IdealHandle` may also carry a ``series``, the numerator
-over the rationals that a closed form gives a plain determinantal or
-Pfaffian ideal (:func:`~detkit.combinat.determinantal_numerator`).  Its
-basis run checks the series at the first reading only: a reading equal to
-it ends the run with the generators as the basis, and a miss leaves the run
-as it would be without a series.
+dimension off it.  On squarefree leads the recursion drops a generator
+that a cut generator divides by walking the generator's ``2**deg`` subsets
+against a set of the cut's masks, but only when ``2**deg`` is at most the
+number of cut generators; otherwise it scans the cut.
+
+:func:`buchberger` can take a numerator as a ``target``: it then drops the
+S-pairs of each degree in which the leads of its partial basis meet the
+target's Hilbert function, and ends once they have the whole series,
+before the updates that wait there.  This is sound for a homogeneous ideal
+already known to lie inside an ideal with that series (Traverso, *Hilbert
+functions and the Buchberger algorithm*, JSC 1997).  An
+:class:`IdealHandle` may also carry a ``series``, the numerator over the
+rationals that a closed form gives a plain determinantal or Pfaffian ideal
+(:func:`~detkit.combinat.determinantal_numerator`).  Its basis run checks
+the series at the first reading only: a reading equal to it ends the run
+with the generators as the basis, and a miss leaves the run as it would be
+without a series.
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result that
@@ -75,7 +88,7 @@ from operator import itemgetter, mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
-from .poly import PolyRing, Polynomial, _mk, mono_div, mono_lcm
+from .poly import PolyRing, Polynomial, PrimeField, _mk, mono_div, mono_lcm
 
 __all__ = [
     "BudgetExceeded",
@@ -239,15 +252,25 @@ class _Packing:
 
 
 class _BasisElem:
-    """A monic divisor: its rows, its sugar, and its lead read off ``rows[0]``."""
+    """A monic divisor: its rows, its sugar, and its lead read off ``rows[0]``.
 
-    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask", "deg")
+    ``lguard`` holds the guard bit of each field the lead uses, and
+    ``fill`` every exponent bit of those fields.  For a quotient ``q`` of a
+    monomial by the lead, ``(q + fill) & lguard`` keeps the guard of each
+    lead variable that ``q`` still uses: adding ``fill`` to a field below
+    its guard sets the guard exactly when the field is nonzero.
+    """
+
+    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask", "deg", "lguard", "fill")
 
     def __init__(self, rows, sugar, pk: _Packing):
         self.lmkey, self.lm, _, self.mask = rows[0]
         self.rows = rows
         self.sugar = sugar
         self.deg = pk.degree(self.lm)
+        guards = pk.guards
+        self.lguard = lguard = ((self.lm | guards) - pk.ones) & guards
+        self.fill = lguard - (lguard >> (pk.width - 1))
 
 
 def _shift_rows(rows: Sequence, qk, qp, qs, guards) -> list:
@@ -259,14 +282,23 @@ def _shift_rows(rows: Sequence, qk, qp, qs, guards) -> list:
     return out
 
 
-def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, field, guards) -> list:
+def _modulus(field) -> int:
+    """The modulus of a prime field; 0 for the rationals, whose sums need no
+    reduction."""
+    return field.p if isinstance(field, PrimeField) else 0
+
+
+def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, p, guards) -> list:
     """work[start:] - qc * q * grows[1:], with q the monomial of key ``qk``,
     packing ``qp`` and support ``qs``; the caller has dropped the term that
-    cancels the divisor's head."""
+    cancels the divisor's head.  ``p`` is the field's modulus (see
+    :func:`_modulus`): each coefficient is one sum ``c + gc*nqc``, reduced
+    modulo ``p`` when ``p`` is set.  ``qs`` must be the exact support of
+    ``q``: a new term's support is ``gs | qs``, and a cancelled variable
+    left in ``qs`` would be kept there."""
     out = []
     i, na = start, len(work)
-    add, mul_ = field.add, field.mul
-    nqc = field.neg(qc)
+    nqc = -qc % p if p else -qc
     for gk, gp, gc, gs in islice(grows, 1, None):
         ck = gk + qk
         cp = gp + qp
@@ -276,12 +308,15 @@ def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, fie
             out.append(work[i])
             i += 1
         if i < na and work[i][0] == ck:
-            c = add(work[i][2], mul_(gc, nqc))
+            c = work[i][2] + gc * nqc
+            if p:
+                c %= p
             if c:
                 out.append((ck, cp, c, work[i][3]))
             i += 1
         else:
-            out.append((ck, cp, mul_(gc, nqc), gs | qs))
+            c = gc * nqc
+            out.append((ck, cp, c % p if p else c, gs | qs))
     out.extend(work[i:])
     return out
 
@@ -293,43 +328,36 @@ _MISSING = tuple(tuple(b for b in range(16) if v & ~b) for v in range(16))
 class _Divisors:
     """Monic divisors in a fixed order, indexed by lead support.
 
-    ``_tables[c][b]`` has bit ``k`` set when the lead of divisor ``k`` uses a
+    ``tables[c][b]`` has bit ``k`` set when the lead of divisor ``k`` uses a
     variable of nibble ``c`` (positions ``4c`` to ``4c+3``) that the nibble
-    value ``b`` lacks.  The divisors whose lead support lies inside a given
-    support are then the bits that no table hit sets, one lookup per four
-    variables in place of a scan over every divisor.  A new divisor sets its
-    bit at the values ``_MISSING`` lists for each nibble of its lead.
+    value ``b`` lacks, and ``every`` has the bit of every divisor.  The
+    divisors whose lead support lies inside a given support are then the
+    bits of ``every`` that no table hit sets, one lookup per four variables
+    in place of a scan over every divisor (:func:`_reduce_rows` does the
+    lookups).  A new divisor sets its bit at the values ``_MISSING`` lists
+    for each nibble of its lead.
     """
 
-    __slots__ = ("elems", "_tables", "_all")
+    __slots__ = ("elems", "tables", "every")
 
     def __init__(self, n: int, elems: Iterable = ()):
         self.elems: list = []
-        self._tables = [[0] * 16 for _ in range((n + 3) // 4)]
-        self._all = 0
+        self.tables = [[0] * 16 for _ in range((n + 3) // 4)]
+        self.every = 0
         for e in elems:
             self.add(e)
 
     def add(self, e: _BasisElem) -> None:
         bit = 1 << len(self.elems)
         self.elems.append(e)
-        self._all |= bit
+        self.every |= bit
         mask = e.mask
-        for table in self._tables:
+        for table in self.tables:
             if not mask:
                 break
             for b in _MISSING[mask & 15]:
                 table[b] |= bit
             mask >>= 4
-
-    def candidates(self, support: int) -> int:
-        """Bit ``k`` set for each divisor whose lead support lies inside
-        ``support``; a lead divides a monomial only then."""
-        outside = 0
-        for table in self._tables:
-            outside |= table[support & 15]
-            support >>= 4
-        return self._all ^ outside
 
 
 def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
@@ -337,16 +365,33 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
 
     Every monomial of the result is divisible by no divisor's lead.  The
     divisor tried first is always the earliest in ``divs``.
+
+    Two invariants of every row let a step skip unpacking its quotient
+    ``q``.  A row's stored support is exact, so ``q`` uses the term's
+    variables less the lead variables it cancels; the lead's guards
+    (:class:`_BasisElem`) tell whether it cancels all of them, none, or
+    some, and only the last unpacks ``q``.  The sugar is at least the degree
+    of every term, so while it lies below ``2**width - 1`` the degree of
+    ``q`` is ``q`` modulo that (see :func:`_update`).
     """
     out = []
     work = rows
     idx = 0
     steps = 0
     guards = pk.guards
-    elems, candidates = divs.elems, divs.candidates
+    mod = (1 << pk.width) - 1
+    p = _modulus(field)
+    # the divisors whose lead support lies inside a term's support are the
+    # bits that no nibble table sets (see _Divisors)
+    elems, tables, every = divs.elems, divs.tables, divs.every
     while idx < len(work):
         mk, m, mc, ms = work[idx]
-        cand = candidates(ms)
+        outside = 0
+        sup = ms
+        for table in tables:
+            outside |= table[sup & 15]
+            sup >>= 4
+        cand = every ^ outside
         while cand:
             low = cand & -cand
             hit = elems[low.bit_length() - 1]
@@ -362,11 +407,16 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
             _check_deadline()
         if idx:
             out.extend(work[:idx])
-        work = _scaled_sub(
-            work, idx + 1, hit.rows, mk - hit.lmkey, q, pk.support(q), mc, field, guards
-        )
+        kept = (q + hit.fill) & hit.lguard
+        if not kept:
+            qs = ms & ~hit.mask
+        elif kept == hit.lguard:
+            qs = ms
+        else:
+            qs = pk.support(q)
+        work = _scaled_sub(work, idx + 1, hit.rows, mk - hit.lmkey, q, qs, mc, p, guards)
         idx = 0
-        s = pk.degree(q) + hit.sugar
+        s = (q % mod if sugar < mod else pk.degree(q)) + hit.sugar
         if s > sugar:
             sugar = s
     out.extend(work)
@@ -498,14 +548,18 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
     # another.  Each field of a packed monomial weighs a power of
     # ``2**width``, which is 1 modulo ``2**width - 1``, so the lcm modulo
     # that is its degree whenever the degree, at most ``g.deg + h.deg``,
-    # lies below it
+    # lies below it.  The lcm is :meth:`_Packing.lcm`, inlined
     mod = (1 << pk.width) - 1
     cap = mod - h.deg
+    spread = pk.width - 1
+    hg = hlm | guards
     cands = []
     for j in active.members:
         g = elems[j]
         if g.mask & hmask:
-            lcm = lcm_of(g.lm, hlm)
+            glm = g.lm
+            ge = (hg - glm) & guards
+            lcm = glm ^ ((hlm ^ glm) & (ge - (ge >> spread)))
             deg = lcm % mod if g.deg < cap else pk.degree(lcm)
             cands.append((deg, j, lcm, g.mask | hmask))
     cands.sort()  # by (degree, j); j is unique
@@ -694,6 +748,7 @@ def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
 def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=None) -> tuple:
     """``(elems, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
+    p = _modulus(fld)
     divs = _Divisors(pk.n, [_BasisElem(rows, sugar, pk) for rows, sugar in known])
     elems = divs.elems
     active, minimal = _Minimal(pk.n), _Minimal(pk.n)
@@ -723,7 +778,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
         c0 = rows[0][2]
         if c0 != fld.one:
             inv = fld.inv(c0)
-            rows = [(k, p, fld.mul(c, inv), s) for k, p, c, s in rows]
+            rows = [(k, q, c * inv % p if p else c * inv, s) for k, q, c, s in rows]
         e = _BasisElem(rows, sugar, pk)
         divs.add(e)
         hi = len(elems) - 1
@@ -774,7 +829,7 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
         # the tails are shifted
         rows = _scaled_sub(
             _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, pk.support(qi), guards),
-            0, ej.rows, lk - ej.lmkey, qj, pk.support(qj), fld.one, fld, guards,
+            0, ej.rows, lk - ej.lmkey, qj, pk.support(qj), fld.one, p, guards,
         )
         rows, sugar = _reduce_rows(rows, s, divs, fld, pk)
         if rows:
@@ -791,11 +846,12 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
     # leads are fixed, and full tail reduction against the others' leads pins
     # each element.  Elements go from the smallest lead up, each reduced by
     # the ones already done and the ones still to come; no lead divides a
-    # term of its own tail, so every element can sit in one index.
+    # term of its own tail, so every element can sit in one index.  Each
+    # keeps the sugar of its reduced tail, which still bounds every term
     kept = sorted(map(elems.__getitem__, minimal.members), key=lambda e: e.lmkey)
     others = _Divisors(pk.n, kept)
     for e in kept:
-        tail, _ = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
+        tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
     # under a target the last reading follows the last insert, and a met
     # series is the first reading, so ``num`` is the series of these leads
@@ -831,8 +887,18 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
 
     ``M + (x)`` is ``(x)`` plus the generators free of ``x``, so its
     numerator is ``(1 - t)`` times theirs.  ``M : x`` divides the
-    generators that ``x`` divides by ``x``; those quotients stay minimal,
-    and only they can divide a generator free of ``x``.
+    generators that ``x`` divides by ``x``; those quotients (the cut) stay
+    minimal, and only they can divide a generator free of ``x``, which is
+    then dropped from ``M : x``.
+
+    Each generator is ``(packed, support, degree)``.  With ``guards`` zero
+    the generators are squarefree, each one its support mask at width 1
+    with its degree the mask's bit count, and a cut generator divides ``s``
+    exactly when its mask is a subset of ``s``.  That path walks the
+    ``2**deg`` subsets of ``s`` against a set of the cut masks, but only
+    when ``2**deg`` is at most the number of cut generators; otherwise, and
+    for packed generators, it scans the cut.  Either way it drops the same
+    generators, so the pivots are the same.
     """
     seen = overlap = 0
     for _, s, _ in gens:
@@ -866,11 +932,30 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
             cut.append((p, s if p & field else s ^ x, d - 1))
         else:
             free.append(g)
-    quotient = cut + [
-        (p, s, d)
-        for p, s, d in free
-        if not any(not cs & ~s and not (p - cp) & guards for cp, cs, _ in cut)
-    ]
+    if guards:
+        quotient = cut + [
+            (p, s, d)
+            for p, s, d in free
+            if not any(not cs & ~s and not (p - cp) & guards for cp, cs, _ in cut)
+        ]
+    else:
+        # squarefree: a cut generator divides s exactly when its mask is a
+        # subset of s.  Walking the 2**d subsets of s against a set of the
+        # cut masks beats scanning the cut once 2**d is at most its length
+        masks = {cs for _, cs, _ in cut}
+        ncut = len(cut)
+        quotient = list(cut)
+        for g in free:
+            s = g[1]
+            if 1 << g[2] <= ncut:
+                sub = s
+                while sub not in masks:
+                    if not sub:
+                        quotient.append(g)
+                        break
+                    sub = (sub - 1) & s
+            elif not any(not cs & ~s for cs in masks):
+                quotient.append(g)
     a = _pivot_numerator(free, width, guards)
     b = _pivot_numerator(quotient, width, guards)
     out = [0] * (max(len(a), len(b)) + 1)

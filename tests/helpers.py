@@ -195,6 +195,68 @@ def brute_force_hilbert_function(gens, n, top):
     return out
 
 
+def reference_lead_numerator(elems, pk):
+    """``groebner._lead_numerator`` with the quotient filter as one scan of
+    the cut generators for every free generator: the pivot recursion as it
+    stood before the squarefree subset walk.  It picks the same pivots, so
+    the numerators agree coefficient by coefficient."""
+    leads = [(e.lm, e.mask, e.deg) for e in elems]
+    if all(s.bit_count() == d for _, s, d in leads):
+        num = _reference_pivot_numerator([(s, s, d) for _, s, d in leads], 1, 0)
+    else:
+        num = _reference_pivot_numerator(leads, pk.width, pk.guards)
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
+
+
+def _reference_pivot_numerator(gens, width, guards):
+    seen = overlap = 0
+    for _, s, _ in gens:
+        overlap |= seen & s
+        seen |= s
+    if not overlap:
+        out = [1]
+        for _, _, d in gens:
+            nxt = out + [0] * d
+            for i, c in enumerate(out):
+                nxt[i + d] -= c
+            out = nxt
+        return out
+    counts = {}
+    for _, s, _ in gens:
+        s &= overlap
+        while s:
+            low = s & -s
+            counts[low] = counts.get(low, 0) + 1
+            s ^= low
+    x = max(counts, key=counts.__getitem__)
+    shift = (x.bit_length() - 1) * width
+    one, field = 1 << shift, ((1 << width) - 1) << shift
+    free, cut = [], []
+    for g in gens:
+        p, s, d = g
+        if s & x:
+            p -= one
+            cut.append((p, s if p & field else s ^ x, d - 1))
+        else:
+            free.append(g)
+    quotient = cut + [
+        (p, s, d)
+        for p, s, d in free
+        if not any(not cs & ~s and not (p - cp) & guards for cp, cs, _ in cut)
+    ]
+    a = _reference_pivot_numerator(free, width, guards)
+    b = _reference_pivot_numerator(quotient, width, guards)
+    out = [0] * (max(len(a), len(b)) + 1)
+    for i, c in enumerate(a):
+        out[i] += c
+        out[i + 1] -= c
+    for i, c in enumerate(b):
+        out[i + 1] += c
+    return out
+
+
 def series_from_numerator(num, n, top):
     """Coefficients of ``num(t) / (1 - t)^n`` in degrees ``0..top``."""
     return [

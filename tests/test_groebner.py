@@ -11,6 +11,8 @@ from detkit.groebner import (
     IdealHandle,
     UnitIdealError,
     _Basis,
+    _BasisElem,
+    _lead_numerator,
     _Packing,
     buchberger,
     deadline_scope,
@@ -44,6 +46,7 @@ from helpers import (
     brute_force_hilbert_function,
     expire_after_basis,
     random_poly,
+    reference_lead_numerator,
     series_from_numerator,
     textbook_buchberger,
 )
@@ -905,6 +908,99 @@ def test_pair_degree_past_the_field_sum():
         assert list(active.members) == [0, 1]
 
 
+def test_quotient_degree_past_the_field_sum():
+    # a reduction step reads its quotient's degree as the packed int modulo
+    # 2**width - 1 while the row's sugar, which bounds every term's degree,
+    # lies below it.  At width 4 that is 15: x^3*y^3*z^3 (sugar 9) by x
+    # leaves y^3*z^3 of degree 8, read off the int, and x^7*y^7*z^2 (sugar
+    # 16) leaves x^6*y^7*z^2 of degree 15, which reads 0 modulo 15 and takes
+    # the fallback.  The divisor's sugar of 6 puts the step's own sugar
+    # above the row's, so the degree shows in the sugar returned
+    from detkit.groebner import _Divisors, _reduce_rows
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    pk = _Packing(ring.order, 4)
+    divs = _Divisors(pk.n, [_BasisElem(pk.rows(x), 6, pk)])
+    for f, degree in ((x**3 * y**3 * z**3, 8), (x**7 * y**7 * z**2, 15)):
+        rows, sugar = _reduce_rows(pk.rows(f), f.degree(), divs, ring.field, pk)
+        assert rows == [] and sugar == degree + 6
+
+
+@st.composite
+def _mixed_gens(draw, count):
+    """``count`` nonzero polynomials in three variables with terms of
+    degree 0 to 3, so that under lex a tail may outweigh its lead and the
+    sugar exceed the lead's degree, as ``[(exponents, coefficient), ...]``
+    term lists."""
+    exps = st.sampled_from([(0, 0, 0)] + [e for d in (1, 2, 3) for e in _EXPONENTS[d]])
+    coeffs = st.integers(-7, 7).filter(bool)
+    return [
+        [(e, draw(coeffs)) for e in draw(st.lists(exps, min_size=1, max_size=3, unique=True))]
+        for _ in range(count)
+    ]
+
+
+def _check_rows(rows, sugar, pk):
+    """A row's stored support is the support of its packed monomial, and
+    the sugar is at least the degree of every term."""
+    for _, p, _, s in rows:
+        assert s == pk.support(p)
+        assert pk.degree(p) <= sugar
+
+
+# a - b^60 and a*b^100 - 1 under lex, a^90*b - c and a*b^90 - 1 under
+# grevlex: each run outgrows the 8-bit fields and reruns at width 16
+_WIDENING = {
+    "lex": [[((1, 0, 0), 1), ((0, 60, 0), -1)], [((1, 100, 0), 1), ((0, 0, 0), -1)]],
+    "grevlex": [[((90, 1, 0), 1), ((0, 0, 1), -1)], [((1, 90, 0), 1), ((0, 0, 0), -1)]],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), st.sampled_from(["grevlex", "lex"]), _mixed_gens(3))
+@example("fp:32003", "lex", _WIDENING["lex"] + [[((0, 2, 0), 1), ((0, 0, 2), 3)]])
+@example("qq", "lex", _WIDENING["lex"] + [[((0, 2, 0), 1), ((0, 0, 2), 3)]])
+@example("fp:32003", "grevlex", _WIDENING["grevlex"] + [[((0, 2, 0), 1), ((0, 0, 2), 3)]])
+@example("qq", "grevlex", _WIDENING["grevlex"] + [[((0, 2, 0), 1), ((0, 0, 2), 3)]])
+# a reduction by a*b whose quotient keeps a: a^2*b less a*b is a, so a
+# support that drops every lead variable would lose it
+@example("qq", "grevlex", [[((1, 1, 0), 1)], [((2, 1, 0), 1), ((0, 0, 3), 1)], [((0, 0, 1), 1)]])
+def test_rows_keep_their_support_and_sugar(field, order, terms):
+    # every reduction's input and output rows, in basis runs, their final
+    # interreduction, an elimination and membership tests, keep the two
+    # invariants that let a reduction step skip unpacking its quotient
+    from detkit import groebner
+
+    real = groebner._reduce_rows
+    widths = set()
+
+    def checking(rows, sugar, divs, field, pk):
+        _check_rows(rows, sugar, pk)
+        out, sugar = real(rows, sugar, divs, field, pk)
+        _check_rows(out, sugar, pk)
+        widths.add(pk.width)
+        return out, sugar
+
+    ring, (gens,) = _ring_and_polys(field, terms, order=order)
+    a, b, c = (ring.var(i) for i in range(3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_reduce_rows", checking)
+        I = IdealHandle(ring, gens)
+        # (g0) ∩ (g1): eliminating from three inhomogeneous generators can
+        # take minutes over the rationals under lex
+        K = ideal_intersect(IdealHandle(ring, gens[:1]), IdealHandle(ring, gens[1:2]))
+        for G in (I.groebner(), K.groebner()):
+            for e in G._elems:
+                _check_rows(e.rows, e.sugar, G._pk)
+        for f in [a * b * c, a**2 - b * c] + [g * (a + c) for g in gens]:
+            ideal_member(f, I)
+            ideal_member(f, K)
+    assert 8 in widths
+    if terms[:2] in _WIDENING.values():
+        assert 16 in widths and I.groebner()._pk.width == 16
+
+
 # -- Hilbert numerators and the stop at a target -------------------------------------
 
 
@@ -953,6 +1049,45 @@ def test_hilbert_numerator_ignores_the_order(field, terms):
         ring, (gens,) = _ring_and_polys(field, terms, order=order)
         nums.append(hilbert_numerator(IdealHandle(ring, gens)))
     assert nums[0] == nums[1]
+
+
+def _lead_elems(n, gens):
+    """The packing and the elements whose leads are the monomials ``gens``
+    (dicts position -> exponent) in ``n`` variables."""
+    ring = mkring([f"x{i}" for i in range(n)])
+    pk = _Packing(ring.order, 8)
+    polys = [ring.monomial_poly(Monomial(sorted(g.items()))) for g in gens]
+    return pk, [_BasisElem(pk.rows(f), f.degree(), pk) for f in polys]
+
+
+@st.composite
+def _squarefree_leads(draw):
+    """(n, generators): 8 to 60 squarefree monomials of degree 1 to 7 in up
+    to 20 variables, enough for the subset walk and the scan of the cut
+    both to run."""
+    n = draw(st.integers(2, 20))
+    support = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(7, n))
+    return n, [dict.fromkeys(s, 1) for s in draw(st.lists(support, min_size=8, max_size=60))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_squarefree_leads())
+# x0 is a generator, so the cut holds the constant (mask 0) and x1, free
+# of x0, is dropped by it in the subset walk
+@example((4, [{0: 1}, {0: 1, 3: 1}, {1: 1}]))
+# the pivot x0 turns x0*x1 into x1, equal to the free generator x1
+@example((3, [{0: 1, 1: 1}, {1: 1}, {0: 1, 2: 1}]))
+def test_lead_numerator_matches_the_reference_on_squarefree_leads(ideal):
+    pk, elems = _lead_elems(*ideal)
+    assert _lead_numerator(elems, pk) == reference_lead_numerator(elems, pk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_ideals_for_series())
+@example((2, [{}, {0: 2}, {1: 1}]))
+def test_lead_numerator_matches_the_reference_on_packed_leads(ideal):
+    pk, elems = _lead_elems(*ideal)
+    assert _lead_numerator(elems, pk) == reference_lead_numerator(elems, pk)
 
 
 def test_hilbert_numerator_is_cached_and_copied(monkeypatch):
