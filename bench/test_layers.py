@@ -3,8 +3,9 @@ primitives, one reduction over a prime field and over the rationals, one
 elimination, one Hilbert numerator read as a dimension and one read off the
 1,225 leads of the 7x7 3-minors, the closed-form series of two plain ideals
 and a basis run that ends at its first reading because it meets that
-series, and the steps that certify a decomposition block: the sum basis
-that extends a known one, the basis stopped at its target series, and the
+series, and the steps that certify a decomposition block: the minimal lcms
+of the components' leads looked up among the claim's leads (on the 7x7
+step, 14,875 lcms), the claim's basis run that those lcms cover, and the
 membership of its generators.
 
 Run them from the repository root with
@@ -33,15 +34,13 @@ from detkit.detideals import (
     pfaffian_poly,
 )
 from detkit.groebner import (
-    IdealHandle,
     _BasisElem,
     _Divisors,
     _Packing,
-    _intersection_numerator,
     _lead_numerator,
+    _minimal_lcms,
     _reduce_rows,
     buchberger,
-    hilbert_numerator,
     ideal_height,
     ideal_member,
     s_polynomial,
@@ -264,30 +263,33 @@ def block55():
     return k1, j2, lhs, buchberger(lhs.gens)
 
 
-def test_sum_basis_5x5_second_block(benchmark, block55):
-    # the series of S/(K_1 ∩ J_2): the basis of K_1 + J_2 extends K_1's
-    # cached basis by J_2's generators; each round clears the numerators of
-    # both cached bases so that they are timed too
-    k1, j2, _, full = block55
-    j2.groebner()
+def test_cover_check_7x7(benchmark):
+    # the certificate of the one step of minors 7x7 t3 R2 r1: the minimal
+    # lcms of the leads of the 3-minors (1,225) and of the 14 variables of
+    # the first two rows, 3,675 of the 14,875 lcms, each looked up among
+    # the leads of the claim's cached basis
+    ms = MatrixSpec("generic", 7, 7)
+    ring = matrix_ring(ms, FP)
+    (_, K), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+    A, B = K.groebner(), J.groebner()
+    lhs = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    G = lhs.groebner(_minimal_lcms(A, B))
+    # every lead is squarefree, so an lcm is the union of two supports
+    assert len({frozenset(a.lm.exps) | frozenset(b.lm.exps) for a in A for b in B}) == 14875
+    assert benchmark(lambda: set(_minimal_lcms(A, B)) <= {g.lm for g in G})
+    assert len(_minimal_lcms(A, B)) == len(G) == 3675
 
-    def uncache():
-        k1._gb._num = j2._gb._num = None
 
-    num = benchmark.pedantic(_intersection_numerator, (k1, j2), setup=uncache, rounds=10)
-    assert num == hilbert_numerator(IdealHandle(full[0].ring, full))
-
-
-def test_target_stopped_lhs_basis_5x5(benchmark, block55):
-    # K_2's basis stopped at the series of K_1 ∩ J_2; each round clears the
-    # cached basis, which holds its numerator
+def test_cover_stopped_lhs_basis_5x5(benchmark, block55):
+    # K_2's basis run, covered by the minimal lcms of the leads of K_1 and
+    # J_2; each round clears the cached basis
     k1, j2, lhs, full = block55
-    target = _intersection_numerator(k1, j2)
+    cover = _minimal_lcms(k1.groebner(), j2.groebner())
 
     def uncache():
         lhs._gb = None
 
-    assert benchmark.pedantic(lhs.groebner, (target,), setup=uncache, rounds=10) == full
+    assert benchmark.pedantic(lhs.groebner, (cover,), setup=uncache, rounds=10) == full
 
 
 def test_membership_5x5(benchmark, block55):

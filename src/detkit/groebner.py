@@ -39,9 +39,11 @@ Two invariants of every row let a reduction step skip unpacking its
 quotient: a row's stored support is exactly the support of its packed
 monomial, and a row's sugar is at least the degree of every term.  So the
 quotient's support follows from the term's and from which lead variables
-cancel, and its degree is the packed int modulo ``2**width - 1`` while the
-sugar lies below that.  Coefficients combine as one sum ``c + gc*nqc``,
-reduced modulo ``p`` over ``fp:p``, in one loop for both fields.
+cancel (:meth:`_BasisElem.quotient_support`; an S-pair's two quotients
+start from the support of the pair's lcm), and its degree is the packed
+int modulo ``2**width - 1`` while the sugar lies below that.  Coefficients
+combine as one sum ``c + gc*nqc``, reduced modulo ``p`` over ``fp:p``, in
+one loop for both fields.
 
 :func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
 series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
@@ -50,27 +52,22 @@ when every lead is squarefree), and :func:`krull_dimension` reads the
 dimension off it.  On squarefree leads the recursion drops a generator
 that a cut generator divides by walking the generator's ``2**deg`` subsets
 against a set of the cut's masks, but only when ``2**deg`` is at most the
-number of cut generators; otherwise it scans the cut.
+number of masks; otherwise it scans them (:func:`_holds_subset`).
 
-:func:`buchberger` can take a numerator as a ``target``: it then drops the
-S-pairs of each degree in which the leads of its partial basis meet the
-target's Hilbert function, and ends once they have the whole series,
-before the updates that wait there.  This is sound for a homogeneous ideal
-already known to lie inside an ideal with that series (Traverso, *Hilbert
-functions and the Buchberger algorithm*, JSC 1997).  An
+:func:`intersect_all` is the one way to intersect a list of ideals.  It
+folds from the first, and each step either keeps an expected result ``L``
+for ``K ∩ J`` or eliminates with :func:`ideal_intersect`.  It keeps ``L``
+when membership puts it inside ``K`` and ``J`` and every minimal lcm of a
+lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
+``in(K) ∩ in(J)``, which then equals ``in(L)``.  The same lcms are the
+``cover`` of ``L``'s basis run, which drops a degree's pairs once the
+cover monomials up to it are leads and ends once all are.  An
 :class:`IdealHandle` may also carry a ``series``, the numerator over the
 rationals that a closed form gives a plain determinantal or Pfaffian ideal
 (:func:`~detkit.combinat.determinantal_numerator`).  Its basis run checks
 the series at the first reading only: a reading equal to it ends the run
 with the generators as the basis, and a miss leaves the run as it would be
 without a series.
-
-:func:`intersect_all` is the one way to intersect a list of ideals.  It
-folds from the first, and each step either keeps an expected result that
-membership and the series of the intersection certify, with the basis
-stopped at that series, or eliminates with :func:`ideal_intersect`.  The
-series of a sum ``K + J`` comes from ``K``'s reduced basis extended by
-``J``'s generators.
 
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
@@ -82,8 +79,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, islice
-from math import comb
+from itertools import accumulate, chain, islice
 from operator import itemgetter, mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
@@ -157,7 +153,9 @@ class _Packing:
     (:meth:`_Basis.of`); a packing without one records nothing.
     """
 
-    __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
+    __slots__ = (
+        "order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos", "_pairs"
+    )
 
     def __init__(self, order, width: int, elim: bool = False):
         self.order = order
@@ -179,6 +177,8 @@ class _Packing:
             self.fields = self._split
         # packed -> Monomial: the record, or None once it is dropped
         self._monos: Optional[dict] = {}
+        # each position's (position, 1) pair, shared by the monomials unpacked
+        self._pairs = [(p, 1) for p in range(n)]
 
     def wider(self) -> "_Packing":
         return _Packing(self.order, 2 * self.width, self.elim)
@@ -222,7 +222,8 @@ class _Packing:
         return [(packed >> (p * self.width)) & low for p in range(self.n)]
 
     def monomial(self, packed: int):
-        exps = tuple((p, e) for p, e in enumerate(self.fields(packed)) if e)
+        pairs = self._pairs
+        exps = tuple(pairs[p] if e == 1 else (p, e) for p, e in enumerate(self.fields(packed)) if e)
         return _mk(exps, sum(e for _, e in exps))
 
     def degree(self, packed: int) -> int:
@@ -271,6 +272,17 @@ class _BasisElem:
         guards = pk.guards
         self.lguard = lguard = ((self.lm | guards) - pk.ones) & guards
         self.fill = lguard - (lguard >> (pk.width - 1))
+
+    def quotient_support(self, q: int, ms: int, pk: _Packing) -> int:
+        """The support of ``q``, a monomial of exact support ``ms`` over the
+        lead: ``ms`` less the lead variables that cancel, which the guards
+        tell when all or none do; otherwise ``q`` is unpacked."""
+        kept = (q + self.fill) & self.lguard
+        if not kept:
+            return ms & ~self.mask
+        if kept == self.lguard:
+            return ms
+        return pk.support(q)
 
 
 def _shift_rows(rows: Sequence, qk, qp, qs, guards) -> list:
@@ -368,9 +380,8 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
 
     Two invariants of every row let a step skip unpacking its quotient
     ``q``.  A row's stored support is exact, so ``q`` uses the term's
-    variables less the lead variables it cancels; the lead's guards
-    (:class:`_BasisElem`) tell whether it cancels all of them, none, or
-    some, and only the last unpacks ``q``.  The sugar is at least the degree
+    variables less the lead variables it cancels
+    (:meth:`_BasisElem.quotient_support`).  The sugar is at least the degree
     of every term, so while it lies below ``2**width - 1`` the degree of
     ``q`` is ``q`` modulo that (see :func:`_update`).
     """
@@ -407,13 +418,7 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
             _check_deadline()
         if idx:
             out.extend(work[:idx])
-        kept = (q + hit.fill) & hit.lguard
-        if not kept:
-            qs = ms & ~hit.mask
-        elif kept == hit.lguard:
-            qs = ms
-        else:
-            qs = pk.support(q)
+        qs = hit.quotient_support(q, ms, pk)
         work = _scaled_sub(work, idx + 1, hit.rows, mk - hit.lmkey, q, qs, mc, p, guards)
         idx = 0
         s = (q % mod if sugar < mod else pk.degree(q)) + hit.sugar
@@ -637,7 +642,7 @@ class _Basis(tuple):
 
 def buchberger(
     gens: Iterable[Polynomial],
-    target: Optional[Sequence[int]] = None,
+    cover: Optional[Iterable] = None,
     known: Sequence[Polynomial] = (),
     series: Optional[Sequence[int]] = None,
 ) -> tuple:
@@ -665,25 +670,20 @@ def buchberger(
     On other input such a pair may be reduced instead of dropped; the
     reduced basis is the same.
 
-    ``target``, when given, is a Hilbert numerator (see
-    :func:`hilbert_numerator`) that the run may stop at.  This is sound
-    only when the generators are homogeneous and the caller has shown that
-    their ideal ``L`` lies inside an ideal whose quotient has series
-    ``target``.  Then the partial lead ideal lies inside ``in(L)``, so
-    ``HF(S/in(G)) >= HF(S/L) >= target`` in every degree (Traverso,
-    *Hilbert functions and the Buchberger algorithm*, JSC 1997).  So in
-    degree ``d``, once ``HF(S/in(G))(d)`` meets ``target``'s, every element
-    of ``L`` of degree ``d`` already has its lead in ``in(G)``: the
-    remaining pairs of degree ``d`` reduce to zero and are dropped
-    unreduced.  Once the leads have exactly the numerator ``target``, every
-    later degree is met, and the run ends.  The result is the same reduced
-    basis, and a target the run never meets changes nothing.
-
-    Under a target the numerator of the leads is read where the run leaves
-    a degree with updates waiting; one that meets the target ends the run
-    before they run.  The last reading follows the last insert, so it is
-    the numerator of the final leads, met or not: :meth:`_Basis.numerator`
-    hands it back.
+    ``cover``, when given, lists the minimal generators, as
+    :class:`Monomial` objects, of a monomial ideal ``M`` that the caller
+    has shown to contain the lead ideal ``in(I)`` of the generators' ideal.
+    A lead lies in ``M``, so it divides a minimal generator only by being
+    it: an insert strikes its own lead off the cover, and no divisibility
+    is tested.  Once every cover monomial of degree ``d`` or lower is
+    struck off, the leads' ideal, inside ``in(I) ⊆ M``, equals both up to
+    degree ``d``, so on homogeneous generators the remaining pairs of
+    degree ``d`` reduce to zero and are dropped unreduced (the argument of
+    Traverso, *Hilbert functions and the Buchberger algorithm*, JSC 1997,
+    run on ``M`` in place of a Hilbert function).  Once all are, the
+    partial basis is a Groebner basis, and the run ends before the updates
+    that wait.  The result is the same reduced basis, and a cover never
+    struck off changes nothing.
 
     ``series``, when given, is the Hilbert numerator of the ideal of
     ``gens`` over the rationals, from a closed form that holds over every
@@ -703,28 +703,27 @@ def buchberger(
     for g in [*gens, *known]:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    target = None if target is None else list(target)
+    cover = None if cover is None else list(cover)
     series = None if series is None else list(series)
     pk, basis, num = _basis_rows(
         _Packing(ring.order, 8),
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
-        target,
+        cover,
         known,
         series,
     )
     return _Basis.of(ring, pk, basis, num)
 
 
-def _basis_rows(pk: _Packing, pack, fld, target=None, known=(), series=None) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld, cover=None, known=(), series=None) -> tuple:
     """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
-    greatest lead first, and the Hilbert numerator of its leads when a
-    ``target`` run read it or the first reading met ``series``, else
-    ``None``.  A run whose exponents outgrow the fields starts over with
-    fields twice as wide, so the packing returned may be wider than ``pk``.
-    ``target``, ``known`` and ``series`` are :func:`buchberger`'s, kept
-    across reruns.
+    greatest lead first, and the Hilbert numerator of its leads when the
+    first reading met ``series``, else ``None``.  A run whose exponents
+    outgrow the fields starts over with fields twice as wide, so the
+    packing returned may be wider than ``pk``.  ``cover``, ``known`` and
+    ``series`` are :func:`buchberger`'s, kept across reruns.
     """
     kp = getattr(known, "_pk", None)
     while True:
@@ -735,17 +734,35 @@ def _basis_rows(pk: _Packing, pack, fld, target=None, known=(), series=None) -> 
                 prefix = [(pk.record(e.rows, g), g.degree()) for e, g in zip(known._elems, known)]
             else:
                 prefix = [(pk.rows(g), g.degree()) for g in known]
-            return (pk, *_buchberger(pack(pk), fld, pk, target, prefix, series))
+            return (pk, *_buchberger(pack(pk), fld, pk, cover, prefix, series))
         except _Overflow:
             pk = pk.wider()
 
 
-def _hilbert_function(num: Sequence[int], n: int, d: int) -> int:
-    """``HF(d)`` of the series ``N(t)/(1-t)^n``: the coefficient of ``t^d``."""
-    return sum(c * comb(n - 1 + d - i, n - 1) for i, c in enumerate(num[: d + 1]))
+def _minimal_lcms(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> list:
+    """The minimal generators of ``in(A) ∩ in(B)`` for bases ``A`` and
+    ``B``: the lcms of a lead of each that no other such lcm divides.
+
+    Polarized, a lead turns ``x_p^e`` into the lowest ``e`` bits of a field
+    ``p`` as wide as the largest exponent, one bit when every lead is
+    squarefree, so divisibility is inclusion and the lcm an OR.  The lcms
+    go in by degree, and one is minimal when no minimal one before it is a
+    subset (:func:`_holds_subset`)."""
+    width = max((e for g in chain(A, B) for _, e in g.lm.exps), default=1)
+    polar = [{sum(((1 << e) - 1) << (p * width) for p, e in g.lm.exps) for g in G} for G in (A, B)]
+    found: set = set()
+    out = []
+    for u in sorted({a | b for a in polar[0] for b in polar[1]}, key=int.bit_count):
+        if not _holds_subset(u, u.bit_count(), found):
+            found.add(u)
+            exps: dict = {}
+            for bit in _positions(u):
+                exps[bit // width] = exps.get(bit // width, 0) + 1
+            out.append(_mk(tuple(exps.items()), u.bit_count()))
+    return out
 
 
-def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=None) -> tuple:
+def _buchberger(gens: list, fld, pk: _Packing, cover=None, known=(), series=None) -> tuple:
     """``(elems, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
     p = _modulus(fld)
@@ -760,19 +777,19 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
     for k in range(len(elems)):
         active.add(elems, k, guards)
         minimal.add(elems, k, guards)
+    # ``left[d]``: the cover monomials of degree d that are no lead yet
+    left = None if cover is None else {}
+    for m in cover or ():
+        left.setdefault(m.deg, set()).add(m)
     # a new element joins the divisors at once, so that the reductions of
     # its own degree see it, but its pair update waits in ``queued``;
     # ``minimal`` runs ahead of ``active`` by the queued leads.  Whenever
     # the next pair's sugar passes the current degree, or no pair is left,
-    # the waiting updates run in order.  Under a target the numerator of the
-    # minimal leads is read first, and meeting the target ends the run; a
-    # series is compared with the first reading alone.  ``deficit`` is then
-    # how far the leads' Hilbert function lies above the target's in the new
-    # degree; each new element of that degree lowers it by one, and at zero
-    # the degree's remaining pairs are dropped
+    # the waiting updates run in order; a series is first compared with the
+    # first reading of the minimal leads, which may end the run
     queued: list = []
     degree = -1
-    deficit = num = None
+    num = None
 
     def insert(rows, sugar):
         c0 = rows[0][2]
@@ -784,6 +801,11 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
         hi = len(elems) - 1
         queued.append(hi)
         minimal.add(elems, hi, guards)
+        if left is not None and e.deg in left:
+            same = left[e.deg]
+            same.discard(pk.monomial(e.lm))
+            if not same:
+                del left[e.deg]
         return e
 
     unit = any(not e.lm for e in elems)
@@ -797,47 +819,44 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
                     break
 
     while not unit:
+        if left is not None and not left:
+            # every cover monomial is a lead: the run is done
+            break
         if not heap or heap[0][0] > degree:
             if queued:
-                if target is not None or series is not None:
+                if series is not None:
                     num = _lead_numerator(map(elems.__getitem__, minimal.members), pk)
-                    if num == target or num == series:
+                    if num == series:
                         break
-                    series = None
-                    if target is None:
-                        num = None
+                    series = num = None
                 for hi in queued:
                     _update(elems, hi, active, pending, pk)
                 queued.clear()
             if heap:
                 degree = heap[0][0]
-                if target is not None:
-                    deficit = _hilbert_function(num, pk.n, degree) - _hilbert_function(
-                        target, pk.n, degree
-                    )
         if not heap:
             break
         _check_deadline()
         s, lk, t = heappop(heap)
         pair = pending.pairs.pop(t, None)
-        if pair is None or deficit == 0:
+        # the degree's pairs are dropped once no cover monomial up to it is
+        # left
+        if pair is None or left is not None and min(left) > degree:
             continue
-        ei, ej, lcm = elems[pair[0]], elems[pair[1]], pair[2]
+        ei, ej, lcm, pmask = elems[pair[0]], elems[pair[1]], pair[2], pair[3]
         qi = lcm - ei.lm
         qj = lcm - ej.lm
         # both elements are monic, so their heads cancel at the lcm and only
         # the tails are shifted
         rows = _scaled_sub(
-            _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, pk.support(qi), guards),
-            0, ej.rows, lk - ej.lmkey, qj, pk.support(qj), fld.one, p, guards,
+            _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, ei.quotient_support(qi, pmask, pk), guards),
+            0, ej.rows, lk - ej.lmkey, qj, ej.quotient_support(qj, pmask, pk), fld.one, p, guards,
         )
         rows, sugar = _reduce_rows(rows, s, divs, fld, pk)
         if rows:
             e = insert(rows, sugar)
             if not e.lm:
                 unit = True
-            if deficit:
-                deficit -= 1
 
     if unit:
         return [_BasisElem([(0, 0, fld.one, 0)], 0, pk)], None
@@ -853,8 +872,8 @@ def _buchberger(gens: list, fld, pk: _Packing, target=None, known=(), series=Non
     for e in kept:
         tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
         e.rows = [e.rows[0]] + tail
-    # under a target the last reading follows the last insert, and a met
-    # series is the first reading, so ``num`` is the series of these leads
+    # a met series is the first reading, so ``num`` is the series of these
+    # leads
     return kept[::-1], num
 
 
@@ -879,6 +898,20 @@ def _lead_numerator(elems: Iterable, pk: _Packing) -> list:
     return num
 
 
+def _holds_subset(s: int, deg: int, masks: set) -> bool:
+    """Whether some mask of ``masks`` is a subset of ``s``, a mask of
+    ``deg`` bits.  Walking the ``2**deg`` subsets of ``s`` against the set
+    beats scanning the set once ``2**deg`` is at most its size."""
+    if 1 << deg <= len(masks):
+        sub = s
+        while sub not in masks:
+            if not sub:
+                return False
+            sub = (sub - 1) & s
+        return True
+    return any(not m & ~s for m in masks)
+
+
 def _pivot_numerator(gens: list, width: int, guards: int) -> list:
     """Bigatti's pivot recursion (*Computation of Hilbert-Poincare series*,
     JPAA 1997) on the minimal generators ``gens``: ``N(M) = N(M + (x)) +
@@ -894,11 +927,9 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
     Each generator is ``(packed, support, degree)``.  With ``guards`` zero
     the generators are squarefree, each one its support mask at width 1
     with its degree the mask's bit count, and a cut generator divides ``s``
-    exactly when its mask is a subset of ``s``.  That path walks the
-    ``2**deg`` subsets of ``s`` against a set of the cut masks, but only
-    when ``2**deg`` is at most the number of cut generators; otherwise, and
-    for packed generators, it scans the cut.  Either way it drops the same
-    generators, so the pivots are the same.
+    exactly when its mask is a subset of ``s``, which
+    :func:`_holds_subset` finds by walking the subsets of ``s`` or by
+    scanning the cut masks; packed generators scan the cut.
     """
     seen = overlap = 0
     for _, s, _ in gens:
@@ -940,22 +971,9 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
         ]
     else:
         # squarefree: a cut generator divides s exactly when its mask is a
-        # subset of s.  Walking the 2**d subsets of s against a set of the
-        # cut masks beats scanning the cut once 2**d is at most its length
+        # subset of s
         masks = {cs for _, cs, _ in cut}
-        ncut = len(cut)
-        quotient = list(cut)
-        for g in free:
-            s = g[1]
-            if 1 << g[2] <= ncut:
-                sub = s
-                while sub not in masks:
-                    if not sub:
-                        quotient.append(g)
-                        break
-                    sub = (sub - 1) & s
-            elif not any(not cs & ~s for cs in masks):
-                quotient.append(g)
+        quotient = cut + [g for g in free if not _holds_subset(g[1], g[2], masks)]
     a = _pivot_numerator(free, width, guards)
     b = _pivot_numerator(quotient, width, guards)
     out = [0] * (max(len(a), len(b)) + 1)
@@ -1027,12 +1045,12 @@ class IdealHandle:
         self.series = series
         self._gb = None
 
-    def groebner(self, target: Optional[Sequence[int]] = None) -> tuple:
+    def groebner(self, cover: Optional[Iterable] = None) -> tuple:
         """The reduced basis; the first call computes it, with
-        :func:`buchberger`'s ``target`` stop when one is given and its check
+        :func:`buchberger`'s ``cover`` stop when one is given and its check
         of ``series``."""
         if self._gb is None:
-            self._gb = buchberger(self.gens, target, series=self.series)
+            self._gb = buchberger(self.gens, cover, series=self.series)
         return self._gb
 
     def __repr__(self) -> str:
@@ -1068,28 +1086,6 @@ def _inside(I: IdealHandle, J: IdealHandle) -> bool:
     that is also a generator of ``J`` needs no reduction."""
     own = set(J.gens)
     return all(g in own or ideal_member(g, J) for g in I.gens)
-
-
-def _intersection_numerator(K: IdealHandle, J: IdealHandle) -> list:
-    """Hilbert numerator of ``S/(K ∩ J)`` for homogeneous ``K`` and ``J``,
-    from the exact sequence ``0 -> S/(K∩J) -> S/K ⊕ S/J -> S/(K+J) -> 0``.
-    When ``K`` lies in ``J`` the intersection is ``K``, and no basis of
-    ``K + J`` is needed.  When ``J`` lies in ``K``, each generator of ``J``
-    reduces to zero against ``K``'s basis, the one the basis of ``K + J``
-    starts from, and the formula gives ``J``'s series."""
-    if _inside(K, J):
-        return hilbert_numerator(K)
-    # K's reduced basis seeds the basis of K + J: only J's generators are
-    # reduced and paired
-    total = buchberger(J.gens, known=K.groebner()).numerator()
-    out: list = []
-    for sign, num in ((1, hilbert_numerator(K)), (1, hilbert_numerator(J)), (-1, total)):
-        out += [0] * (len(num) - len(out))
-        for d, c in enumerate(num):
-            out[d] += sign * c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:
@@ -1157,15 +1153,20 @@ def intersect_all(
     """The intersection of ``handles``, folded left from ``handles[0]``; no
     handles give the unit ideal.
 
-    ``expect[i-1]``, when given, is a homogeneous ideal claimed to equal
-    ``K_i = K_{i-1} ∩ handles[i]``.  Step ``i`` keeps it when that is
-    certified: every generator lies in ``K_{i-1}`` and in ``handles[i]`` by
-    membership, and ``S/expect[i-1]`` has the series of ``S/K_i``, whose
-    numerator comes from ``K_{i-1}`` and ``handles[i]`` alone
-    (:func:`_intersection_numerator`).  That numerator is also the target
-    that lets the basis of ``expect[i-1]`` stop early.  A step without a
-    certified expectation eliminates with :func:`ideal_intersect`; the steps
-    before it are not redone.
+    ``expect[i-1]``, when given, is a homogeneous ideal ``L`` claimed to
+    equal ``K_i = K_{i-1} ∩ handles[i]``.  Step ``i`` keeps it when that is
+    certified on lead ideals.  Every generator of ``L`` lies in ``K_{i-1}``
+    and in ``handles[i]`` by membership, so ``in(L) ⊆ in(K_i) ⊆ M =
+    in(K_{i-1}) ∩ in(handles[i])``, which the lcms of a lead of each basis
+    generate.  Then a lead of ``L`` lies in ``M`` and divides a minimal
+    generator of ``M`` only by being it, so "every lcm is divisible by a
+    lead of ``L``" comes down to "every minimal lcm is a lead of ``L``"
+    (:func:`_minimal_lcms`).  When that holds the three ideals are equal,
+    and ``L``, inside ``K_i`` with the same lead ideal, is ``K_i``.  The
+    minimal lcms also cover ``L``'s basis run (see :func:`buchberger`), but
+    the check reads the final basis, however it was computed.  A step
+    without a certified expectation eliminates with
+    :func:`ideal_intersect`; the steps before it are not redone.
     """
     if not handles:
         return IdealHandle(ring, (ring.one,))
@@ -1173,11 +1174,10 @@ def intersect_all(
     for i, J in enumerate(handles[1:]):
         if i < len(expect):
             step = expect[i]
-            # the stop is sound only once step lies inside K ∩ J
+            # the cover is sound only once step lies inside K ∩ J
             if _inside(step, K) and _inside(step, J):
-                target = _intersection_numerator(K, J)
-                step.groebner(target)
-                if hilbert_numerator(step) == target:
+                cover = _minimal_lcms(K.groebner(), J.groebner())
+                if set(cover) <= {g.lm for g in step.groebner(cover)}:
                     K = step
                     continue
         K = ideal_intersect(K, J)

@@ -6,9 +6,10 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
   Pfaffians equals the intersection of the per-block component ideals.
   The ideals constrained by the first ``i`` blocks are the expected
   results of the steps of :func:`~detkit.groebner.intersect_all`, which
-  certifies each one by membership and a Hilbert series, with no
-  elimination, or else eliminates that step alone.  The verdict comes
-  from comparing reduced bases.
+  certifies each one with no elimination: it lies in both sides by
+  membership, and its leads divide every lcm of a lead of each side.  A
+  step that fails either test is eliminated alone.  The verdict comes from
+  comparing reduced bases.
 - ``truncation``: dropping generators above a weighted-degree bound yields
   the honest degree truncation, and that truncation matches an intersection
   with one extra block component.
@@ -71,7 +72,6 @@ from .groebner import (
     IdealHandle,
     _check_deadline,
     deadline_scope,
-    hilbert_numerator,
     ideal_equal,
     ideal_height,
     ideal_member,
@@ -333,9 +333,9 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
         doset_lhs = constrained_symmetric_ideal(
             ring, ms, spec.t, R=spec.R, r=spec.r, doset_only=True
         )
-        # the doset generators are some of full's, so full's series may stop
-        # their basis (see groebner.buchberger's target)
-        doset_lhs.groebner(hilbert_numerator(full))
+        # the doset generators are some of full's, so full's leads may cover
+        # their basis run (see groebner.buchberger's cover)
+        doset_lhs.groebner([g.lm for g in full.groebner()])
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
     report.settle(_separating_element(lhs, ("rhs", rhs)))
 

@@ -13,6 +13,7 @@ from detkit.groebner import (
     _Basis,
     _BasisElem,
     _lead_numerator,
+    _minimal_lcms,
     _Packing,
     buchberger,
     deadline_scope,
@@ -266,10 +267,14 @@ def test_intersect_all_keeps_only_a_certified_expectation():
     I, J = IdealHandle(ring, [x]), IdealHandle(ring, [y])
     right = IdealHandle(ring, [x * y])
     assert intersect_all(ring, [I, J], expect=[right]) is right
-    # inside I ∩ J with a smaller series, and not inside J: both eliminate
-    for wrong in ([x * x * y], [x]):
+    # inside I ∩ J with a smaller lead ideal, not inside J, and not inside
+    # I though every minimal lcm, x*y, is a lead: all three eliminate
+    for wrong in ([x * x * y], [x], [x * y, z]):
         K = intersect_all(ring, [I, J], expect=[IdealHandle(ring, wrong)])
         assert K.groebner() == (x * y,)
+    # no lcm at all: the claim (0) for I ∩ (0) holds with nothing to cover
+    zero = IdealHandle(ring, ())
+    assert intersect_all(ring, [I, zero], expect=[zero]) is zero
     # a refused first step leaves the second to be certified from its result
     Z = IdealHandle(ring, [z])
     both = [IdealHandle(ring, [x]), IdealHandle(ring, [x * y * z])]
@@ -555,13 +560,12 @@ def test_sum_run_reuses_the_rows_of_a_known_basis(monkeypatch):
     # basis, whose run packed its rows at the width the sum run starts at:
     # the run packs J_2's generators and takes K_1's rows as they are
     from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
-    from detkit.groebner import _intersection_numerator
 
     ms = MatrixSpec("generic", 5, 5)
     ring = matrix_ring(ms, PrimeField(32003))
     k1 = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
     j2 = components(ring, ms, 3, R=(2, 3), r=(1, 2))[2][1]
-    known, _ = k1.groebner(), j2.groebner()
+    known = k1.groebner()
     packed = []
     real = _Packing.rows
 
@@ -570,15 +574,11 @@ def test_sum_run_reuses_the_rows_of_a_known_basis(monkeypatch):
         return real(self, f)
 
     monkeypatch.setattr(_Packing, "rows", rows)
-    num = _intersection_numerator(k1, j2)
+    total = buchberger(j2.gens, known=known)
     monkeypatch.undo()
-    assert not any(f is g for f in packed for g in known)
-    # membership of K_1's generators in J_2, then J_2's generators once
-    tested = len(packed) - len(j2.gens)
-    assert packed[:tested] == list(k1.gens[:tested])
-    assert all(f is g for f, g in zip(packed[tested:], j2.gens))
-    lhs = constrained_ideal(ring, ms, 3, R=(2, 3), r=(1, 2))
-    assert num == hilbert_numerator(lhs)
+    assert len(packed) == len(j2.gens)
+    assert all(f is g for f, g in zip(packed, j2.gens))
+    assert total == buchberger(k1.gens + j2.gens)
 
 
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
@@ -1126,52 +1126,50 @@ def test_numerator_of_an_intersection_reads_its_elimination_leads():
     _homogeneous_gens(4),
 )
 # the later lead a*b, of lower degree, divides the earlier lead a^2*b: the
-# minimal leads the run reads must lose it before any update has run
+# minimal leads must lose it before any update has run
 @example(
     "qq",
     "grevlex",
     [[((2, 1, 0), 1), ((0, 0, 3), 1)], [((1, 1, 0), 1), ((0, 1, 1), 2)], [((0, 0, 2), 3)]],
 )
 @example("fp:32003", "lex", [[((2, 1, 0), 1), ((0, 0, 3), 1)], [((1, 1, 0), 1), ((0, 1, 1), 2)]])
-# already a Groebner basis: the first reading meets the full series, and
-# no pair is ever formed
+# already a Groebner basis: the generators' leads are the cover, and no
+# pair is ever formed
 @example("qq", "grevlex", [[((1, 1, 0), 1)], [((1, 0, 1), 1)], [((0, 1, 1), 1), ((0, 0, 2), 3)]])
 @example("fp:32003", "lex", [[((1, 1, 0), 1)], [((1, 0, 1), 1)], [((0, 1, 1), 1), ((0, 0, 2), 3)]])
-def test_stop_at_the_full_series_gives_the_full_basis(field, order, terms):
+def test_stop_at_a_full_cover_gives_the_full_basis(field, order, terms):
     ring, (gens,) = _ring_and_polys(field, terms, order=order)
     full = buchberger(gens)
-    target = hilbert_numerator(IdealHandle(ring, full))
-    assert buchberger(gens, target=target) == full
-    # adding c^d gives a larger ideal whose series agrees below degree d
-    # only: those degrees drop their pairs once met, and the run never
-    # reaches the full series
+    assert buchberger(gens, [g.lm for g in full]) == full
+    # adding c^d gives a larger ideal whose leads agree with the ideal's
+    # below degree d only: those degrees drop their pairs once met, and the
+    # run never reaches the whole cover
     c = ring.var(2)
     for d in range(1, 6):
-        lower = hilbert_numerator(IdealHandle(ring, gens + [c**d]))
-        assert buchberger(gens, target=lower) == full
+        larger = [g.lm for g in buchberger(gens + [c**d])]
+        assert buchberger(gens, larger) == full
 
 
 @pytest.mark.parametrize("field", ["fp:32003", "qq"])
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 def test_unreachable_target_gives_the_full_basis(field, order):
-    # the series of a strictly larger ideal lies below every partial series
-    # of the smaller one, so the run never stops early
+    # a cover that holds z, which no lead of the smaller ideal reaches, never
+    # ends the run early
     ring = mkring("xyz", field_from_name(field), order)
     x, y, z = (ring.var(i) for i in range(3))
     gens = [x * x + y * y, x * y]
     full = buchberger(gens)
     assert len(full) == 3
-    target = hilbert_numerator(IdealHandle(ring, gens + [z]))
-    assert buchberger(gens, target=target) == full
-    # a handle whose run missed its target reads its own numerator
+    cover = [g.lm for g in buchberger(gens + [z])]
+    assert buchberger(gens, cover) == full
     I = IdealHandle(ring, gens)
-    assert I.groebner(target) == full
-    assert hilbert_numerator(I) == hilbert_numerator(IdealHandle(ring, full)) != target
+    assert I.groebner(cover) == full
+    assert hilbert_numerator(I) == hilbert_numerator(IdealHandle(ring, full))
 
 
 def _lhs_4x5():
-    """``(ring, lhs, full, target)``: the minors 4x5 t3 R2 r1 ideal, its
-    reduced basis and the target its components give."""
+    """``(ring, lhs, full, cover)``: the minors 4x5 t3 R2 r1 ideal, its
+    reduced basis and the minimal lcms of its two components' leads."""
     from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("generic", 4, 5)
@@ -1179,16 +1177,10 @@ def _lhs_4x5():
     lhs = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
     full = buchberger(lhs.gens)
     (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
-    # HS(S/(I∩J)) = HS(S/I) + HS(S/J) - HS(S/(I+J))
-    parts = [hilbert_numerator(h) for h in (I, J, IdealHandle(ring, I.gens + J.gens))]
-    target = [0] * max(map(len, parts))
-    for sign, num in zip((1, 1, -1), parts):
-        for d, c in enumerate(num):
-            target[d] += sign * c
-    while target[-1] == 0:
-        target.pop()
-    assert target == hilbert_numerator(IdealHandle(ring, full))
-    return ring, lhs, full, target
+    cover = _minimal_lcms(I.groebner(), J.groebner())
+    # the lhs is the intersection, so the minimal lcms are its leads
+    assert sorted(m.exps for m in cover) == sorted(g.lm.exps for g in full)
+    return ring, lhs, full, cover
 
 
 def _calls(monkeypatch, name, fn, *args, **kwargs):
@@ -1212,10 +1204,11 @@ def _calls(monkeypatch, name, fn, *args, **kwargs):
 
 def test_stop_saves_reductions_on_a_decomposition_lhs(monkeypatch):
     # every 3-minor of a 4x5 matrix meets the first two rows, and the
-    # 3-minors already form a Groebner basis: the stop fires before the
-    # first pair, where the full run reduces 528 S-polynomials to zero
-    _, lhs, full, target = _lhs_4x5()
-    G, stopped = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, target=target)
+    # 3-minors already form a Groebner basis: their leads are the whole
+    # cover, so the run ends before the first pair, where the full run
+    # reduces 528 S-polynomials to zero
+    _, lhs, full, cover = _lhs_4x5()
+    G, stopped = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, cover)
     assert G == full
     G, unstopped = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens)
     assert G == full
@@ -1224,70 +1217,64 @@ def test_stop_saves_reductions_on_a_decomposition_lhs(monkeypatch):
 
 
 def test_stop_defers_the_pair_updates(monkeypatch):
-    # under a target a pair update waits until the run leaves its degree,
-    # and a run that meets the target there never makes it.  The 3-minors
-    # of 4x5 are a Groebner basis, so the first reading stops the run
-    # before any update, where updating at every insert makes 40.
-    # minors-5x5-t3-R23-r12 makes 385 updates, 553 when each insert makes
-    # its own
+    # a pair update waits until the run leaves its degree, and a run whose
+    # leads reach the whole cover there never makes it.  The 3-minors of
+    # 4x5 are a Groebner basis, so the run ends before any update, where
+    # updating at every insert makes 40.  minors-5x5-t3-R23-r12 makes 205
+    # updates (385 when its claims' runs stopped at a series target)
     from detkit.harness import CaseSpec, run_case
 
-    _, lhs, full, target = _lhs_4x5()
-    G, updates = _calls(monkeypatch, "_update", buchberger, lhs.gens, target=target)
+    _, lhs, full, cover = _lhs_4x5()
+    G, updates = _calls(monkeypatch, "_update", buchberger, lhs.gens, cover)
     assert G == full
     assert updates == 0
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     report, updates = _calls(monkeypatch, "_update", run_case, spec)
     assert report.verdict == "EQUAL"
-    assert updates <= 385
+    assert updates <= 205
 
 
-def test_a_met_target_is_the_numerator(monkeypatch):
-    # the run that stops on the target has read it off its leads; the
-    # handle keeps it, so the numerator costs no second reading
-    ring, lhs, full, target = _lhs_4x5()
+def test_a_covered_run_reads_no_numerator(monkeypatch):
+    # a step certified on its leads reads no Hilbert numerator, in the
+    # claim's run or in the check; the handle reads its leads once, on
+    # demand
+    from detkit.detideals import MatrixSpec, components
+    from detkit.harness import CaseSpec, run_case
+
+    ring, lhs, full, _ = _lhs_4x5()
+    parts = [h for _, h in components(ring, MatrixSpec("generic", 4, 5), 3, R=(2,), r=(1,))]
+    for h in parts:
+        h.groebner()
     step = IdealHandle(ring, lhs.gens)
-    assert step.groebner(target) == full
+    kept, readings = _calls(monkeypatch, "_lead_numerator", intersect_all, ring, parts, [step])
+    assert kept is step and step.groebner() == full
+    assert readings == 0
     num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, step)
-    assert num == target
-    assert readings == 0
-    # a handle whose basis came without a target reads it once
-    I = IdealHandle(ring, lhs.gens)
-    num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, I)
-    assert num == target
+    assert num == hilbert_numerator(IdealHandle(ring, full))
     assert readings == 1
-
-
-def test_a_missed_target_keeps_the_read_numerator(monkeypatch):
-    # a run that misses its target has still read its final leads; the
-    # handle keeps that reading, which is its own series, not the target
-    ring = mkring("xyz")
-    x, y, z = (ring.var(i) for i in range(3))
-    gens = [x * x + y * y, x * y]
-    target = hilbert_numerator(IdealHandle(ring, gens + [z]))
-    I = IdealHandle(ring, gens)
-    full = I.groebner(target)
-    num, readings = _calls(monkeypatch, "_lead_numerator", hilbert_numerator, I)
-    assert readings == 0
-    assert num == hilbert_numerator(IdealHandle(ring, full)) != target
+    # minors-5x5-t3-R23-r12 reads the first leads of its three components
+    # alone, each against its closed-form series
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    report, readings = _calls(monkeypatch, "_lead_numerator", run_case, spec)
+    assert report.verdict == "EQUAL"
+    assert readings == 3
 
 
 @pytest.mark.parametrize("where", ["_pivot_numerator", "_update"])
 def test_a_flush_checks_the_deadline(monkeypatch, where):
-    # a clock that passes the deadline at the first reading of the leads
-    # stops the run inside that reading when the leads share a variable,
-    # and otherwise inside the first waiting update, which runs because the
-    # target is out of reach
+    # a clock that passes the deadline at the first reading of the leads,
+    # which a series asks for, stops the run inside that reading when the
+    # leads share a variable, and otherwise inside the first waiting
+    # update, which runs because the series is missed
     from detkit import groebner
 
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     if where == "_pivot_numerator":
         gens = [x * y - z * z, y * z - x * x, x * z - y * y]
-        target = hilbert_numerator(IdealHandle(ring, buchberger(gens)))
     else:
         gens = [x * x + y * z, y * y + x * z]
-        target = hilbert_numerator(IdealHandle(ring, gens + [z]))
+    series = hilbert_numerator(IdealHandle(ring, gens + [z]))
     real = groebner._lead_numerator
     readings = []
 
@@ -1298,21 +1285,65 @@ def test_a_flush_checks_the_deadline(monkeypatch, where):
     monkeypatch.setattr(groebner, "_lead_numerator", reading)
     monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if readings else 0.0)
     with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
-        buchberger(gens, target=target)
+        buchberger(gens, series=series)
     assert len(readings) == 1
     assert [entry.name for entry in info.traceback][-2:] == [where, "_check_deadline"]
 
 
 def test_unreachable_target_skips_no_pair(monkeypatch):
-    # with one variable added the series lies below the ideal's own in
-    # every positive degree, so no degree is met and every pair is reduced
+    # with one variable added the cover holds x[1,1], of degree 1, which is
+    # never a lead: no degree is met, and every pair is reduced
     ring, lhs, full, _ = _lhs_4x5()
-    lower = hilbert_numerator(IdealHandle(ring, lhs.gens + (ring.var(0),)))
-    G, skipping = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, target=lower)
+    lower = [g.lm for g in buchberger(lhs.gens + (ring.var(0),))]
+    assert min(m.deg for m in lower) == 1
+    G, skipping = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, lower)
     assert G == full
     G, plain = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens)
     assert G == full
     assert skipping == plain > 500
+
+
+@st.composite
+def _one_block_cases(draw):
+    """``(kind, m, n, t, R, r)`` for a small one-block decomposition: a
+    generic shape with m, n <= 4, or a skew one with n <= 6."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        t = draw(st.integers(1, min(m, n)))
+        R = draw(st.integers(1, m))
+        return "generic", m, n, t, R, draw(st.integers(1, min(R, t)))
+    n = draw(st.integers(2, 6))
+    t = draw(st.sampled_from([s for s in (2, 4, 6) if s <= n]))
+    R = draw(st.integers(1, n))
+    return "skew", n, n, t, R, draw(st.integers(1, min(R, t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_block_cases())
+# two skew claims that membership refuses, and a kept generic one
+@example(("skew", 6, 6, 6, 3, 3))
+@example(("skew", 5, 5, 4, 2, 2))
+@example(("generic", 4, 4, 3, 2, 1))
+def test_a_kept_claim_is_the_elimination(case):
+    # whenever intersect_all keeps the constrained ideal as the intersection
+    # of its two components, its reduced basis is the elimination's; and a
+    # run stopped by the minimal lcms ends at the basis a plain run gives
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+    from detkit.groebner import _inside
+
+    kind, m, n, t, R, r = case
+    ms = MatrixSpec(kind, m, n)
+    ring = matrix_ring(ms, PrimeField(32003))
+    (_, K), (_, J) = components(ring, ms, t, R=(R,), r=(r,))
+    claim = constrained_ideal(ring, ms, t, R=(R,), r=(r,))
+    kept = intersect_all(ring, [K, J], [claim]) is claim
+    fresh = [IdealHandle(ring, h.gens) for h in (K, J)]
+    if kept:
+        assert claim.groebner() == ideal_intersect(*fresh).groebner()
+    if _inside(claim, K) and _inside(claim, J):
+        cover = _minimal_lcms(K.groebner(), J.groebner())
+        assert buchberger(claim.gens, cover) == buchberger(claim.gens)
+        assert kept == (set(cover) <= {g.lm for g in claim.groebner()})
 
 
 # -- extending a known basis ---------------------------------------------------------
@@ -1342,18 +1373,17 @@ def test_extending_a_reduced_basis_gives_the_full_basis(field, order, old_terms,
 
 
 def test_decomposition_reduction_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 makes 6,040 _scaled_sub calls: one per
+    # minors-5x5-t3-R23-r12 makes 3,438 _scaled_sub calls: one per
     # reduction step and per S-polynomial.  The components' runs meet their
-    # series at the first reading and form no pair; without the series the
-    # case makes 8,622.  Re-pairing K_1's basis inside the basis of
-    # K_1 + J_2 makes 11,958, reducing the pairs of a met degree 10,150,
-    # and both 13,486
+    # series at the first reading and form no pair, and the claims' runs
+    # end once their leads reach the minimal lcms.  Certifying each step by
+    # a series target, with a basis of K_{i-1} + J_i, made 6,040
     from detkit.harness import CaseSpec, run_case
 
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
     assert report.verdict == "EQUAL"
-    assert calls <= 6040
+    assert calls <= 3438
 
 
 def test_heights_update_count(monkeypatch):

@@ -15,7 +15,7 @@ from detkit.harness import (
     run_suite,
     suite_document,
 )
-from detkit.poly import field_from_name
+from detkit.poly import field_from_name, mono_divides
 from helpers import expire_after_basis, expire_in_elimination
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -281,23 +281,33 @@ def test_not_equal_decomposition_falls_back_to_elimination(monkeypatch):
     )
 
 
-def test_wrong_component_series_makes_the_chain_refuse(monkeypatch):
-    # lowering the series of the linear component lowers the target below
-    # the series of every partial basis, so no stop fires and the full basis
-    # misses it; the intersection then comes from the elimination
+def _wrong_linear_leads(monkeypatch):
+    """Give the first linear component that a step meets one lead too
+    many, the last variable, where the step's minimal lcms are formed: that
+    lcm is no lead of a claim of degree 2 or more, so the step refuses.
+    Returns the list that gains the component's basis."""
     from detkit import groebner
 
-    real = groebner.hilbert_numerator
+    real = groebner._minimal_lcms
     moved = []
 
-    def moving(I):
-        num = real(I)
-        if I.gens and all(g.degree() == 1 for g in I.gens):
-            moved.append(I)
-            num += [0] * (6 - len(num)) + [-1]
-        return num
+    def moving(A, B):
+        cover = real(A, B)
+        if not moved and B and all(g.degree() == 1 for g in B):
+            moved.append(B)
+            cover.append(B[0].ring.var(len(B[0].ring.table) - 1).lm)
+        return cover
 
-    monkeypatch.setattr(groebner, "hilbert_numerator", moving)
+    monkeypatch.setattr(groebner, "_minimal_lcms", moving)
+    return moved
+
+
+def test_wrong_component_leads_make_the_chain_refuse(monkeypatch):
+    # a wrong lead of the linear component puts a monomial in the cover
+    # that no lead of the claim reaches, so the run goes on to the full
+    # basis and the certificate refuses; the intersection then comes from
+    # the elimination
+    moved = _wrong_linear_leads(monkeypatch)
     calls = _count_intersections(monkeypatch)
     rep = run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,)))
     assert moved and calls
@@ -306,23 +316,11 @@ def test_wrong_component_series_makes_the_chain_refuse(monkeypatch):
 
 
 def test_refused_step_eliminates_only_itself(monkeypatch):
-    # the wrong linear series refuses the first of two steps; that step is
+    # the wrong linear lead refuses the first of two steps; that step is
     # eliminated, and the second is still certified from its result
-    from detkit import groebner
-
     spec = mk("d2", m=3, n=4, t=2, R=(1, 2), r=(1, 1))
     recorded = run_case(spec).to_dict(include_timing=False)
-    real = groebner.hilbert_numerator
-    moved = []
-
-    def moving(I):
-        num = real(I)
-        if I.gens and all(g.degree() == 1 for g in I.gens):
-            moved.append(I)
-            num += [0] * (6 - len(num)) + [-1]
-        return num
-
-    monkeypatch.setattr(groebner, "hilbert_numerator", moving)
+    moved = _wrong_linear_leads(monkeypatch)
     calls = _count_intersections(monkeypatch)
     rep = run_case(spec)
     assert moved
@@ -331,32 +329,61 @@ def test_refused_step_eliminates_only_itself(monkeypatch):
 
 
 def test_no_target_before_membership(monkeypatch):
-    # the stop is sound only for an ideal inside the intersection: when a
+    # a cover is sound only for an ideal inside the intersection: when a
     # generator of the constrained ideal misses a component, no basis run
-    # gets a target
+    # gets one
     from detkit import groebner
 
     real = groebner.buchberger
-    targets = []
+    covers = []
 
-    def recording(gens, target=None, known=(), series=None):
-        targets.append(target)
-        return real(gens, target, known, series)
+    def recording(gens, cover=None, known=(), series=None):
+        covers.append(cover)
+        return real(gens, cover, known, series)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     calls = _count_intersections(monkeypatch)
     rep = run_case(mk("p4", kind="skew", n=5, t=4, R=(2,), r=(2,)))
     assert rep.verdict == "NOT_EQUAL" and calls
-    assert targets and not any(targets)
-    targets.clear()
-    # pfaffian-7-t4-R3-r2's claim fails membership the same way, so no run
-    # can stop on a target and hand it to the claim as its numerator
+    assert covers and not any(covers)
+    covers.clear()
+    # pfaffian-7-t4-R3-r2's claim fails membership the same way
     rep = run_case(mk("p7", kind="skew", n=7, t=4, R=(3,), r=(2,)))
     assert rep.verdict == "NOT_EQUAL"
-    assert targets and not any(targets)
-    targets.clear()
+    assert covers and not any(covers)
+    covers.clear()
     assert run_case(mk("d1", m=3, n=3, t=2, R=(1,), r=(1,))).verdict == "EQUAL"
-    assert any(targets)
+    assert any(covers)
+
+
+def test_the_not_equal_families_keep_their_separators():
+    # the 4x4 mixed case and skew (6, 6, 3, 3) keep the verdicts and
+    # separators they had under the series certificate.  The mixed case's
+    # second step passes membership and is refused on its leads: not all
+    # of the 57 minimal lcms are leads of the LHS.  On the skew case
+    # every lcm of the components' leads is divisible by the LHS's one
+    # lead, yet the LHS is not inside the pfaffians(3,rows<=3) component,
+    # so membership refuses it
+    from detkit.groebner import _inside, _minimal_lcms
+
+    rep = run_case(mk("mixed", m=4, n=4, t=2, R=(2,), r=(1,), C=(2,), c=(1,)))
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.stats == {"lhs_gens": 25, "rhs_gb_size": 57}
+    assert rep.reason == (
+        "rhs basis element not in lhs: x[1,1]*x[3,4]*x[4,3] + 32002*x[1,1]*x[3,3]*x[4,4]"
+    )
+    spec = mk("skew6", kind="skew", n=6, t=6, R=(3,), r=(3,))
+    rep = run_case(spec)
+    assert rep.verdict == "NOT_EQUAL"
+    assert rep.stats == {"lhs_gens": 1, "rhs_gb_size": 3}
+    assert rep.reason.startswith("lhs basis element not in rhs: z[1,6]*z[2,5]*z[3,4] + ")
+    ms = MatrixSpec("skew", 6, 6)
+    ring = matrix_ring(ms, field_from_name("fp:32003"))
+    (_, K), (_, J) = components(ring, ms, 6, R=(3,), r=(3,))
+    lhs = constrained_ideal(ring, ms, 6, R=(3,), r=(3,))
+    (g,) = lhs.groebner()
+    assert all(mono_divides(g.lm, m) for m in _minimal_lcms(K.groebner(), J.groebner()))
+    assert _inside(lhs, K) and not _inside(lhs, J)
 
 
 def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
@@ -368,9 +395,9 @@ def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
     real = groebner.buchberger
     calls = []
 
-    def counting(gens, target=None, known=(), series=None):
-        calls.append(target)
-        return real(gens, target, known, series)
+    def counting(gens, cover=None, known=(), series=None):
+        calls.append(cover)
+        return real(gens, cover, known, series)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))
@@ -542,10 +569,10 @@ def test_irredundancy_size_one_block_edge():
 
 
 def test_irredundancy_reuses_the_component_bases(monkeypatch):
-    # one basis per component, the sum basis and the claim's basis certify
-    # the full intersection, and each witness proves its component with the
+    # one basis per component and the claim's basis certify the full
+    # intersection, and each witness proves its component with the
     # component bases alone.  The Pfaffian claim is refused by membership,
-    # so that case runs one elimination in place of the last two bases
+    # so that case runs one elimination in place of the claim's basis
     from detkit import groebner
 
     real = groebner._basis_rows
@@ -561,8 +588,8 @@ def test_irredundancy_reuses_the_component_bases(monkeypatch):
     golden = json.loads((ROOT / "tests" / "golden" / "acceptance-no-timing.json").read_text())
     recorded = {c["case"]: c for c in golden["cases"]}
     expected = {
-        "irredundancy-4x3-t2-R2-r1": (4, 0),
-        "irredundancy-sym4-t2-R2-r1": (4, 0),
+        "irredundancy-4x3-t2-R2-r1": (3, 0),
+        "irredundancy-sym4-t2-R2-r1": (3, 0),
         "irredundancy-pfaff6-t4-R2-r2": (3, 1),
     }
     cases = [s for s in specs if s.check == "irredundancy"]
