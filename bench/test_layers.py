@@ -1,8 +1,9 @@
 """Layer micro-benchmarks: the generator builds, the packed monomial
 primitives, one reduction over a prime field and over the rationals, one
-elimination, one Hilbert numerator read as a dimension and one read off the
-1,225 leads of the 7x7 3-minors, the closed-form series of two plain ideals
-and a basis run that ends at its first reading because it meets that
+elimination, one Hilbert numerator read as a dimension and two read off
+leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
+3-minors, 105 of them not squarefree), the closed-form series of two plain
+ideals and a basis run that ends at its first reading because it meets that
 series, and the steps that certify a decomposition block: the minimal lcms
 of the components' leads looked up among the claim's leads (on the 7x7
 step, 14,875 lcms), the claim's basis run that those lcms cover, and the
@@ -209,6 +210,21 @@ def test_lead_numerator_minors_7x7(benchmark):
     elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in I.gens]
     assert len(elems) == 1225
     assert benchmark(_lead_numerator, elems, pk) == list(I.series)
+
+
+def test_lead_numerator_symmetric_7(benchmark):
+    # the Hilbert numerator read off the 490 leads of the basis of the
+    # 3-minors of a symmetric 7x7, whose run ends at this first reading;
+    # 105 leads repeat a variable, so the recursion runs on the leads'
+    # polarization.  Checked against the closed-form series of the ideal
+    ms = MatrixSpec("symmetric", 7, 7)
+    ring = matrix_ring(ms, FP)
+    G = constrained_ideal(ring, ms, 3).groebner()
+    elems, pk = G._elems, G._pk
+    assert len(elems) == 490
+    assert sum(e.mask.bit_count() != e.deg for e in elems) == 105
+    expected = list(determinantal_numerator("symmetric", 7, 7, 3))
+    assert benchmark(_lead_numerator, elems, pk) == expected
 
 
 @pytest.mark.parametrize(

@@ -23,17 +23,15 @@ element runs the Gebauer-Moller pair update (criteria B, M and F plus the
 product criterion) once the run leaves its sugar degree, so popping a pair
 does no scan; criterion B finds the pending pairs it may drop through an
 index of their lcms by variable, and the minimal leads that a new lead
-divides come out of an index of their variables.  A reduced basis already
-known can seed a run: its elements go in unpaired, since their S-pairs
-reduce to zero.  A divisibility test runs only on the divisors whose lead
-support lies inside the term's support, which an index by variable yields
-without a scan.  All choices are deterministic, so a given generator list
-always yields the same reduced basis.  A product whose exponent reaches a
-guard bit aborts the computation, which reruns with fields twice as wide.
-A basis keeps the packed rows its run ended with, and membership and
-:func:`normal_form` reduce against such rows, so no basis is packed twice: a
-run that a known basis seeds at that basis's width takes its rows as they
-are.  Membership reads the remainder's rows and unpacks nothing.
+divides come out of an index of their variables.  A divisibility test runs
+only on the divisors whose lead support lies inside the term's support,
+which an index by variable yields without a scan.  All choices are
+deterministic, so a given generator list always yields the same reduced
+basis.  A product whose exponent reaches a guard bit aborts the
+computation, which reruns with fields twice as wide.  A basis keeps the
+packed rows its run ended with, and membership and :func:`normal_form`
+reduce against such rows, so no basis is packed twice.  Membership reads
+the remainder's rows and unpacks nothing.
 
 Two invariants of every row let a reduction step skip unpacking its
 quotient: a row's stored support is exactly the support of its packed
@@ -45,14 +43,17 @@ int modulo ``2**width - 1`` while the sugar lies below that.  Coefficients
 combine as one sum ``c + gc*nqc``, reduced modulo ``p`` over ``fp:p``, in
 one loop for both fields.
 
-:func:`hilbert_numerator` gives the numerator ``N(t)`` of the Hilbert
-series ``HS(S/I) = N(t)/(1-t)^n`` from the leads of the reduced basis, as
-its run packed them, by Bigatti's pivot recursion (plain support masks
-when every lead is squarefree), and :func:`krull_dimension` reads the
-dimension off it.  On squarefree leads the recursion drops a generator
-that a cut generator divides by walking the generator's ``2**deg`` subsets
-against a set of the cut's masks, but only when ``2**deg`` is at most the
-number of masks; otherwise it scans them (:func:`_holds_subset`).
+Lead ideals have one form for monomial work: polarized, ``x_p^e`` is the
+lowest ``e`` bits of field ``p`` of a bit mask, so divisibility is
+inclusion and the lcm an OR (:func:`_polarize`; on squarefree leads a mask
+is the support).  :func:`hilbert_numerator` gives the numerator ``N(t)``
+of the Hilbert series ``HS(S/I) = N(t)/(1-t)^n`` by Bigatti's pivot
+recursion on the polarized leads of the reduced basis, which keeps the
+numerator, and :func:`krull_dimension` reads the dimension off it.  The
+recursion drops a generator that a cut generator divides by walking the
+generator's ``2**deg`` subsets against a set of the cut's masks, but only
+when ``2**deg`` is at most the number of masks; otherwise it scans them
+(:func:`_holds_subset`).  :func:`_minimal_lcms` takes the same masks.
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result ``L``
@@ -146,7 +147,7 @@ class _Packing:
     exceeds the key of every ``w``-free monomial, so monomials compare by
     their ``w`` exponent first and then by ``order``: the elimination order.
 
-    While a run packs its inputs, :meth:`rows` records each packed
+    While a run packs its generators, :meth:`rows` records each packed
     monomial's :class:`Monomial`, and :meth:`poly` reuses the recorded
     objects, so a run's basis unpacks only the monomials the run created.
     The record is dropped when the run hands its basis back
@@ -196,14 +197,9 @@ class _Packing:
                 key += e * weights[pos]
                 mask |= 1 << pos
             out.append((key, packed, c, mask))
-        return self.record(out, f)
-
-    def record(self, rows: list, f: Polynomial) -> list:
-        """``rows``, the rows of ``f`` at this packing, after recording the
-        monomial of each while the record is kept."""
         if self._monos is not None:
-            self._monos.update(zip(map(itemgetter(1), rows), map(itemgetter(0), f.terms)))
-        return rows
+            self._monos.update(zip(map(itemgetter(1), out), map(itemgetter(0), f.terms)))
+        return out
 
     def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
         """The polynomial of ``rows``: a recorded monomial is reused, and one
@@ -643,7 +639,6 @@ class _Basis(tuple):
 def buchberger(
     gens: Iterable[Polynomial],
     cover: Optional[Iterable] = None,
-    known: Sequence[Polynomial] = (),
     series: Optional[Sequence[int]] = None,
 ) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
@@ -651,13 +646,6 @@ def buchberger(
 
     Returns a tuple of monic polynomials sorted with the greatest lead
     first; the zero ideal gives ``()``.
-
-    ``known``, when given, must be a reduced Groebner basis in the same
-    ring and order, and the result is then the reduced basis of ``known``
-    and ``gens`` together.  Its elements enter the basis as they are, and
-    no S-pair between two of them is formed: each already reduces to zero
-    (Gebauer and Moller, *On an installation of Buchberger's algorithm*,
-    JSC 1988).  Only ``gens`` are reduced and paired.
 
     A new element's pair update waits until the run leaves its sugar degree
     ``d``; the waiting updates then run in the order the elements came.
@@ -697,10 +685,10 @@ def buchberger(
     as a run without it: the series never drops a pair.
     """
     gens = [g for g in gens if g]
-    if not gens and not known:
+    if not gens:
         return _Basis()
-    ring = (gens or known)[0].ring
-    for g in [*gens, *known]:
+    ring = gens[0].ring
+    for g in gens:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
     cover = None if cover is None else list(cover)
@@ -710,49 +698,50 @@ def buchberger(
         lambda pk: [(pk.rows(g), g.degree()) for g in gens],
         ring.field,
         cover,
-        known,
         series,
     )
     return _Basis.of(ring, pk, basis, num)
 
 
-def _basis_rows(pk: _Packing, pack, fld, cover=None, known=(), series=None) -> tuple:
+def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
     """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
     greatest lead first, and the Hilbert numerator of its leads when the
     first reading met ``series``, else ``None``.  A run whose exponents
     outgrow the fields starts over with fields twice as wide, so the
-    packing returned may be wider than ``pk``.  ``cover``, ``known`` and
-    ``series`` are :func:`buchberger`'s, kept across reruns.
+    packing returned may be wider than ``pk``.  ``cover`` and ``series``
+    are :func:`buchberger`'s, kept across reruns.
     """
-    kp = getattr(known, "_pk", None)
     while True:
         try:
-            if kp is not None and kp.width == pk.width:
-                # a run's rows at this width are the same at every packing
-                # of the order: an elimination field only adds a position
-                prefix = [(pk.record(e.rows, g), g.degree()) for e, g in zip(known._elems, known)]
-            else:
-                prefix = [(pk.rows(g), g.degree()) for g in known]
-            return (pk, *_buchberger(pack(pk), fld, pk, cover, prefix, series))
+            return (pk, *_buchberger(pack(pk), fld, pk, cover, series))
         except _Overflow:
             pk = pk.wider()
+
+
+def _polarize(leads: Sequence) -> tuple:
+    """``(width, masks)`` for ``leads``, each a sequence of ``(position,
+    exponent)`` pairs.  A lead's mask turns ``x_p^e`` into the lowest ``e``
+    bits of field ``p``, ``width`` bits wide, the largest exponent: on
+    squarefree leads one bit, and the mask is the support.  Divisibility is
+    then inclusion, the lcm an OR and the degree a bit count, and the
+    graded Betti numbers, so the Hilbert numerator, are kept (Herzog and
+    Hibi, *Monomial Ideals*, GTM 260, 2011, 1.6)."""
+    width = max((e for exps in leads for _, e in exps), default=1)
+    return width, [sum(((1 << e) - 1) << (p * width) for p, e in exps) for exps in leads]
 
 
 def _minimal_lcms(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> list:
     """The minimal generators of ``in(A) ∩ in(B)`` for bases ``A`` and
     ``B``: the lcms of a lead of each that no other such lcm divides.
 
-    Polarized, a lead turns ``x_p^e`` into the lowest ``e`` bits of a field
-    ``p`` as wide as the largest exponent, one bit when every lead is
-    squarefree, so divisibility is inclusion and the lcm an OR.  The lcms
-    go in by degree, and one is minimal when no minimal one before it is a
-    subset (:func:`_holds_subset`)."""
-    width = max((e for g in chain(A, B) for _, e in g.lm.exps), default=1)
-    polar = [{sum(((1 << e) - 1) << (p * width) for p, e in g.lm.exps) for g in G} for G in (A, B)]
+    The lcms of the polarized leads (:func:`_polarize`) go in by degree,
+    and one is minimal when no minimal one before it is a subset
+    (:func:`_holds_subset`)."""
+    width, masks = _polarize([g.lm.exps for g in chain(A, B)])
     found: set = set()
     out = []
-    for u in sorted({a | b for a in polar[0] for b in polar[1]}, key=int.bit_count):
+    for u in sorted({a | b for a in masks[: len(A)] for b in masks[len(A) :]}, key=int.bit_count):
         if not _holds_subset(u, u.bit_count(), found):
             found.add(u)
             exps: dict = {}
@@ -762,21 +751,16 @@ def _minimal_lcms(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> list:
     return out
 
 
-def _buchberger(gens: list, fld, pk: _Packing, cover=None, known=(), series=None) -> tuple:
+def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple:
     """``(elems, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
     p = _modulus(fld)
-    divs = _Divisors(pk.n, [_BasisElem(rows, sugar, pk) for rows, sugar in known])
+    divs = _Divisors(pk.n)
     elems = divs.elems
     active, minimal = _Minimal(pk.n), _Minimal(pk.n)
     pending = _Pending(pk.n)
     heap = pending.heap
 
-    # a reduced basis is a minimal one whose pairs all reduce to zero, so
-    # its elements go in unpaired and all active
-    for k in range(len(elems)):
-        active.add(elems, k, guards)
-        minimal.add(elems, k, guards)
     # ``left[d]``: the cover monomials of degree d that are no lead yet
     left = None if cover is None else {}
     for m in cover or ():
@@ -808,15 +792,14 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, known=(), series=None
                 del left[e.deg]
         return e
 
-    unit = any(not e.lm for e in elems)
-    if not unit:
-        for rows, sugar in gens:
-            rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
-            if rows:
-                e = insert(rows, sugar)
-                if not e.lm:
-                    unit = True
-                    break
+    unit = False
+    for rows, sugar in gens:
+        rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
+        if rows:
+            e = insert(rows, sugar)
+            if not e.lm:
+                unit = True
+                break
 
     while not unit:
         if left is not None and not left:
@@ -885,14 +868,15 @@ def _lead_numerator(elems: Iterable, pk: _Packing) -> list:
     """Coefficients of ``N(t)`` with ``HS(S/M) = N(t)/(1-t)^n``, for the
     monomial ideal ``M`` minimally generated by the leads of ``elems``,
     basis elements packed by ``pk``.  Trailing zero coefficients are
-    dropped, but ``M = S`` keeps its ``[0]``.  Squarefree leads are worked
-    as bare support masks.
+    dropped, but ``M = S`` keeps its ``[0]``.  The leads are polarized
+    (:func:`_polarize`); a squarefree lead is its support mask, so leads
+    that all are unpack nothing.
     """
-    leads = [(e.lm, e.mask, e.deg) for e in elems]
-    if all(s.bit_count() == d for _, s, d in leads):
-        num = _pivot_numerator([(s, s, d) for _, s, d in leads], 1, 0)
-    else:
-        num = _pivot_numerator(leads, pk.width, pk.guards)
+    elems = list(elems)
+    masks = [e.mask for e in elems]
+    if any(s.bit_count() != e.deg for s, e in zip(masks, elems)):
+        _, masks = _polarize([pk.monomial(e.lm).exps for e in elems])
+    num = _pivot_numerator(masks)
     while len(num) > 1 and not num[-1]:
         num.pop()
     return num
@@ -912,11 +896,12 @@ def _holds_subset(s: int, deg: int, masks: set) -> bool:
     return any(not m & ~s for m in masks)
 
 
-def _pivot_numerator(gens: list, width: int, guards: int) -> list:
+def _pivot_numerator(gens: list) -> list:
     """Bigatti's pivot recursion (*Computation of Hilbert-Poincare series*,
     JPAA 1997) on the minimal generators ``gens``: ``N(M) = N(M + (x)) +
-    t*N(M : x)`` with ``x`` the variable in the most generators, down to
-    pairwise-coprime generators, where ``N = prod(1 - t^deg)``.
+    t*N(M : x)`` with ``x`` the bit, a variable of the polarized ring, in
+    the most generators, down to pairwise-coprime generators, where ``N =
+    prod(1 - t^deg)``.
 
     ``M + (x)`` is ``(x)`` plus the generators free of ``x``, so its
     numerator is ``(1 - t)`` times theirs.  ``M : x`` divides the
@@ -924,20 +909,18 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
     minimal, and only they can divide a generator free of ``x``, which is
     then dropped from ``M : x``.
 
-    Each generator is ``(packed, support, degree)``.  With ``guards`` zero
-    the generators are squarefree, each one its support mask at width 1
-    with its degree the mask's bit count, and a cut generator divides ``s``
-    exactly when its mask is a subset of ``s``, which
-    :func:`_holds_subset` finds by walking the subsets of ``s`` or by
-    scanning the cut masks; packed generators scan the cut.
+    Each generator is a squarefree mask (:func:`_polarize`), its degree the
+    bit count, and a cut generator divides ``s`` exactly when its mask is a
+    subset of ``s``, which :func:`_holds_subset` finds by walking the
+    subsets of ``s`` or by scanning the cut masks.
     """
     seen = overlap = 0
-    for _, s, _ in gens:
+    for s in gens:
         overlap |= seen & s
         seen |= s
     if not overlap:
         out = [1]
-        for _, _, d in gens:
+        for d in map(int.bit_count, gens):
             # out * (1 - t^d)
             nxt = out + [0] * d
             for i, c in enumerate(out):
@@ -946,36 +929,19 @@ def _pivot_numerator(gens: list, width: int, guards: int) -> list:
         return out
     _check_deadline()
     counts: dict = {}
-    for _, s, _ in gens:
+    for s in gens:
         s &= overlap
         while s:
             low = s & -s
             counts[low] = counts.get(low, 0) + 1
             s ^= low
     x = max(counts, key=counts.__getitem__)
-    shift = (x.bit_length() - 1) * width
-    one, field = 1 << shift, ((1 << width) - 1) << shift
-    free, cut = [], []
-    for g in gens:
-        p, s, d = g
-        if s & x:
-            p -= one
-            cut.append((p, s if p & field else s ^ x, d - 1))
-        else:
-            free.append(g)
-    if guards:
-        quotient = cut + [
-            (p, s, d)
-            for p, s, d in free
-            if not any(not cs & ~s and not (p - cp) & guards for cp, cs, _ in cut)
-        ]
-    else:
-        # squarefree: a cut generator divides s exactly when its mask is a
-        # subset of s
-        masks = {cs for _, cs, _ in cut}
-        quotient = cut + [g for g in free if not _holds_subset(g[1], g[2], masks)]
-    a = _pivot_numerator(free, width, guards)
-    b = _pivot_numerator(quotient, width, guards)
+    free = [s for s in gens if not s & x]
+    cut = [s ^ x for s in gens if s & x]
+    masks = set(cut)
+    quotient = cut + [s for s in free if not _holds_subset(s, s.bit_count(), masks)]
+    a = _pivot_numerator(free)
+    b = _pivot_numerator(quotient)
     out = [0] * (max(len(a), len(b)) + 1)
     for i, c in enumerate(a):
         out[i] += c

@@ -198,8 +198,11 @@ def brute_force_hilbert_function(gens, n, top):
 def reference_lead_numerator(elems, pk):
     """``groebner._lead_numerator`` with the quotient filter as one scan of
     the cut generators for every free generator: the pivot recursion as it
-    stood before the squarefree subset walk.  It picks the same pivots, so
-    the numerators agree coefficient by coefficient."""
+    stood before the squarefree subset walk.  On squarefree leads it picks
+    the engine's pivots.  Packed leads it works as packed monomials,
+    dividing a pivot variable's exponent by one, where the engine works
+    their polarization (``groebner._polarize``) one bit at a time; the
+    numerators agree because polarization keeps the numerator."""
     leads = [(e.lm, e.mask, e.deg) for e in elems]
     if all(s.bit_count() == d for _, s, d in leads):
         num = _reference_pivot_numerator([(s, s, d) for _, s, d in leads], 1, 0)

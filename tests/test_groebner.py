@@ -555,50 +555,6 @@ def test_series_stopped_basis_holds_the_generators_monomials():
     assert G._pk._monos is None
 
 
-def test_sum_run_reuses_the_rows_of_a_known_basis(monkeypatch):
-    # the basis of K_1 + J_2 in minors 5x5 t3 R2,3 r1,2 extends K_1's
-    # basis, whose run packed its rows at the width the sum run starts at:
-    # the run packs J_2's generators and takes K_1's rows as they are
-    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
-
-    ms = MatrixSpec("generic", 5, 5)
-    ring = matrix_ring(ms, PrimeField(32003))
-    k1 = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
-    j2 = components(ring, ms, 3, R=(2, 3), r=(1, 2))[2][1]
-    known = k1.groebner()
-    packed = []
-    real = _Packing.rows
-
-    def rows(self, f):
-        packed.append(f)
-        return real(self, f)
-
-    monkeypatch.setattr(_Packing, "rows", rows)
-    total = buchberger(j2.gens, known=known)
-    monkeypatch.undo()
-    assert len(packed) == len(j2.gens)
-    assert all(f is g for f, g in zip(packed, j2.gens))
-    assert total == buchberger(k1.gens + j2.gens)
-
-
-@pytest.mark.parametrize("order", ["lex", "grevlex"])
-def test_extending_a_widened_or_eliminated_basis(order):
-    # a known basis whose run widened its fields is repacked at the width
-    # the sum run starts at, and that run widens too; an intersection's
-    # basis carries the elimination field, which its rows leave at zero
-    ring = mkring("xyz", order=order)
-    x, y, z = (ring.var(i) for i in range(3))
-    late = [x - y**60, x * y**100 - 1] if order == "lex" else [x**90 * y - z, x * y**90 - 1]
-    wide = buchberger(late)
-    assert wide._pk.width == 16
-    new = [x * z - y * y, z**3 - x]
-    assert buchberger(new, known=wide) == buchberger(late + new)
-    K = ideal_intersect(IdealHandle(ring, [x * y - z * z]), IdealHandle(ring, [x - y, z**3]))
-    elim = K.groebner()
-    assert elim._pk.elim
-    assert buchberger(new, known=elim) == buchberger(list(elim) + new)
-
-
 def test_buchberger_matches_textbook_beyond_64_variables():
     # the leads sit on positions 64-69, so support masks need more than 64 bits
     ring = mkring([f"v{i}" for i in range(70)], field=PrimeField(32003))
@@ -1085,6 +1041,10 @@ def test_lead_numerator_matches_the_reference_on_squarefree_leads(ideal):
 @settings(max_examples=60, deadline=None)
 @given(_monomial_ideals_for_series())
 @example((2, [{}, {0: 2}, {1: 1}]))
+# x0^9 polarizes into a field of 9 bits, wider than the byte that packs it
+@example((3, [{0: 9}, {0: 4, 1: 1}, {1: 2, 2: 1}, {0: 1, 2: 3}]))
+# squarefree leads among non-squarefree ones
+@example((4, [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 2, 3: 1}, {2: 1, 3: 2}, {1: 3}]))
 def test_lead_numerator_matches_the_reference_on_packed_leads(ideal):
     pk, elems = _lead_elems(*ideal)
     assert _lead_numerator(elems, pk) == reference_lead_numerator(elems, pk)
@@ -1260,6 +1220,33 @@ def test_a_covered_run_reads_no_numerator(monkeypatch):
     assert readings == 3
 
 
+def test_the_symmetric_reading_is_polarized(monkeypatch):
+    # symmetric-5-t3-R2-r1 reads one numerator, the first reading of its
+    # plain minors(3) component, whose leads repeat a variable: the pivot
+    # recursion runs on their polarization, in 43 calls, and meets the
+    # closed-form series
+    from detkit import groebner
+    from detkit.combinat import determinantal_numerator
+    from detkit.harness import CaseSpec, run_case
+
+    readings, packed = [], []
+    real = groebner._lead_numerator
+
+    def reading(elems, pk):
+        elems = list(elems)
+        packed.append(any(e.mask.bit_count() != e.deg for e in elems))
+        readings.append(real(elems, pk))
+        return readings[-1]
+
+    monkeypatch.setattr(groebner, "_lead_numerator", reading)
+    spec = CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,))
+    report, pivots = _calls(monkeypatch, "_pivot_numerator", run_case, spec)
+    assert report.verdict == "EQUAL"
+    assert readings == [list(determinantal_numerator("symmetric", 5, 5, 3))]
+    assert packed == [True]
+    assert pivots == 43
+
+
 @pytest.mark.parametrize("where", ["_pivot_numerator", "_update"])
 def test_a_flush_checks_the_deadline(monkeypatch, where):
     # a clock that passes the deadline at the first reading of the leads,
@@ -1344,32 +1331,6 @@ def test_a_kept_claim_is_the_elimination(case):
         cover = _minimal_lcms(K.groebner(), J.groebner())
         assert buchberger(claim.gens, cover) == buchberger(claim.gens)
         assert kept == (set(cover) <= {g.lm for g in claim.groebner()})
-
-
-# -- extending a known basis ---------------------------------------------------------
-
-
-_UNIT = [[((0, 0, 0), 1)]]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["fp:32003", "qq"]),
-    st.sampled_from(["grevlex", "lex"]),
-    st.one_of(st.integers(0, 2).flatmap(_homogeneous_gens), st.just(_UNIT)),
-    st.integers(0, 2).flatmap(_homogeneous_gens),
-)
-# the new lead a divides the old lead a^2, which leaves the minimal basis
-@example("qq", "grevlex", [[((2, 0, 0), 1), ((0, 1, 1), 1)]], [[((1, 0, 0), 1), ((0, 0, 1), 1)]])
-@example("fp:32003", "lex", [[((2, 0, 0), 1), ((0, 1, 1), 1)]], [[((1, 0, 0), 1), ((0, 0, 1), 1)]])
-@example("fp:32003", "lex", _UNIT, [[((1, 0, 0), 1)]])
-@example("qq", "grevlex", [[((1, 1, 0), 1)]], _UNIT)
-@example("fp:32003", "grevlex", [], [[((0, 1, 0), 2)]])
-def test_extending_a_reduced_basis_gives_the_full_basis(field, order, old_terms, new_terms):
-    ring, (old, new) = _ring_and_polys(field, old_terms, new_terms, order=order)
-    known = buchberger(old)
-    assert buchberger(new, known=known) == buchberger(old + new)
-    assert buchberger([], known=known) == known
 
 
 def test_decomposition_reduction_ceiling(monkeypatch):

@@ -337,9 +337,9 @@ def test_no_target_before_membership(monkeypatch):
     real = groebner.buchberger
     covers = []
 
-    def recording(gens, cover=None, known=(), series=None):
+    def recording(gens, cover=None, series=None):
         covers.append(cover)
-        return real(gens, cover, known, series)
+        return real(gens, cover, series)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     calls = _count_intersections(monkeypatch)
@@ -395,9 +395,9 @@ def test_chain_reuses_the_lhs_for_a_prefix_with_its_generators(monkeypatch):
     real = groebner.buchberger
     calls = []
 
-    def counting(gens, cover=None, known=(), series=None):
+    def counting(gens, cover=None, series=None):
         calls.append(cover)
-        return real(gens, cover, known, series)
+        return real(gens, cover, series)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     specs = load_suite_config(str(ROOT / "suites" / "acceptance.json"))

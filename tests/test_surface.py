@@ -1,11 +1,14 @@
-"""Every function and method in ``src/detkit`` has a caller.
+"""Every function and method in ``src/detkit`` has a caller, and every
+parameter with a default has a caller that passes it.
 
 An AST scan lists the module-level functions and the class methods
 (dunders excluded) and asks that each name be referenced somewhere in
 ``src/detkit`` outside its own body.  The scan matches by name, so a method
 counts as used when any attribute of that name is read.  A definition with
 no such reference must be public surface, named below; otherwise it is dead
-code and goes.
+code and goes.  A second scan does the same for each parameter with a
+default, constructors included: some call in ``src/detkit`` of that name
+must pass it, by keyword or by position.
 """
 
 import ast
@@ -37,6 +40,18 @@ PUBLIC_METHODS = {
     "poly.VariableTable.position",
     "poly.PrimeField.div",
     "poly.RationalField.div",
+}
+
+
+# parameters with a default that only callers outside the package pass:
+# the command's argument list, which the console script leaves to
+# ``sys.argv``, and the block limits of the exported per-shape builders,
+# whose block ideals the package builds through ``detideals._ideal``
+PUBLIC_PARAMETERS = {
+    "cli.main.argv",
+    "detideals.ideal_of_minors.row_limit",
+    "detideals.ideal_of_minors.col_limit",
+    "detideals.ideal_of_pfaffians.row_limit",
 }
 
 
@@ -111,3 +126,69 @@ def test_public_methods_belong_to_exported_classes():
         module, cls, _ = qual.split(".")
         klass = getattr(importlib.import_module(f"detkit.{module}"), cls)
         assert any(obj is klass or isinstance(obj, klass) for obj in exported), qual
+
+
+def _defaulted(node, bound: int):
+    """``(name, position)`` of each parameter of ``node`` with a default;
+    ``position`` counts the arguments a call writes before it, past the
+    ``bound`` ones the call supplies itself (``self`` or ``cls``), and is
+    ``None`` for a keyword-only parameter."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _unpassed():
+    """The ``module.function.parameter`` of each parameter with a default
+    that no call in ``src/detkit`` passes; calls match by name, and a
+    constructor call by its class's name."""
+    calls, params = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                calls.append((name, node))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params.append((f"{path.stem}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if not isinstance(sub, ast.FunctionDef):
+                        continue
+                    if sub.name == "__init__":
+                        called = node.name
+                    elif sub.name.startswith("__"):
+                        continue
+                    else:
+                        called = sub.name
+                    # a call supplies self or cls itself, but no argument of a
+                    # static method
+                    wraps = {getattr(d, "id", None) for d in sub.decorator_list}
+                    qual = f"{path.stem}.{node.name}.{sub.name}"
+                    params.append((qual, called, sub, 0 if "staticmethod" in wraps else 1))
+
+    def passes(call, name, position):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+    return {
+        f"{qual}.{name}"
+        for qual, called, node, bound in params
+        for name, position in _defaulted(node, bound)
+        if not any(c == called and passes(call, name, position) for c, call in calls)
+    }
+
+
+def test_every_defaulted_parameter_is_passed_or_public():
+    unpassed = _unpassed()
+    assert sorted(unpassed - PUBLIC_PARAMETERS) == []
+    # the list names only parameters that exist and that no call passes
+    assert PUBLIC_PARAMETERS <= unpassed
