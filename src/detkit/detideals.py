@@ -17,8 +17,8 @@ signed sum of Laplace products or perfect matchings, canonicalized once, and
 each build reads the clock of :func:`~detkit.groebner.deadline_scope`.  The
 factors of a product are read off a table of :func:`entry` values built once
 per shape, so the signs, the zeros, the symmetric mirror and the skew sign
-stay :func:`entry`'s.  The signed permutations or matchings of a size are
-enumerated once per handle build and dropped with it.
+stay :func:`entry`'s.  The signed permutations or matchings of each size
+are enumerated once and cached, as the entry tables are.
 :func:`constrained_ideal` and :func:`components` build the constrained ideal
 and its named intersectands for every shape; the per-shape names
 (``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
@@ -27,15 +27,15 @@ and delegate to them.
 A handle that is a plain ideal of a submatrix carries its closed-form
 Hilbert numerator as its ``series`` (:func:`_series`): the unblocked
 generators of every shape, the generic row and column components, and the
-skew row components of even ``need``.  Its basis run checks that series at
-its first reading and ends there when the reading meets it, which it does
-when the generators are already a Groebner basis.  Symmetric row components,
-odd-``need`` skew components and ``keep``-filtered lists carry none.
+skew row components of even ``need``.  Its basis run reads that series
+once, off the generators' leads before any pair, and ends there when the
+reading meets it, which it does when the generators are already a Groebner
+basis.  Symmetric row components, odd-``need`` skew components and
+``keep``-filtered lists carry none.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -50,6 +50,7 @@ from .poly import (
     PolyRing,
     VariableTable,
     _mk,
+    _unit_pairs,
     order_from_name,
     weighted_degree,
 )
@@ -168,62 +169,51 @@ def _entry_table(ms: MatrixSpec) -> tuple:
 # minors and Pfaffians
 
 
-# the patterns of each size, kept for one handle build (see _ideal)
-_patterns: ContextVar[Optional[dict]] = ContextVar("patterns", default=None)
-
-
-def _pattern(expand, size: int) -> list:
-    """``expand(size)``, enumerated once inside a handle build."""
-    memo = _patterns.get()
-    if memo is None:
-        return expand(size)
-    key = (expand, size)
-    if key not in memo:
-        memo[key] = expand(size)
-    return memo[key]
-
-
-def _laplace(size: int) -> list:
+@lru_cache(maxsize=None)
+def _laplace(size: int) -> tuple:
     """``(sign, perm)`` for each term of a ``size``-determinant expanded
     along its first column: ``perm[c]`` is the row offset in column ``c``.
     Row ``k`` in the first column has sign ``(-1)^k``."""
     if not size:
-        return [(1, ())]
+        return ((1, ()),)
     sub = _laplace(size - 1)
     out = []
     for k in range(size):
         rest = [r for r in range(size) if r != k]
         for s, perm in sub:
             out.append((-s if k % 2 else s, (k, *map(rest.__getitem__, perm))))
-    return out
+    return tuple(out)
 
 
-def _matchings(size: int) -> list:
+@lru_cache(maxsize=None)
+def _matchings(size: int) -> tuple:
     """``(sign, pairs)`` for each perfect matching of ``range(size)``, the
     Pfaffian expanded along its first row: ``pairs`` lists the matched
     offsets flat, each pair in increasing order, and the term pairing ``0``
     with ``k`` has sign ``(-1)^(k+1)``."""
     if not size:
-        return [(1, ())]
+        return ((1, ()),)
     sub = _matchings(size - 2)
     out = []
     for k in range(1, size):
         rest = [r for r in range(1, size) if r != k]
         for s, pairs in sub:
             out.append((s if k % 2 else -s, (0, k, *map(rest.__getitem__, pairs))))
-    return out
+    return tuple(out)
 
 
 def _signed_sum(ring: PolyRing, products: list):
     """The polynomial of ``(sign, positions)`` products, canonicalized once;
     the one clock read of a generator build."""
     _check_deadline()
+    pairs = _unit_pairs(len(ring.table))
     terms = []
     for sign, ps in products:
         exps: dict = {}
         for p in sorted(ps):
             exps[p] = exps.get(p, 0) + 1
-        terms.append((_mk(tuple(exps.items()), len(ps)), sign))
+        mono = tuple([pairs[p] if e == 1 else (p, e) for p, e in exps.items()])
+        terms.append((_mk(mono, len(ps)), sign))
     return ring.from_terms(terms)
 
 
@@ -237,7 +227,7 @@ def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
     table, cols = _entry_table(ms), ix.cols
     rows = [table[i] for i in ix.rows]
     products = []
-    for sign, perm in _pattern(_laplace, len(cols)):
+    for sign, perm in _laplace(len(cols)):
         ps = []
         for k, j in zip(perm, cols):
             s, p = rows[k][j]
@@ -261,7 +251,7 @@ def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
     table, idx = _entry_table(ms), ix.rows
     rows = [table[i] for i in idx]
     products = []
-    for sign, pairs in _pattern(_matchings, len(idx)):
+    for sign, pairs in _matchings(len(idx)):
         ps = []
         it = iter(pairs)
         for a in it:
@@ -365,11 +355,7 @@ def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> Ide
         raise ValueError("Pfaffian size must be even")
     poly = pfaffian_poly if ms.kind == "skew" else minor_poly
     kept = (ix for ix in _block_indices(ms, size, *blocks) if keep is None or keep(ix))
-    token = _patterns.set({})
-    try:
-        gens = [poly(ring, ms, ix) for ix in kept]
-    finally:
-        _patterns.reset(token)
+    gens = [poly(ring, ms, ix) for ix in kept]
     return IdealHandle(ring, gens, _series(ms, size, *blocks) if keep is None else None)
 
 

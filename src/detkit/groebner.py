@@ -65,10 +65,11 @@ lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
 cover monomials up to it are leads and ends once all are.  An
 :class:`IdealHandle` may also carry a ``series``, the numerator over the
 rationals that a closed form gives a plain determinantal or Pfaffian ideal
-(:func:`~detkit.combinat.determinantal_numerator`).  Its basis run checks
-the series at the first reading only: a reading equal to it ends the run
-with the generators as the basis, and a miss leaves the run as it would be
-without a series.
+(:func:`~detkit.combinat.determinantal_numerator`).  Its basis run reads
+the series once, off the leads of the generators reduced against each
+other, before any pair: a reading equal to it ends the run with the
+generators as the basis, and a miss leaves the run as it would be without
+a series.
 
 Inside :func:`deadline_scope` blocks, a clock reading past the earliest of
 their deadlines raises :class:`BudgetExceeded`; outside them none raises.
@@ -85,7 +86,7 @@ from operator import itemgetter, mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
-from .poly import PolyRing, Polynomial, PrimeField, _mk, mono_div, mono_lcm
+from .poly import PolyRing, Polynomial, PrimeField, _mk, _unit_pairs, mono_div, mono_lcm
 
 __all__ = [
     "BudgetExceeded",
@@ -154,9 +155,7 @@ class _Packing:
     (:meth:`_Basis.of`); a packing without one records nothing.
     """
 
-    __slots__ = (
-        "order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos", "_pairs"
-    )
+    __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
 
     def __init__(self, order, width: int, elim: bool = False):
         self.order = order
@@ -178,8 +177,6 @@ class _Packing:
             self.fields = self._split
         # packed -> Monomial: the record, or None once it is dropped
         self._monos: Optional[dict] = {}
-        # each position's (position, 1) pair, shared by the monomials unpacked
-        self._pairs = [(p, 1) for p in range(n)]
 
     def wider(self) -> "_Packing":
         return _Packing(self.order, 2 * self.width, self.elim)
@@ -218,7 +215,7 @@ class _Packing:
         return [(packed >> (p * self.width)) & low for p in range(self.n)]
 
     def monomial(self, packed: int):
-        pairs = self._pairs
+        pairs = _unit_pairs(self.n)
         exps = tuple(pairs[p] if e == 1 else (p, e) for p, e in enumerate(self.fields(packed)) if e)
         return _mk(exps, sum(e for _, e in exps))
 
@@ -503,7 +500,7 @@ class _Minimal:
         hlm = elems[hi].lm
         hvars = _positions(elems[hi].mask)
         byvar, members = self._byvar, self.members
-        # a constant lead uses no variable and divides every member
+        # the earlier members, narrowed to those using every new lead variable
         hits = (1 << hi) - 1
         for v in hvars:
             hits &= byvar[v]
@@ -584,8 +581,8 @@ class _Basis(tuple):
     :func:`ideal_intersect`, a reduced basis, greatest lead first, keeping
     its run's packing and elements.  :meth:`numerator` reads their leads
     once, or returns the run's reading ``num``; :meth:`remainder` reduces
-    against their rows.  Without a run it packs its polynomials on first
-    use, and a reduction that outgrows the fields repacks them wider."""
+    against their rows.  :func:`normal_form` builds one without a run, which
+    packs on the first reduction, wider if the fields overflow."""
 
     _pk = _divs = _num = None
     _elems: Sequence = ()
@@ -610,8 +607,6 @@ class _Basis(tuple):
 
     def numerator(self) -> list:
         if self._num is None:
-            if self._pk is None and self:
-                self._pack(_Packing(self[0].ring.order, 8))
             self._num = _lead_numerator(self._elems, self._pk)
         return self._num
 
@@ -675,14 +670,14 @@ def buchberger(
 
     ``series``, when given, is the Hilbert numerator of the ideal of
     ``gens`` over the rationals, from a closed form that holds over every
-    field (see :class:`IdealHandle`).  It is checked at the first reading
-    only, which the run takes where it first leaves a degree with updates
-    waiting.  A reading equal to ``series`` ends the run there, and the
-    reading is the basis's numerator.  Over ``fp:p`` the Hilbert function
-    is never below the one over ``qq``, and the leads' is never below
-    either, so a reading equal to the series forces ``in(gens) = in(I)``.
-    A reading that differs drops the series, and the run goes on exactly
-    as a run without it: the series never drops a pair.
+    field (see :class:`IdealHandle`).  It is read once, off the reduced
+    generators' leads before any pair, unless those leads meet the cover.
+    A reading equal to ``series`` ends the run there, and the reading is
+    the basis's numerator.  Over ``fp:p`` the Hilbert function is never
+    below the one over ``qq``, and the leads' is never below either, so a
+    reading equal to the series forces ``in(gens) = in(I)``.  A reading
+    that differs leaves the run as a run without a series: the series
+    never drops a pair.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -707,7 +702,7 @@ def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
     """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
     greatest lead first, and the Hilbert numerator of its leads when the
-    first reading met ``series``, else ``None``.  A run whose exponents
+    one reading met ``series``, else ``None``.  A run whose exponents
     outgrow the fields starts over with fields twice as wide, so the
     packing returned may be wider than ``pk``.  ``cover`` and ``series``
     are :func:`buchberger`'s, kept across reruns.
@@ -757,68 +752,76 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     p = _modulus(fld)
     divs = _Divisors(pk.n)
     elems = divs.elems
-    active, minimal = _Minimal(pk.n), _Minimal(pk.n)
+    active = _Minimal(pk.n)
     pending = _Pending(pk.n)
     heap = pending.heap
 
-    # ``left[d]``: the cover monomials of degree d that are no lead yet
+    # ``left[d]``: the cover monomials of degree d that are no lead yet;
+    # ``{}`` once the cover is met
     left = None if cover is None else {}
     for m in cover or ():
         left.setdefault(m.deg, set()).add(m)
     # a new element joins the divisors at once, so that the reductions of
-    # its own degree see it, but its pair update waits in ``queued``;
-    # ``minimal`` runs ahead of ``active`` by the queued leads.  Whenever
-    # the next pair's sugar passes the current degree, or no pair is left,
-    # the waiting updates run in order; a series is first compared with the
-    # first reading of the minimal leads, which may end the run
+    # its own degree see it, but its pair update waits in ``queued``
     queued: list = []
-    degree = -1
-    num = None
 
-    def insert(rows, sugar):
+    def insert(rows, sugar) -> bool:
+        """Take ``rows`` as a monic element; whether its lead is 1."""
         c0 = rows[0][2]
         if c0 != fld.one:
             inv = fld.inv(c0)
             rows = [(k, q, c * inv % p if p else c * inv, s) for k, q, c, s in rows]
         e = _BasisElem(rows, sugar, pk)
         divs.add(e)
-        hi = len(elems) - 1
-        queued.append(hi)
-        minimal.add(elems, hi, guards)
+        queued.append(len(elems) - 1)
         if left is not None and e.deg in left:
             same = left[e.deg]
             same.discard(pk.monomial(e.lm))
             if not same:
                 del left[e.deg]
-        return e
+        return not e.lm
 
-    unit = False
+    def reduced() -> list:
+        # the leads whose updates wait join ``active``, the minimal leads.
+        # One interreduction pass over them gives the reduced basis: leads
+        # are fixed, and full tail reduction against the others' leads pins
+        # each element.  Elements go from the smallest lead up, each reduced
+        # by the ones already done and the ones still to come; no lead
+        # divides a term of its own tail, so every element can sit in one
+        # index.  Each keeps the sugar of its reduced tail, which still
+        # bounds every term.  The greatest lead comes first
+        for hi in queued:
+            active.add(elems, hi, guards)
+        kept = sorted(map(elems.__getitem__, active.members), key=lambda e: e.lmkey)
+        others = _Divisors(pk.n, kept)
+        for e in kept:
+            tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
+            e.rows = [e.rows[0]] + tail
+        return kept[::-1]
+
+    # the generators, each reduced by the ones before it; a constant is the
+    # unit basis
     for rows, sugar in gens:
         rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
-        if rows:
-            e = insert(rows, sugar)
-            if not e.lm:
-                unit = True
-                break
+        if rows and insert(rows, sugar):
+            return elems[-1:], None
 
-    while not unit:
-        if left is not None and not left:
-            # every cover monomial is a lead: the run is done
-            break
+    # the one series reading, off every generator's lead, unless the cover
+    # is met already: a match makes the generators a Groebner basis
+    if series is not None and left != {} and _lead_numerator(elems, pk) == series:
+        return reduced(), series
+
+    # the pairs by sugar.  Whenever the next pair's sugar passes the current
+    # degree, or no pair is left, the waiting updates run in order
+    degree = -1
+    while left != {}:
         if not heap or heap[0][0] > degree:
-            if queued:
-                if series is not None:
-                    num = _lead_numerator(map(elems.__getitem__, minimal.members), pk)
-                    if num == series:
-                        break
-                    series = num = None
-                for hi in queued:
-                    _update(elems, hi, active, pending, pk)
-                queued.clear()
-            if heap:
-                degree = heap[0][0]
-        if not heap:
-            break
+            for hi in queued:
+                _update(elems, hi, active, pending, pk)
+            queued.clear()
+            if not heap:
+                break
+            degree = heap[0][0]
         _check_deadline()
         s, lk, t = heappop(heap)
         pair = pending.pairs.pop(t, None)
@@ -836,43 +839,23 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
             0, ej.rows, lk - ej.lmkey, qj, ej.quotient_support(qj, pmask, pk), fld.one, p, guards,
         )
         rows, sugar = _reduce_rows(rows, s, divs, fld, pk)
-        if rows:
-            e = insert(rows, sugar)
-            if not e.lm:
-                unit = True
-
-    if unit:
-        return [_BasisElem([(0, 0, fld.one, 0)], 0, pk)], None
-
-    # one interreduction pass over the minimal basis gives the reduced basis:
-    # leads are fixed, and full tail reduction against the others' leads pins
-    # each element.  Elements go from the smallest lead up, each reduced by
-    # the ones already done and the ones still to come; no lead divides a
-    # term of its own tail, so every element can sit in one index.  Each
-    # keeps the sugar of its reduced tail, which still bounds every term
-    kept = sorted(map(elems.__getitem__, minimal.members), key=lambda e: e.lmkey)
-    others = _Divisors(pk.n, kept)
-    for e in kept:
-        tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
-        e.rows = [e.rows[0]] + tail
-    # a met series is the first reading, so ``num`` is the series of these
-    # leads
-    return kept[::-1], num
+        if rows and insert(rows, sugar):
+            return elems[-1:], None
+    return reduced(), None
 
 
 # ---------------------------------------------------------------------------
 # Hilbert numerators of monomial ideals
 
 
-def _lead_numerator(elems: Iterable, pk: _Packing) -> list:
+def _lead_numerator(elems: Sequence, pk: _Packing) -> list:
     """Coefficients of ``N(t)`` with ``HS(S/M) = N(t)/(1-t)^n``, for the
-    monomial ideal ``M`` minimally generated by the leads of ``elems``,
-    basis elements packed by ``pk``.  Trailing zero coefficients are
+    monomial ideal ``M`` that the leads of ``elems``, basis elements packed
+    by ``pk``, generate, minimally or not.  Trailing zero coefficients are
     dropped, but ``M = S`` keeps its ``[0]``.  The leads are polarized
     (:func:`_polarize`); a squarefree lead is its support mask, so leads
     that all are unpack nothing.
     """
-    elems = list(elems)
     masks = [e.mask for e in elems]
     if any(s.bit_count() != e.deg for s, e in zip(masks, elems)):
         _, masks = _polarize([pk.monomial(e.lm).exps for e in elems])
@@ -898,16 +881,15 @@ def _holds_subset(s: int, deg: int, masks: set) -> bool:
 
 def _pivot_numerator(gens: list) -> list:
     """Bigatti's pivot recursion (*Computation of Hilbert-Poincare series*,
-    JPAA 1997) on the minimal generators ``gens``: ``N(M) = N(M + (x)) +
-    t*N(M : x)`` with ``x`` the bit, a variable of the polarized ring, in
+    JPAA 1997) on generators ``gens``, minimal or not: ``N(M) = N(M + (x))
+    + t*N(M : x)`` with ``x`` the bit, a variable of the polarized ring, in
     the most generators, down to pairwise-coprime generators, where ``N =
     prod(1 - t^deg)``.
 
     ``M + (x)`` is ``(x)`` plus the generators free of ``x``, so its
-    numerator is ``(1 - t)`` times theirs.  ``M : x`` divides the
-    generators that ``x`` divides by ``x``; those quotients (the cut) stay
-    minimal, and only they can divide a generator free of ``x``, which is
-    then dropped from ``M : x``.
+    numerator is ``(1 - t)`` times theirs.  ``M : x`` is generated by the
+    cut, the generators that ``x`` divides with ``x`` taken out, and by the
+    generators free of ``x`` that no cut generator divides.
 
     Each generator is a squarefree mask (:func:`_polarize`), its degree the
     bit count, and a cut generator divides ``s`` exactly when its mask is a
@@ -988,8 +970,8 @@ class IdealHandle:
 
     ``series``, when given, is the Hilbert numerator of ``S/I`` over the
     rationals, known in closed form: :mod:`detkit.detideals` gives it to a
-    plain determinantal or Pfaffian ideal.  The basis run checks it at its
-    first reading only (see :func:`buchberger`): a reading that equals it
+    plain determinantal or Pfaffian ideal.  The basis run reads it once,
+    before any pair (see :func:`buchberger`): a reading that equals it
     certifies the generators as a Groebner basis and ends the run, and one
     that differs leaves the run as it would be without a series.
     """

@@ -14,6 +14,7 @@ merges like monomials, drops zeros and sorts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -244,6 +245,12 @@ def _mk(exps: tuple, deg: int) -> "Monomial":
     m.exps = exps
     m.deg = deg
     return m
+
+
+@lru_cache(maxsize=None)
+def _unit_pairs(n: int) -> tuple:
+    """The ``(position, 1)`` pair of each of ``n`` positions, shared."""
+    return tuple((p, 1) for p in range(n))
 
 
 class Monomial:

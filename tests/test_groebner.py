@@ -10,11 +10,11 @@ from detkit.groebner import (
     BudgetExceeded,
     IdealHandle,
     UnitIdealError,
-    _Basis,
     _BasisElem,
     _lead_numerator,
     _minimal_lcms,
     _Packing,
+    _pivot_numerator,
     buchberger,
     deadline_scope,
     hilbert_numerator,
@@ -481,8 +481,6 @@ def test_membership_reduces_against_the_rows_of_a_widened_run(order):
     gens = [x - y**60, x * y**100 - 1] if order == "lex" else [x**90 * y - z, x * y**90 - 1]
     I = IdealHandle(ring, gens)
     assert I.groebner()._pk.width == 16
-    # a basis built from the polynomials packs itself, widening as well
-    assert _Basis(I.groebner()).numerator() == I.groebner().numerator()
     textbook = textbook_buchberger(gens)
     tests = [
         x * y,
@@ -832,7 +830,7 @@ def _intersection_calls(monkeypatch, name):
 # the tuple-row engine it replaced, which made exactly these counts: one
 # _scaled_sub per reduction step and per S-polynomial, one _update per new
 # basis element.  Every update waits until the run leaves its element's
-# degree; under a target it may never run.
+# degree; under a cover it may never run.
 
 
 def test_scaled_sub_call_ceiling(monkeypatch):
@@ -957,7 +955,7 @@ def test_rows_keep_their_support_and_sugar(field, order, terms):
         assert 16 in widths and I.groebner()._pk.width == 16
 
 
-# -- Hilbert numerators and the stop at a target -------------------------------------
+# -- Hilbert numerators and the stop at a cover --------------------------------------
 
 
 @st.composite
@@ -1050,6 +1048,37 @@ def test_lead_numerator_matches_the_reference_on_packed_leads(ideal):
     assert _lead_numerator(elems, pk) == reference_lead_numerator(elems, pk)
 
 
+@st.composite
+def _masks_with_supersets(draw):
+    """``(masks, more)``: squarefree masks in up to 12 bits, and ``more``,
+    the same masks with supersets of some of them added, shuffled."""
+    n = draw(st.integers(1, 12))
+    mask = st.integers(1, (1 << n) - 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=10))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(masks) - 1), mask), max_size=8))
+    more = draw(st.permutations(masks + [masks[i] | extra for i, extra in picks]))
+    return masks, more
+
+
+def _trimmed(num):
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return num
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks_with_supersets())
+# x0*x1 over x0 and x1 alone; x0 twice
+@example(([0b01, 0b10], [0b11, 0b01, 0b10]))
+@example(([0b01], [0b01, 0b01]))
+def test_pivot_numerator_ignores_non_minimal_generators(case):
+    # the recursion holds on any generating set of a monomial ideal, so a
+    # basis run may read the series off all its generators' leads, minimal
+    # or not
+    masks, more = case
+    assert _trimmed(_pivot_numerator(list(more))) == _trimmed(_pivot_numerator(masks))
+
+
 def test_hilbert_numerator_is_cached_and_copied(monkeypatch):
     from detkit import groebner
 
@@ -1112,7 +1141,7 @@ def test_stop_at_a_full_cover_gives_the_full_basis(field, order, terms):
 
 @pytest.mark.parametrize("field", ["fp:32003", "qq"])
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
-def test_unreachable_target_gives_the_full_basis(field, order):
+def test_unreachable_cover_gives_the_full_basis(field, order):
     # a cover that holds z, which no lead of the smaller ideal reaches, never
     # ends the run early
     ring = mkring("xyz", field_from_name(field), order)
@@ -1125,6 +1154,20 @@ def test_unreachable_target_gives_the_full_basis(field, order):
     I = IdealHandle(ring, gens)
     assert I.groebner(cover) == full
     assert hilbert_numerator(I) == hilbert_numerator(IdealHandle(ring, full))
+
+
+@pytest.mark.parametrize("field", ["fp:32003", "qq"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_a_unit_from_a_pair_ends_the_run(field, order):
+    # x*y - 1 and x^2 form the pair x, and x with x*y - 1 forms 1: the
+    # insert of the constant hands back the unit basis, with or without a
+    # cover, which can only be the unit monomial
+    ring = mkring("xy", field_from_name(field), order)
+    x, y = ring.var(0), ring.var(1)
+    gens = [x * y - 1, x**2]
+    assert buchberger(gens) == (ring.one,)
+    assert buchberger(gens, [ring.one.lm]) == (ring.one,)
+    assert hilbert_numerator(IdealHandle(ring, gens)) == [0]
 
 
 def _lhs_4x5():
@@ -1181,7 +1224,7 @@ def test_stop_defers_the_pair_updates(monkeypatch):
     # leads reach the whole cover there never makes it.  The 3-minors of
     # 4x5 are a Groebner basis, so the run ends before any update, where
     # updating at every insert makes 40.  minors-5x5-t3-R23-r12 makes 205
-    # updates (385 when its claims' runs stopped at a series target)
+    # updates (385 before its claims' runs stopped at a cover)
     from detkit.harness import CaseSpec, run_case
 
     _, lhs, full, cover = _lhs_4x5()
@@ -1277,7 +1320,7 @@ def test_a_flush_checks_the_deadline(monkeypatch, where):
     assert [entry.name for entry in info.traceback][-2:] == [where, "_check_deadline"]
 
 
-def test_unreachable_target_skips_no_pair(monkeypatch):
+def test_unreachable_cover_skips_no_pair(monkeypatch):
     # with one variable added the cover holds x[1,1], of degree 1, which is
     # never a lead: no degree is met, and every pair is reduced
     ring, lhs, full, _ = _lhs_4x5()
@@ -1337,8 +1380,8 @@ def test_decomposition_reduction_ceiling(monkeypatch):
     # minors-5x5-t3-R23-r12 makes 3,438 _scaled_sub calls: one per
     # reduction step and per S-polynomial.  The components' runs meet their
     # series at the first reading and form no pair, and the claims' runs
-    # end once their leads reach the minimal lcms.  Certifying each step by
-    # a series target, with a basis of K_{i-1} + J_i, made 6,040
+    # end once their leads reach the minimal lcms, their cover.  Certifying
+    # each step by the series of a basis of K_{i-1} + J_i made 6,040
     from detkit.harness import CaseSpec, run_case
 
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))

@@ -328,7 +328,7 @@ def test_refused_step_eliminates_only_itself(monkeypatch):
     assert rep.to_dict(include_timing=False) == recorded
 
 
-def test_no_target_before_membership(monkeypatch):
+def test_no_cover_before_membership(monkeypatch):
     # a cover is sound only for an ideal inside the intersection: when a
     # generator of the constrained ideal misses a component, no basis run
     # gets one

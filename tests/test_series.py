@@ -188,6 +188,19 @@ def test_a_met_series_ends_the_run_at_its_first_reading(monkeypatch):
     assert G.numerator() == list(I.series) == _oracle(I)
 
 
+def test_a_met_cover_comes_before_the_series(monkeypatch):
+    # the generators' leads already meet the cover, so the run ends before
+    # its one series reading: the basis reads its numerator on demand
+    ms = MatrixSpec("skew", 6, 6)
+    ring = matrix_ring(ms, field_from_name("fp:32003"))
+    I = constrained_ideal(ring, ms, 4)
+    full = buchberger(I.gens)
+    G, calls = _counted(monkeypatch, I.groebner, [g.lm for g in full])
+    assert calls == {"_update": 0, "_scaled_sub": 0, "_lead_numerator": 0}
+    assert G == full
+    assert G.numerator() == list(I.series)
+
+
 @pytest.mark.parametrize(
     "kind, n, t, R, r",
     [
