@@ -6,8 +6,9 @@ leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
 ideals and a basis run that ends at its first reading because it meets that
 series, and the steps that certify a decomposition block: the minimal lcms
 of the components' leads looked up among the claim's leads (on the 7x7
-step, 14,875 lcms), the claim's basis run that those lcms cover, and the
-membership of its generators.
+step, 14,875 lcms), the claim's basis run that those lcms cover, through
+its handle and as the packed run alone, and the membership of its
+generators.
 
 Run them from the repository root with
 
@@ -35,9 +36,11 @@ from detkit.detideals import (
     pfaffian_poly,
 )
 from detkit.groebner import (
+    _Basis,
     _BasisElem,
     _Divisors,
     _Packing,
+    _basis_rows,
     _lead_numerator,
     _minimal_lcms,
     _reduce_rows,
@@ -306,6 +309,23 @@ def test_cover_stopped_lhs_basis_5x5(benchmark, block55):
         lhs._gb = None
 
     assert benchmark.pedantic(lhs.groebner, (cover,), setup=uncache, rounds=10) == full
+
+
+def test_covered_run_rows_5x5(benchmark, block55):
+    # the packed run of K_2 under its cover, without the handle or the
+    # hand-back: the generator pass and the pair loop, in which the pairs
+    # whose head bound lies below the cover's floor are dropped unformed and
+    # the reductions that sink below it end at zero.  Its rows are those of
+    # the full basis
+    k1, j2, lhs, full = block55
+    cover = _minimal_lcms(k1.groebner(), j2.groebner())
+    ring = lhs.ring
+
+    def pack(pk):
+        return [(pk.rows(g), g.degree()) for g in lhs.gens]
+
+    pk, elems, _ = benchmark(_basis_rows, _Packing(ring.order, 8), pack, ring.field, cover)
+    assert _Basis.of(ring, pk, elems) == full
 
 
 def test_membership_5x5(benchmark, block55):

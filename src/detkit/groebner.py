@@ -14,24 +14,23 @@ ring.
 
 Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
 rows in strictly descending key order; ``support`` has bit ``pos`` set for
-each variable present.  They leave it as :class:`Polynomial` again: while a
-run packs its inputs it records each packed monomial's :class:`Monomial`,
-and the basis it hands back reuses those objects, so only the monomials the
-run created are unpacked.  The record is dropped at the hand-back.  Bases
-are kept monic.  Pair selection uses the sugar strategy.  Each new basis
-element runs the Gebauer-Moller pair update (criteria B, M and F plus the
-product criterion) once the run leaves its sugar degree, so popping a pair
-does no scan; criterion B finds the pending pairs it may drop through an
-index of their lcms by variable, and the minimal leads that a new lead
-divides come out of an index of their variables.  A divisibility test runs
-only on the divisors whose lead support lies inside the term's support,
-which an index by variable yields without a scan.  All choices are
-deterministic, so a given generator list always yields the same reduced
-basis.  A product whose exponent reaches a guard bit aborts the
-computation, which reruns with fields twice as wide.  A basis keeps the
-packed rows its run ended with, and membership and :func:`normal_form`
-reduce against such rows, so no basis is packed twice.  Membership reads
-the remainder's rows and unpacks nothing.
+each variable present.  A basis leaves it packed (:class:`_Basis`) and
+unpacks into :class:`Polynomial` only when a caller reads polynomials; a
+run records each packed input monomial's :class:`Monomial`, and the unpack
+reuses those objects.  Bases are kept monic.  Pair selection uses the sugar
+strategy.  Each new basis element runs the Gebauer-Moller pair update
+(criteria B, M and F plus the product criterion) once the run leaves its
+sugar degree, so popping a pair does no scan; criterion B finds the pending
+pairs it may drop through an index of their lcms by variable, and the
+minimal leads that a new lead divides come out of an index of their
+variables.  A divisibility test runs only on the divisors whose lead
+support lies inside the term's support, which an index by variable yields
+without a scan.  All choices are deterministic, so a given generator list
+always yields the same reduced basis.  A product whose exponent reaches a
+guard bit aborts the computation, which reruns with fields twice as wide.
+Membership and :func:`normal_form` reduce against a basis's packed rows, so
+no basis is packed twice, and membership, the size, the leads and the
+comparison of two bases read rows and unpack no polynomial.
 
 Two invariants of every row let a reduction step skip unpacking its
 quotient: a row's stored support is exactly the support of its packed
@@ -61,10 +60,11 @@ for ``K ∩ J`` or eliminates with :func:`ideal_intersect`.  It keeps ``L``
 when membership puts it inside ``K`` and ``J`` and every minimal lcm of a
 lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
 ``in(K) ∩ in(J)``, which then equals ``in(L)``.  The same lcms are the
-``cover`` of ``L``'s basis run, which drops a degree's pairs once the
-cover monomials up to it are leads and ends once all are.  An
-:class:`IdealHandle` may also carry a ``series``, the numerator over the
-rationals that a closed form gives a plain determinantal or Pfaffian ideal
+``cover`` of ``L``'s basis run, which drops or cuts short a pair once no
+cover monomial below its degree is left and its head lies below every one
+left at it, and ends once all are leads.  An :class:`IdealHandle` may also
+carry a ``series``, the numerator over the rationals that a closed form
+gives a plain determinantal or Pfaffian ideal
 (:func:`~detkit.combinat.determinantal_numerator`).  Its basis run reads
 the series once, off the leads of the generators reduced against each
 other, before any pair: a reading equal to it ends the run with the
@@ -149,10 +149,10 @@ class _Packing:
     their ``w`` exponent first and then by ``order``: the elimination order.
 
     While a run packs its generators, :meth:`rows` records each packed
-    monomial's :class:`Monomial`, and :meth:`poly` reuses the recorded
-    objects, so a run's basis unpacks only the monomials the run created.
-    The record is dropped when the run hands its basis back
-    (:meth:`_Basis.of`); a packing without one records nothing.
+    monomial's :class:`Monomial`.  The run's basis takes the record at the
+    hand-back (:meth:`_Basis.of`) and passes it to :meth:`poly`, which
+    reuses the recorded objects, so the basis unpacks only the monomials
+    the run created; a packing without a record records nothing.
     """
 
     __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
@@ -198,10 +198,9 @@ class _Packing:
             self._monos.update(zip(map(itemgetter(1), out), map(itemgetter(0), f.terms)))
         return out
 
-    def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
-        """The polynomial of ``rows``: a recorded monomial is reused, and one
-        unpacked here is recorded while the record is kept."""
-        monos = {} if self._monos is None else self._monos
+    def poly(self, ring: PolyRing, rows: Sequence, monos: dict) -> Polynomial:
+        """The polynomial of ``rows``: a monomial in the record ``monos`` is
+        reused, and one unpacked here joins it."""
         terms = []
         for _, p, c, _ in rows:
             m = monos.get(p)
@@ -365,11 +364,13 @@ class _Divisors:
             mask >>= 4
 
 
-def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
+def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, floor: int = -1):
     """Fully reduce ``rows`` against ``divs``; returns (rows, sugar).
 
     Every monomial of the result is divisible by no divisor's lead.  The
-    divisor tried first is always the earliest in ``divs``.
+    divisor tried first is always the earliest in ``divs``.  A nonzero
+    result's lead reaches the key ``floor`` (see :func:`buchberger`'s
+    cover), so a head below it before any term is kept gives zero.
 
     Two invariants of every row let a step skip unpacking its quotient
     ``q``.  A row's stored support is exact, so ``q`` uses the term's
@@ -390,6 +391,8 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
     elems, tables, every = divs.elems, divs.tables, divs.every
     while idx < len(work):
         mk, m, mc, ms = work[idx]
+        if mk < floor:
+            return [], sugar
         outside = 0
         sup = ms
         for table in tables:
@@ -405,6 +408,7 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing):
             cand ^= low
         else:
             idx += 1
+            floor = -1
             continue
         steps += 1
         if (steps & 0xFF) == 0:
@@ -576,24 +580,64 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
     active.add(elems, hi, guards)
 
 
-class _Basis(tuple):
+class _Basis:
     """Monic divisors in a fixed order; from :func:`buchberger` and
-    :func:`ideal_intersect`, a reduced basis, greatest lead first, keeping
-    its run's packing and elements.  :meth:`numerator` reads their leads
-    once, or returns the run's reading ``num``; :meth:`remainder` reduces
-    against their rows.  :func:`normal_form` builds one without a run, which
-    packs on the first reduction, wider if the fields overflow."""
+    :func:`ideal_intersect`, a reduced basis, greatest lead first, that
+    keeps its run's packing, elements and record of monomials (see
+    :class:`_Packing`) and unpacks its polynomials, dropping the record, at
+    the first iteration, index or ``repr``.  ``len``, :meth:`numerator`,
+    :meth:`remainder` and :meth:`leads`, which unpacks the leads alone,
+    read the rows, and so does ``==`` on two run bases in one ring at one
+    width: a row's key and support follow from its packed monomial.
+    :func:`normal_form` builds one from polynomials, which packs on the
+    first reduction, wider if the fields overflow."""
 
-    _pk = _divs = _num = None
-    _elems: Sequence = ()
+    __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num", "_monos")
+
+    def __init__(self, polys: Iterable[Polynomial] = ()):
+        self._polys, self._elems = tuple(polys), ()
+        self._ring = self._pk = self._divs = self._num = self._monos = None
 
     @classmethod
     def of(cls, ring: PolyRing, pk: _Packing, elems: list, num=None) -> "_Basis":
-        out = cls(pk.poly(ring, e.rows) for e in elems)
-        # the polynomials hold the monomials now; a kept record costs memory
-        pk._monos = None
-        out._pk, out._elems, out._num = pk, elems, num
+        out = cls()
+        out._polys, out._ring, out._pk, out._elems, out._num = None, ring, pk, elems, num
+        out._monos, pk._monos = pk._monos, None
         return out
+
+    def _unpacked(self) -> tuple:
+        if self._polys is None:
+            self._polys = tuple(self._pk.poly(self._ring, e.rows, self._monos) for e in self._elems)
+            # the polynomials hold the monomials now; a kept record costs memory
+            self._monos = None
+        return self._polys
+
+    def __iter__(self):
+        return iter(self._unpacked())
+
+    def __getitem__(self, i):
+        return self._unpacked()[i]
+
+    def __len__(self) -> int:
+        return len(self._elems if self._polys is None else self._polys)
+
+    def __repr__(self) -> str:
+        return repr(self._unpacked())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Basis):
+            if self._ring == other._ring is not None and self._pk.width == other._pk.width:
+                return [e.rows for e in self._elems] == [e.rows for e in other._elems]
+            other = other._unpacked()
+        return self._unpacked() == other
+
+    def leads(self) -> list:
+        """The leads, greatest first; before the first unpack only they are
+        unpacked, into the record."""
+        if self._polys is not None:
+            return [g.lm for g in self._polys]
+        monos, monomial = self._monos, self._pk.monomial
+        return [monos.get(e.lm) or monos.setdefault(e.lm, monomial(e.lm)) for e in self._elems]
 
     def _pack(self, pk: _Packing) -> None:
         """Pack the elements at ``pk``'s width, or wider if they outgrow it;
@@ -628,19 +672,19 @@ class _Basis(tuple):
     def remainder(self, f: Polynomial) -> Polynomial:
         """``f`` fully reduced by the elements, the earliest divisor first."""
         pk, rows = self._reduced(f)
-        return pk.poly(f.ring, rows)
+        return pk.poly(f.ring, rows, {})
 
 
 def buchberger(
     gens: Iterable[Polynomial],
     cover: Optional[Iterable] = None,
     series: Optional[Sequence[int]] = None,
-) -> tuple:
+) -> _Basis:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
     their ring's order.
 
-    Returns a tuple of monic polynomials sorted with the greatest lead
-    first; the zero ideal gives ``()``.
+    Returns the monic polynomials, greatest lead first, as a
+    :class:`_Basis` that equals their tuple; the zero ideal gives ``()``.
 
     A new element's pair update waits until the run leaves its sugar degree
     ``d``; the waiting updates then run in the order the elements came.
@@ -726,23 +770,28 @@ def _polarize(leads: Sequence) -> tuple:
     return width, [sum(((1 << e) - 1) << (p * width) for p, e in exps) for exps in leads]
 
 
-def _minimal_lcms(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> list:
+def _minimal_lcms(A: _Basis, B: _Basis) -> list:
     """The minimal generators of ``in(A) ∩ in(B)`` for bases ``A`` and
     ``B``: the lcms of a lead of each that no other such lcm divides.
 
     The lcms of the polarized leads (:func:`_polarize`) go in by degree,
-    and one is minimal when no minimal one before it is a subset
-    (:func:`_holds_subset`)."""
-    width, masks = _polarize([g.lm.exps for g in chain(A, B)])
+    and one is minimal when no drop of one bit gives an lcm and no minimal
+    one before it is a subset (:func:`_holds_subset`)."""
+    width, masks = _polarize([m.exps for m in chain(A.leads(), B.leads())])
+    lcms = {a | b for a in masks[: len(A)] for b in masks[len(A) :]}
     found: set = set()
     out = []
-    for u in sorted({a | b for a in masks[: len(A)] for b in masks[len(A) :]}, key=int.bit_count):
-        if not _holds_subset(u, u.bit_count(), found):
-            found.add(u)
-            exps: dict = {}
-            for bit in _positions(u):
-                exps[bit // width] = exps.get(bit // width, 0) + 1
-            out.append(_mk(tuple(exps.items()), u.bit_count()))
+    for u in sorted(lcms, key=int.bit_count):
+        rest = u
+        while rest and u ^ (rest & -rest) not in lcms:
+            rest &= rest - 1
+        if rest or _holds_subset(u, u.bit_count(), found):
+            continue
+        found.add(u)
+        exps: dict = {}
+        for bit in _positions(u):
+            exps[bit // width] = exps.get(bit // width, 0) + 1
+        out.append(_mk(tuple(exps.items()), u.bit_count()))
     return out
 
 
@@ -756,11 +805,14 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     pending = _Pending(pk.n)
     heap = pending.heap
 
-    # ``left[d]``: the cover monomials of degree d that are no lead yet;
-    # ``{}`` once the cover is met
+    # ``left[d]``: the keys of the cover monomials of degree d that are no
+    # lead yet, ``{}`` once the cover is met; one past the fields needs wider
     left = None if cover is None else {}
+    top, weights = 1 << (pk.width - 1), pk.weights
     for m in cover or ():
-        left.setdefault(m.deg, set()).add(m)
+        if any(e >= top for _, e in m.exps):
+            raise _Overflow
+        left.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
     # a new element joins the divisors at once, so that the reductions of
     # its own degree see it, but its pair update waits in ``queued``
     queued: list = []
@@ -776,7 +828,7 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         queued.append(len(elems) - 1)
         if left is not None and e.deg in left:
             same = left[e.deg]
-            same.discard(pk.monomial(e.lm))
+            same.discard(e.lmkey)
             if not same:
                 del left[e.deg]
         return not e.lm
@@ -825,11 +877,18 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         _check_deadline()
         s, lk, t = heappop(heap)
         pair = pending.pairs.pop(t, None)
-        # the degree's pairs are dropped once no cover monomial up to it is
-        # left
-        if pair is None or left is not None and min(left) > degree:
+        if pair is None:
             continue
         ei, ej, lcm, pmask = elems[pair[0]], elems[pair[1]], pair[2], pair[3]
+        # with no cover key left below the degree, the least one left at it
+        # is a floor, infinite when none is (see buchberger): a pair whose
+        # greater shifted tail head lies below it is dropped
+        floor = -1
+        if left is not None and min(left) >= degree:
+            floor = min(left.get(degree, ()), default=float("inf"))
+            heads = [lk - e.lmkey + e.rows[1][0] for e in (ei, ej) if len(e.rows) > 1]
+            if max(heads, default=-1) < floor:
+                continue
         qi = lcm - ei.lm
         qj = lcm - ej.lm
         # both elements are monic, so their heads cancel at the lcm and only
@@ -838,7 +897,7 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
             _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, ei.quotient_support(qi, pmask, pk), guards),
             0, ej.rows, lk - ej.lmkey, qj, ej.quotient_support(qj, pmask, pk), fld.one, p, guards,
         )
-        rows, sugar = _reduce_rows(rows, s, divs, fld, pk)
+        rows, sugar = _reduce_rows(rows, s, divs, fld, pk, floor)
         if rows and insert(rows, sugar):
             return elems[-1:], None
     return reduced(), None
@@ -993,7 +1052,7 @@ class IdealHandle:
         self.series = series
         self._gb = None
 
-    def groebner(self, cover: Optional[Iterable] = None) -> tuple:
+    def groebner(self, cover: Optional[Iterable] = None) -> _Basis:
         """The reduced basis; the first call computes it, with
         :func:`buchberger`'s ``cover`` stop when one is given and its check
         of ``series``."""
@@ -1125,7 +1184,7 @@ def intersect_all(
             # the cover is sound only once step lies inside K ∩ J
             if _inside(step, K) and _inside(step, J):
                 cover = _minimal_lcms(K.groebner(), J.groebner())
-                if set(cover) <= {g.lm for g in step.groebner(cover)}:
+                if set(cover) <= set(step.groebner(cover).leads()):
                     K = step
                     continue
         K = ideal_intersect(K, J)

@@ -929,9 +929,9 @@ def test_rows_keep_their_support_and_sugar(field, order, terms):
     real = groebner._reduce_rows
     widths = set()
 
-    def checking(rows, sugar, divs, field, pk):
+    def checking(rows, sugar, divs, field, pk, floor=-1):
         _check_rows(rows, sugar, pk)
-        out, sugar = real(rows, sugar, divs, field, pk)
+        out, sugar = real(rows, sugar, divs, field, pk, floor)
         _check_rows(out, sugar, pk)
         widths.add(pk.width)
         return out, sugar
@@ -1170,6 +1170,41 @@ def test_a_unit_from_a_pair_ends_the_run(field, order):
     assert hilbert_numerator(IdealHandle(ring, gens)) == [0]
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["fp:32003", "qq"]),
+    st.sampled_from(["grevlex", "lex"]),
+    _homogeneous_gens(2),
+    _homogeneous_gens(2),
+)
+# the S-polynomial of the one degree-3 pair has its head at b^2*c, the one
+# cover monomial left at that degree, and its remainder's lead is b^2*c: a
+# pair or a reduction cut at a head equal to the floor loses that element
+@example(
+    "fp:32003",
+    "grevlex",
+    [
+        [((1, 1, 0), 6), ((0, 0, 2), 6), ((0, 1, 1), 1)],
+        [((1, 0, 0), -4), ((0, 0, 1), 5), ((0, 1, 0), -1)],
+    ],
+    [[((0, 0, 3), 4)], [((0, 0, 1), -4)]],
+)
+def test_a_covered_claim_run_gives_the_plain_basis(field, order, k_terms, j_terms):
+    # the products of the generators of K and J lie in K ∩ J, so the minimal
+    # lcms of in(K) and in(J) cover their run: the pairs whose head bound
+    # lies below the cover's floor are dropped, and the reductions that sink
+    # below it cut, yet the basis is the plain run's and the textbook one
+    ring, (k_gens, j_gens) = _ring_and_polys(field, k_terms, j_terms, order=order)
+    claim = [f * g for f in k_gens for g in j_gens]
+    K, J = IdealHandle(ring, k_gens), IdealHandle(ring, j_gens)
+    cover = _minimal_lcms(K.groebner(), J.groebner())
+    full = buchberger(claim)
+    assert buchberger(claim, cover) == full
+    textbook = textbook_buchberger(claim, max_pairs=100)
+    if textbook is not None:
+        assert full == textbook
+
+
 def _lhs_4x5():
     """``(ring, lhs, full, cover)``: the minors 4x5 t3 R2 r1 ideal, its
     reduced basis and the minimal lcms of its two components' leads."""
@@ -1377,17 +1412,40 @@ def test_a_kept_claim_is_the_elimination(case):
 
 
 def test_decomposition_reduction_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 makes 3,438 _scaled_sub calls: one per
+    # minors-5x5-t3-R23-r12 makes 1,645 _scaled_sub calls: one per
     # reduction step and per S-polynomial.  The components' runs meet their
     # series at the first reading and form no pair, and the claims' runs
-    # end once their leads reach the minimal lcms, their cover.  Certifying
-    # each step by the series of a basis of K_{i-1} + J_i made 6,040
+    # end once their leads reach the minimal lcms, their cover.  Below the
+    # cover's floor a claim's pair is dropped unformed and a reduction cut
+    # short; without the floor the runs made 3,438, and certifying each
+    # step by the series of a basis of K_{i-1} + J_i made 6,040
     from detkit.harness import CaseSpec, run_case
 
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
     assert report.verdict == "EQUAL"
-    assert calls <= 3438
+    assert calls <= 1645
+
+
+def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
+    # minors-5x5-t3-R23-r12 reads its bases' sizes, leads and rows only: the
+    # minimal lcms and the lead check unpack leads, membership reduces
+    # against rows and ideal_equal compares rows, so no basis polynomial is
+    # built
+    from detkit import groebner
+    from detkit.harness import CaseSpec, run_case
+
+    calls = [0]
+    real = groebner._Packing.poly
+
+    def counting(*a):
+        calls[0] += 1
+        return real(*a)
+
+    monkeypatch.setattr(groebner._Packing, "poly", counting)
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    assert run_case(spec).verdict == "EQUAL"
+    assert calls[0] == 0
 
 
 def test_heights_update_count(monkeypatch):
