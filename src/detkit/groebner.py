@@ -15,20 +15,17 @@ ring.
 Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
 rows in strictly descending key order; ``support`` has bit ``pos`` set for
 each variable present.  A basis leaves it packed (:class:`_Basis`) and
-unpacks into :class:`Polynomial` only when a caller reads polynomials; a
-run records each packed input monomial's :class:`Monomial`, and the unpack
-reuses those objects.  Bases are kept monic.  Pair selection uses the sugar
-strategy.  Each new basis element runs the Gebauer-Moller pair update
-(criteria B, M and F plus the product criterion) once the run leaves its
-sugar degree, so popping a pair does no scan; criterion B finds the pending
-pairs it may drop through an index of their lcms by variable, and the
-minimal leads that a new lead divides come out of an index of their
-variables.  A divisibility test runs only on the divisors whose lead
-support lies inside the term's support, which an index by variable yields
-without a scan.  All choices are deterministic, so a given generator list
-always yields the same reduced basis.  A product whose exponent reaches a
-guard bit aborts the computation, which reruns with fields twice as wide.
-Membership and :func:`normal_form` reduce against a basis's packed rows, so
+unpacks into :class:`Polynomial` only when a caller reads polynomials.
+Bases are kept monic.  Pair selection uses the sugar strategy.  Each new
+basis element runs the Gebauer-Moller pair update (criteria B, M and F plus
+the product criterion) once the run leaves its sugar degree, so popping a
+pair does no scan; criterion B finds the pending pairs it may drop through
+an index of their lcms by variable, and the minimal leads that a new lead
+divides come out of an index of their variables.  A divisibility test runs
+only on the divisors whose lead support lies inside the term's support,
+which an index by variable yields without a scan.  All choices are
+deterministic, so a given generator list always yields the same reduced
+basis.  Membership and :func:`normal_form` reduce against a basis's packed rows, so
 no basis is packed twice, and membership, the size, the leads and the
 comparison of two bases read rows and unpack no polynomial.
 
@@ -38,17 +35,21 @@ monomial, and a row's sugar is at least the degree of every term.  So the
 quotient's support follows from the term's and from which lead variables
 cancel (:meth:`_BasisElem.quotient_support`; an S-pair's two quotients
 start from the support of the pair's lcm), and its degree is the packed
-int modulo ``2**width - 1`` while the sugar lies below that.  Coefficients
-combine as one sum ``c + gc*nqc``, reduced modulo ``p`` over ``fp:p``, in
-one loop for both fields.
+int modulo ``2**width - 1``.  The sugar bounds every exponent too: the
+engine forms no product whose sugar reaches ``top = 2**(width-1)``, the
+guard bit, and tests no product for overflow.  A generator term of degree
+``top``, or a reduction step or S-pair of sugar ``top``, aborts the
+computation, which reruns with fields twice as wide.  Coefficients combine
+as one sum ``c + gc*nqc``, reduced modulo ``p`` over ``fp:p``, in one loop
+for both fields.
 
 Lead ideals have one form for monomial work: polarized, ``x_p^e`` is the
 lowest ``e`` bits of field ``p`` of a bit mask, so divisibility is
-inclusion and the lcm an OR (:func:`_polarize`; on squarefree leads a mask
-is the support).  :func:`hilbert_numerator` gives the numerator ``N(t)``
-of the Hilbert series ``HS(S/I) = N(t)/(1-t)^n`` by Bigatti's pivot
-recursion on the polarized leads of the reduced basis, which keeps the
-numerator, and :func:`krull_dimension` reads the dimension off it.  The
+inclusion and the lcm an OR (:func:`_lead_masks`; on squarefree leads a
+mask is the support).  :func:`hilbert_numerator` gives the numerator
+``N(t)`` of the Hilbert series ``HS(S/I) = N(t)/(1-t)^n`` by Bigatti's
+pivot recursion on the polarized leads of the reduced basis, which keeps
+the numerator, and :func:`krull_dimension` reads the dimension off it.  The
 recursion drops a generator that a cut generator divides by walking the
 generator's ``2**deg`` subsets against a set of the cut's masks, but only
 when ``2**deg`` is at most the number of masks; otherwise it scans them
@@ -81,8 +82,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, chain, islice
-from operator import itemgetter, mul
+from itertools import accumulate, islice
+from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
@@ -137,7 +138,7 @@ def _check_deadline() -> None:
 
 
 class _Overflow(Exception):
-    """An exponent outgrew its field; the caller reruns with wider fields."""
+    """A degree would reach the guard bit; the caller reruns with wider fields."""
 
 
 class _Packing:
@@ -148,14 +149,13 @@ class _Packing:
     exceeds the key of every ``w``-free monomial, so monomials compare by
     their ``w`` exponent first and then by ``order``: the elimination order.
 
-    While a run packs its generators, :meth:`rows` records each packed
-    monomial's :class:`Monomial`.  The run's basis takes the record at the
-    hand-back (:meth:`_Basis.of`) and passes it to :meth:`poly`, which
-    reuses the recorded objects, so the basis unpacks only the monomials
-    the run created; a packing without a record records nothing.
+    Every packed monomial has degree below ``2**(width - 1)``, so no field
+    reaches its guard bit, and :meth:`rows` refuses a term that would.  An
+    elimination packing refuses one degree lower, for the ``w`` that its
+    generators are multiplied by.
     """
 
-    __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields", "_monos")
+    __slots__ = ("order", "elim", "n", "width", "ones", "guards", "weights", "fields")
 
     def __init__(self, order, width: int, elim: bool = False):
         self.order = order
@@ -175,8 +175,6 @@ class _Packing:
             self.fields = partial(int.to_bytes, length=n, byteorder="little")
         else:
             self.fields = self._split
-        # packed -> Monomial: the record, or None once it is dropped
-        self._monos: Optional[dict] = {}
 
     def wider(self) -> "_Packing":
         return _Packing(self.order, 2 * self.width, self.elim)
@@ -184,30 +182,20 @@ class _Packing:
     def rows(self, f: Polynomial) -> list:
         out = []
         width, weights = self.width, self.weights
-        top = 1 << (width - 1)
+        top = (1 << (width - 1)) - self.elim
         for m, c in f.terms:
+            if m.deg >= top:
+                raise _Overflow
             packed = key = mask = 0
             for pos, e in m.exps:
-                if e >= top:
-                    raise _Overflow
                 packed |= e << (pos * width)
                 key += e * weights[pos]
                 mask |= 1 << pos
             out.append((key, packed, c, mask))
-        if self._monos is not None:
-            self._monos.update(zip(map(itemgetter(1), out), map(itemgetter(0), f.terms)))
         return out
 
-    def poly(self, ring: PolyRing, rows: Sequence, monos: dict) -> Polynomial:
-        """The polynomial of ``rows``: a monomial in the record ``monos`` is
-        reused, and one unpacked here joins it."""
-        terms = []
-        for _, p, c, _ in rows:
-            m = monos.get(p)
-            if m is None:
-                m = monos[p] = self.monomial(p)
-            terms.append((m, c))
-        return Polynomial(ring, tuple(terms))
+    def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
+        return Polynomial(ring, tuple((self.monomial(p), c) for _, p, c, _ in rows))
 
     def _split(self, packed: int) -> list:
         low = (1 << self.width) - 1
@@ -219,7 +207,9 @@ class _Packing:
         return _mk(exps, sum(e for _, e in exps))
 
     def degree(self, packed: int) -> int:
-        return sum(self.fields(packed))
+        # each field weighs a power of 2**width, which is 1 modulo
+        # 2**width - 1, and the degree lies below that
+        return packed % ((1 << self.width) - 1)
 
     def key(self, packed: int) -> int:
         return sum(map(mul, self.fields(packed), self.weights))
@@ -277,13 +267,9 @@ class _BasisElem:
         return pk.support(q)
 
 
-def _shift_rows(rows: Sequence, qk, qp, qs, guards) -> list:
+def _shift_rows(rows: Sequence, qk, qp, qs) -> list:
     # multiplying by one monomial preserves the descending order
-    out = [(k + qk, p + qp, c, s | qs) for k, p, c, s in rows]
-    for row in out:
-        if row[1] & guards:
-            raise _Overflow
-    return out
+    return [(k + qk, p + qp, c, s | qs) for k, p, c, s in rows]
 
 
 def _modulus(field) -> int:
@@ -292,7 +278,7 @@ def _modulus(field) -> int:
     return field.p if isinstance(field, PrimeField) else 0
 
 
-def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, p, guards) -> list:
+def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, p) -> list:
     """work[start:] - qc * q * grows[1:], with q the monomial of key ``qk``,
     packing ``qp`` and support ``qs``; the caller has dropped the term that
     cancels the divisor's head.  ``p`` is the field's modulus (see
@@ -306,8 +292,6 @@ def _scaled_sub(work: Sequence, start: int, grows: Sequence, qk, qp, qs, qc, p, 
     for gk, gp, gc, gs in islice(grows, 1, None):
         ck = gk + qk
         cp = gp + qp
-        if cp & guards:
-            raise _Overflow
         while i < na and work[i][0] > ck:
             out.append(work[i])
             i += 1
@@ -372,12 +356,9 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, floor: int =
     result's lead reaches the key ``floor`` (see :func:`buchberger`'s
     cover), so a head below it before any term is kept gives zero.
 
-    Two invariants of every row let a step skip unpacking its quotient
-    ``q``.  A row's stored support is exact, so ``q`` uses the term's
-    variables less the lead variables it cancels
-    (:meth:`_BasisElem.quotient_support`).  The sugar is at least the degree
-    of every term, so while it lies below ``2**width - 1`` the degree of
-    ``q`` is ``q`` modulo that (see :func:`_update`).
+    A step reads its quotient's support and degree off the row invariants
+    of the module docstring, and one whose sugar reaches ``2**(width - 1)``
+    raises :class:`_Overflow` before it forms a product.
     """
     out = []
     work = rows
@@ -385,6 +366,7 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, floor: int =
     steps = 0
     guards = pk.guards
     mod = (1 << pk.width) - 1
+    top = 1 << (pk.width - 1)
     p = _modulus(field)
     # the divisors whose lead support lies inside a term's support are the
     # bits that no nibble table sets (see _Divisors)
@@ -415,10 +397,12 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, floor: int =
             _check_deadline()
         if idx:
             out.extend(work[:idx])
+        s = q % mod + hit.sugar
+        if s >= top:
+            raise _Overflow
         qs = hit.quotient_support(q, ms, pk)
-        work = _scaled_sub(work, idx + 1, hit.rows, mk - hit.lmkey, q, qs, mc, p, guards)
+        work = _scaled_sub(work, idx + 1, hit.rows, mk - hit.lmkey, q, qs, mc, p)
         idx = 0
-        s = (q % mod if sugar < mod else pk.degree(q)) + hit.sugar
         if s > sugar:
             sugar = s
     out.extend(work)
@@ -547,12 +531,9 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
     # in increasing degree.  A pair with coprime leads is dropped (product
     # criterion) and covers nothing either: its lcm g*h would divide another
     # new lcm lcm(k, h) only if g divided k, and no active lead divides
-    # another.  Each field of a packed monomial weighs a power of
-    # ``2**width``, which is 1 modulo ``2**width - 1``, so the lcm modulo
-    # that is its degree whenever the degree, at most ``g.deg + h.deg``,
-    # lies below it.  The lcm is :meth:`_Packing.lcm`, inlined
+    # another.  The lcm, :meth:`_Packing.lcm` inlined, has degree at most
+    # ``g.deg + h.deg < 2**width - 1``, so it is the lcm modulo that
     mod = (1 << pk.width) - 1
-    cap = mod - h.deg
     spread = pk.width - 1
     hg = hlm | guards
     cands = []
@@ -562,8 +543,7 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
             glm = g.lm
             ge = (hg - glm) & guards
             lcm = glm ^ ((hlm ^ glm) & (ge - (ge >> spread)))
-            deg = lcm % mod if g.deg < cap else pk.degree(lcm)
-            cands.append((deg, j, lcm, g.mask | hmask))
+            cands.append((lcm % mod, j, lcm, g.mask | hmask))
     cands.sort()  # by (degree, j); j is unique
     minimal, new = [], []
     for deg, j, lcm, pmask in cands:
@@ -583,33 +563,29 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
 class _Basis:
     """Monic divisors in a fixed order; from :func:`buchberger` and
     :func:`ideal_intersect`, a reduced basis, greatest lead first, that
-    keeps its run's packing, elements and record of monomials (see
-    :class:`_Packing`) and unpacks its polynomials, dropping the record, at
-    the first iteration, index or ``repr``.  ``len``, :meth:`numerator`,
+    keeps its run's packing and elements and unpacks its polynomials at the
+    first iteration, index or ``repr``.  ``len``, :meth:`numerator`,
     :meth:`remainder` and :meth:`leads`, which unpacks the leads alone,
     read the rows, and so does ``==`` on two run bases in one ring at one
     width: a row's key and support follow from its packed monomial.
     :func:`normal_form` builds one from polynomials, which packs on the
-    first reduction, wider if the fields overflow."""
+    first reduction, wider if a degree reaches the guard bit."""
 
-    __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num", "_monos")
+    __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num")
 
     def __init__(self, polys: Iterable[Polynomial] = ()):
         self._polys, self._elems = tuple(polys), ()
-        self._ring = self._pk = self._divs = self._num = self._monos = None
+        self._ring = self._pk = self._divs = self._num = None
 
     @classmethod
     def of(cls, ring: PolyRing, pk: _Packing, elems: list, num=None) -> "_Basis":
         out = cls()
         out._polys, out._ring, out._pk, out._elems, out._num = None, ring, pk, elems, num
-        out._monos, pk._monos = pk._monos, None
         return out
 
     def _unpacked(self) -> tuple:
         if self._polys is None:
-            self._polys = tuple(self._pk.poly(self._ring, e.rows, self._monos) for e in self._elems)
-            # the polynomials hold the monomials now; a kept record costs memory
-            self._monos = None
+            self._polys = tuple(self._pk.poly(self._ring, e.rows) for e in self._elems)
         return self._polys
 
     def __iter__(self):
@@ -633,16 +609,13 @@ class _Basis:
 
     def leads(self) -> list:
         """The leads, greatest first; before the first unpack only they are
-        unpacked, into the record."""
+        unpacked."""
         if self._polys is not None:
             return [g.lm for g in self._polys]
-        monos, monomial = self._monos, self._pk.monomial
-        return [monos.get(e.lm) or monos.setdefault(e.lm, monomial(e.lm)) for e in self._elems]
+        return [self._pk.monomial(e.lm) for e in self._elems]
 
     def _pack(self, pk: _Packing) -> None:
-        """Pack the elements at ``pk``'s width, or wider if they outgrow it;
-        the packing keeps no record."""
-        pk._monos = None
+        """Pack the elements at ``pk``'s width, or wider if they need it."""
         try:
             self._elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in self]
         except _Overflow:
@@ -672,7 +645,7 @@ class _Basis:
     def remainder(self, f: Polynomial) -> Polynomial:
         """``f`` fully reduced by the elements, the earliest divisor first."""
         pk, rows = self._reduced(f)
-        return pk.poly(f.ring, rows, {})
+        return pk.poly(f.ring, rows)
 
 
 def buchberger(
@@ -746,10 +719,10 @@ def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
     """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
     generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
     greatest lead first, and the Hilbert numerator of its leads when the
-    one reading met ``series``, else ``None``.  A run whose exponents
-    outgrow the fields starts over with fields twice as wide, so the
-    packing returned may be wider than ``pk``.  ``cover`` and ``series``
-    are :func:`buchberger`'s, kept across reruns.
+    one reading met ``series``, else ``None``.  A run that would form a
+    product whose sugar reaches the guard bit starts over with fields twice
+    as wide, so the packing returned may be wider than ``pk``.  ``cover``
+    and ``series`` are :func:`buchberger`'s, kept across reruns.
     """
     while True:
         try:
@@ -758,27 +731,33 @@ def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
             pk = pk.wider()
 
 
-def _polarize(leads: Sequence) -> tuple:
-    """``(width, masks)`` for ``leads``, each a sequence of ``(position,
-    exponent)`` pairs.  A lead's mask turns ``x_p^e`` into the lowest ``e``
-    bits of field ``p``, ``width`` bits wide, the largest exponent: on
-    squarefree leads one bit, and the mask is the support.  Divisibility is
-    then inclusion, the lcm an OR and the degree a bit count, and the
-    graded Betti numbers, so the Hilbert numerator, are kept (Herzog and
-    Hibi, *Monomial Ideals*, GTM 260, 2011, 1.6)."""
-    width = max((e for exps in leads for _, e in exps), default=1)
+def _lead_masks(*runs) -> tuple:
+    """``(width, masks)``: the polarized leads of the elements of each
+    ``(elems, pk)`` of ``runs``, in order.  A lead's mask turns ``x_p^e``
+    into the lowest ``e`` bits of field ``p``, ``width`` bits wide, the
+    largest exponent.  Divisibility is then inclusion, the lcm an OR and
+    the degree a bit count, and the graded Betti numbers, so the Hilbert
+    numerator, are kept (Herzog and Hibi, *Monomial Ideals*, GTM 260, 2011,
+    1.6).  When every lead is squarefree, ``width`` is 1 and a mask is the
+    lead's support, ``e.mask``: nothing is unpacked."""
+    elems = [e for es, _ in runs for e in es]
+    if all(e.mask.bit_count() == e.deg for e in elems):
+        return 1, [e.mask for e in elems]
+    leads = [pk.monomial(e.lm).exps for es, pk in runs for e in es]
+    width = max(e for exps in leads for _, e in exps)
     return width, [sum(((1 << e) - 1) << (p * width) for p, e in exps) for exps in leads]
 
 
 def _minimal_lcms(A: _Basis, B: _Basis) -> list:
-    """The minimal generators of ``in(A) ∩ in(B)`` for bases ``A`` and
+    """The minimal generators of ``in(A) ∩ in(B)`` for run bases ``A`` and
     ``B``: the lcms of a lead of each that no other such lcm divides.
 
-    The lcms of the polarized leads (:func:`_polarize`) go in by degree,
+    The lcms of the polarized leads (:func:`_lead_masks`) go in by degree,
     and one is minimal when no drop of one bit gives an lcm and no minimal
     one before it is a subset (:func:`_holds_subset`)."""
-    width, masks = _polarize([m.exps for m in chain(A.leads(), B.leads())])
-    lcms = {a | b for a in masks[: len(A)] for b in masks[len(A) :]}
+    width, masks = _lead_masks((A._elems, A._pk), (B._elems, B._pk))
+    na = len(A._elems)
+    lcms = {a | b for a in masks[:na] for b in masks[na:]}
     found: set = set()
     out = []
     for u in sorted(lcms, key=int.bit_count):
@@ -806,11 +785,12 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     heap = pending.heap
 
     # ``left[d]``: the keys of the cover monomials of degree d that are no
-    # lead yet, ``{}`` once the cover is met; one past the fields needs wider
+    # lead yet, ``{}`` once the cover is met; one that no lead can reach
+    # needs wider fields
     left = None if cover is None else {}
     top, weights = 1 << (pk.width - 1), pk.weights
     for m in cover or ():
-        if any(e >= top for _, e in m.exps):
+        if m.deg >= top:
             raise _Overflow
         left.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
     # a new element joins the divisors at once, so that the reductions of
@@ -889,13 +869,16 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
             heads = [lk - e.lmkey + e.rows[1][0] for e in (ei, ej) if len(e.rows) > 1]
             if max(heads, default=-1) < floor:
                 continue
+        # the sugar bounds every term the pair forms
+        if s >= top:
+            raise _Overflow
         qi = lcm - ei.lm
         qj = lcm - ej.lm
         # both elements are monic, so their heads cancel at the lcm and only
         # the tails are shifted
         rows = _scaled_sub(
-            _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, ei.quotient_support(qi, pmask, pk), guards),
-            0, ej.rows, lk - ej.lmkey, qj, ej.quotient_support(qj, pmask, pk), fld.one, p, guards,
+            _shift_rows(ei.rows[1:], lk - ei.lmkey, qi, ei.quotient_support(qi, pmask, pk)),
+            0, ej.rows, lk - ej.lmkey, qj, ej.quotient_support(qj, pmask, pk), fld.one, p,
         )
         rows, sugar = _reduce_rows(rows, s, divs, fld, pk, floor)
         if rows and insert(rows, sugar):
@@ -912,13 +895,9 @@ def _lead_numerator(elems: Sequence, pk: _Packing) -> list:
     monomial ideal ``M`` that the leads of ``elems``, basis elements packed
     by ``pk``, generate, minimally or not.  Trailing zero coefficients are
     dropped, but ``M = S`` keeps its ``[0]``.  The leads are polarized
-    (:func:`_polarize`); a squarefree lead is its support mask, so leads
-    that all are unpack nothing.
+    (:func:`_lead_masks`).
     """
-    masks = [e.mask for e in elems]
-    if any(s.bit_count() != e.deg for s, e in zip(masks, elems)):
-        _, masks = _polarize([pk.monomial(e.lm).exps for e in elems])
-    num = _pivot_numerator(masks)
+    num = _pivot_numerator(_lead_masks((elems, pk))[1])
     while len(num) > 1 and not num[-1]:
         num.pop()
     return num
@@ -950,7 +929,7 @@ def _pivot_numerator(gens: list) -> list:
     cut, the generators that ``x`` divides with ``x`` taken out, and by the
     generators free of ``x`` that no cut generator divides.
 
-    Each generator is a squarefree mask (:func:`_polarize`), its degree the
+    Each generator is a squarefree mask (:func:`_lead_masks`), its degree the
     bit count, and a cut generator divides ``s`` exactly when its mask is a
     subset of ``s``, which :func:`_holds_subset` finds by walking the
     subsets of ``s`` or by scanning the cut masks.
@@ -1134,13 +1113,13 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     def pack(pk):
         # w is the field at position n
         wk, wp = pk.weights[n], 1 << (n * pk.width)
-        guards, neg = pk.guards, ring.field.neg
-        gens = [(_shift_rows(pk.rows(f), wk, wp, wbit, guards), f.degree() + 1) for f in I.gens]
+        neg = ring.field.neg
+        gens = [(_shift_rows(pk.rows(f), wk, wp, wbit), f.degree() + 1) for f in I.gens]
         for g in J.gens:
             rows = pk.rows(g)
             # w*g - g: every term of w*g beats every w-free term
             tail = [(k, p, neg(c), s) for k, p, c, s in rows]
-            gens.append((_shift_rows(rows, wk, wp, wbit, guards) + tail, g.degree() + 1))
+            gens.append((_shift_rows(rows, wk, wp, wbit) + tail, g.degree() + 1))
         return gens
 
     pk, basis, _ = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)

@@ -201,7 +201,7 @@ def reference_lead_numerator(elems, pk):
     stood before the squarefree subset walk.  On squarefree leads it picks
     the engine's pivots.  Packed leads it works as packed monomials,
     dividing a pivot variable's exponent by one, where the engine works
-    their polarization (``groebner._polarize``) one bit at a time; the
+    their polarization (``groebner._lead_masks``) one bit at a time; the
     numerators agree because polarization keeps the numerator."""
     leads = [(e.lm, e.mask, e.deg) for e in elems]
     if all(s.bit_count() == d for _, s, d in leads):

@@ -393,16 +393,26 @@ def test_buchberger_matches_textbook_engine(field, order, drawn):
 def _packed_pairs(draw):
     """An order (lex or grevlex), a field width, whether the packing has the
     elimination field ``w`` past the order's variables, and two exponent
-    vectors below the guard bits, with the ``w`` exponent last."""
+    vectors with the ``w`` exponent last, each of a degree that the packing
+    takes: below ``2**(width - 1)``, one less with ``w``."""
     n = draw(st.integers(2, 6))
     table = VariableTable([f"v{i}" for i in range(n)])
     order = order_from_name(draw(st.sampled_from(["lex", "grevlex"])), table)
     width = draw(st.sampled_from([8, 16]))
     elim = draw(st.booleans())
-    top = (1 << (width - 1)) - 1
+    top = (1 << (width - 1)) - elim
     size = n + elim
     exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, top)), min_size=size, max_size=size)
-    return order, width, elim, draw(exps), draw(exps)
+
+    def capped(vector):
+        # each exponent is cut to what the earlier ones leave of top - 1
+        left, out = top - 1, []
+        for e in vector:
+            out.append(min(e, left))
+            left -= out[-1]
+        return out
+
+    return order, width, elim, capped(draw(exps)), capped(draw(exps))
 
 
 def _elim_case(order, ue, ve):
@@ -412,9 +422,11 @@ def _elim_case(order, ue, ve):
 
 @settings(max_examples=300, deadline=None)
 @given(_packed_pairs())
-# w beats the w-free monomial with every exponent at its maximum
-@example(_elim_case("lex", [127, 127, 127, 0], [0, 0, 0, 1]))
-@example(_elim_case("grevlex", [127, 127, 127, 0], [0, 0, 0, 1]))
+# w beats the greatest w-free monomial that an elimination packing takes
+@example(_elim_case("lex", [126, 0, 0, 0], [0, 0, 0, 1]))
+@example(_elim_case("grevlex", [126, 0, 0, 0], [0, 0, 0, 1]))
+# the sum of two packed monomials carries out of the first field
+@example(_elim_case("lex", [100, 20, 0, 0], [60, 0, 1, 0]))
 def test_packed_monomials_match_poly(case):
     order, width, elim, ue, ve = case
     n = len(order.table)
@@ -516,10 +528,9 @@ def test_membership_in_an_intersection_reduces_against_its_elimination_rows():
 
 
 def test_membership_leaves_no_monomial_behind():
-    # membership decides on the remainder's rows and unpacks nothing, and a
-    # remainder unpacks without recording: testing the 36 2-minors of a
-    # generic 4x4 against its 3-minors leaves the basis's packing without a
-    # record, as its run handed it back
+    # membership decides on the remainder's rows, and a remainder unpacks
+    # into the bare normal form: the 36 2-minors of a generic 4x4 tested
+    # against its 3-minors
     from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("generic", 4, 4)
@@ -529,15 +540,12 @@ def test_membership_leaves_no_monomial_behind():
     twos = constrained_ideal(ring, ms, 2).gens
     assert len(twos) == 36
     assert not any(ideal_member(f, I) for f in twos)
-    assert not G._pk._monos
     assert [G.remainder(f) for f in twos] == [normal_form(f, G) for f in twos]
-    assert not G._pk._monos
 
 
 def test_series_stopped_basis_holds_the_generators_monomials():
     # the 70 4-Pfaffians of a skew 8x8 are their own reduced basis, and the
-    # run that its first reading stops hands back the very Monomial objects
-    # of the generators, then drops its record of them
+    # run that its first reading stops hands back the generators' monomials
     from detkit.detideals import MatrixSpec, constrained_ideal, matrix_ring
 
     ms = MatrixSpec("skew", 8, 8)
@@ -547,10 +555,7 @@ def test_series_stopped_basis_holds_the_generators_monomials():
     by_lead = {f.lm: f for f in I.gens}
     assert len(G) == len(by_lead) == 70
     for g in G:
-        terms = by_lead[g.lm].terms
-        assert len(g.terms) == len(terms)
-        assert all(m is n for (m, _), (n, _) in zip(g.terms, terms))
-    assert G._pk._monos is None
+        assert [m for m, _ in g.terms] == [m for m, _ in by_lead[g.lm].terms]
 
 
 def test_buchberger_matches_textbook_beyond_64_variables():
@@ -841,44 +846,56 @@ def test_update_call_ceiling(monkeypatch):
     assert _intersection_calls(monkeypatch, "_update") <= 90
 
 
-def test_pair_degree_past_the_field_sum():
-    # the pair update reads an lcm's degree as the packed int modulo
-    # 2**width - 1, which is exact only while the two leads' degrees sum
-    # below it.  At width 4 that is 15: x^3*y^3 and x^3*z^3 stay below it,
-    # and x^7*y^7 and x^7*z^7, whose lcm of degree 21 reads 6 modulo 15,
-    # take the fallback
-    from detkit.groebner import _BasisElem, _Minimal, _Pending, _update
-
-    ring = mkring("xyz")
-    x, y, z = (ring.var(i) for i in range(3))
-    pk = _Packing(ring.order, 4)
-    for e, degree in ((3, 9), (7, 21)):
-        elems = [_BasisElem(pk.rows(f), f.degree(), pk) for f in (x**e * y**e, x**e * z**e)]
-        active, pending = _Minimal(pk.n), _Pending(pk.n)
-        for hi in range(2):
-            _update(elems, hi, active, pending, pk)
-        ((sugar, _, tick),) = pending.heap
-        assert sugar == pk.degree(pending.pairs[tick][2]) == degree
-        assert list(active.members) == [0, 1]
+@st.composite
+def _deep_gens(draw):
+    """Two or three polynomials in three variables of degree 2 to 9, each
+    with one or two terms, as ``[(exponents, coefficient), ...]`` term
+    lists: at 4-bit fields, whose guard bit is 8, a run may overflow at a
+    generator term, at a reduction step, at an S-pair or nowhere."""
+    coeffs = st.integers(-7, 7).filter(bool)
+    out = []
+    for _ in range(draw(st.integers(2, 3))):
+        deg = draw(st.integers(2, 9))
+        exps = set()
+        for d in [deg] + draw(st.lists(st.integers(0, deg), max_size=1)):
+            i = draw(st.integers(0, d))
+            j = draw(st.integers(0, d - i))
+            exps.add((i, j, d - i - j))
+        out.append([(e, draw(coeffs)) for e in sorted(exps)])
+    return out
 
 
-def test_quotient_degree_past_the_field_sum():
-    # a reduction step reads its quotient's degree as the packed int modulo
-    # 2**width - 1 while the row's sugar, which bounds every term's degree,
-    # lies below it.  At width 4 that is 15: x^3*y^3*z^3 (sugar 9) by x
-    # leaves y^3*z^3 of degree 8, read off the int, and x^7*y^7*z^2 (sugar
-    # 16) leaves x^6*y^7*z^2 of degree 15, which reads 0 modulo 15 and takes
-    # the fallback.  The divisor's sugar of 6 puts the step's own sugar
-    # above the row's, so the degree shows in the sugar returned
-    from detkit.groebner import _Divisors, _reduce_rows
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["fp:32003", "qq"]), st.sampled_from(["grevlex", "lex"]), _deep_gens())
+# the first overflow at a generator term: z^9 packs, and the guard bits would
+# then read z^9 as not divisible by z
+@example("qq", "lex", [[((0, 0, 1), 1), ((0, 0, 0), -1)], [((1, 1, 0), 1), ((0, 0, 9), 1)]])
+# at a reduction step: x*y^2 - x less y*(x*y - y^7) has sugar 8, and at
+# 4-bit fields y^8 would take the key of x and cancel it
+@example("fp:32003", "lex", [[((1, 1, 0), 1), ((0, 7, 0), -1)], [((1, 2, 0), 1), ((1, 0, 0), -1)]])
+# at an S-pair: the same two generators the other way round, so that
+# neither reduces the other and their pair has sugar 8
+@example("qq", "lex", [[((1, 2, 0), 1), ((1, 0, 0), -1)], [((1, 1, 0), 1), ((0, 7, 0), -1)]])
+def test_a_run_refuses_every_product_past_its_sugar(field, order, terms):
+    # a run started at 4-bit fields forms no product whose sugar reaches the
+    # guard bit, 8: a generator term of that degree, or a reduction step or
+    # an S-pair of that sugar, reruns it wider.  Its basis is the one a run
+    # at 8-bit fields gives, and every row's sugar stays below its
+    # packing's guard bit
+    from detkit.groebner import _Basis, _basis_rows
 
-    ring = mkring("xyz")
-    x, y, z = (ring.var(i) for i in range(3))
-    pk = _Packing(ring.order, 4)
-    divs = _Divisors(pk.n, [_BasisElem(pk.rows(x), 6, pk)])
-    for f, degree in ((x**3 * y**3 * z**3, 8), (x**7 * y**7 * z**2, 15)):
-        rows, sugar = _reduce_rows(pk.rows(f), f.degree(), divs, ring.field, pk)
-        assert rows == [] and sugar == degree + 6
+    ring, (gens,) = _ring_and_polys(field, terms, order=order)
+    pk, elems, _ = _basis_rows(
+        _Packing(ring.order, 4), lambda pk: [(pk.rows(g), g.degree()) for g in gens], ring.field
+    )
+    for e in elems:
+        _check_rows(e.rows, e.sugar, pk)
+    G = _Basis.of(ring, pk, elems)
+    assert G == buchberger(gens)
+    # the reference forms every S-pair, far too many on some draws
+    expected = textbook_buchberger(gens, max_pairs=100)
+    if expected is not None:
+        assert G == expected
 
 
 @st.composite
@@ -897,7 +914,8 @@ def _mixed_gens(draw, count):
 
 def _check_rows(rows, sugar, pk):
     """A row's stored support is the support of its packed monomial, and
-    the sugar is at least the degree of every term."""
+    the sugar is at least the degree of every term and below the guard bit."""
+    assert sugar < 2 ** (pk.width - 1)
     for _, p, _, s in rows:
         assert s == pk.support(p)
         assert pk.degree(p) <= sugar
@@ -920,6 +938,9 @@ _WIDENING = {
 # a reduction by a*b whose quotient keeps a: a^2*b less a*b is a, so a
 # support that drops every lead variable would lose it
 @example("qq", "grevlex", [[((1, 1, 0), 1)], [((2, 1, 0), 1), ((0, 0, 3), 1)], [((0, 0, 1), 1)]])
+# a^127 - 1 packs at 8-bit fields, but w*(a^127 - 1) in the elimination
+# would have sugar 128, the guard bit, so the elimination packs wider
+@example("qq", "lex", [[((127, 0, 0), 1), ((0, 0, 0), -1)], [((0, 1, 0), 1)], [((0, 0, 1), 1)]])
 def test_rows_keep_their_support_and_sugar(field, order, terms):
     # every reduction's input and output rows, in basis runs, their final
     # interreduction, an elimination and membership tests, keep the two
@@ -1429,9 +1450,9 @@ def test_decomposition_reduction_ceiling(monkeypatch):
 
 def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
     # minors-5x5-t3-R23-r12 reads its bases' sizes, leads and rows only: the
-    # minimal lcms and the lead check unpack leads, membership reduces
-    # against rows and ideal_equal compares rows, so no basis polynomial is
-    # built
+    # minimal lcms read lead masks, the lead check unpacks leads, membership
+    # reduces against rows and ideal_equal compares rows, so no basis
+    # polynomial is built
     from detkit import groebner
     from detkit.harness import CaseSpec, run_case
 
@@ -1446,6 +1467,28 @@ def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     assert run_case(spec).verdict == "EQUAL"
     assert calls[0] == 0
+
+
+def test_decomposition_unpack_ceiling(monkeypatch):
+    # minors-5x5-t3-R23-r12 unpacks 373 monomials: the leads of its two
+    # claims' bases, 150 and 223, which intersect_all's lead check compares
+    # with the minimal lcms.  While each run kept a record of its
+    # generators' Monomial objects, the check reused those for the leads
+    # that were generator monomials and unpacked 213
+    from detkit import groebner
+    from detkit.harness import CaseSpec, run_case
+
+    calls = [0]
+    real = groebner._Packing.monomial
+
+    def counting(*a):
+        calls[0] += 1
+        return real(*a)
+
+    monkeypatch.setattr(groebner._Packing, "monomial", counting)
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    assert run_case(spec).verdict == "EQUAL"
+    assert calls[0] <= 373
 
 
 def test_heights_update_count(monkeypatch):

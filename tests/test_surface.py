@@ -1,5 +1,6 @@
-"""Every function and method in ``src/detkit`` has a caller, and every
-parameter with a default has a caller that passes it.
+"""Every function and method in ``src/detkit`` has a caller, every
+parameter with a default has a caller that passes it, and every module but
+``__init__`` uses each name it imports.
 
 An AST scan lists the module-level functions and the class methods
 (dunders excluded) and asks that each name be referenced somewhere in
@@ -8,7 +9,8 @@ counts as used when any attribute of that name is read.  A definition with
 no such reference must be public surface, named below; otherwise it is dead
 code and goes.  A second scan does the same for each parameter with a
 default, constructors included: some call in ``src/detkit`` of that name
-must pass it, by keyword or by position.
+must pass it, by keyword or by position.  A third scan asks that each
+name a module's imports bind be read in that module.
 """
 
 import ast
@@ -192,3 +194,23 @@ def test_every_defaulted_parameter_is_passed_or_public():
     assert sorted(unpassed - PUBLIC_PARAMETERS) == []
     # the list names only parameters that exist and that no call passes
     assert PUBLIC_PARAMETERS <= unpassed
+
+
+def _bound_by_imports(tree):
+    """The name that each import of ``tree`` binds, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in _bound_by_imports(tree) if name not in read]
+    assert unused == []
