@@ -846,6 +846,64 @@ def test_update_call_ceiling(monkeypatch):
     assert _intersection_calls(monkeypatch, "_update") <= 90
 
 
+def test_pair_degree_past_the_field_sum():
+    # the pair update reads an lcm's degree as the packed int modulo
+    # 2**width - 1, exact while the two leads' degrees sum below it.  Every
+    # packed lead lies below the guard bit, so no pair gets past that sum:
+    # at width 4 the leads x^3*y^4 and x^3*z^4 of degree 7 give the widest
+    # lcm, of degree 11 below 15, and read it exactly.  Its sugar reaches
+    # the guard bit, 8, so the run raises _Overflow when it takes the pair
+    from detkit.groebner import (
+        _Basis,
+        _BasisElem,
+        _basis_rows,
+        _buchberger,
+        _Minimal,
+        _Overflow,
+        _Pending,
+        _update,
+    )
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    pk = _Packing(ring.order, 4)
+    for e, degree in ((2, 7), (4, 11)):
+        gens = [x**3 * y**e, x**3 * z**e]
+        elems = [_BasisElem(pk.rows(f), f.degree(), pk) for f in gens]
+        active, pending = _Minimal(pk.n), _Pending(pk.n)
+        for hi in range(2):
+            _update(elems, hi, active, pending, pk)
+        ((sugar, _, tick),) = pending.heap
+        assert sugar == pk.degree(pending.pairs[tick][2]) == degree
+        assert list(active.members) == [0, 1]
+    with pytest.raises(_Overflow):
+        _buchberger([(pk.rows(f), f.degree()) for f in gens], ring.field, pk)
+    # the rerun at wider fields gives the basis
+    wide, elems, _ = _basis_rows(pk, lambda pk: [(pk.rows(f), f.degree()) for f in gens], ring.field)
+    assert wide.width > 4 and _Basis.of(ring, wide, elems) == buchberger(gens)
+
+
+def test_quotient_degree_past_the_field_sum():
+    # a reduction step reads its quotient's degree as the packed int modulo
+    # 2**width - 1, exact since every packed term lies below the guard bit.
+    # At width 4 that bit is 8: x^2*y^2*z^2 (sugar 6) by x of sugar 2 leaves
+    # x*y^2*z^2 of degree 5, a step of sugar 7, which shows in the sugar
+    # returned; x^3*y^3*z (sugar 7) leaves x^2*y^3*z of degree 6, a step of
+    # sugar 8, and raises _Overflow before it forms a product
+    from detkit.groebner import _BasisElem, _Divisors, _Overflow, _reduce_rows
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    pk = _Packing(ring.order, 4)
+    divs = _Divisors(pk.n, [_BasisElem(pk.rows(x), 2, pk)])
+    f = x**2 * y**2 * z**2
+    rows, sugar = _reduce_rows(pk.rows(f), f.degree(), divs, ring.field, pk)
+    assert rows == [] and sugar == 5 + 2
+    f = x**3 * y**3 * z
+    with pytest.raises(_Overflow):
+        _reduce_rows(pk.rows(f), f.degree(), divs, ring.field, pk)
+
+
 @st.composite
 def _deep_gens(draw):
     """Two or three polynomials in three variables of degree 2 to 9, each
