@@ -47,11 +47,10 @@ from detkit.groebner import (
     buchberger,
     ideal_height,
     ideal_member,
-    s_polynomial,
 )
 from detkit.harness import standard_products
 from detkit.linalg import row_reduce
-from detkit.poly import PrimeField, field_from_name
+from detkit.poly import PrimeField, field_from_name, mono_div, mono_lcm
 
 FP = PrimeField(32003)
 
@@ -154,9 +153,16 @@ def test_reduce_rows_5x5_s_polynomial(benchmark, field):
     # lead shares a variable: 46 terms, 15 reduction steps down to zero; over
     # the rationals each coefficient is a Fraction
     ring, G, pk, divs = _minors55(field)
-    first = set(dict(G[0].lm.exps))
+    f = G[0]
+    first = set(dict(f.lm.exps))
+
+    def s_polynomial(g):
+        # both are monic: shift each to the lcm of the leads and subtract
+        lcm = mono_lcm(f.lm, g.lm)
+        return f.term_mul(mono_div(lcm, f.lm)) - g.term_mul(mono_div(lcm, g.lm))
+
     s = max(
-        (s_polynomial(G[0], g) for g in G[1:] if first & set(dict(g.lm.exps))),
+        (s_polynomial(g) for g in G[1:] if first & set(dict(g.lm.exps))),
         key=lambda s: len(s.terms),
     )
     rows = pk.rows(s)

@@ -206,17 +206,18 @@ def format_bracket(ix) -> str:
 def partitions(d: int, k: int) -> Iterator[Tuple[int, ...]]:
     """The partitions of ``d`` into at most ``k`` parts, each a
     non-increasing tuple, in decreasing lexicographic order."""
+    return _partitions(d, k, d)
 
-    def rec(rest: int, parts: int, top: int):
-        if not rest:
-            yield ()
-        elif parts:
-            # the first part is at least the average of what remains
-            for first in range(min(rest, top), -(-rest // parts) - 1, -1):
-                for tail in rec(rest - first, parts - 1, first):
-                    yield (first,) + tail
 
-    return rec(d, k, d)
+def _partitions(rest: int, parts: int, top: int) -> Iterator[Tuple[int, ...]]:
+    """:func:`partitions` of ``rest`` into at most ``parts`` parts, none above ``top``."""
+    if not rest:
+        yield ()
+    elif parts:
+        # the first part is at least the average of what remains
+        for first in range(min(rest, top), -(-rest // parts) - 1, -1):
+            for tail in _partitions(rest - first, parts - 1, first):
+                yield (first,) + tail
 
 
 def schur_dimension(shape: Sequence[int], k: int) -> int:

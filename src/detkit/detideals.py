@@ -536,23 +536,23 @@ def truncated_ideal(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle
 def monomials_of_weighted_degree(grading: GradingSpec, e: int) -> List[Monomial]:
     """All monomials of exact weighted degree ``e``, deterministically
     ordered."""
-    weights = grading.weights
-    n = len(weights)
     out: List[Monomial] = []
-
-    def rec(pos: int, remaining: int, pairs: list):
-        if remaining == 0:
-            out.append(Monomial(tuple(pairs)))
-            return
-        if pos == n:
-            return
-        w = weights[pos]
-        rec(pos + 1, remaining, pairs)
-        for k in range(1, remaining // w + 1):
-            rec(pos + 1, remaining - k * w, pairs + [(pos, k)])
-
-    rec(0, e, [])
+    _weighted_monomials(grading.weights, 0, e, [], out)
     return out
+
+
+def _weighted_monomials(weights: tuple, pos: int, remaining: int, pairs: list, out: list) -> None:
+    """Append to ``out`` the monomial ``pairs`` times each monomial of
+    weighted degree ``remaining`` in the variables from ``pos`` on."""
+    if remaining == 0:
+        out.append(Monomial(tuple(pairs)))
+        return
+    if pos == len(weights):
+        return
+    w = weights[pos]
+    _weighted_monomials(weights, pos + 1, remaining, pairs, out)
+    for k in range(1, remaining // w + 1):
+        _weighted_monomials(weights, pos + 1, remaining - k * w, pairs + [(pos, k)], out)
 
 
 def coefficient_matrix(ring: PolyRing, polys: Sequence) -> Tuple[List[dict], List[Monomial]]:

@@ -59,11 +59,12 @@ when ``2**deg`` is at most the number of masks; otherwise it scans them
 folds from the first, and each step either keeps an expected result ``L``
 for ``K ∩ J`` or eliminates with :func:`ideal_intersect`.  It keeps ``L``
 when membership puts it inside ``K`` and ``J`` and every minimal lcm of a
-lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
-``in(K) ∩ in(J)``, which then equals ``in(L)``.  The same lcms are the
-``cover`` of ``L``'s basis run, which drops or cuts short a pair once no
-cover monomial below its degree is left and its head lies below every one
-left at it, and ends once all are leads.  An :class:`IdealHandle` may also
+lead of ``K`` and a lead of ``J`` is a lead of ``L``, compared as packed
+keys (:meth:`_Basis.has_leads`): those lcms generate ``in(K) ∩ in(J)``,
+which then equals ``in(L)``.  The same lcms are the ``cover`` of ``L``'s
+basis run, which drops or cuts short a pair once no cover monomial below
+its degree is left and its head lies below the least one left at it, a
+floor kept per degree, and ends once all are leads.  An :class:`IdealHandle` may also
 carry a ``series``, the numerator over the rationals that a closed form
 gives a plain determinantal or Pfaffian ideal
 (:func:`~detkit.combinat.determinantal_numerator`).  Its basis run reads
@@ -87,7 +88,7 @@ from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
 
-from .poly import PolyRing, Polynomial, PrimeField, _mk, _unit_pairs, mono_div, mono_lcm
+from .poly import PolyRing, Polynomial, PrimeField, _mk, _unit_pairs
 
 __all__ = [
     "BudgetExceeded",
@@ -95,7 +96,6 @@ __all__ = [
     "deadline_scope",
     "buchberger",
     "normal_form",
-    "s_polynomial",
     "IdealHandle",
     "hilbert_numerator",
     "ideal_member",
@@ -192,6 +192,16 @@ class _Packing:
                 key += e * weights[pos]
                 mask |= 1 << pos
             out.append((key, packed, c, mask))
+        return out
+
+    def keys_by_degree(self, monos: Iterable) -> dict:
+        """``{degree: keys}`` of ``monos``; a degree at the guard bit raises ``_Overflow``."""
+        out: dict = {}
+        top, weights = 1 << (self.width - 1), self.weights
+        for m in monos:
+            if m.deg >= top:
+                raise _Overflow
+            out.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
         return out
 
     def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
@@ -565,9 +575,10 @@ class _Basis:
     :func:`ideal_intersect`, a reduced basis, greatest lead first, that
     keeps its run's packing and elements and unpacks its polynomials at the
     first iteration, index or ``repr``.  ``len``, :meth:`numerator`,
-    :meth:`remainder` and :meth:`leads`, which unpacks the leads alone,
-    read the rows, and so does ``==`` on two run bases in one ring at one
-    width: a row's key and support follow from its packed monomial.
+    :meth:`remainder`, :meth:`has_leads`, which unpacks nothing, and
+    :meth:`leads`, which unpacks the leads alone, read the rows, and so
+    does ``==`` on two run bases in one ring at one width: a row's key and
+    support follow from its packed monomial.
     :func:`normal_form` builds one from polynomials, which packs on the
     first reduction, wider if a degree reaches the guard bit."""
 
@@ -613,6 +624,17 @@ class _Basis:
         if self._polys is not None:
             return [g.lm for g in self._polys]
         return [self._pk.monomial(e.lm) for e in self._elems]
+
+    def has_leads(self, monos: Sequence) -> bool:
+        """Whether every monomial of ``monos`` is a lead, compared as packed
+        keys; one past the guard bit is no lead.  Nothing is unpacked."""
+        if not self._elems:
+            return not monos
+        try:
+            want = self._pk.keys_by_degree(monos)
+        except _Overflow:
+            return False
+        return set().union(*want.values()) <= {e.lmkey for e in self._elems}
 
     def _pack(self, pk: _Packing) -> None:
         """Pack the elements at ``pk``'s width, or wider if they need it."""
@@ -682,8 +704,13 @@ def buchberger(
     Traverso, *Hilbert functions and the Buchberger algorithm*, JSC 1997,
     run on ``M`` in place of a Hilbert function).  Once all are, the
     partial basis is a Groebner basis, and the run ends before the updates
-    that wait.  The result is the same reduced basis, and a cover never
-    struck off changes nothing.
+    that wait.  While none below ``d`` is left, a nonzero remainder of a
+    pair of degree ``d`` has a cover monomial left at ``d`` as its lead, so
+    the least key left there is a floor: a pair whose head lies below it is
+    dropped, and a reduction sinking below it ends at zero.  Keys are only
+    struck, so the floor is kept until its key is no longer left.  The
+    result is the same reduced basis, and a cover never struck off changes
+    nothing.
 
     ``series``, when given, is the Hilbert numerator of the ideal of
     ``gens`` over the rationals, from a closed form that holds over every
@@ -787,12 +814,8 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     # ``left[d]``: the keys of the cover monomials of degree d that are no
     # lead yet, ``{}`` once the cover is met; one that no lead can reach
     # needs wider fields
-    left = None if cover is None else {}
-    top, weights = 1 << (pk.width - 1), pk.weights
-    for m in cover or ():
-        if m.deg >= top:
-            raise _Overflow
-        left.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
+    left = None if cover is None else pk.keys_by_degree(cover)
+    top = 1 << (pk.width - 1)
     # a new element joins the divisors at once, so that the reductions of
     # its own degree see it, but its pair update waits in ``queued``
     queued: list = []
@@ -845,7 +868,7 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
 
     # the pairs by sugar.  Whenever the next pair's sugar passes the current
     # degree, or no pair is left, the waiting updates run in order
-    degree = -1
+    degree, least = -1, None
     while left != {}:
         if not heap or heap[0][0] > degree:
             for hi in queued:
@@ -862,10 +885,14 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         ei, ej, lcm, pmask = elems[pair[0]], elems[pair[1]], pair[2], pair[3]
         # with no cover key left below the degree, the least one left at it
         # is a floor, infinite when none is (see buchberger): a pair whose
-        # greater shifted tail head lies below it is dropped
+        # greater shifted tail head lies below it is dropped.  The floor is
+        # kept until its key is no longer left at the degree
         floor = -1
         if left is not None and min(left) >= degree:
-            floor = min(left.get(degree, ()), default=float("inf"))
+            at = left.get(degree, ())
+            if least not in at:
+                least = min(at, default=float("inf"))
+            floor = least
             heads = [lk - e.lmkey + e.rows[1][0] for e in (ei, ej) if len(e.rows) > 1]
             if max(heads, default=-1) < floor:
                 continue
@@ -989,14 +1016,6 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
     _check_deadline()
     # a monic divisor leaves the same remainder
     return _Basis(g.monic() for g in G).remainder(f)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lcm = mono_lcm(f.lm, g.lm)
-    fld = f.ring.field
-    a = f.term_mul(mono_div(lcm, f.lm), fld.inv(f.lc))
-    b = g.term_mul(mono_div(lcm, g.lm), fld.inv(g.lc))
-    return a - b
 
 
 # ---------------------------------------------------------------------------
@@ -1163,7 +1182,7 @@ def intersect_all(
             # the cover is sound only once step lies inside K ∩ J
             if _inside(step, K) and _inside(step, J):
                 cover = _minimal_lcms(K.groebner(), J.groebner())
-                if set(cover) <= set(step.groebner(cover).leads()):
+                if step.groebner(cover).has_leads(cover):
                     K = step
                     continue
         K = ideal_intersect(K, J)

@@ -553,19 +553,18 @@ def standard_products(m: int, n: int, d: int) -> List[Tuple[MinorIndex, ...]]:
     at most d, each listed once in linear-extension order."""
     universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
     out: List[Tuple[MinorIndex, ...]] = [()]
-
-    def rec(start: int, last, room: int, acc: tuple):
-        for j in range(start, len(universe)):
-            e = universe[j]
-            if e.size > room:
-                continue
-            if last is not None and not minor_leq(last, e):
-                continue
-            out.append(acc + (e,))
-            rec(j, e, room - e.size, acc + (e,))
-
-    rec(0, None, d, ())
+    _extend_chains(universe, 0, d, (), out)
     return out
+
+
+def _extend_chains(universe: list, start: int, room: int, acc: tuple, out: list) -> None:
+    """Append to ``out`` each chain that extends ``acc`` from ``universe[start:]``
+    within ``room`` more size, and then its own extensions."""
+    for j in range(start, len(universe)):
+        e = universe[j]
+        if e.size <= room and (not acc or minor_leq(acc[-1], e)):
+            out.append(acc + (e,))
+            _extend_chains(universe, j, room - e.size, acc + (e,), out)
 
 
 def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:

@@ -8,14 +8,17 @@ Variables live in a fixed :class:`VariableTable`; position 0 is the
 canonically encoded exponent vectors; polynomials are term sequences kept
 strictly descending under the ring's monomial order.  :meth:`PolyRing.from_terms`
 is the one canonicalizer: sums and products hand it their raw terms, and it
-merges like monomials, drops zeros and sorts.
+merges like monomials, drops zeros and sorts.  The Groebner engine packs
+monomials into ints (:mod:`detkit.groebner`), so no engine path calls
+:func:`mono_divides`, :func:`mono_div` or :func:`mono_lcm`: each is the
+plain form, one dict per call, that the packed ones are tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "PrimeField",
@@ -119,9 +122,6 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
-
     def is_negative(self, a: int) -> bool:
         # residues carry no sign; formatting treats them all as non-negative
         return False
@@ -165,9 +165,6 @@ class RationalField:
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return a / b
-
-    def pow(self, a: Fraction, e: int) -> Fraction:
-        return a**e
 
     def is_negative(self, a: Fraction) -> bool:
         return a < 0
@@ -316,71 +313,24 @@ def mono_mul(u: Monomial, v: Monomial) -> Monomial:
 
 def mono_divides(d: Monomial, m: Monomial) -> bool:
     """True when ``d`` divides ``m``."""
-    de, me = d.exps, m.exps
-    if len(de) > len(me) or d.deg > m.deg:
-        return False
-    j = 0
-    nm = len(me)
-    for pos, e in de:
-        while j < nm and me[j][0] < pos:
-            j += 1
-        if j >= nm or me[j][0] != pos or me[j][1] < e:
-            return False
-        j += 1
-    return True
+    me = dict(m.exps)
+    return all(me.get(pos, 0) >= e for pos, e in d.exps)
 
 
 def mono_div(m: Monomial, d: Monomial) -> Monomial:
-    """The quotient m/d; requires d | m."""
-    if not d.exps:
-        return m
-    de = dict(d.exps)
-    out = []
-    for pos, e in m.exps:
-        r = e - de.pop(pos, 0)
-        if r < 0:
-            raise ValueError("monomial quotient is not a monomial")
-        if r:
-            out.append((pos, r))
-    if de:
-        raise ValueError("monomial quotient is not a monomial")
-    return _mk(tuple(out), m.deg - d.deg)
+    """The quotient m/d; ``ValueError`` unless d | m."""
+    q = dict(m.exps)
+    for pos, e in d.exps:
+        q[pos] = q.get(pos, 0) - e
+    # the constructor refuses the negative exponent a non-divisor leaves
+    return Monomial(q.items())
 
 
 def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
-    ue, ve = u.exps, v.exps
-    if not ue:
-        return v
-    if not ve:
-        return u
-    out = []
-    i = j = 0
-    nu, nv = len(ue), len(ve)
-    deg = 0
-    while i < nu and j < nv:
-        pu, eu = ue[i]
-        pv, ev = ve[j]
-        if pu < pv:
-            out.append(ue[i])
-            deg += eu
-            i += 1
-        elif pu > pv:
-            out.append(ve[j])
-            deg += ev
-            j += 1
-        else:
-            e = eu if eu >= ev else ev
-            out.append((pu, e))
-            deg += e
-            i += 1
-            j += 1
-    for pair in ue[i:]:
-        out.append(pair)
-        deg += pair[1]
-    for pair in ve[j:]:
-        out.append(pair)
-        deg += pair[1]
-    return _mk(tuple(out), deg)
+    lcm = dict(u.exps)
+    for pos, e in v.exps:
+        lcm[pos] = max(lcm.get(pos, 0), e)
+    return Monomial(lcm.items())
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +365,6 @@ class MonomialOrder:
         """Per-position int weights whose dot product with an exponent
         vector sorts like this order, for every exponent below ``base``."""
         raise NotImplementedError
-
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        """-1, 0 or 1 as u <, =, > v; a monomial past the table raises
-        ``ValueError``."""
-        n = len(self.table)
-        for m in (u, v):
-            if m.exps and m.exps[-1][0] >= n:
-                raise ValueError("monomial does not fit the order's table")
-        if u.exps == v.exps:
-            return 0
-        return -1 if self.key(u) < self.key(v) else 1
 
     def _params(self) -> tuple:
         return (self.table,)
@@ -700,17 +639,9 @@ class Polynomial:
         mul = self.ring.field.mul
         return Polynomial(self.ring, tuple((m, mul(cc, c)) for m, cc in self.terms))
 
-    def term_mul(self, m: Monomial, c=None) -> "Polynomial":
-        """Multiply by a single term; order is preserved by multiplicativity."""
-        fld = self.ring.field
-        if c is None:
-            c = fld.one
-        if c == 0:
-            return self.ring.zero
-        mul = fld.mul
-        return Polynomial(
-            self.ring, tuple((mono_mul(mm, m), mul(cc, c)) for mm, cc in self.terms)
-        )
+    def term_mul(self, m: Monomial) -> "Polynomial":
+        """Multiply by a monomial; order is preserved by multiplicativity."""
+        return Polynomial(self.ring, tuple((mono_mul(mm, m), c) for mm, c in self.terms))
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -719,17 +650,6 @@ class Polynomial:
         if lc == self.ring.field.one:
             return self
         return self.scale(self.ring.field.inv(lc))
-
-    def evaluate(self, values: Sequence):
-        """Evaluate at a point given as one field element per variable."""
-        fld = self.ring.field
-        total = fld.zero
-        for m, c in self.terms:
-            v = c
-            for pos, e in m.exps:
-                v = fld.mul(v, fld.pow(values[pos], e))
-            total = fld.add(total, v)
-        return total
 
     # -- comparison / display ------------------------------------------------
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from detkit.groebner import normal_form, s_polynomial
-from detkit.poly import Monomial, Polynomial, mono_div, mono_divides
+from detkit.groebner import normal_form
+from detkit.poly import Monomial, Polynomial, mono_div, mono_divides, mono_lcm
 
 
 # -- dense monomial order comparators ---------------------------------------
@@ -31,6 +31,13 @@ def grevlex_greater(u, v):
         if a != b:
             return a < b
     return False
+
+
+def order_compare(order, u, v):
+    """-1, 0 or 1 as ``u`` <, =, > ``v`` under ``order``, by its sort key."""
+    if u.exps == v.exps:
+        return 0
+    return -1 if order.key(u) < order.key(v) else 1
 
 
 def dense(m, n):
@@ -78,6 +85,18 @@ def poly_to_dict(f):
     return out
 
 
+def evaluate(f, point):
+    """``f`` at a point given as one field element per variable."""
+    fld = f.ring.field
+    total = fld.zero
+    for m, c in f.terms:
+        for pos, e in m.exps:
+            for _ in range(e):
+                c = fld.mul(c, point[pos])
+        total = fld.add(total, c)
+    return total
+
+
 def random_monomial(rng, nvars, maxdeg):
     pairs = []
     budget = rng.randint(0, maxdeg)
@@ -102,6 +121,16 @@ def random_poly(ring, rng, nterms, maxdeg):
 # -- Buchberger the textbook way -----------------------------------------------
 
 
+def s_polynomial(f, g):
+    """``f`` and ``g`` made monic and shifted to the lcm of their leads, the
+    second subtracted from the first."""
+    lcm = mono_lcm(f.lm, g.lm)
+    fld = f.ring.field
+    a = f.term_mul(mono_div(lcm, f.lm)).scale(fld.inv(f.lc))
+    b = g.term_mul(mono_div(lcm, g.lm)).scale(fld.inv(g.lc))
+    return a - b
+
+
 def textbook_remainder(f, G):
     """Full reduction of ``f``: the leading term of what is left is divided
     by the first element of ``G`` whose lead divides it, or else moved to
@@ -113,7 +142,7 @@ def textbook_remainder(f, G):
         m, c = f.terms[0]
         for g in G:
             if mono_divides(g.lm, m):
-                f = f - g.term_mul(mono_div(m, g.lm), fld.div(c, g.lc))
+                f = f - g.term_mul(mono_div(m, g.lm)).scale(fld.div(c, g.lc))
                 break
         else:
             rem.append((m, c))

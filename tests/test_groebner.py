@@ -25,7 +25,6 @@ from detkit.groebner import (
     intersect_all,
     krull_dimension,
     normal_form,
-    s_polynomial,
 )
 from detkit.poly import (
     QQ,
@@ -46,8 +45,10 @@ from helpers import (
     brute_force_dimension,
     brute_force_hilbert_function,
     expire_after_basis,
+    order_compare,
     random_poly,
     reference_lead_numerator,
+    s_polynomial,
     series_from_numerator,
     textbook_buchberger,
 )
@@ -445,7 +446,7 @@ def test_packed_monomials_match_poly(case):
     else:
         u_ring = Monomial([(p, e) for p, e in enumerate(ue[:n]) if e])
         v_ring = Monomial([(p, e) for p, e in enumerate(ve[:n]) if e])
-        assert (ku > kv) - (ku < kv) == order.compare(u_ring, v_ring)
+        assert (ku > kv) - (ku < kv) == order_compare(order, u_ring, v_ring)
     # a guard bit stays clear exactly when no exponent carries out
     prod = pu + pv
     fits = all(a + b < 1 << (width - 1) for a, b in zip(ue, ve))
@@ -1490,6 +1491,22 @@ def test_a_kept_claim_is_the_elimination(case):
         assert kept == (set(cover) <= {g.lm for g in claim.groebner()})
 
 
+def test_has_leads_compares_keys():
+    # the claim check of intersect_all: every monomial must be a lead, read
+    # as a key of the basis's packing; a monomial that does not fit the
+    # packing is no lead, and the zero ideal's basis has none
+    from detkit.groebner import _Basis
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    G = buchberger([x * y - z * z, y * y])
+    leads = G.leads()
+    assert G.has_leads(leads) and G.has_leads(leads[1:]) and G.has_leads([])
+    assert not G.has_leads(leads + [Monomial([(2, 5)])])
+    assert not G.has_leads([Monomial([(0, 200)])])
+    assert _Basis().has_leads([]) and not _Basis().has_leads(leads)
+
+
 def test_decomposition_reduction_ceiling(monkeypatch):
     # minors-5x5-t3-R23-r12 makes 1,645 _scaled_sub calls: one per
     # reduction step and per S-polynomial.  The components' runs meet their
@@ -1506,9 +1523,34 @@ def test_decomposition_reduction_ceiling(monkeypatch):
     assert calls <= 1645
 
 
+def test_decomposition_floor_scan_ceiling(monkeypatch):
+    # minors-5x5-t3-R23-r12 scans a degree's cover keys for the floor 289
+    # times: a covered run keeps the least key left at its degree and scans
+    # again only once that key is no longer left there, after it is struck,
+    # when the degree moves on, or while no key is left at it.  Scanning on
+    # every popped pair made 799 scans here, and 60,326 on the 8x8 t3 R2 r1
+    # rung, which no test runs
+    import builtins
+
+    from detkit import groebner
+    from detkit.harness import CaseSpec, run_case
+
+    scans = [0]
+
+    def counting_min(*args, **kwargs):
+        # the floor scan is the engine's one min call with a default
+        scans[0] += "default" in kwargs
+        return builtins.min(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "min", counting_min, raising=False)
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    assert run_case(spec).verdict == "EQUAL"
+    assert scans[0] <= 289
+
+
 def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
     # minors-5x5-t3-R23-r12 reads its bases' sizes, leads and rows only: the
-    # minimal lcms read lead masks, the lead check unpacks leads, membership
+    # minimal lcms read lead masks, the lead check reads lead keys, membership
     # reduces against rows and ideal_equal compares rows, so no basis
     # polynomial is built
     from detkit import groebner
@@ -1528,11 +1570,9 @@ def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
 
 
 def test_decomposition_unpack_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 unpacks 373 monomials: the leads of its two
-    # claims' bases, 150 and 223, which intersect_all's lead check compares
-    # with the minimal lcms.  While each run kept a record of its
-    # generators' Monomial objects, the check reused those for the leads
-    # that were generator monomials and unpacked 213
+    # minors-5x5-t3-R23-r12 unpacks no monomial: intersect_all's lead check
+    # compares the minimal lcms with its claims' leads as packed keys, where
+    # unpacking the leads of the two claims' bases, 150 and 223, made 373
     from detkit import groebner
     from detkit.harness import CaseSpec, run_case
 
@@ -1546,7 +1586,7 @@ def test_decomposition_unpack_ceiling(monkeypatch):
     monkeypatch.setattr(groebner._Packing, "monomial", counting)
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     assert run_case(spec).verdict == "EQUAL"
-    assert calls[0] <= 373
+    assert calls[0] == 0
 
 
 def test_heights_update_count(monkeypatch):

@@ -1,9 +1,17 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
-from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+from detkit.combinat import partitions
+from detkit.detideals import (
+    MatrixSpec,
+    components,
+    constrained_ideal,
+    matrix_ring,
+    monomials_of_weighted_degree,
+)
 from detkit.groebner import IdealHandle, ideal_member, intersect_all
 from detkit.harness import (
     CaseError,
@@ -13,9 +21,10 @@ from detkit.harness import (
     load_suite_config,
     run_case,
     run_suite,
+    standard_products,
     suite_document,
 )
-from detkit.poly import field_from_name, mono_divides
+from detkit.poly import GradingSpec, VariableTable, field_from_name, mono_divides
 from helpers import expire_after_basis, expire_in_elimination
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -831,3 +840,19 @@ def test_report_params_echo():
     assert rep.params["check"] == "decomposition"
     assert rep.field == "fp:32003"
     assert rep.order == "grevlex"
+
+
+def test_recursive_enumerations_leave_no_cycle():
+    # each recursion is a module function, not a closure that reaches itself
+    # through its own cell, so a call leaves nothing for the cyclic collector
+    # and its output is freed as soon as it is dropped
+    grading = GradingSpec(VariableTable(["a", "b", "c"]), (1, 2, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(standard_products(3, 3, 4)) == 715
+        assert len(monomials_of_weighted_degree(grading, 6)) == 7
+        assert len(list(partitions(6, 3))) == 7
+    finally:
+        gc.enable()
+    assert gc.collect() == 0

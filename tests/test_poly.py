@@ -26,9 +26,11 @@ from detkit.poly import (
 from helpers import (
     all_monomials,
     dense,
+    evaluate,
     grevlex_greater,
     lex_greater,
     naive_mul,
+    order_compare,
     poly_to_dict,
     random_monomial,
     random_poly,
@@ -151,7 +153,7 @@ def _assert_order_matches(order, oracle_greater, nvars, maxexp):
     monos = all_monomials(nvars, maxexp)
     for u in monos:
         for v in monos:
-            got = order.compare(u, v)
+            got = order_compare(order, u, v)
             du, dv = dense(u, nvars), dense(v, nvars)
             if du == dv:
                 assert got == 0
@@ -196,12 +198,12 @@ def test_grevlex_tiebreak_examples():
     o = GrevlexOrder(t)
     ac = Monomial([(0, 1), (2, 1)])
     bb = Monomial([(1, 2)])
-    assert o.compare(ac, bb) == -1
+    assert order_compare(o, ac, bb) == -1
     t4 = VariableTable(["x[1,1]", "x[1,2]", "x[2,1]", "x[2,2]"])
     o4 = GrevlexOrder(t4)
     diag = Monomial([(0, 1), (3, 1)])
     anti = Monomial([(1, 1), (2, 1)])
-    assert o4.compare(anti, diag) == 1
+    assert order_compare(o4, anti, diag) == 1
 
 
 def test_order_from_name():
@@ -212,11 +214,11 @@ def test_order_from_name():
         order_from_name("grlex", t)
 
 
-def test_order_rejects_foreign_monomial():
+def test_ring_rejects_foreign_monomial():
     t = VariableTable(["a", "b"])
-    o = GrevlexOrder(t)
+    ring = PolyRing(t, GrevlexOrder(t), QQ)
     with pytest.raises(ValueError):
-        o.compare(Monomial([(5, 1)]), MONOMIAL_ONE)
+        ring.from_terms([(Monomial([(5, 1)]), 1)])
 
 
 # -- gradings ---------------------------------------------------------------------
@@ -319,9 +321,8 @@ def test_term_mul_matches_general_mul(rings):
         for _ in range(40):
             f = random_poly(ring, rng, 5, 4)
             m = random_monomial(rng, 3, 3)
-            c = ring.field.of_int(rng.randint(1, 20))
-            assert f.term_mul(m, c) == f * ring.monomial_poly(m, c)
-            _check_invariants(f.term_mul(m, c))
+            assert f.term_mul(m) == f * ring.monomial_poly(m)
+            _check_invariants(f.term_mul(m))
 
 
 def test_monic_and_leading_data(rings):
@@ -355,8 +356,8 @@ def test_evaluate_is_ring_morphism(rings):
             f = random_poly(ring, rng, 4, 3)
             g = random_poly(ring, rng, 4, 3)
             pt = [fld.of_int(rng.randint(-9, 9)) for _ in range(3)]
-            assert (f * g).evaluate(pt) == fld.mul(f.evaluate(pt), g.evaluate(pt))
-            assert (f + g).evaluate(pt) == fld.add(f.evaluate(pt), g.evaluate(pt))
+            assert evaluate(f * g, pt) == fld.mul(evaluate(f, pt), evaluate(g, pt))
+            assert evaluate(f + g, pt) == fld.add(evaluate(f, pt), evaluate(g, pt))
 
 
 def test_from_terms_accumulates_and_drops_zeros(rings):
