@@ -331,7 +331,7 @@ def test_covered_run_rows_5x5(benchmark, block55):
         return [(pk.rows(g), g.degree()) for g in lhs.gens]
 
     pk, elems, _ = benchmark(_basis_rows, _Packing(ring.order, 8), pack, ring.field, cover)
-    assert _Basis.of(ring, pk, elems) == full
+    assert _Basis(ring, pk, elems) == full
 
 
 def test_membership_5x5(benchmark, block55):

@@ -14,20 +14,22 @@ ring.
 
 Polynomials enter the engine as lists of ``(key, packed, coeff, support)``
 rows in strictly descending key order; ``support`` has bit ``pos`` set for
-each variable present.  A basis leaves it packed (:class:`_Basis`) and
-unpacks into :class:`Polynomial` only when a caller reads polynomials.
-Bases are kept monic.  Pair selection uses the sugar strategy.  Each new
-basis element runs the Gebauer-Moller pair update (criteria B, M and F plus
-the product criterion) once the run leaves its sugar degree, so popping a
-pair does no scan; criterion B finds the pending pairs it may drop through
-an index of their lcms by variable, and the minimal leads that a new lead
-divides come out of an index of their variables.  A divisibility test runs
-only on the divisors whose lead support lies inside the term's support,
-which an index by variable yields without a scan.  All choices are
-deterministic, so a given generator list always yields the same reduced
-basis.  Membership and :func:`normal_form` reduce against a basis's packed rows, so
-no basis is packed twice, and membership, the size, the leads and the
-comparison of two bases read rows and unpack no polynomial.
+each variable present.  A basis is the packing and the rows its run left
+(:class:`_Basis`), never packed again, and unpacks into :class:`Polynomial`
+only when a caller reads polynomials.  Bases are kept monic.  Pair
+selection uses the sugar strategy.  Each new basis element runs the
+Gebauer-Moller pair update (criteria B, M and F plus the product criterion)
+once the run leaves its sugar degree, so popping a pair does no scan;
+criterion B finds the pending pairs it may drop through an index of their
+lcms by variable, and the minimal leads that a new lead divides come out of
+an index of their variables.  A divisibility test runs only on the divisors
+whose lead support lies inside the term's support, which an index by
+variable yields without a scan.  All choices are deterministic, so a given
+generator list always yields the same reduced basis.  One loop,
+:func:`_remainder`, reduces a polynomial by a basis's rows or by a list of
+divisors, and one past the run's width against a throwaway wider packing,
+so membership, the size, the leads and the comparison of two bases read
+rows and unpack no polynomial.
 
 Two invariants of every row let a reduction step skip unpacking its
 quotient: a row's stored support is exactly the support of its packed
@@ -571,28 +573,20 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
 
 
 class _Basis:
-    """Monic divisors in a fixed order; from :func:`buchberger` and
-    :func:`ideal_intersect`, a reduced basis, greatest lead first, that
-    keeps its run's packing and elements and unpacks its polynomials at the
-    first iteration, index or ``repr``.  ``len``, :meth:`numerator`,
-    :meth:`remainder`, :meth:`has_leads`, which unpacks nothing, and
-    :meth:`leads`, which unpacks the leads alone, read the rows, and so
-    does ``==`` on two run bases in one ring at one width: a row's key and
-    support follow from its packed monomial.
-    :func:`normal_form` builds one from polynomials, which packs on the
-    first reduction, wider if a degree reaches the guard bit."""
+    """The reduced basis a run, :func:`buchberger` or :func:`ideal_intersect`,
+    hands back: its ring, packing and elements, greatest lead first, and the
+    numerator its series check read, if any; ``_Basis()`` is the zero
+    ideal's.  The packing and the elements are never replaced.  The
+    polynomials unpack at the first iteration, index or ``repr``; ``len``,
+    :meth:`numerator`, membership, :meth:`has_leads` and :meth:`leads` (the
+    leads alone) read the rows, and so does ``==`` on two bases in one ring
+    at one width: a row's key and support follow from its packed monomial."""
 
     __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num")
 
-    def __init__(self, polys: Iterable[Polynomial] = ()):
-        self._polys, self._elems = tuple(polys), ()
-        self._ring = self._pk = self._divs = self._num = None
-
-    @classmethod
-    def of(cls, ring: PolyRing, pk: _Packing, elems: list, num=None) -> "_Basis":
-        out = cls()
-        out._polys, out._ring, out._pk, out._elems, out._num = None, ring, pk, elems, num
-        return out
+    def __init__(self, ring=None, pk=None, elems=(), num=None):
+        self._ring, self._pk, self._elems, self._num = ring, pk, elems, num
+        self._polys = self._divs = None
 
     def _unpacked(self) -> tuple:
         if self._polys is None:
@@ -606,7 +600,7 @@ class _Basis:
         return self._unpacked()[i]
 
     def __len__(self) -> int:
-        return len(self._elems if self._polys is None else self._polys)
+        return len(self._elems)
 
     def __repr__(self) -> str:
         return repr(self._unpacked())
@@ -619,10 +613,7 @@ class _Basis:
         return self._unpacked() == other
 
     def leads(self) -> list:
-        """The leads, greatest first; before the first unpack only they are
-        unpacked."""
-        if self._polys is not None:
-            return [g.lm for g in self._polys]
+        """The leads, greatest first, unpacked without their tails."""
         return [self._pk.monomial(e.lm) for e in self._elems]
 
     def has_leads(self, monos: Sequence) -> bool:
@@ -636,38 +627,32 @@ class _Basis:
             return False
         return set().union(*want.values()) <= {e.lmkey for e in self._elems}
 
-    def _pack(self, pk: _Packing) -> None:
-        """Pack the elements at ``pk``'s width, or wider if they need it."""
-        try:
-            self._elems = [_BasisElem(pk.rows(g), g.degree(), pk) for g in self]
-        except _Overflow:
-            return self._pack(pk.wider())
-        self._pk, self._divs = pk, None
-
     def numerator(self) -> list:
         if self._num is None:
             self._num = _lead_numerator(self._elems, self._pk)
         return self._num
 
     def _reduced(self, f: Polynomial) -> tuple:
-        """``(pk, rows)``: the rows of ``f`` fully reduced by the elements,
-        the earliest divisor first, at the packing ``pk`` that they use."""
-        if self._pk is None:
-            self._pack(_Packing(f.ring.order, 8))
-        while True:
-            pk = self._pk
-            if self._divs is None:
-                self._divs = _Divisors(pk.n, self._elems)
-            try:
-                rows, _ = _reduce_rows(pk.rows(f), f.degree(), self._divs, f.ring.field, pk)
-                return pk, rows
-            except _Overflow:
-                self._pack(pk.wider())
+        """:func:`_remainder` of ``f`` against the run's rows, indexed once."""
+        if self._divs is None and self._elems:
+            self._divs = _Divisors(self._pk.n, self._elems)
+        return _remainder(f, self, self._pk, self._divs)
 
-    def remainder(self, f: Polynomial) -> Polynomial:
-        """``f`` fully reduced by the elements, the earliest divisor first."""
-        pk, rows = self._reduced(f)
-        return pk.poly(f.ring, rows)
+
+def _remainder(f: Polynomial, G: Sequence[Polynomial], pk=None, divs=None) -> tuple:
+    """``(pk, rows)``: ``f`` fully reduced by the monic ``G``, the earliest
+    first, against ``divs``, ``G`` packed at ``pk`` (by default 8-bit
+    fields), or else ``G`` packed there; a sugar at the guard bit reruns
+    against ``G`` packed afresh at fields twice as wide, then thrown away."""
+    if pk is None:
+        pk = _Packing(f.ring.order, 8)
+    while True:
+        try:
+            if divs is None:
+                divs = _Divisors(pk.n, [_BasisElem(pk.rows(g), g.degree(), pk) for g in G])
+            return pk, _reduce_rows(pk.rows(f), f.degree(), divs, f.ring.field, pk)[0]
+        except _Overflow:
+            pk, divs = pk.wider(), None
 
 
 def buchberger(
@@ -739,7 +724,7 @@ def buchberger(
         cover,
         series,
     )
-    return _Basis.of(ring, pk, basis, num)
+    return _Basis(ring, pk, basis, num)
 
 
 def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
@@ -766,13 +751,14 @@ def _lead_masks(*runs) -> tuple:
     the degree a bit count, and the graded Betti numbers, so the Hilbert
     numerator, are kept (Herzog and Hibi, *Monomial Ideals*, GTM 260, 2011,
     1.6).  When every lead is squarefree, ``width`` is 1 and a mask is the
-    lead's support, ``e.mask``: nothing is unpacked."""
+    lead's support, ``e.mask``; otherwise the packed fields, in position
+    order, give the exponents.  No monomial is unpacked."""
     elems = [e for es, _ in runs for e in es]
     if all(e.mask.bit_count() == e.deg for e in elems):
         return 1, [e.mask for e in elems]
-    leads = [pk.monomial(e.lm).exps for es, pk in runs for e in es]
-    width = max(e for exps in leads for _, e in exps)
-    return width, [sum(((1 << e) - 1) << (p * width) for p, e in exps) for exps in leads]
+    leads = [pk.fields(e.lm) for es, pk in runs for e in es]
+    width = max(map(max, leads))
+    return width, [sum(((1 << e) - 1) << (p * width) for p, e in enumerate(fs)) for fs in leads]
 
 
 def _minimal_lcms(A: _Basis, B: _Basis) -> list:
@@ -1003,7 +989,9 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
 
     ``G`` need not be a Groebner basis; the remainder is only canonical when
     it is.  Membership in the zero ideal (empty ``G``) returns ``f``.  The
-    clock is read on entry, so a loop of short reductions is bounded.
+    loop is membership's, :func:`_remainder`, on the monic divisors packed
+    afresh.  The clock is read on entry, so a loop of short reductions is
+    bounded.
     """
     ring = f.ring
     for g in G:
@@ -1015,7 +1003,8 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial]) -> Polynomial:
         return f
     _check_deadline()
     # a monic divisor leaves the same remainder
-    return _Basis(g.monic() for g in G).remainder(f)
+    pk, rows = _remainder(f, [g.monic() for g in G])
+    return pk.poly(ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,8 +1064,9 @@ def hilbert_numerator(I: IdealHandle) -> list:
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     """Whether ``f`` lies in ``I``: its remainder by ``I``'s reduced basis,
     against the rows that the basis's run packed, has no row; nothing is
-    unpacked.  The first test computes the basis; the clock is read before
-    each reduction."""
+    unpacked, and one past the run's width leaves them as they are (see
+    :func:`_remainder`).  The first test computes the basis; the clock is
+    read before each reduction."""
     if not f:
         return True
     if f.ring != I.ring:
@@ -1146,7 +1136,7 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     # elimination order: a w-free lead forces every term w-free
     if any(s & wbit for e in kept for _, _, _, s in e.rows):
         raise RuntimeError("elimination basis has a w-free lead over a w term")
-    basis = _Basis.of(ring, pk, kept)
+    basis = _Basis(ring, pk, kept)
     result = IdealHandle(ring, basis)
     result._gb = basis
     return result

@@ -51,6 +51,7 @@ from helpers import (
     s_polynomial,
     series_from_numerator,
     textbook_buchberger,
+    textbook_remainder,
 )
 
 
@@ -506,7 +507,32 @@ def test_membership_reduces_against_the_rows_of_a_widened_run(order):
     member = [ideal_member(f, I) for f in tests]
     assert member == [not normal_form(f, textbook) for f in tests]
     assert member == [False, True, True, True, False, False]
-    assert [I.groebner().remainder(f) for f in tests] == [normal_form(f, textbook) for f in tests]
+    G = I.groebner()
+    assert [pk.poly(ring, rows) for pk, rows in map(G._reduced, tests)] == [
+        normal_form(f, textbook) for f in tests
+    ]
+
+
+@pytest.mark.parametrize("field", ["fp:32003", "qq"])
+def test_membership_past_the_run_width_keeps_the_run_rows(field):
+    # a basis run at 8-bit fields, whose guard bit is 128, then tested on
+    # polynomials past it: each reduction widens against a throwaway
+    # packing, answers as the textbook basis does, and leaves the basis
+    # with the packing, the element list and the lead keys its run left
+    ring = mkring("xyz", field=field_from_name(field))
+    x, y, z = (ring.var(i) for i in range(3))
+    gens = [x * y - z * z, y * y - x * z]
+    I = IdealHandle(ring, gens)
+    G = I.groebner()
+    pk, elems, keys = G._pk, G._elems, [e.lmkey for e in G._elems]
+    assert pk.width == 8
+    textbook = textbook_buchberger(gens)
+    tests = [x**200 * z, gens[0] * x**150 + gens[1] * z**140, x**150 * y - z**151]
+    member = [ideal_member(f, I) for f in tests]
+    assert member == [not textbook_remainder(f, textbook) for f in tests]
+    assert member == [False, True, False]
+    assert G._pk is pk and G._elems is elems and [e.lmkey for e in elems] == keys
+    assert ideal_member(gens[0] * x, I) and G == textbook
 
 
 def test_membership_in_an_intersection_reduces_against_its_elimination_rows():
@@ -541,7 +567,9 @@ def test_membership_leaves_no_monomial_behind():
     twos = constrained_ideal(ring, ms, 2).gens
     assert len(twos) == 36
     assert not any(ideal_member(f, I) for f in twos)
-    assert [G.remainder(f) for f in twos] == [normal_form(f, G) for f in twos]
+    assert [pk.poly(ring, rows) for pk, rows in map(G._reduced, twos)] == [
+        normal_form(f, G) for f in twos
+    ]
 
 
 def test_series_stopped_basis_holds_the_generators_monomials():
@@ -881,7 +909,7 @@ def test_pair_degree_past_the_field_sum():
         _buchberger([(pk.rows(f), f.degree()) for f in gens], ring.field, pk)
     # the rerun at wider fields gives the basis
     wide, elems, _ = _basis_rows(pk, lambda pk: [(pk.rows(f), f.degree()) for f in gens], ring.field)
-    assert wide.width > 4 and _Basis.of(ring, wide, elems) == buchberger(gens)
+    assert wide.width > 4 and _Basis(ring, wide, elems) == buchberger(gens)
 
 
 def test_quotient_degree_past_the_field_sum():
@@ -949,7 +977,7 @@ def test_a_run_refuses_every_product_past_its_sugar(field, order, terms):
     )
     for e in elems:
         _check_rows(e.rows, e.sugar, pk)
-    G = _Basis.of(ring, pk, elems)
+    G = _Basis(ring, pk, elems)
     assert G == buchberger(gens)
     # the reference forms every S-pair, far too many on some draws
     expected = textbook_buchberger(gens, max_pairs=100)
@@ -1572,7 +1600,10 @@ def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
 def test_decomposition_unpack_ceiling(monkeypatch):
     # minors-5x5-t3-R23-r12 unpacks no monomial: intersect_all's lead check
     # compares the minimal lcms with its claims' leads as packed keys, where
-    # unpacking the leads of the two claims' bases, 150 and 223, made 373
+    # unpacking the leads of the two claims' bases, 150 and 223, made 373.
+    # symmetric-5-t3-R2-r1 polarizes its non-squarefree leads from their
+    # packed fields, where unpacking them made 109 more; its 56 are the
+    # leads of the full basis that cover the doset run
     from detkit import groebner
     from detkit.harness import CaseSpec, run_case
 
@@ -1584,9 +1615,13 @@ def test_decomposition_unpack_ceiling(monkeypatch):
         return real(*a)
 
     monkeypatch.setattr(groebner._Packing, "monomial", counting)
-    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
-    assert run_case(spec).verdict == "EQUAL"
-    assert calls[0] == 0
+    for spec, unpacks in (
+        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), 0),
+        (CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)), 56),
+    ):
+        calls[0] = 0
+        assert run_case(spec).verdict == "EQUAL"
+        assert calls[0] == unpacks
 
 
 def test_heights_update_count(monkeypatch):
