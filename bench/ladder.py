@@ -2,8 +2,9 @@
 a decomposition of about 50 ms up to the 9x9 one, run in-process through
 ``run_case`` in three rounds of every rung.  It takes no options and
 prints one JSON object to standard output: the Python version, the
-platform and the CPU count, and for each rung the verdict and the wall
-seconds of each round and their median.
+platform, the CPU count, the peak resident set size of the process in
+MB (``ru_maxrss``, read after the last round), and for each rung the
+verdict and the wall seconds of each round and their median.
 
 Run it from the repository root with
 
@@ -20,6 +21,7 @@ compare two trees with ladders run alternately on the same machine.
 import json
 import os
 import platform
+import resource
 import sys
 from pathlib import Path
 from statistics import median
@@ -70,6 +72,8 @@ def main() -> None:
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "rounds": ROUNDS,
+        # ru_maxrss is in KB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "rungs": rungs,
     }
     print(json.dumps(doc, indent=2))

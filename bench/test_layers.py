@@ -4,11 +4,12 @@ elimination, one Hilbert numerator read as a dimension and two read off
 leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
 3-minors, 105 of them not squarefree), the closed-form series of two plain
 ideals and a basis run that ends at its first reading because it meets that
-series, and the steps that certify a decomposition block: the minimal lcms
-of the components' leads looked up among the claim's leads (on the 7x7
-step, 14,875 lcms), the claim's basis run that those lcms cover, through
-its handle and as the packed run alone, and the membership of its
-generators.
+series, a basis run that neither a series nor a cover stops (the
+intersection of two components by elimination), and the steps that
+certify a decomposition block: the minimal lcms of the components' leads
+looked up among the claim's leads (on the 7x7 step, 14,875 lcms), the
+claim's basis run that those lcms cover, through its handle and as the
+packed run alone, and the membership of its generators.
 
 Run them from the repository root with
 
@@ -46,6 +47,7 @@ from detkit.groebner import (
     _reduce_rows,
     buchberger,
     ideal_height,
+    ideal_intersect,
     ideal_member,
 )
 from detkit.harness import standard_products
@@ -272,6 +274,20 @@ def test_series_stopped_basis_pfaffians_8x8(benchmark):
 
     G = benchmark.pedantic(I.groebner, setup=uncache, rounds=10)
     assert G == full and G.numerator() == list(I.series)
+
+
+def test_uncovered_intersection_4x5(benchmark):
+    # the elimination that intersects the two components of minors 4x5 t3
+    # R2 r1, the 3-minors and the variables of the first two rows: a run
+    # with no cover and no series, which forms, drops and reduces its pairs
+    # to the end.  It keeps the 40 w-free elements, the 3-minors; each round
+    # runs it afresh, since only the returned handle caches its basis
+    ms = MatrixSpec("generic", 4, 5)
+    ring = matrix_ring(ms, FP)
+    (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+    K = benchmark(ideal_intersect, I, J)
+    assert len(K.groebner()) == 40
+    assert K.groebner() == buchberger(constrained_ideal(ring, ms, 3, R=(2,), r=(1,)).gens)
 
 
 @pytest.fixture(scope="module")

@@ -18,13 +18,13 @@ each variable present.  A basis is the packing and the rows its run left
 (:class:`_Basis`), never packed again, and unpacks into :class:`Polynomial`
 only when a caller reads polynomials.  Bases are kept monic.  Pair
 selection uses the sugar strategy.  Each new basis element runs the
-Gebauer-Moller pair update (criteria B, M and F plus the product criterion)
-once the run leaves its sugar degree, so popping a pair does no scan;
-criterion B finds the pending pairs it may drop through an index of their
-lcms by variable, and the minimal leads that a new lead divides come out of
-an index of their variables.  A divisibility test runs only on the divisors
-whose lead support lies inside the term's support, which an index by
-variable yields without a scan.  All choices are deterministic, so a given
+Gebauer-Moller pair update (criteria M and F plus the product criterion)
+once the run leaves its sugar degree, and criterion B is applied to a pair
+when it is popped.  A divisibility test runs only on the divisors whose
+lead support lies inside the term's support, which an index of the
+divisors by variable yields without a scan; the same index gives the
+elements that may drop a popped pair by criterion B, and the minimal leads
+that a new lead divides.  All choices are deterministic, so a given
 generator list always yields the same reduced basis.  One loop,
 :func:`_remainder`, reduces a polynomial by a basis's rows or by a list of
 divisors, and one past the run's width against a throwaway wider packing,
@@ -85,7 +85,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
@@ -421,53 +421,6 @@ def _reduce_rows(rows, sugar, divs: _Divisors, field, pk: _Packing, floor: int =
     return out, sugar
 
 
-class _Pending:
-    """The pairs not yet reduced, each under a tick.
-
-    ``heap`` holds ``(sugar, key, tick)``, so it pops the pairs by sugar,
-    and ``pairs`` maps a tick to the pair ``(i, j, lcm, support)``,
-    ``i < j``, with the lcm's support.  ``_byvar[v]`` has bit ``tick`` set
-    for each pair whose lcm uses variable ``v``, so the pairs whose lcm uses
-    a given set of variables are one AND per variable in place of a scan.
-    A pair leaves ``pairs`` when it is reduced or dropped, and its bits
-    stay set: the lookup in ``pairs`` skips them.
-    """
-
-    __slots__ = ("heap", "pairs", "_byvar", "_ticks")
-
-    def __init__(self, n: int):
-        self.heap: list = []
-        self.pairs: dict = {}
-        self._byvar = [0] * n
-        self._ticks = 0
-
-    def add(self, hmask: int, new: list) -> None:
-        """Take ``new``, the ``(sugar, key, pair)`` that one new element
-        forms, whose lead has support ``hmask``, under consecutive ticks."""
-        first = self._ticks
-        self._ticks += len(new)
-        bits = ((1 << len(new)) - 1) << first
-        byvar, pairs = self._byvar, self.pairs
-        # every lcm here uses the new lead's variables; only the other
-        # member's remaining ones are set pair by pair
-        for v in _positions(hmask):
-            byvar[v] |= bits
-        for t, (sugar, key, pair) in enumerate(new, first):
-            pairs[t] = pair
-            heappush(self.heap, (sugar, key, t))
-            for v in _positions(pair[3] & ~hmask):
-                byvar[v] |= 1 << t
-
-    def using(self, support: int) -> list:
-        """Ticks of the pending pairs whose lcm uses every variable of
-        ``support``; an lcm divisible by a monomial of that support can only
-        be among them."""
-        hits = (1 << self._ticks) - 1
-        for v in _positions(support):
-            hits &= self._byvar[v]
-        return [t for t in _positions(hits) if t in self.pairs]
-
-
 def _positions(mask: int) -> list:
     """The positions of the set bits of ``mask``, lowest first."""
     out = []
@@ -478,78 +431,54 @@ def _positions(mask: int) -> list:
     return out
 
 
-class _Minimal:
-    """The elements whose lead no later lead divides, by index in insertion
-    order: a minimal basis of the leads taken so far.
+def _join(minimal: dict, divs: _Divisors, hi: int, guards: int) -> None:
+    """Make ``divs.elems[hi]``, whose lead no member's lead divides, a
+    member of ``minimal`` and drop the members whose leads it divides.
 
-    ``_byvar[v]`` has bit ``k`` set for each member whose lead uses
-    variable ``v``.  A new lead divides only leads that use all of its
-    variables, so the members it displaces are one AND per variable away
-    in place of a scan.
+    Those leads use every variable of the new lead, and the divisors whose
+    lead uses variable ``v`` are the bits of ``tables[v >> 2][15 ^ (1 <<
+    (v & 3))]`` (see :class:`_Divisors`), so they are one AND per variable
+    away in place of a scan.
     """
-
-    __slots__ = ("members", "_byvar")
-
-    def __init__(self, n: int):
-        self.members: dict = {}
-        self._byvar = [0] * n
-
-    def add(self, elems, hi: int, guards: int) -> None:
-        """Take ``elems[hi]``, whose lead no member's lead divides, and drop
-        the members whose leads it divides."""
-        hlm = elems[hi].lm
-        hvars = _positions(elems[hi].mask)
-        byvar, members = self._byvar, self.members
-        # the earlier members, narrowed to those using every new lead variable
-        hits = (1 << hi) - 1
-        for v in hvars:
-            hits &= byvar[v]
-        for k in _positions(hits):
-            if k in members and not (elems[k].lm - hlm) & guards:
-                del members[k]
-                for v in _positions(elems[k].mask):
-                    byvar[v] ^= 1 << k
-        members[hi] = None
-        for v in hvars:
-            byvar[v] |= 1 << hi
+    elems, tables = divs.elems, divs.tables
+    hlm = elems[hi].lm
+    hits = (1 << hi) - 1
+    for v in _positions(elems[hi].mask):
+        hits &= tables[v >> 2][15 ^ (1 << (v & 3))]
+    for k in _positions(hits):
+        if k in minimal and not (elems[k].lm - hlm) & guards:
+            del minimal[k]
+    minimal[hi] = None
 
 
-def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -> None:
-    """Gebauer-Moller pair update for ``h = elems[hi]`` (Becker-Weispfenning,
-    *Groebner Bases*, UPDATE).
+def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, ticks, pk: _Packing) -> None:
+    """Gebauer-Moller pair update for ``h = divs.elems[hi]`` (Becker-Weispfenning,
+    *Groebner Bases*, UPDATE), but for criterion B, which :func:`_buchberger`
+    applies to a pair when it pops it.
 
-    ``pending`` holds the pairs not yet reduced.  ``active`` holds the
-    earlier elements whose lead no later lead divides: new pairs form only
-    with them, and ``h`` joins them.
+    ``minimal`` holds the earlier elements whose lead no later lead
+    divides: new pairs form only with them, and ``h`` joins them.  A pair
+    goes on ``heap`` as ``(sugar, key, tick, i, j, lcm, support)``, ``i <
+    j``, with the lcm's support and a tick from ``ticks``, so the heap pops
+    equal sugars and keys in the order the pairs came.  The clock is read
+    first: criterion M is quadratic in the new pairs.
     """
     _check_deadline()
+    elems = divs.elems
     h = elems[hi]
     hlm, hmask = h.lm, h.mask
-    guards, lcm_of = pk.guards, pk.lcm
-    # criterion B: a pending pair whose lcm the new lead divides, and equals
-    # neither of its members' lcms with the new lead, is covered by those
-    # two pairs
-    pairs = pending.pairs
-    for t in pending.using(hmask):
-        i, j, lcm, _ = pairs[t]
-        if (
-            not (lcm - hlm) & guards
-            and lcm_of(elems[i].lm, hlm) != lcm
-            and lcm_of(elems[j].lm, hlm) != lcm
-        ):
-            del pairs[t]
-
+    guards = pk.guards
     # criteria M and F: among the new pairs keep one per minimal lcm, taken
     # in increasing degree.  A pair with coprime leads is dropped (product
     # criterion) and covers nothing either: its lcm g*h would divide another
-    # new lcm lcm(k, h) only if g divided k, and no active lead divides
+    # new lcm lcm(k, h) only if g divided k, and no minimal lead divides
     # another.  The lcm, :meth:`_Packing.lcm` inlined, has degree at most
     # ``g.deg + h.deg < 2**width - 1``, so it is the lcm modulo that
     mod = (1 << pk.width) - 1
     spread = pk.width - 1
     hg = hlm | guards
     cands = []
-    for j in active.members:
+    for j in minimal:
         g = elems[j]
         if g.mask & hmask:
             glm = g.lm
@@ -557,19 +486,18 @@ def _update(elems, hi: int, active: _Minimal, pending: _Pending, pk: _Packing) -
             lcm = glm ^ ((hlm ^ glm) & (ge - (ge >> spread)))
             cands.append((lcm % mod, j, lcm, g.mask | hmask))
     cands.sort()  # by (degree, j); j is unique
-    minimal, new = [], []
+    kept = []
     for deg, j, lcm, pmask in cands:
         outside = ~pmask
-        for klcm, kmask in minimal:
+        for klcm, kmask in kept:
             if not kmask & outside and not (lcm - klcm) & guards:
                 break
         else:
-            minimal.append((lcm, pmask))
+            kept.append((lcm, pmask))
             g = elems[j]
             s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
-            new.append((s, pk.key(lcm), (j, hi, lcm, pmask)))
-    pending.add(hmask, new)
-    active.add(elems, hi, guards)
+            heappush(heap, (s, pk.key(lcm), next(ticks), j, hi, lcm, pmask))
+    _join(minimal, divs, hi, guards)
 
 
 class _Basis:
@@ -671,11 +599,13 @@ def buchberger(
     Every pair a new element forms has sugar above ``d``, since its lcm is
     a proper multiple of the new lead, which no earlier lead divides, so
     the heap pops the same pairs in the same order as if each update ran at
-    its insert.  On homogeneous input, criterion B of the new element drops
-    no pending pair of degree ``d`` either: such a pair's lcm would be the
-    new lead itself, the lcm of that lead with either member of the pair.
-    On other input such a pair may be reduced instead of dropped; the
-    reduced basis is the same.
+    its insert.  Criterion B (Gebauer and Moller, JSC 1988) is applied when
+    a pair is popped, by the elements whose updates ran while it waited, so
+    it drops the pairs that a pass at each update would.  On homogeneous
+    input a waiting update's element could drop no pair of degree ``d``:
+    such a pair's lcm would be the new lead itself, the lcm of that lead
+    with either member of the pair.  On other input such a pair may be
+    reduced instead of dropped; the reduced basis is the same.
 
     ``cover``, when given, lists the minimal generators, as
     :class:`Monomial` objects, of a monomial ideal ``M`` that the caller
@@ -791,11 +721,13 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     """``(elems, num)`` for :func:`_basis_rows`."""
     guards = pk.guards
     p = _modulus(fld)
+    lcm_of = pk.lcm
     divs = _Divisors(pk.n)
-    elems = divs.elems
-    active = _Minimal(pk.n)
-    pending = _Pending(pk.n)
-    heap = pending.heap
+    elems, tables = divs.elems, divs.tables
+    # the minimal leads, by index, and the pairs not yet taken (see _update)
+    minimal: dict = {}
+    heap: list = []
+    ticks = count()
 
     # ``left[d]``: the keys of the cover monomials of degree d that are no
     # lead yet, ``{}`` once the cover is met; one that no lead can reach
@@ -823,19 +755,22 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         return not e.lm
 
     def reduced() -> list:
-        # the leads whose updates wait join ``active``, the minimal leads.
-        # One interreduction pass over them gives the reduced basis: leads
-        # are fixed, and full tail reduction against the others' leads pins
-        # each element.  Elements go from the smallest lead up, each reduced
-        # by the ones already done and the ones still to come; no lead
-        # divides a term of its own tail, so every element can sit in one
-        # index.  Each keeps the sugar of its reduced tail, which still
-        # bounds every term.  The greatest lead comes first
+        # the leads whose updates wait join the minimal leads.  One
+        # interreduction pass over them gives the reduced basis: leads are
+        # fixed, and full tail reduction against the others' leads pins each
+        # element.  Elements go from the smallest lead up, each reduced by
+        # the ones already done and the ones still to come; no lead divides
+        # a term of its own tail, so every element can sit in one index.
+        # Each keeps the sugar of its reduced tail, which still bounds every
+        # term.  The greatest lead comes first.  The clock is read before
+        # each element, since a tail takes too few steps for _reduce_rows
+        # to read it
         for hi in queued:
-            active.add(elems, hi, guards)
-        kept = sorted(map(elems.__getitem__, active.members), key=lambda e: e.lmkey)
+            _join(minimal, divs, hi, guards)
+        kept = sorted(map(elems.__getitem__, minimal), key=lambda e: e.lmkey)
         others = _Divisors(pk.n, kept)
         for e in kept:
+            _check_deadline()
             tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
             e.rows = [e.rows[0]] + tail
         return kept[::-1]
@@ -858,17 +793,34 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     while left != {}:
         if not heap or heap[0][0] > degree:
             for hi in queued:
-                _update(elems, hi, active, pending, pk)
+                _update(divs, hi, minimal, heap, ticks, pk)
             queued.clear()
             if not heap:
                 break
             degree = heap[0][0]
         _check_deadline()
-        s, lk, t = heappop(heap)
-        pair = pending.pairs.pop(t, None)
-        if pair is None:
+        s, lk, _, i, j, lcm, pmask = heappop(heap)
+        ei, ej = elems[i], elems[j]
+        # criterion B (Gebauer and Moller, JSC 1988): the pair is dropped
+        # when the lead of an element k divides its lcm, which equals
+        # neither lcm(i, k) nor lcm(j, k).  k is one whose update ran while
+        # the pair waited: past j, before the first element still queued.
+        # Its lead support lies inside the lcm's, so it is among the bits
+        # that _reduce_rows's lookup leaves
+        outside = 0
+        sup = pmask
+        for table in tables:
+            outside |= table[sup & 15]
+            sup >>= 4
+        cand = ((1 << (queued[0] if queued else len(elems))) - (2 << j)) & ~outside
+        while cand:
+            low = cand & -cand
+            klm = elems[low.bit_length() - 1].lm
+            if not (lcm - klm) & guards and lcm_of(ei.lm, klm) != lcm != lcm_of(ej.lm, klm):
+                break
+            cand ^= low
+        if cand:
             continue
-        ei, ej, lcm, pmask = elems[pair[0]], elems[pair[1]], pair[2], pair[3]
         # with no cover key left below the degree, the least one left at it
         # is a floor, infinite when none is (see buchberger): a pair whose
         # greater shifted tail head lies below it is dropped.  The floor is

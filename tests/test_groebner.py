@@ -26,6 +26,7 @@ from detkit.groebner import (
     krull_dimension,
     normal_form,
 )
+from detkit.harness import CaseSpec
 from detkit.poly import (
     QQ,
     LexOrder,
@@ -798,8 +799,8 @@ def test_expired_deadline_raises():
 
 
 def test_pair_update_checks_the_deadline(monkeypatch):
-    # the criterion-B pass of the pair update walks every pending pair, so
-    # the update reads the clock itself; a clock past the deadline from its
+    # criterion M of the pair update is quadratic in the new pairs, so the
+    # update reads the clock itself; a clock past the deadline from its
     # first reading must stop the run inside the update
     from detkit import groebner
 
@@ -816,6 +817,32 @@ def test_pair_update_checks_the_deadline(monkeypatch):
         buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
     assert len(readings) == 1
     assert [entry.name for entry in info.traceback][-2:] == ["_update", "_check_deadline"]
+
+
+def test_interreduction_checks_the_deadline(monkeypatch):
+    # a clock that passes the deadline only once the pair loop has ended,
+    # when the interreduction indexes the minimal leads, must stop the run
+    # inside the interreduction: each tail there takes too few reduction
+    # steps for _reduce_rows to read the clock
+    from detkit import groebner
+
+    real_divisors = groebner._Divisors
+    late = []
+
+    def divisors(n, elems=()):
+        # the run's own index starts empty; only the interreduction's is
+        # built from elements
+        late.extend(elems[:1])
+        return real_divisors(n, elems)
+
+    monkeypatch.setattr(groebner, "_Divisors", divisors)
+    monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if late else 0.0)
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+        buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
+    assert late
+    assert [entry.name for entry in info.traceback][-2:] == ["reduced", "_check_deadline"]
 
 
 def test_dimension_search_checks_the_deadline(monkeypatch):
@@ -882,29 +909,22 @@ def test_pair_degree_past_the_field_sum():
     # at width 4 the leads x^3*y^4 and x^3*z^4 of degree 7 give the widest
     # lcm, of degree 11 below 15, and read it exactly.  Its sugar reaches
     # the guard bit, 8, so the run raises _Overflow when it takes the pair
-    from detkit.groebner import (
-        _Basis,
-        _BasisElem,
-        _basis_rows,
-        _buchberger,
-        _Minimal,
-        _Overflow,
-        _Pending,
-        _update,
-    )
+    from itertools import count
+
+    from detkit.groebner import _Basis, _basis_rows, _buchberger, _Divisors, _Overflow, _update
 
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     pk = _Packing(ring.order, 4)
     for e, degree in ((2, 7), (4, 11)):
         gens = [x**3 * y**e, x**3 * z**e]
-        elems = [_BasisElem(pk.rows(f), f.degree(), pk) for f in gens]
-        active, pending = _Minimal(pk.n), _Pending(pk.n)
+        divs = _Divisors(pk.n, [_BasisElem(pk.rows(f), f.degree(), pk) for f in gens])
+        minimal, heap, ticks = {}, [], count()
         for hi in range(2):
-            _update(elems, hi, active, pending, pk)
-        ((sugar, _, tick),) = pending.heap
-        assert sugar == pk.degree(pending.pairs[tick][2]) == degree
-        assert list(active.members) == [0, 1]
+            _update(divs, hi, minimal, heap, ticks, pk)
+        ((sugar, _, _, _, _, lcm, _),) = heap
+        assert sugar == pk.degree(lcm) == degree
+        assert list(minimal) == [0, 1]
     with pytest.raises(_Overflow):
         _buchberger([(pk.rows(f), f.degree()) for f in gens], ring.field, pk)
     # the rerun at wider fields gives the basis
@@ -1535,20 +1555,34 @@ def test_has_leads_compares_keys():
     assert _Basis().has_leads([]) and not _Basis().has_leads(leads)
 
 
-def test_decomposition_reduction_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 makes 1,645 _scaled_sub calls: one per
-    # reduction step and per S-polynomial.  The components' runs meet their
-    # series at the first reading and form no pair, and the claims' runs
-    # end once their leads reach the minimal lcms, their cover.  Below the
-    # cover's floor a claim's pair is dropped unformed and a reduction cut
-    # short; without the floor the runs made 3,438, and certifying each
-    # step by the series of a basis of K_{i-1} + J_i made 6,040
-    from detkit.harness import CaseSpec, run_case
+_DECOMPOSE_CASES = [
+    pytest.param(spec, verdict, scaled_subs, updates, id=spec.case)
+    for spec, verdict, scaled_subs, updates in (
+        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), "EQUAL", 1645, 205),
+        (CaseSpec(case="pfaffian-8-t4-R2-r1", kind="skew", n=8, t=4, R=(2,), r=(1,)), "EQUAL", 762, 68),
+        (CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)), "EQUAL", 745, 107),
+        (CaseSpec(case="pfaffian-7-t4-R3-r2", kind="skew", n=7, t=4, R=(3,), r=(2,)), "NOT_EQUAL", 5777, 203),
+    )
+]
 
-    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+
+@pytest.mark.parametrize("spec, verdict, scaled_subs, updates", _DECOMPOSE_CASES)
+def test_decomposition_reduction_ceiling(monkeypatch, spec, verdict, scaled_subs, updates):
+    # each decomposition case of the benchmark makes at most these
+    # _scaled_sub calls, one per reduction step and per S-polynomial, and
+    # these _update calls, one per new element whose update runs.  On
+    # minors-5x5-t3-R23-r12 the components' runs meet their series at the
+    # first reading and form no pair, and the claims' runs end once their
+    # leads reach the minimal lcms, their cover.  Below the cover's floor a
+    # claim's pair is dropped unformed and a reduction cut short; without
+    # the floor the runs made 3,438, and certifying each step by the series
+    # of a basis of K_{i-1} + J_i made 6,040
+    from detkit.harness import run_case
+
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
-    assert report.verdict == "EQUAL"
-    assert calls <= 1645
+    assert report.verdict == verdict
+    assert calls <= scaled_subs
+    assert _calls(monkeypatch, "_update", run_case, spec)[1] <= updates
 
 
 def test_decomposition_floor_scan_ceiling(monkeypatch):
