@@ -1,4 +1,5 @@
-"""Layer micro-benchmarks: the generator builds, the packed monomial
+"""Layer micro-benchmarks: the generator builds, alone and as the five
+ideals of one decomposition case in a fresh ring, the packed monomial
 primitives, one reduction over a prime field and over the rationals, one
 elimination, one Hilbert numerator read as a dimension and two read off
 leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
@@ -93,6 +94,25 @@ def test_generator_build(benchmark):
     assert all(f == _det_by_permutations(sring, sym, ix) for f, ix in zip(sdets, minors))
     for pf, ix in zip(pfs, pfaffians):
         assert pf * pf == minor_poly(zring, skw, MinorIndex(ix.rows, ix.rows))
+
+
+def test_decomposition_ideals_5x5(benchmark):
+    # the five ideals of minors 5x5 t3 R2,3 r1,2, each round in a fresh
+    # ring: the LHS (70 generators), the plain 3-minors (100), the block
+    # components on the first two and three rows (10 and 30) and the claim
+    # K_1 (90).  The 3-minors ideals share the ring's table, so 140 distinct
+    # generators are built
+    ms = MatrixSpec("generic", 5, 5)
+
+    def build():
+        ring = matrix_ring(ms, FP)
+        lhs = constrained_ideal(ring, ms, 3, R=(2, 3), r=(1, 2))
+        comps = [h for _, h in components(ring, ms, 3, R=(2, 3), r=(1, 2))]
+        return [lhs, *comps, constrained_ideal(ring, ms, 3, R=(2,), r=(1,))]
+
+    lhs, plain, first, second, claim = benchmark(build)
+    assert [len(h.gens) for h in (lhs, plain, first, second, claim)] == [70, 100, 10, 30, 90]
+    assert set(lhs.gens) < set(claim.gens) < set(plain.gens)
 
 
 @lru_cache(maxsize=None)

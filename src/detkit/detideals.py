@@ -13,8 +13,11 @@ constraints ``C`` / ``c`` mirror this on columns; Pfaffians take none.
 
 The generators are the minors of a generic or symmetric matrix and the
 Pfaffians of a skew one; only this module makes that choice.  Each is one
-signed sum of Laplace products or perfect matchings, canonicalized once, and
-each build reads the clock of :func:`~detkit.groebner.deadline_scope`.  The
+signed sum of Laplace products or perfect matchings, sorted once by int keys
+read off the order's weights (:func:`_signed_sum`), and each build reads the
+clock of :func:`~detkit.groebner.deadline_scope`.  The ideal builders take
+each generator's terms from the ring's ``built`` table, so one index is
+built once per ring and shape, and the ideals of a case share the terms.  The
 factors of a product are read off a table of :func:`entry` values built once
 per shape, so the signs, the zeros, the symmetric mirror and the skew sign
 stay :func:`entry`'s.  The signed permutations or matchings of each size
@@ -48,6 +51,7 @@ from .poly import (
     GradingSpec,
     Monomial,
     PolyRing,
+    Polynomial,
     VariableTable,
     _mk,
     _unit_pairs,
@@ -202,19 +206,33 @@ def _matchings(size: int) -> tuple:
     return tuple(out)
 
 
-def _signed_sum(ring: PolyRing, products: list):
-    """The polynomial of ``(sign, positions)`` products, canonicalized once;
-    the one clock read of a generator build."""
+def _signed_sum(ring: PolyRing, products: list, deg: int):
+    """The polynomial of ``(sign, positions)`` products of degree ``deg``,
+    sorted once; the one clock read of a generator build.  A product's key
+    is the dot product of its exponents with the order's weights at base
+    ``deg + 1``, which no exponent reaches, so keys sort like the order and
+    equal keys are equal monomials: those merge, and a zero sum drops.  The
+    weights are kept in the ring's ``built`` table under ``deg``."""
     _check_deadline()
-    pairs = _unit_pairs(len(ring.table))
-    terms = []
+    weights = ring.built.get(deg)
+    if weights is None:
+        weights = ring.built[deg] = ring.order.weights(deg + 1)
+    pairs = _unit_pairs(len(weights))
+    sums: dict = {}
+    monos: dict = {}
     for sign, ps in products:
+        k = sum(map(weights.__getitem__, ps))
+        if k in sums:
+            sums[k] += sign
+            continue
+        sums[k] = sign
         exps: dict = {}
         for p in sorted(ps):
             exps[p] = exps.get(p, 0) + 1
-        mono = tuple([pairs[p] if e == 1 else (p, e) for p, e in exps.items()])
-        terms.append((_mk(mono, len(ps)), sign))
-    return ring.from_terms(terms)
+        monos[k] = _mk(tuple([pairs[p] if e == 1 else (p, e) for p, e in exps.items()]), deg)
+    of_int = ring.field.of_int
+    terms = [(monos[k], of_int(sums[k])) for k in sorted(sums, reverse=True) if sums[k]]
+    return Polynomial(ring, tuple(terms))
 
 
 def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
@@ -237,7 +255,7 @@ def minor_poly(ring: PolyRing, ms: MatrixSpec, ix: MinorIndex):
             ps.append(p)
         else:
             products.append((sign, ps))
-    return _signed_sum(ring, products)
+    return _signed_sum(ring, products, len(cols))
 
 
 def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
@@ -257,7 +275,7 @@ def pfaffian_poly(ring: PolyRing, ms: MatrixSpec, ix: PfaffianIndex):
         for a in it:
             ps.append(rows[a][idx[next(it)]][1])
         products.append((sign, ps))
-    return _signed_sum(ring, products)
+    return _signed_sum(ring, products, len(idx) // 2)
 
 
 def generator(ring: PolyRing, ms: MatrixSpec, rows: Sequence[int], cols: Sequence[int]):
@@ -348,14 +366,23 @@ def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> Ide
     """Ideal of the generators at ``_block_indices(ms, size, *blocks)`` that
     ``keep`` (when given) accepts, with its :func:`_series` when it has one
     and ``keep`` is not given.  Size 0 or below gives the unit ideal, no
-    index the zero ideal."""
+    index the zero ideal.  Each generator is built once per ring and shape:
+    the ring's ``built`` table keeps its terms under ``ms``, so the ideals
+    of one case share them.  It keeps no polynomial, whose ``ring`` would
+    make a reference cycle that outlives the case."""
     if size <= 0:
         return IdealHandle(ring, (ring.one,))
     if ms.kind == "skew" and size % 2:
         raise ValueError("Pfaffian size must be even")
     poly = pfaffian_poly if ms.kind == "skew" else minor_poly
-    kept = (ix for ix in _block_indices(ms, size, *blocks) if keep is None or keep(ix))
-    gens = [poly(ring, ms, ix) for ix in kept]
+    built = ring.built.setdefault(ms, {})
+    gens = []
+    for ix in _block_indices(ms, size, *blocks):
+        if keep is None or keep(ix):
+            terms = built.get(ix)
+            if terms is None:
+                terms = built[ix] = poly(ring, ms, ix).terms
+            gens.append(Polynomial(ring, terms))
     return IdealHandle(ring, gens, _series(ms, size, *blocks) if keep is None else None)
 
 

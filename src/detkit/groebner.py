@@ -649,7 +649,7 @@ def buchberger(
     series = None if series is None else list(series)
     pk, basis, num = _basis_rows(
         _Packing(ring.order, 8),
-        lambda pk: [(pk.rows(g), g.degree()) for g in gens],
+        lambda pk: ((pk.rows(g), g.degree()) for g in gens),
         ring.field,
         cover,
         series,
@@ -700,10 +700,17 @@ def _minimal_lcms(A: _Basis, B: _Basis) -> list:
     one before it is a subset (:func:`_holds_subset`)."""
     width, masks = _lead_masks((A._elems, A._pk), (B._elems, B._pk))
     na = len(A._elems)
-    lcms = {a | b for a in masks[:na] for b in masks[na:]}
+    # the lcms are quadratic in the leads and no reduction runs here to
+    # read the clock, so it is read once per lead of A and every 256 lcms
+    lcms: set = set()
+    for a in masks[:na]:
+        _check_deadline()
+        lcms.update([a | b for b in masks[na:]])
     found: set = set()
     out = []
-    for u in sorted(lcms, key=int.bit_count):
+    for k, u in enumerate(sorted(lcms, key=int.bit_count)):
+        if not k & 255:
+            _check_deadline()
         rest = u
         while rest and u ^ (rest & -rest) not in lcms:
             rest &= rest - 1
@@ -763,9 +770,10 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         # a term of its own tail, so every element can sit in one index.
         # Each keeps the sugar of its reduced tail, which still bounds every
         # term.  The greatest lead comes first.  The clock is read before
-        # each element, since a tail takes too few steps for _reduce_rows
-        # to read it
+        # each join and each element, since a tail takes too few steps for
+        # _reduce_rows to read it
         for hi in queued:
+            _check_deadline()
             _join(minimal, divs, hi, guards)
         kept = sorted(map(elems.__getitem__, minimal), key=lambda e: e.lmkey)
         others = _Divisors(pk.n, kept)
@@ -776,8 +784,12 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         return kept[::-1]
 
     # the generators, each reduced by the ones before it; a constant is the
-    # unit basis
+    # unit basis.  The clock is read before each generator, since a
+    # reduction here rarely takes the 256 steps after which _reduce_rows
+    # reads it; ``gens`` may pack each one only as it is taken, so the read
+    # bounds the packing too
     for rows, sugar in gens:
+        _check_deadline()
         rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
         if rows and insert(rows, sugar):
             return elems[-1:], None

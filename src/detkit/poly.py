@@ -7,8 +7,11 @@ Variables live in a fixed :class:`VariableTable`; position 0 is the
 ``x[1,1], x[1,2], ...`` puts ``x[1,1]`` on top.  Monomials are sparse,
 canonically encoded exponent vectors; polynomials are term sequences kept
 strictly descending under the ring's monomial order.  :meth:`PolyRing.from_terms`
-is the one canonicalizer: sums and products hand it their raw terms, and it
-merges like monomials, drops zeros and sorts.  The Groebner engine packs
+is the canonicalizer of sums and products: they hand it their raw terms, and
+it merges like monomials, drops zeros and sorts.  The generator builds of
+:mod:`detkit.detideals` sort their terms by int keys instead, read off
+:meth:`MonomialOrder.weights`, and keep what they build in the ring's
+``built`` table, which lives as long as the ring.  The Groebner engine packs
 monomials into ints (:mod:`detkit.groebner`), so no engine path calls
 :func:`mono_divides`, :func:`mono_div` or :func:`mono_lcm`: each is the
 plain form, one dict per call, that the packed ones are tested against.
@@ -483,9 +486,12 @@ def weighted_degree(grading: GradingSpec, f: "Polynomial"):
 
 
 class PolyRing:
-    """A polynomial ring: variable table + monomial order + coefficient field."""
+    """A polynomial ring: variable table + monomial order + coefficient field.
 
-    __slots__ = ("table", "order", "field")
+    ``built`` is a table for what builders make once per ring, each under a
+    key of its own; it lives and dies with the ring."""
+
+    __slots__ = ("table", "order", "field", "built")
 
     def __init__(self, table: VariableTable, order: MonomialOrder, field):
         if order.table != table:
@@ -493,6 +499,7 @@ class PolyRing:
         self.table = table
         self.order = order
         self.field = field
+        self.built: dict = {}
 
     # -- constructors ------------------------------------------------------
 

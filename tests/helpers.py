@@ -335,6 +335,13 @@ def det_by_permanents(entries):
     return total
 
 
+def reference_signed_sum(ring, products):
+    """The polynomial of ``(sign, positions)`` products, canonicalized by
+    ``PolyRing.from_terms``, which sorts by ``MonomialOrder.key`` tuples: the
+    reference for the generator builds' sort by int weights."""
+    return ring.from_terms((Monomial([(p, 1) for p in ps]), sign) for sign, ps in products)
+
+
 def pfaffian_by_matchings(rows, entry):
     """Sum over perfect matchings of rows with crossing-count signs.
 

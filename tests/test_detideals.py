@@ -13,7 +13,9 @@ from detkit.combinat import (
     in_doset,
     minors_universe,
 )
+from detkit import detideals
 from detkit.detideals import (
+    MatrixSpec,
     column_grading,
     components,
     constrained_ideal,
@@ -51,12 +53,21 @@ from detkit.groebner import (
     krull_dimension,
     normal_form,
 )
-from detkit.poly import QQ, PolyRing, PrimeField, weighted_degree
+from detkit.poly import (
+    QQ,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    PrimeField,
+    field_from_name,
+    weighted_degree,
+)
 from helpers import (
     assert_reduced_basis,
     det_by_permanents,
     expire_in_elimination,
     pfaffian_by_matchings,
+    reference_signed_sum,
 )
 
 FP = PrimeField(32003)
@@ -228,19 +239,101 @@ def test_pfaffian_squares_to_determinant():
     ids=["minor-3x3", "minor-4x4", "symmetric-3x3", "pfaffian-6"],
 )
 def test_each_generator_is_canonicalized_once(monkeypatch, ms, build, ix):
-    # one signed sum per generator: no polynomial for a sub-minor or a
-    # sub-Pfaffian
+    # one polynomial per generator, sorted by its int keys: none for a
+    # sub-minor or a sub-Pfaffian, and no term goes through from_terms or
+    # an order key
     ring = matrix_ring(ms, FP)
-    calls = []
-    real = PolyRing.from_terms
+    calls = {"Polynomial": 0, "from_terms": 0, "key": 0}
 
-    def counting(self, pairs):
-        calls.append(None)
-        return real(self, pairs)
+    def count(cls, name, label):
+        real = getattr(cls, name)
 
-    monkeypatch.setattr(PolyRing, "from_terms", counting)
+        def counting(*args):
+            calls[label] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(Polynomial, "__init__", "Polynomial")
+    count(PolyRing, "from_terms", "from_terms")
+    count(MonomialOrder, "key", "key")
     assert build(ring, ms, ix)
-    assert len(calls) == 1
+    assert calls == {"Polynomial": 1, "from_terms": 0, "key": 0}
+
+
+def _build_with_products(ring, ms, ix):
+    """``(polynomial, products)``: the build of ``ix`` and the ``(sign,
+    positions)`` products it summed."""
+    seen = []
+    real = detideals._signed_sum
+
+    def spy(ring, products, deg):
+        seen.append(products)
+        return real(ring, products, deg)
+
+    detideals._signed_sum = spy
+    try:
+        f = (pfaffian_poly if isinstance(ix, PfaffianIndex) else minor_poly)(ring, ms, ix)
+    finally:
+        detideals._signed_sum = real
+    [products] = seen
+    return f, products
+
+
+@st.composite
+def _builds(draw):
+    """A shape and the index of one of its minors, or on a skew shape
+    possibly of one of its Pfaffians."""
+    kind = draw(st.sampled_from(("generic", "symmetric", "skew")))
+    n = draw(st.integers(2, 6))
+    ms = MatrixSpec(kind, draw(st.integers(1, 6)) if kind == "generic" else n, n)
+
+    def subset(top, size):
+        return tuple(sorted(draw(st.sets(st.integers(1, top), min_size=size, max_size=size))))
+
+    if kind == "skew" and draw(st.booleans()):
+        return ms, PfaffianIndex(subset(n, 2 * draw(st.integers(1, n // 2))))
+    size = draw(st.integers(1, min(ms.m, n, 4)))
+    return ms, MinorIndex(subset(ms.m, size), subset(n, size))
+
+
+def _assert_matches_from_terms(ms, ix, order, field):
+    # the build's sort by int weights gives the terms, degrees and
+    # coefficient types that from_terms gives the same products
+    ring = matrix_ring(ms, field_from_name(field), order)
+    got, products = _build_with_products(ring, ms, ix)
+    want = reference_signed_sum(ring, products)
+
+    def terms(f):
+        return [(m.exps, m.deg, c, type(c)) for m, c in f.terms]
+
+    assert terms(got) == terms(want)
+    return got, products
+
+
+_ORDERS_AND_FIELDS = [(o, f) for o in ("lex", "grevlex") for f in ("fp:32003", "qq")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_builds(), st.sampled_from(_ORDERS_AND_FIELDS))
+def test_weight_keyed_build_matches_from_terms(case, order_field):
+    _assert_matches_from_terms(*case, *order_field)
+
+
+@pytest.mark.parametrize("order, field", _ORDERS_AND_FIELDS)
+def test_merging_builds_match_from_terms(order, field):
+    # a symmetric minor with a squared entry, y[1,2]^2; a symmetric
+    # principal minor whose products merge, 2*y[1,2]*y[1,3]*y[2,3]; and skew
+    # minors whose products cancel, the principal 3x3 one to zero
+    sym, skw, skw5 = symmetric_matrix(4), skew_matrix(4), skew_matrix(5)
+    square, _ = _assert_matches_from_terms(sym, MinorIndex((1, 2), (1, 2)), order, field)
+    assert any(e == 2 for m, _ in square.terms for _, e in m.exps)
+    merged, _ = _assert_matches_from_terms(sym, MinorIndex((1, 2, 3), (1, 2, 3)), order, field)
+    assert any(c == 2 for _, c in merged.terms)
+    for ms, ix in ((skw, MinorIndex((1, 2, 3), (1, 2, 3))), (skw5, MinorIndex((1, 2, 3, 4), (1, 2, 3, 5)))):
+        f, products = _assert_matches_from_terms(ms, ix, order, field)
+        assert len(f.terms) < len({tuple(sorted(ps)) for _, ps in products})
+    assert not _build_with_products(matrix_ring(skw, FP), skw, MinorIndex((1, 2, 3), (1, 2, 3)))[0]
 
 
 def test_generator_builds_read_the_clock():
@@ -448,6 +541,63 @@ def test_constrained_pfaffian_ideal():
         constrained_pfaffian_ideal(ring, ms, 3)
     assert not constrained_pfaffian_ideal(ring, ms, 6).groebner()
     assert constrained_pfaffian_ideal(ring, ms, 0).groebner() == (ring.one,)
+
+
+def test_ideals_of_a_ring_share_their_generators():
+    # the constrained ideal, its plain component and a prefix claim take
+    # each generator's terms from the ring's table, so they hold the same
+    # objects; a fresh ring builds its own.  The table holds no polynomial,
+    # so a case's ring is freed without the cycle collector
+    import gc
+
+    def terms(I):
+        return {id(f.terms) for f in I.gens}
+
+    ms = generic_matrix(5, 5)
+    ring = matrix_ring(ms, FP)
+    lhs = constrained_ideal(ring, ms, 3, R=(2, 3), r=(1, 2))
+    plain = components(ring, ms, 3, R=(2, 3), r=(1, 2))[0][1]
+    claim = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    assert terms(lhs) < terms(claim) < terms(plain)
+    again = constrained_ideal(matrix_ring(ms, FP), ms, 3, R=(2, 3), r=(1, 2))
+    assert again.gens == lhs.gens
+    assert not terms(again) & terms(lhs)
+    gc.collect()
+    del ring, lhs, plain, claim, again
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "spec, builds",
+    [
+        pytest.param(dict(case=case, **params), builds, id=case)
+        for case, params, builds in (
+            ("minors-5x5-t3-R23-r12", dict(m=5, n=5, t=3, R=(2, 3), r=(1, 2)), 140),
+            ("pfaffian-8-t4-R2-r1", dict(kind="skew", n=8, t=4, R=(2,), r=(1,)), 83),
+            ("symmetric-5-t3-R2-r1", dict(kind="symmetric", n=5, t=3, R=(2,), r=(1,)), 110),
+            ("pfaffian-7-t4-R3-r2", dict(kind="skew", n=7, t=4, R=(3,), r=(2,)), 38),
+        )
+    ],
+)
+def test_decomposition_builds_each_generator_once(monkeypatch, spec, builds):
+    # each benchmark decomposition case builds each distinct generator once:
+    # the LHS, the components and the prefix claims share the case ring's
+    # table.  Rebuilding per ideal made 300 / 138 / 249 / 60.  A second run
+    # of the same case builds as many again, so no table outlives its case
+    from detkit.harness import CaseSpec, run_case
+
+    calls = [0]
+    real = detideals._signed_sum
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(detideals, "_signed_sum", counting)
+    for _ in range(2):
+        calls[0] = 0
+        run_case(CaseSpec(**spec))
+        assert calls[0] == builds
 
 
 # -- the block-index enumerator against a brute-force filter --------------------

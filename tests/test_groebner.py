@@ -798,25 +798,62 @@ def test_expired_deadline_raises():
             buchberger([x * x + y * y, x * y])
 
 
-def test_pair_update_checks_the_deadline(monkeypatch):
-    # criterion M of the pair update is quadratic in the new pairs, so the
-    # update reads the clock itself; a clock past the deadline from its
-    # first reading must stop the run inside the update
+def _late_after(monkeypatch, reads):
+    """Readings of a clock, patched into ``groebner``, that passes the
+    deadline of ``deadline_scope(1.0)`` from its ``reads + 1``-th reading."""
     from detkit import groebner
 
     readings = []
 
     def late_clock():
         readings.append(None)
-        return 2.0
+        return 2.0 if len(readings) > reads else 0.0
 
     monkeypatch.setattr(groebner, "monotonic", late_clock)
+    return readings
+
+
+def test_pair_update_checks_the_deadline(monkeypatch):
+    # criterion M of the pair update is quadratic in the new pairs, so the
+    # update reads the clock itself; a clock past the deadline from the
+    # first reading after the generator pass, which reads it once per
+    # generator, must stop the run inside the update
+    readings = _late_after(monkeypatch, 3)
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
         buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
-    assert len(readings) == 1
+    assert len(readings) == 4
     assert [entry.name for entry in info.traceback][-2:] == ["_update", "_check_deadline"]
+
+
+def test_generator_pass_checks_the_deadline(monkeypatch):
+    # the generator pass reads the clock once per generator, since its
+    # reductions rarely take the steps after which _reduce_rows reads it:
+    # a clock past the deadline at the second generator stops the run there
+    readings = _late_after(monkeypatch, 1)
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+        buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
+    assert len(readings) == 2
+    assert [entry.name for entry in info.traceback][-2:] == ["_buchberger", "_check_deadline"]
+
+
+def test_minimal_lcms_checks_the_deadline(monkeypatch):
+    # the lcms of two bases' leads are quadratic in the leads, and no other
+    # clock read bounds them: a clock past the deadline from the first
+    # reading after both bases are computed must stop inside _minimal_lcms
+    from detkit.groebner import _minimal_lcms
+
+    ring = mkring("xyz")
+    x, y, z = (ring.var(i) for i in range(3))
+    A, B = buchberger([x * y, y * z]), buchberger([x * z, y * y])
+    readings = _late_after(monkeypatch, 0)
+    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+        _minimal_lcms(A, B)
+    assert len(readings) == 1
+    assert [entry.name for entry in info.traceback][-2:] == ["_minimal_lcms", "_check_deadline"]
 
 
 def test_interreduction_checks_the_deadline(monkeypatch):
