@@ -16,7 +16,7 @@ Pfaffians of a skew one; only this module makes that choice.  Each is one
 signed sum of Laplace products or perfect matchings, sorted once by int keys
 read off the order's weights (:func:`_signed_sum`), and each build reads the
 clock of :func:`~detkit.groebner.deadline_scope`.  The ideal builders take
-each generator's terms from the ring's ``built`` table, so one index is
+each generator's terms from the ring's ``generators`` table, so one index is
 built once per ring and shape, and the ideals of a case share the terms.  The
 factors of a product are read off a table of :func:`entry` values built once
 per shape, so the signs, the zeros, the symmetric mirror and the skew sign
@@ -211,12 +211,12 @@ def _signed_sum(ring: PolyRing, products: list, deg: int):
     sorted once; the one clock read of a generator build.  A product's key
     is the dot product of its exponents with the order's weights at base
     ``deg + 1``, which no exponent reaches, so keys sort like the order and
-    equal keys are equal monomials: those merge, and a zero sum drops.  The
-    weights are kept in the ring's ``built`` table under ``deg``."""
+    equal keys are equal monomials: those merge, and a sum that is zero in
+    the field drops.  The ring keeps the weights under their base."""
     _check_deadline()
-    weights = ring.built.get(deg)
+    weights = ring.weights.get(deg + 1)
     if weights is None:
-        weights = ring.built[deg] = ring.order.weights(deg + 1)
+        weights = ring.weights[deg + 1] = ring.order.weights(deg + 1)
     pairs = _unit_pairs(len(weights))
     sums: dict = {}
     monos: dict = {}
@@ -231,7 +231,11 @@ def _signed_sum(ring: PolyRing, products: list, deg: int):
             exps[p] = exps.get(p, 0) + 1
         monos[k] = _mk(tuple([pairs[p] if e == 1 else (p, e) for p, e in exps.items()]), deg)
     of_int = ring.field.of_int
-    terms = [(monos[k], of_int(sums[k])) for k in sorted(sums, reverse=True) if sums[k]]
+    terms = []
+    for k in sorted(sums, reverse=True):
+        c = of_int(sums[k])
+        if c:
+            terms.append((monos[k], c))
     return Polynomial(ring, tuple(terms))
 
 
@@ -367,15 +371,15 @@ def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> Ide
     ``keep`` (when given) accepts, with its :func:`_series` when it has one
     and ``keep`` is not given.  Size 0 or below gives the unit ideal, no
     index the zero ideal.  Each generator is built once per ring and shape:
-    the ring's ``built`` table keeps its terms under ``ms``, so the ideals
-    of one case share them.  It keeps no polynomial, whose ``ring`` would
-    make a reference cycle that outlives the case."""
+    the ring's ``generators`` table keeps its terms under ``ms`` and ``ix``,
+    so the ideals of one case share them.  It keeps no polynomial, whose
+    ``ring`` would make a reference cycle that outlives the case."""
     if size <= 0:
         return IdealHandle(ring, (ring.one,))
     if ms.kind == "skew" and size % 2:
         raise ValueError("Pfaffian size must be even")
     poly = pfaffian_poly if ms.kind == "skew" else minor_poly
-    built = ring.built.setdefault(ms, {})
+    built = ring.generators.setdefault(ms, {})
     gens = []
     for ix in _block_indices(ms, size, *blocks):
         if keep is None or keep(ix):

@@ -11,8 +11,8 @@ is the canonicalizer of sums and products: they hand it their raw terms, and
 it merges like monomials, drops zeros and sorts.  The generator builds of
 :mod:`detkit.detideals` sort their terms by int keys instead, read off
 :meth:`MonomialOrder.weights`, and keep what they build in the ring's
-``built`` table, which lives as long as the ring.  The Groebner engine packs
-monomials into ints (:mod:`detkit.groebner`), so no engine path calls
+``generators`` table, which lives as long as the ring.  The Groebner engine
+packs monomials into ints (:mod:`detkit.groebner`), so no engine path calls
 :func:`mono_divides`, :func:`mono_div` or :func:`mono_lcm`: each is the
 plain form, one dict per call, that the packed ones are tested against.
 """
@@ -488,10 +488,12 @@ def weighted_degree(grading: GradingSpec, f: "Polynomial"):
 class PolyRing:
     """A polynomial ring: variable table + monomial order + coefficient field.
 
-    ``built`` is a table for what builders make once per ring, each under a
-    key of its own; it lives and dies with the ring."""
+    Two tables live and die with the ring, so nothing in them outlives a
+    case: ``weights`` maps a base to ``order.weights(base)``, and
+    ``generators`` maps a matrix shape to the terms of each minor or
+    Pfaffian built in the ring, by index."""
 
-    __slots__ = ("table", "order", "field", "built")
+    __slots__ = ("table", "order", "field", "weights", "generators")
 
     def __init__(self, table: VariableTable, order: MonomialOrder, field):
         if order.table != table:
@@ -499,7 +501,8 @@ class PolyRing:
         self.table = table
         self.order = order
         self.field = field
-        self.built: dict = {}
+        self.weights: dict = {}
+        self.generators: dict = {}
 
     # -- constructors ------------------------------------------------------
 
