@@ -10,7 +10,8 @@ intersection of two components by elimination), and the steps that
 certify a decomposition block: the minimal lcms of the components' leads
 looked up among the claim's leads (on the 7x7 step, 14,875 lcms), the
 claim's basis run that those lcms cover, through its handle and as the
-packed run alone, and the membership of its generators.
+packed run alone, and the membership of its generators; and the
+truncation reference of one skew case, multiples and basis run.
 
 Run them from the repository root with
 
@@ -29,13 +30,15 @@ import pytest
 from detkit.combinat import MinorIndex, PfaffianIndex, determinantal_numerator, minors_universe
 from detkit.detideals import (
     MatrixSpec,
-    coefficient_matrix,
     components,
     constrained_ideal,
     entry,
     matrix_ring,
     minor_poly,
     pfaffian_poly,
+    skew_block_grading,
+    truncated_ideal,
+    truncated_ideal_graded,
 )
 from detkit.groebner import (
     _Basis,
@@ -51,7 +54,7 @@ from detkit.groebner import (
     ideal_intersect,
     ideal_member,
 )
-from detkit.harness import standard_products
+from detkit.harness import coefficient_matrix, standard_products
 from detkit.linalg import row_reduce
 from detkit.poly import PrimeField, field_from_name, mono_div, mono_lcm
 
@@ -308,6 +311,26 @@ def test_uncovered_intersection_4x5(benchmark):
     K = benchmark(ideal_intersect, I, J)
     assert len(K.groebner()) == 40
     assert K.groebner() == buchberger(constrained_ideal(ring, ms, 3, R=(2,), r=(1,)).gens)
+
+
+def test_truncation_reference_skew6(benchmark):
+    # the truncation reference of truncation-skew6-t4-R3-d7: the 24
+    # multiples of weighted degree <= 7 of the 4-Pfaffians of a skew 6x6,
+    # weight 1 in the first three rows and 2 past them, and their basis
+    # run, whose generator pass row-reduces each slice.  Each round builds
+    # a fresh handle; the basis is the filtered generators'
+    ms = MatrixSpec("skew", 6, 6)
+    ring = matrix_ring(ms, FP)
+    base = constrained_ideal(ring, ms, 4)
+    grading = skew_block_grading(ms, 3, 1, 2)
+
+    def reference():
+        H = truncated_ideal_graded(base, grading, 7)
+        return H, H.groebner()
+
+    H, G = benchmark(reference)
+    assert len(H.gens) == 24 and len(G) == 15
+    assert G == buchberger(truncated_ideal(base, grading, 7).gens)
 
 
 @pytest.fixture(scope="module")

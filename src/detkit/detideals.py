@@ -35,6 +35,12 @@ once, off the generators' leads before any pair, and ends there when the
 reading meets it, which it does when the generators are already a Groebner
 basis.  Symmetric row components, odd-``need`` skew components and
 ``keep``-filtered lists carry none.
+
+A truncation keeps the generators of weighted degree <= d under a grading
+(:func:`truncated_ideal`).  Its reference, :func:`truncated_ideal_graded`,
+lists the monomial multiples of the generators up to that degree and
+leaves their elimination to the basis run; this module does no linear
+algebra.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import MinorIndex, PfaffianIndex, _unchecked, determinantal_numerator, in_doset
 from .groebner import IdealHandle, _check_deadline
-from .linalg import row_reduce
 from .poly import (
     GradingSpec,
     Monomial,
@@ -87,7 +92,6 @@ __all__ = [
     "skew_block_grading",
     "truncated_ideal",
     "truncated_ideal_graded",
-    "coefficient_matrix",
     "monomials_of_weighted_degree",
     "truncation_rank",
 ]
@@ -586,48 +590,25 @@ def _weighted_monomials(weights: tuple, pos: int, remaining: int, pairs: list, o
         _weighted_monomials(weights, pos + 1, remaining - k * w, pairs + [(pos, k)], out)
 
 
-def coefficient_matrix(ring: PolyRing, polys: Sequence) -> Tuple[List[dict], List[Monomial]]:
-    """Sparse coefficient rows of ``polys`` over the monomials they use.
-
-    Returns ``(rows, monomials)``; each row maps a column index to a
-    nonzero coefficient, and the columns follow ``monomials``, which are
-    sorted greatest first under the ring's order.
-    """
-    monos = sorted(
-        {m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True
-    )
-    index = {m.exps: i for i, m in enumerate(monos)}
-    return [{index[m.exps]: c for m, c in f.terms} for f in polys], monos
-
-
 def truncated_ideal_graded(I: IdealHandle, grading: GradingSpec, d: int) -> IdealHandle:
-    """The true degree-<= d truncation, built piece by piece.
-
-    Each weighted-degree slice of the ideal is the span of monomial
-    multiples of the generators; a row reduction turns every slice into an
-    explicit basis, and all slices up to d generate the truncation.  This
-    construction only assumes the generators generate, so it serves as an
-    independent reference for :func:`truncated_ideal`.
+    """The true degree-<= d truncation, built piece by piece: the ideal of
+    every monomial multiple of a generator of weighted degree <= d, listed
+    slice by slice, lightest first.  Each slice goes to the basis run, whose
+    generator pass is the elimination: it reduces each multiple by the ones
+    before it, so a slice adds one element per pivot of its row echelon
+    form that no lighter slice's lead divides.  This construction only
+    assumes the generators generate, so it serves as an independent
+    reference for :func:`truncated_ideal`.  The clock is read once per
+    generator and slice.
     """
-    ring = I.ring
-    if not I.gens:
-        return IdealHandle(ring, ())
     degs = _weighted_degrees(I, grading)
-    out_gens = []
-    for e in range(min(degs), d + 1):
-        slice_polys = []
+    gens = []
+    for e in range(min(degs, default=d + 1), d + 1):
         for g, eg in zip(I.gens, degs):
-            if eg > e:
-                continue
-            for mono in monomials_of_weighted_degree(grading, e - eg):
-                slice_polys.append(g.term_mul(mono))
-        if not slice_polys:
-            continue
-        mat, monos = coefficient_matrix(ring, slice_polys)
-        reduced, _ = row_reduce(mat, ring.field)
-        for rvec in reduced:
-            out_gens.append(ring.from_terms((monos[i], coeff) for i, coeff in rvec.items()))
-    return IdealHandle(ring, out_gens)
+            if eg <= e:
+                _check_deadline()
+                gens += map(g.term_mul, monomials_of_weighted_degree(grading, e - eg))
+    return IdealHandle(I.ring, gens)
 
 
 def truncation_rank(size: int, p: int, q: int, d: int) -> int:

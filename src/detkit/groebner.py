@@ -85,7 +85,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from operator import mul
 from time import monotonic
 from typing import Iterable, Optional, Sequence
@@ -451,17 +451,18 @@ def _join(minimal: dict, divs: _Divisors, hi: int, guards: int) -> None:
     minimal[hi] = None
 
 
-def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, ticks, pk: _Packing) -> None:
+def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, pk: _Packing) -> None:
     """Gebauer-Moller pair update for ``h = divs.elems[hi]`` (Becker-Weispfenning,
     *Groebner Bases*, UPDATE), but for criterion B, which :func:`_buchberger`
     applies to a pair when it pops it.
 
     ``minimal`` holds the earlier elements whose lead no later lead
     divides: new pairs form only with them, and ``h`` joins them.  A pair
-    goes on ``heap`` as ``(sugar, key, tick, i, j, lcm, support)``, ``i <
-    j``, with the lcm's support and a tick from ``ticks``, so the heap pops
-    equal sugars and keys in the order the pairs came.  The clock is read
-    first: criterion M is quadratic in the new pairs.
+    goes on ``heap`` as ``(sugar, key, j, i, lcm, support)``, ``i < j =
+    hi``, with the lcm's support.  Equal keys are equal lcms, of which one
+    update keeps one, so the heap pops equal sugars and keys in the order
+    the pairs came: by update, then by ``i``.  The clock is read first:
+    criterion M is quadratic in the new pairs.
     """
     _check_deadline()
     elems = divs.elems
@@ -496,7 +497,7 @@ def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, ticks, pk: _Pac
             kept.append((lcm, pmask))
             g = elems[j]
             s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
-            heappush(heap, (s, pk.key(lcm), next(ticks), j, hi, lcm, pmask))
+            heappush(heap, (s, pk.key(lcm), hi, j, lcm, pmask))
     _join(minimal, divs, hi, guards)
 
 
@@ -734,7 +735,6 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     # the minimal leads, by index, and the pairs not yet taken (see _update)
     minimal: dict = {}
     heap: list = []
-    ticks = count()
 
     # ``left[d]``: the keys of the cover monomials of degree d that are no
     # lead yet, ``{}`` once the cover is met; one that no lead can reach
@@ -770,13 +770,16 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         # a term of its own tail, so every element can sit in one index.
         # Each keeps the sugar of its reduced tail, which still bounds every
         # term.  The greatest lead comes first.  The clock is read before
-        # each join and each element, since a tail takes too few steps for
-        # _reduce_rows to read it
+        # each join, each entry in the index and each element, since a tail
+        # takes too few steps for _reduce_rows to read it
         for hi in queued:
             _check_deadline()
             _join(minimal, divs, hi, guards)
         kept = sorted(map(elems.__getitem__, minimal), key=lambda e: e.lmkey)
-        others = _Divisors(pk.n, kept)
+        others = _Divisors(pk.n)
+        for e in kept:
+            _check_deadline()
+            others.add(e)
         for e in kept:
             _check_deadline()
             tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
@@ -805,13 +808,13 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     while left != {}:
         if not heap or heap[0][0] > degree:
             for hi in queued:
-                _update(divs, hi, minimal, heap, ticks, pk)
+                _update(divs, hi, minimal, heap, pk)
             queued.clear()
             if not heap:
                 break
             degree = heap[0][0]
         _check_deadline()
-        s, lk, _, i, j, lcm, pmask = heappop(heap)
+        s, lk, j, i, lcm, pmask = heappop(heap)
         ei, ej = elems[i], elems[j]
         # criterion B (Gebauer and Moller, JSC 1988): the pair is dropped
         # when the lead of an element k divides its lcm, which equals

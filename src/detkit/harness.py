@@ -54,7 +54,6 @@ from .detideals import (
     MatrixSpec,
     block_component,
     check_blocks,
-    coefficient_matrix,
     column_grading,
     components,
     constrained_ideal,
@@ -565,6 +564,20 @@ def _extend_chains(universe: list, start: int, room: int, acc: tuple, out: list)
         if e.size <= room and (not acc or minor_leq(acc[-1], e)):
             out.append(acc + (e,))
             _extend_chains(universe, j, room - e.size, acc + (e,), out)
+
+
+def coefficient_matrix(ring, polys: Sequence) -> Tuple[List[dict], list]:
+    """Sparse coefficient rows of ``polys`` over the monomials they use.
+
+    Returns ``(rows, monomials)``; each row maps a column index to a
+    nonzero coefficient, and the columns follow ``monomials``, sorted
+    greatest first under the ring's order.  The elimination takes its
+    pivots in column order, so the sort sets its fill-in: columns in
+    first-seen order cost the asl check more multiplications.
+    """
+    monos = sorted({m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True)
+    index = {m.exps: i for i, m in enumerate(monos)}
+    return [{index[m.exps]: c for m, c in f.terms} for f in polys], monos
 
 
 def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:

@@ -268,9 +268,6 @@ class Monomial:
         self.exps = tuple(sorted(acc.items()))
         self.deg = sum(acc.values())
 
-    def degree(self) -> int:
-        return self.deg
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and other.exps == self.exps
 

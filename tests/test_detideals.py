@@ -65,7 +65,6 @@ from detkit.poly import (
 from helpers import (
     assert_reduced_basis,
     det_by_permanents,
-    expire_in_elimination,
     pfaffian_by_matchings,
     reference_signed_sum,
 )
@@ -836,17 +835,70 @@ def test_truncated_ideal_filter_vs_graded_reference():
     assert len(truncated_ideal(I, g, 4).gens) == 3
 
 
+@st.composite
+def _truncations(draw):
+    """A generic ideal of minors (m, n <= 3) under a column grading, or a
+    skew ideal of Pfaffians (n <= 5) under a block grading, with weights
+    ``0 < p < q`` and a bound ``d`` from below the lightest generator to
+    past the heaviest."""
+    p = draw(st.integers(1, 2))
+    q = draw(st.integers(p + 1, 3))
+    if draw(st.booleans()):
+        ms = generic_matrix(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        size = draw(st.integers(1, min(ms.m, ms.n)))
+        grading = column_grading(ms, draw(st.integers(0, ms.n)), p, q)
+    else:
+        ms = skew_matrix(draw(st.integers(2, 5)))
+        size = draw(st.sampled_from([k for k in (2, 4) if k <= ms.n]))
+        grading = skew_block_grading(ms, draw(st.integers(0, ms.n)), p, q)
+    d = draw(st.integers(size * p - 1, size * q + 1))
+    return ms, size, grading, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(_truncations())
+def test_truncation_reference_matches_the_filter(case):
+    # the reference's basis run row-reduces each slice of multiples, most
+    # of them linearly dependent, in its generator pass; its reduced basis
+    # is the filtered generators'
+    ms, size, grading, d = case
+    ring = matrix_ring(ms, FP)
+    I = constrained_ideal(ring, ms, size)
+    graded = truncated_ideal_graded(I, grading, d)
+    assert graded.groebner() == truncated_ideal(I, grading, d).groebner()
+
+
 def test_truncation_reference_checks_the_deadline(monkeypatch):
-    # the reference row-reduces each weighted-degree slice; a clock that
-    # passes the deadline once an elimination has started must stop it there
-    started = expire_in_elimination(monkeypatch)
+    # the reference reads the clock once per generator and slice, before it
+    # forms that generator's multiples; a clock that passes the deadline
+    # once the first multiple is formed must stop it at the next reading,
+    # with no other multiple formed
+    from detkit import groebner
+
+    real_clock, real_term_mul = groebner.monotonic, Polynomial.term_mul
+    formed = []
+
+    def term_mul(f, m):
+        formed.append(m)
+        return real_term_mul(f, m)
+
+    monkeypatch.setattr(Polynomial, "term_mul", term_mul)
+    monkeypatch.setattr(groebner, "monotonic", lambda: float("inf") if formed else real_clock())
     ms = generic_matrix(2, 3)
     ring = matrix_ring(ms, FP)
     I = ideal_of_minors(ring, ms, 2)
+    grading = column_grading(ms, 1, 1, 2)
     with deadline_scope(monotonic() + 60), pytest.raises(BudgetExceeded) as info:
-        truncated_ideal_graded(I, column_grading(ms, 1, 1, 2), 5)
-    assert len(started) == 1
-    assert [entry.name for entry in info.traceback][-2:] == ["row_reduce", "_check_deadline"]
+        truncated_ideal_graded(I, grading, 5)
+    assert len(formed) == 1
+    assert [entry.name for entry in info.traceback][-2:] == [
+        "truncated_ideal_graded",
+        "_check_deadline",
+    ]
+    # unbounded, the reference forms every multiple of weighted degree <= 5
+    monkeypatch.setattr(groebner, "monotonic", real_clock)
+    formed.clear()
+    assert len(truncated_ideal_graded(I, grading, 5).gens) == len(formed) > 1
 
 
 def test_truncation_rejects_inhomogeneous_generator():

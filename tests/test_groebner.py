@@ -859,26 +859,28 @@ def test_minimal_lcms_checks_the_deadline(monkeypatch):
 def test_interreduction_checks_the_deadline(monkeypatch):
     # a clock that passes the deadline only once the pair loop has ended,
     # when the interreduction indexes the minimal leads, must stop the run
-    # inside the interreduction: each tail there takes too few reduction
-    # steps for _reduce_rows to read the clock
+    # inside the interreduction: the index reads the clock as each element
+    # joins it, and each tail takes too few reduction steps for
+    # _reduce_rows to read the clock
     from detkit import groebner
 
-    real_divisors = groebner._Divisors
-    late = []
+    made = []
 
-    def divisors(n, elems=()):
-        # the run's own index starts empty; only the interreduction's is
-        # built from elements
-        late.extend(elems[:1])
-        return real_divisors(n, elems)
+    class Divisors(groebner._Divisors):
+        # the run's own index comes first, the interreduction's second
+        def __init__(self, n, elems=()):
+            made.append(self)
+            super().__init__(n, elems)
 
-    monkeypatch.setattr(groebner, "_Divisors", divisors)
-    monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if late else 0.0)
+    monkeypatch.setattr(groebner, "_Divisors", Divisors)
+    monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if made[1:] and made[1].elems else 0.0)
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
+    gens = [x * y - z * z, y * z - x * x, x * z - y * y]
     with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
-        buchberger([x * y - z * z, y * z - x * x, x * z - y * y])
-    assert late
+        buchberger(gens)
+    # the run stops at the clock read before the second element joins
+    assert len(made) == 2 and len(made[1].elems) == 1 < len(buchberger(gens))
     assert [entry.name for entry in info.traceback][-2:] == ["reduced", "_check_deadline"]
 
 
@@ -946,8 +948,6 @@ def test_pair_degree_past_the_field_sum():
     # at width 4 the leads x^3*y^4 and x^3*z^4 of degree 7 give the widest
     # lcm, of degree 11 below 15, and read it exactly.  Its sugar reaches
     # the guard bit, 8, so the run raises _Overflow when it takes the pair
-    from itertools import count
-
     from detkit.groebner import _Basis, _basis_rows, _buchberger, _Divisors, _Overflow, _update
 
     ring = mkring("xyz")
@@ -956,10 +956,10 @@ def test_pair_degree_past_the_field_sum():
     for e, degree in ((2, 7), (4, 11)):
         gens = [x**3 * y**e, x**3 * z**e]
         divs = _Divisors(pk.n, [_BasisElem(pk.rows(f), f.degree(), pk) for f in gens])
-        minimal, heap, ticks = {}, [], count()
+        minimal, heap = {}, []
         for hi in range(2):
-            _update(divs, hi, minimal, heap, ticks, pk)
-        ((sugar, _, _, _, _, lcm, _),) = heap
+            _update(divs, hi, minimal, heap, pk)
+        ((sugar, _, _, _, lcm, _),) = heap
         assert sugar == pk.degree(lcm) == degree
         assert list(minimal) == [0, 1]
     with pytest.raises(_Overflow):

@@ -45,9 +45,14 @@ TRACER_ONLY = {
 }
 
 # public methods of exported classes (``QQ`` is the exported
-# ``RationalField``) that nothing in the package calls
+# ``RationalField``) that nothing in the package calls.  The scan matches
+# by name, so a method that shares its name with one the package does read
+# passes it unlisted: ``VariableTable.name`` counts as called because the
+# package reads other attributes named ``name``, ``PrimeField.name`` among
+# them.  Such methods are listed here all the same
 PUBLIC_METHODS = {
     "poly.PolyRing.var",
+    "poly.VariableTable.name",
     "poly.VariableTable.position",
     "poly.PrimeField.div",
     "poly.RationalField.div",
