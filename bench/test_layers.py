@@ -1,5 +1,6 @@
 """Layer micro-benchmarks: the generator builds, alone and as the five
-ideals of one decomposition case in a fresh ring, the packed monomial
+ideals of one decomposition case in a fresh ring, the canonicalization of
+the asl 3x3 d4 chain products by ``from_terms``, the packed monomial
 primitives, one reduction over a prime field and over the rationals, one
 elimination, one Hilbert numerator read as a dimension and two read off
 leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
@@ -56,7 +57,7 @@ from detkit.groebner import (
 )
 from detkit.harness import coefficient_matrix, standard_products
 from detkit.linalg import row_reduce
-from detkit.poly import PrimeField, field_from_name, mono_div, mono_lcm
+from detkit.poly import PrimeField, field_from_name, mono_div, mono_lcm, mono_mul
 
 FP = PrimeField(32003)
 
@@ -213,6 +214,25 @@ def test_row_reduce_asl_degree_4(benchmark):
             rows[i][j] = v
     reduced, pivots = benchmark(row_reduce, rows, ring.field)
     assert len(pivots) == len(chains) == len(monos) == 495
+
+
+def test_from_terms_asl_chain_products(benchmark):
+    # the canonicalization of the asl 3x3 d4 check's chain products: each
+    # chain's raw term stream, its prefix's product times one minor, merged
+    # and sorted by the order's int weights.  Checked against the products
+    # that Polynomial.__mul__ gives and against the order's tuple key
+    ms = MatrixSpec("generic", 3, 3)
+    ring = matrix_ring(ms, FP)
+    minors = {ix: minor_poly(ring, ms, ix) for ix in minors_universe(3, 3).elements()}
+    products, streams = {(): ring.one}, []
+    for ch in standard_products(3, 3, 4)[1:]:
+        f, g = products[ch[:-1]], minors[ch[-1]]
+        products[ch] = f * g
+        streams.append([(mono_mul(a, b), ring.field.mul(c, d)) for a, c in f.terms for b, d in g.terms])
+    out = benchmark(lambda: [ring.from_terms(terms) for terms in streams])
+    assert len(out) == 714 and out == list(products.values())[1:]
+    key = ring.order.key
+    assert all([key(m) for m, _ in f.terms] == sorted((key(m) for m, _ in f.terms), reverse=True) for f in out)
 
 
 def test_krull_dimension_pfaffians_8x8(benchmark):

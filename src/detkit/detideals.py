@@ -13,9 +13,10 @@ constraints ``C`` / ``c`` mirror this on columns; Pfaffians take none.
 
 The generators are the minors of a generic or symmetric matrix and the
 Pfaffians of a skew one; only this module makes that choice.  Each is one
-signed sum of Laplace products or perfect matchings, sorted once by int keys
-read off the order's weights (:func:`_signed_sum`), and each build reads the
-clock of :func:`~detkit.groebner.deadline_scope`.  The ideal builders take
+signed sum of Laplace products or perfect matchings, merged and sorted once
+by int keys read off the weights that the order keeps per base
+(:func:`_signed_sum`), and each build reads the clock of
+:func:`~detkit.groebner.deadline_scope`.  The ideal builders take
 each generator's terms from the ring's ``generators`` table, so one index is
 built once per ring and shape, and the ideals of a case share the terms.  The
 factors of a product are read off a table of :func:`entry` values built once
@@ -216,11 +217,9 @@ def _signed_sum(ring: PolyRing, products: list, deg: int):
     is the dot product of its exponents with the order's weights at base
     ``deg + 1``, which no exponent reaches, so keys sort like the order and
     equal keys are equal monomials: those merge, and a sum that is zero in
-    the field drops.  The ring keeps the weights under their base."""
+    the field drops."""
     _check_deadline()
-    weights = ring.weights.get(deg + 1)
-    if weights is None:
-        weights = ring.weights[deg + 1] = ring.order.weights(deg + 1)
+    weights = ring.order.weights(deg + 1)
     pairs = _unit_pairs(len(weights))
     sums: dict = {}
     monos: dict = {}

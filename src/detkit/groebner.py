@@ -166,7 +166,7 @@ class _Packing:
         self.weights = weights = order.weights(base)
         if elim:
             # w-free keys lie in [0, span)
-            weights.append(sum(weights) * (base - 1) + 1)
+            self.weights = weights = weights + (sum(weights) * (base - 1) + 1,)
         self.n = n = len(weights)
         self.width = width
         self.ones = sum(1 << (p * width) for p in range(n))
@@ -197,10 +197,14 @@ class _Packing:
         return out
 
     def keys_by_degree(self, monos: Iterable) -> dict:
-        """``{degree: keys}`` of ``monos``; a degree at the guard bit raises ``_Overflow``."""
+        """``{degree: keys}`` of ``monos``; a degree at the guard bit raises
+        ``_Overflow``.  A cover may be as long as a basis, so the clock is
+        read every 256 monomials."""
         out: dict = {}
         top, weights = 1 << (self.width - 1), self.weights
-        for m in monos:
+        for k, m in enumerate(monos):
+            if not k & 255:
+                _check_deadline()
             if m.deg >= top:
                 raise _Overflow
             out.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))

@@ -543,14 +543,10 @@ def _check_heights(spec: CaseSpec, ms, ring, report: Report) -> None:
 # -- chain monomials and straightening -----------------------------------------
 
 
-def _extension_key(ix: MinorIndex):
-    return (-ix.size, ix.rows, ix.cols)
-
-
 def standard_products(m: int, n: int, d: int) -> List[Tuple[MinorIndex, ...]]:
     """All poset chains of minor indices (repeats allowed) with total size
     at most d, each listed once in linear-extension order."""
-    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
+    universe = sorted(minors_universe(m, n).elements(), key=lambda ix: (-ix.size, ix.rows, ix.cols))
     out: List[Tuple[MinorIndex, ...]] = [()]
     _extend_chains(universe, 0, d, (), out)
     return out
@@ -571,11 +567,12 @@ def coefficient_matrix(ring, polys: Sequence) -> Tuple[List[dict], list]:
 
     Returns ``(rows, monomials)``; each row maps a column index to a
     nonzero coefficient, and the columns follow ``monomials``, sorted
-    greatest first under the ring's order.  The elimination takes its
-    pivots in column order, so the sort sets its fill-in: columns in
-    first-seen order cost the asl check more multiplications.
+    greatest first by :meth:`~detkit.poly.MonomialOrder.descending`, as
+    ``from_terms`` sorts terms.  The elimination takes its pivots in column
+    order, so the sort sets its fill-in: columns in first-seen order cost
+    the asl check more multiplications.
     """
-    monos = sorted({m for f in polys for m, _ in f.terms}, key=ring.order.key, reverse=True)
+    monos = ring.order.descending({m for f in polys for m, _ in f.terms})
     index = {m.exps: i for i, m in enumerate(monos)}
     return [{index[m.exps]: c for m, c in f.terms} for f in polys], monos
 
@@ -584,37 +581,35 @@ def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:
     m, n, d = spec.m, spec.n, spec.d
     chains = standard_products(m, n, d)
     report.stats["lhs_gens"] = len(chains)
-    universe = sorted(minors_universe(m, n).elements(), key=_extension_key)
+    # the one-minor chains are the minors that fit, in extension order
+    universe = [ch[0] for ch in chains if len(ch) == 1]
     minors = {ix: minor_poly(ring, ms, ix) for ix in universe}
     # each chain follows the chain it extends, so its product is that
     # product times one minor; every product is homogeneous, so the slice
-    # splits by degree
+    # splits by degree: ``slices[deg]`` holds its chains and its pairs
     products = {(): ring.one}
-    chains_by_degree: Dict[int, List[Tuple[tuple, object]]] = {}
+    slices: Dict[int, tuple] = {}
     for ch in chains:
         _check_deadline()
         if ch:
             products[ch] = products[ch[:-1]] * minors[ch[-1]]
-        deg = sum(ix.size for ix in ch)
-        chains_by_degree.setdefault(deg, []).append((ch, products[ch]))
+        slices.setdefault(sum(ix.size for ix in ch), ([], []))[0].append((ch, products[ch]))
 
     # straightening: an incomparable pair rewrites into chains through
     # lower-bounded leading factors
     pairs = []
     for a, b in combinations(universe, 2):
-        if minor_leq(a, b) or minor_leq(b, a):
-            continue
-        if a.size + b.size > d:
+        if a.size + b.size > d or minor_leq(a, b) or minor_leq(b, a):
             continue
         _check_deadline()
-        pairs.append((a, b, minors[a] * minors[b]))
+        pairs.append((a, b))
+        slices.setdefault(a.size + b.size, ([], []))[1].append((a, b, minors[a] * minors[b]))
 
     # one elimination per degree: the chain products, then the pair products
     slice_rank = 0
     solved = {}
-    for deg in sorted(set(chains_by_degree) | {a.size + b.size for a, b, _ in pairs}):
-        basis = chains_by_degree.get(deg, [])
-        prods = [(a, b, f) for a, b, f in pairs if a.size + b.size == deg]
+    for deg in sorted(slices):
+        basis, prods = slices[deg]
         vectors, _ = coefficient_matrix(ring, [f for _, f in basis] + [f for _, _, f in prods])
         rk, coeffs = solve_columns(vectors[: len(basis)], vectors[len(basis) :], ring.field)
         slice_rank += rk
@@ -632,7 +627,7 @@ def _check_asl(spec: CaseSpec, ms, ring, report: Report) -> None:
     if slice_rank != len(chains):
         problems.append("chain products are linearly dependent")
     checked = 0
-    for a, b, _ in pairs:
+    for a, b in pairs:
         basis, coeffs = solved[a, b]
         if coeffs is None:
             problems.append(f"{a} * {b} does not straighten")

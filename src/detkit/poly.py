@@ -6,13 +6,14 @@ Variables live in a fixed :class:`VariableTable`; position 0 is the
 *greatest* variable under every order defined here, so a row-major table
 ``x[1,1], x[1,2], ...`` puts ``x[1,1]`` on top.  Monomials are sparse,
 canonically encoded exponent vectors; polynomials are term sequences kept
-strictly descending under the ring's monomial order.  :meth:`PolyRing.from_terms`
-is the canonicalizer of sums and products: they hand it their raw terms, and
-it merges like monomials, drops zeros and sorts.  The generator builds of
-:mod:`detkit.detideals` sort their terms by int keys instead, read off
-:meth:`MonomialOrder.weights`, and keep what they build in the ring's
-``generators`` table, which lives as long as the ring.  The Groebner engine
-packs monomials into ints (:mod:`detkit.groebner`), so no engine path calls
+strictly descending under the ring's monomial order.  Every sort in the
+package keys a monomial by one int, the dot product of its exponents with
+:meth:`MonomialOrder.weights`, which the order makes once per base and
+keeps.  :meth:`PolyRing.from_terms` is the canonicalizer of sums and
+products: they hand it their raw terms, and it merges like monomials, drops
+zeros and sorts.  The generator builds of :mod:`detkit.detideals` and the
+Groebner engine (:mod:`detkit.groebner`) read the same weights, and the
+engine packs monomials into ints, so no engine path calls
 :func:`mono_divides`, :func:`mono_div` or :func:`mono_lcm`: each is the
 plain form, one dict per call, that the packed ones are tested against.
 """
@@ -336,47 +337,51 @@ def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
 # ---------------------------------------------------------------------------
 # monomial orders
 #
-# Each order maps a monomial to a sort key, a flat tuple of small ints read
-# straight off the sparse (position, exponent) pairs, such that key
-# comparison agrees with the order; keys are cached per order instance.
-# Positions enter a key as ``n - pos``, so the greatest variable carries the
-# largest entry.
+# Each order sorts by int keys: the dot product of the exponents with
+# per-position weights at a base above every exponent (:meth:`weights`),
+# made once per base and kept by the order.  ``key`` is a flat tuple of
+# small ints read off the pairs, with positions as ``n - pos`` so the
+# greatest variable carries the largest entry; no package path reads it.
 
 
 class MonomialOrder:
     kind = "?"
-    __slots__ = ("table", "_cache")
+    __slots__ = ("table", "_weights")
 
     def __init__(self, table: VariableTable):
         self.table = table
-        self._cache: dict = {}
+        self._weights: dict = {}
 
     def key(self, m: Monomial) -> tuple:
-        k = self._cache.get(m.exps)
-        if k is None:
-            k = self._key(m)
-            self._cache[m.exps] = k
-        return k
+        return self._key(m)
 
     def _key(self, m: Monomial) -> tuple:
         raise NotImplementedError
 
-    def weights(self, base: int) -> list:
+    def weights(self, base: int) -> tuple:
         """Per-position int weights whose dot product with an exponent
         vector sorts like this order, for every exponent below ``base``."""
-        raise NotImplementedError
+        w = self._weights.get(base)
+        if w is None:
+            w = self._weights[base] = self._weigh(base)
+        return w
 
-    def _params(self) -> tuple:
-        return (self.table,)
+    def descending(self, monos) -> list:
+        """``monos``, distinct, greatest first; each is keyed at a base past
+        every degree, so keys tell them apart, and a lone one needs no key."""
+        if len(monos) < 2:
+            return list(monos)
+        w = self.weights(1 + max([m.deg for m in monos]))
+        return sorted(monos, key=lambda m: sum([w[p] * e for p, e in m.exps]), reverse=True)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._params() == self._params()
+        return type(other) is type(self) and other.table == self.table
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__,) + self._params())
+        return hash((type(self).__name__, self.table))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self._params()))})"
+        return f"{type(self).__name__}({self.table!r})"
 
 
 class LexOrder(MonomialOrder):
@@ -393,9 +398,9 @@ class LexOrder(MonomialOrder):
             key.append(e)
         return tuple(key)
 
-    def weights(self, base: int) -> list:
+    def _weigh(self, base: int) -> tuple:
         n = len(self.table)
-        return [base ** (n - 1 - p) for p in range(n)]
+        return tuple(base ** (n - 1 - p) for p in range(n))
 
 
 class GrevlexOrder(MonomialOrder):
@@ -413,11 +418,11 @@ class GrevlexOrder(MonomialOrder):
             key.append(-e)
         return tuple(key)
 
-    def weights(self, base: int) -> list:
+    def _weigh(self, base: int) -> tuple:
         # deg * base**n - sum(e_p * base**p): degree first, then the last
         # variable where two monomials differ, the smaller exponent winning
         n = len(self.table)
-        return [base**n - base**p for p in range(n)]
+        return tuple(base**n - base**p for p in range(n))
 
 
 def order_from_name(name: str, table: VariableTable) -> MonomialOrder:
@@ -485,12 +490,11 @@ def weighted_degree(grading: GradingSpec, f: "Polynomial"):
 class PolyRing:
     """A polynomial ring: variable table + monomial order + coefficient field.
 
-    Two tables live and die with the ring, so nothing in them outlives a
-    case: ``weights`` maps a base to ``order.weights(base)``, and
-    ``generators`` maps a matrix shape to the terms of each minor or
+    Its ``generators`` table lives and dies with the ring, so nothing in it
+    outlives a case: it maps a matrix shape to the terms of each minor or
     Pfaffian built in the ring, by index."""
 
-    __slots__ = ("table", "order", "field", "weights", "generators")
+    __slots__ = ("table", "order", "field", "generators")
 
     def __init__(self, table: VariableTable, order: MonomialOrder, field):
         if order.table != table:
@@ -498,7 +502,6 @@ class PolyRing:
         self.table = table
         self.order = order
         self.field = field
-        self.weights: dict = {}
         self.generators: dict = {}
 
     # -- constructors ------------------------------------------------------
@@ -530,9 +533,9 @@ class PolyRing:
 
     def from_terms(self, pairs: Iterable[tuple]) -> "Polynomial":
         """Canonicalize an arbitrary (Monomial, coefficient) stream; int
-        coefficients are coerced into the field."""
-        acc: dict = {}
-        wrap: dict = {}
+        coefficients are coerced into the field, like monomials merge, and
+        the nonzero ones are sorted by :meth:`MonomialOrder.descending`."""
+        acc, wrap = {}, {}
         add, of_int = self.field.add, self.field.of_int
         n = len(self.table)
         for m, c in pairs:
@@ -544,9 +547,8 @@ class PolyRing:
                     raise ValueError("monomial position outside variable table")
                 acc[e] = of_int(c)
                 wrap[e] = m
-        key = self.order.key
-        desc = sorted(acc, key=lambda e: key(wrap[e]), reverse=True)
-        return Polynomial(self, tuple((wrap[e], acc[e]) for e in desc if acc[e] != 0))
+        desc = self.order.descending([m for e, m in wrap.items() if acc[e] != 0])
+        return Polynomial(self, tuple([(m, acc[m.exps]) for m in desc]))
 
     def __eq__(self, other) -> bool:
         if other is self:

@@ -8,6 +8,7 @@ import pytest
 
 from detkit.cli import main
 from detkit.harness import CaseSpec, run_case
+from detkit.poly import MonomialOrder
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -155,6 +156,19 @@ def test_suite_output_matches_golden(capsys):
     assert code == 0
     golden = ROOT / "tests" / "golden" / "acceptance-no-timing.json"
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_suite_output_reads_no_order_key(monkeypatch, capsys):
+    # every sort in the package reads the order's int weights: with the
+    # tuple key patched to raise, the suite's reports are unchanged
+    def refuse(order, m):
+        raise AssertionError("MonomialOrder.key called")
+
+    monkeypatch.setattr(MonomialOrder, "key", refuse)
+    code = main(["suite", str(ROOT / "suites" / "acceptance.json"), "--no-timing"])
+    assert code == 0
+    golden = ROOT / "tests" / "golden" / "acceptance-no-timing.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
 
 def test_suite_output_matches_golden_under_optimize():

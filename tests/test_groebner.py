@@ -856,6 +856,24 @@ def test_minimal_lcms_checks_the_deadline(monkeypatch):
     assert [entry.name for entry in info.traceback][-2:] == ["_minimal_lcms", "_check_deadline"]
 
 
+def test_cover_packing_checks_the_deadline(monkeypatch):
+    # a cover may be as long as a basis, and a covered run's ``left`` and
+    # _Basis.has_leads pack it with no reduction between to read the clock:
+    # keys_by_degree reads it every 256 monomials, so a clock past the
+    # deadline from its second reading stops the packing at monomial 256
+    ring = mkring([f"v{i}" for i in range(30)])
+    cover = [Monomial([(i, 1), (j, 1)]) for i in range(30) for j in range(i, 30)]
+    assert len(cover) == 465
+    G = buchberger([ring.var(0)])
+    for pack in (lambda: G.has_leads(cover), lambda: buchberger([ring.var(0)], cover)):
+        readings = _late_after(monkeypatch, 1)
+        with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+            pack()
+        assert len(readings) == 2
+        assert [entry.name for entry in info.traceback][-2:] == ["keys_by_degree", "_check_deadline"]
+        assert info.traceback[-2].frame.f_locals["k"] == 256
+
+
 def test_interreduction_checks_the_deadline(monkeypatch):
     # a clock that passes the deadline only once the pair loop has ended,
     # when the interreduction indexes the minimal leads, must stop the run

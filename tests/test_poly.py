@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from detkit.harness import coefficient_matrix
 from detkit.poly import (
     QQ,
     GradingSpec,
@@ -189,6 +193,60 @@ def test_order_weights_exhaustive():
         for u, ku in zip(vecs, keys):
             for v, kv in zip(vecs, keys):
                 assert (ku > kv) == greater(u, v), (u, v)
+
+
+@st.composite
+def _term_streams(draw):
+    """A ring over 1 to 4 variables and three raw term streams on a few
+    exponent vectors of mixed degree, entries up to 12: vectors repeat, and
+    a term may be followed by its negation, so some sums cancel to zero."""
+    n = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n), min_size=1, max_size=8))
+    term = st.tuples(st.sampled_from(vecs), st.integers(-3, 3))
+    streams = []
+    for _ in range(3):
+        stream = draw(st.lists(term, max_size=12))
+        if stream and draw(st.booleans()):
+            stream.append((stream[0][0], -stream[0][1]))
+        streams.append(stream)
+    order = draw(st.sampled_from(("lex", "grevlex")))
+    t = VariableTable([f"v{i}" for i in range(n)])
+    ring = PolyRing(t, order_from_name(order, t), field_from_name(draw(st.sampled_from(("fp:32003", "qq")))))
+    return ring, streams
+
+
+_AB = VariableTable(["a", "b"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_streams())
+# b^2 and a share a key at base 2, the largest degree, so the base must
+# pass the largest degree
+@example((PolyRing(_AB, LexOrder(_AB), QQ), [[([0, 2], 1), ([1, 0], 1)], [], []]))
+def test_sorts_match_the_dense_comparators(case):
+    # from_terms merges like monomials, drops the zero sums and puts the
+    # rest in the order the dense comparators give; coefficient_matrix puts
+    # its columns in that order too
+    ring, streams = case
+    greater = lex_greater if ring.order.kind == "lex" else grevlex_greater
+    n, fld = len(ring.table), ring.field
+
+    def descending(vecs):
+        return sorted(vecs, key=cmp_to_key(lambda u, v: greater(u, v) - greater(v, u)), reverse=True)
+
+    polys = []
+    for stream in streams:
+        sums = {}
+        for vec, c in stream:
+            sums[tuple(vec)] = fld.add(sums.get(tuple(vec), fld.zero), fld.of_int(c))
+        f = ring.from_terms((Monomial(enumerate(vec)), c) for vec, c in stream)
+        want = [(list(v), sums[v]) for v in descending([v for v in sums if sums[v] != 0])]
+        assert [(dense(m, n), c) for m, c in f.terms] == want
+        polys.append(f)
+    rows, monos = coefficient_matrix(ring, polys)
+    used = {tuple(dense(m, n)) for f in polys for m, _ in f.terms}
+    assert [dense(m, n) for m in monos] == [list(v) for v in descending(used)]
+    assert [{monos[i]: c for i, c in row.items()} for row in rows] == [dict(f.terms) for f in polys]
 
 
 def test_grevlex_tiebreak_examples():

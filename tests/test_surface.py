@@ -36,9 +36,14 @@ REFERENCE = {
 
 # definitions that only the benchmark's tracer names: neither exported nor
 # called in the package, they stay while ``perfbench/tracing.py`` patches
-# them, and go once it no longer does
+# them, and go once it no longer does.  ``MonomialOrder.key`` is the tuple
+# key that the package's sorts no longer read, since they key by the
+# order's int weights; the tests' helpers still sort with it.  The scan
+# counts it as called, because ``_Packing.key`` shares its name, so
+# ``test_cli.test_suite_output_reads_no_order_key`` shows it uncalled
 TRACER_ONLY = {
     "detideals.pfaffian_row_component",
+    "poly.MonomialOrder.key",
     "poly.mono_div",
     "poly.mono_divides",
     "poly.mono_lcm",
@@ -131,7 +136,14 @@ def test_every_definition_has_a_caller_or_is_public():
 
 
 def test_tracer_only_definitions_are_named():
-    assert (_uncalled() & _traced()) - _exports() == TRACER_ONLY
+    found = (_uncalled() & _traced()) - _exports()
+    assert found <= TRACER_ONLY
+    # a listed definition that the scan counts as called must be traced and
+    # share its name with another package definition, which hides it
+    defs = _scan()[0]
+    for qual in TRACER_ONLY - found:
+        bare = qual.rsplit(".", 1)[1]
+        assert qual in _traced() and any(q != qual and name == bare for q, name, _ in defs), qual
 
 
 def test_allow_lists_name_existing_definitions():
