@@ -4,7 +4,9 @@ a decomposition of about 50 ms up to the 9x9 one, run in-process through
 prints one JSON object to standard output: the Python version, the
 platform, the CPU count, the peak resident set size of the process in
 MB (``ru_maxrss``, read after the last round), and for each rung the
-verdict and the wall seconds of each round and their median.
+verdict, the wall seconds of each round and their median, and the peak
+resident set size read after the rung's first round, so that a change
+that keeps more memory shows at the rung where the peak moved.
 
 Run it from the repository root with
 
@@ -49,14 +51,21 @@ RUNGS = (
 )
 
 
+def peak_rss_mb() -> float:
+    # ru_maxrss is in KB on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def main() -> None:
     verdicts = {spec.case: [] for spec in RUNGS}
     seconds = {spec.case: [] for spec in RUNGS}
+    peaks = {}
     for _ in range(ROUNDS):
         for spec in RUNGS:
             start = perf_counter()
             verdicts[spec.case].append(run_case(spec).verdict)
             seconds[spec.case].append(round(perf_counter() - start, 4))
+            peaks.setdefault(spec.case, peak_rss_mb())
     rungs = [
         {
             "case": spec.case,
@@ -64,6 +73,7 @@ def main() -> None:
             "verdict": "/".join(sorted(set(verdicts[spec.case]))),
             "seconds": seconds[spec.case],
             "median_s": median(seconds[spec.case]),
+            "peak_rss_mb": peaks[spec.case],
         }
         for spec in RUNGS
     ]
@@ -72,8 +82,7 @@ def main() -> None:
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "rounds": ROUNDS,
-        # ru_maxrss is in KB on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb(),
         "rungs": rungs,
     }
     print(json.dumps(doc, indent=2))

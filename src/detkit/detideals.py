@@ -16,13 +16,14 @@ Pfaffians of a skew one; only this module makes that choice.  Each is one
 signed sum of Laplace products or perfect matchings, merged and sorted once
 by int keys read off the weights that the order keeps per base
 (:func:`_signed_sum`), and each build reads the clock of
-:func:`~detkit.groebner.deadline_scope`.  The ideal builders take
-each generator's terms from the ring's ``generators`` table, so one index is
-built once per ring and shape, and the ideals of a case share the terms.  The
-factors of a product are read off a table of :func:`entry` values built once
-per shape, so the signs, the zeros, the symmetric mirror and the skew sign
-stay :func:`entry`'s.  The signed permutations or matchings of each size
-are enumerated once and cached, as the entry tables are.
+:func:`~detkit.groebner.deadline_scope`.  The ideal builders and
+:func:`generator` take each generator's terms from the ring's
+``generators`` table, so each is built once per ring and shape, and the
+ideals and witnesses of a case share them.  The factors of a product are
+read off a table of :func:`entry` values built once per shape, so the
+signs, the zeros, the symmetric mirror and the skew sign stay
+:func:`entry`'s.  The signed permutations or matchings of each size are
+enumerated once and cached, as the entry tables are.
 :func:`constrained_ideal` and :func:`components` build the constrained ideal
 and its named intersectands for every shape; the per-shape names
 (``constrained_pfaffian_ideal``, ``minor_components`` ...) check the shape
@@ -289,7 +290,18 @@ def generator(ring: PolyRing, ms: MatrixSpec, rows: Sequence[int], cols: Sequenc
     """``(index, polynomial)`` of the Pfaffian on ``rows`` of a skew matrix,
     or of the minor on ``rows`` x ``cols`` of another shape."""
     ix = PfaffianIndex(rows) if ms.kind == "skew" else MinorIndex(rows, cols)
-    return ix, (pfaffian_poly if ms.kind == "skew" else minor_poly)(ring, ms, ix)
+    return ix, _generator(ring, ms, ix)
+
+
+def _generator(ring: PolyRing, ms: MatrixSpec, ix) -> Polynomial:
+    """The generator at ``ix``, whose terms the ring's ``generators`` table
+    keeps: a polynomial's ``ring`` would make a cycle outliving the case."""
+    built = ring.generators.setdefault(ms, {})
+    terms = built.get(ix)
+    if terms is None:
+        poly = pfaffian_poly if ms.kind == "skew" else minor_poly
+        terms = built[ix] = poly(ring, ms, ix).terms
+    return Polynomial(ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +382,16 @@ def _series(ms: MatrixSpec, size: int, R=(), r=(), C=(), c=()) -> Optional[tuple
 
 
 def _ideal(ring: PolyRing, ms: MatrixSpec, size: int, *blocks, keep=None) -> IdealHandle:
-    """Ideal of the generators at ``_block_indices(ms, size, *blocks)`` that
-    ``keep`` (when given) accepts, with its :func:`_series` when it has one
-    and ``keep`` is not given.  Size 0 or below gives the unit ideal, no
-    index the zero ideal.  Each generator is built once per ring and shape:
-    the ring's ``generators`` table keeps its terms under ``ms`` and ``ix``,
-    so the ideals of one case share them.  It keeps no polynomial, whose
-    ``ring`` would make a reference cycle that outlives the case."""
+    """Ideal of the generators (:func:`_generator`) at ``_block_indices(ms,
+    size, *blocks)`` that ``keep`` (when given) accepts, with its
+    :func:`_series` when it has one and ``keep`` is not given.  Size 0 or
+    below gives the unit ideal, no index the zero ideal."""
     if size <= 0:
         return IdealHandle(ring, (ring.one,))
     if ms.kind == "skew" and size % 2:
         raise ValueError("Pfaffian size must be even")
-    poly = pfaffian_poly if ms.kind == "skew" else minor_poly
-    built = ring.generators.setdefault(ms, {})
-    gens = []
-    for ix in _block_indices(ms, size, *blocks):
-        if keep is None or keep(ix):
-            terms = built.get(ix)
-            if terms is None:
-                terms = built[ix] = poly(ring, ms, ix).terms
-            gens.append(Polynomial(ring, terms))
+    ixs = _block_indices(ms, size, *blocks)
+    gens = [_generator(ring, ms, ix) for ix in ixs if keep is None or keep(ix)]
     return IdealHandle(ring, gens, _series(ms, size, *blocks) if keep is None else None)
 
 

@@ -24,12 +24,13 @@ when it is popped.  A divisibility test runs only on the divisors whose
 lead support lies inside the term's support, which an index of the
 divisors by variable yields without a scan; the same index gives the
 elements that may drop a popped pair by criterion B, and the minimal leads
-that a new lead divides.  All choices are deterministic, so a given
-generator list always yields the same reduced basis.  One loop,
-:func:`_remainder`, reduces a polynomial by a basis's rows or by a list of
-divisors, and one past the run's width against a throwaway wider packing,
-so membership, the size, the leads and the comparison of two bases read
-rows and unpack no polynomial.
+that a new lead divides.  A run builds one index, narrows it to the
+reduced basis as it interreduces, and hands it to the basis.  All choices
+are deterministic, so a given generator list always yields the same
+reduced basis.  One loop, :func:`_remainder`, reduces a polynomial by a
+basis's index or by a list of divisors, and one past the run's width
+against a throwaway wider packing, so membership, the size, the leads and
+the comparison of two bases read rows and unpack no polynomial.
 
 Two invariants of every row let a reduction step skip unpacking its
 quotient: a row's stored support is exactly the support of its packed
@@ -339,7 +340,8 @@ class _Divisors:
     bits of ``every`` that no table hit sets, one lookup per four variables
     in place of a scan over every divisor (:func:`_reduce_rows` does the
     lookups).  A new divisor sets its bit at the values ``_MISSING`` lists
-    for each nibble of its lead.
+    for each nibble of its lead.  A run's interreduction clears the bits of
+    every element outside its reduced basis.
     """
 
     __slots__ = ("elems", "tables", "every")
@@ -507,19 +509,20 @@ def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, pk: _Packing) -
 
 class _Basis:
     """The reduced basis a run, :func:`buchberger` or :func:`ideal_intersect`,
-    hands back: its ring, packing and elements, greatest lead first, and the
-    numerator its series check read, if any; ``_Basis()`` is the zero
-    ideal's.  The packing and the elements are never replaced.  The
-    polynomials unpack at the first iteration, index or ``repr``; ``len``,
-    :meth:`numerator`, membership, :meth:`has_leads` and :meth:`leads` (the
-    leads alone) read the rows, and so does ``==`` on two bases in one ring
-    at one width: a row's key and support follow from its packed monomial."""
+    hands back: its ring, packing and elements, greatest lead first, the
+    numerator its series check read, if any, and the run's divisor index,
+    narrowed to the basis; the zero ideal's has none of these.  None is
+    ever replaced.  The polynomials unpack at the first iteration, index or
+    ``repr``; ``len``, :meth:`numerator`, membership, :meth:`has_leads` and
+    :meth:`leads` (the leads alone) read the rows, and so does ``==`` on two
+    bases in one ring at one width: a row's key and support follow from its
+    packed monomial."""
 
     __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num")
 
-    def __init__(self, ring=None, pk=None, elems=(), num=None):
-        self._ring, self._pk, self._elems, self._num = ring, pk, elems, num
-        self._polys = self._divs = None
+    def __init__(self, ring, pk, elems, num, divs):
+        self._ring, self._pk, self._elems, self._num, self._divs = ring, pk, elems, num, divs
+        self._polys = None
 
     def _unpacked(self) -> tuple:
         if self._polys is None:
@@ -565,18 +568,13 @@ class _Basis:
             self._num = _lead_numerator(self._elems, self._pk)
         return self._num
 
-    def _reduced(self, f: Polynomial) -> tuple:
-        """:func:`_remainder` of ``f`` against the run's rows, indexed once."""
-        if self._divs is None and self._elems:
-            self._divs = _Divisors(self._pk.n, self._elems)
-        return _remainder(f, self, self._pk, self._divs)
-
 
 def _remainder(f: Polynomial, G: Sequence[Polynomial], pk=None, divs=None) -> tuple:
     """``(pk, rows)``: ``f`` fully reduced by the monic ``G``, the earliest
-    first, against ``divs``, ``G`` packed at ``pk`` (by default 8-bit
-    fields), or else ``G`` packed there; a sugar at the guard bit reruns
-    against ``G`` packed afresh at fields twice as wide, then thrown away."""
+    first, against ``divs``, the index a basis kept from its run, ``G``
+    packed at ``pk``, or else against ``G`` indexed afresh at ``pk`` (by
+    default 8-bit fields); a sugar at the guard bit reruns against ``G``
+    packed afresh at fields twice as wide, then thrown away."""
     if pk is None:
         pk = _Packing(f.ring.order, 8)
     while True:
@@ -645,31 +643,29 @@ def buchberger(
     """
     gens = [g for g in gens if g]
     if not gens:
-        return _Basis()
+        return _Basis(None, None, (), None, None)
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
     cover = None if cover is None else list(cover)
     series = None if series is None else list(series)
-    pk, basis, num = _basis_rows(
-        _Packing(ring.order, 8),
-        lambda pk: ((pk.rows(g), g.degree()) for g in gens),
-        ring.field,
-        cover,
-        series,
-    )
-    return _Basis(ring, pk, basis, num)
+
+    def pack(pk):
+        return ((pk.rows(g), g.degree()) for g in gens)
+
+    return _Basis(ring, *_basis_rows(_Packing(ring.order, 8), pack, ring.field, cover, series))
 
 
 def _basis_rows(pk: _Packing, pack, fld, cover=None, series=None) -> tuple:
-    """``(packing, elems, num)``: the reduced basis of the ``(rows, sugar)``
-    generators that ``pack(pk)`` returns, as :class:`_BasisElem` with the
-    greatest lead first, and the Hilbert numerator of its leads when the
-    one reading met ``series``, else ``None``.  A run that would form a
-    product whose sugar reaches the guard bit starts over with fields twice
-    as wide, so the packing returned may be wider than ``pk``.  ``cover``
-    and ``series`` are :func:`buchberger`'s, kept across reruns.
+    """``(packing, elems, num, divs)``: the reduced basis of the ``(rows,
+    sugar)`` generators that ``pack(pk)`` returns, as :class:`_BasisElem`
+    with the greatest lead first, the Hilbert numerator of its leads when
+    the one reading met ``series``, else ``None``, and the run's divisor
+    index, narrowed to the basis.  A run that would form a product whose
+    sugar reaches the guard bit starts over with fields twice as wide, so
+    the packing returned may be wider than ``pk``.  ``cover`` and
+    ``series`` are :func:`buchberger`'s, kept across reruns.
     """
     while True:
         try:
@@ -730,7 +726,7 @@ def _minimal_lcms(A: _Basis, B: _Basis) -> list:
 
 
 def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple:
-    """``(elems, num)`` for :func:`_basis_rows`."""
+    """``(elems, num, divs)`` for :func:`_basis_rows`."""
     guards = pk.guards
     p = _modulus(fld)
     lcm_of = pk.lcm
@@ -765,30 +761,30 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
                 del left[e.deg]
         return not e.lm
 
-    def reduced() -> list:
-        # the leads whose updates wait join the minimal leads.  One
-        # interreduction pass over them gives the reduced basis: leads are
-        # fixed, and full tail reduction against the others' leads pins each
-        # element.  Elements go from the smallest lead up, each reduced by
-        # the ones already done and the ones still to come; no lead divides
-        # a term of its own tail, so every element can sit in one index.
+    def reduced(num) -> tuple:
+        # the leads whose updates wait join the minimal leads, and the run's
+        # index narrows to them, the tables too, so a lookup stays one XOR
+        # with ``every``.  One interreduction pass gives the reduced basis:
+        # leads are fixed, and full tail reduction against the others' leads
+        # pins each element.  Elements go from the smallest lead up, each
+        # reduced by the ones already done and the ones still to come; no
+        # lead divides a term of its own tail, so each can stay in the index.
         # Each keeps the sugar of its reduced tail, which still bounds every
         # term.  The greatest lead comes first.  The clock is read before
-        # each join, each entry in the index and each element, since a tail
-        # takes too few steps for _reduce_rows to read it
+        # each join and each tail, since a tail takes too few steps for
+        # _reduce_rows to read it
         for hi in queued:
             _check_deadline()
             _join(minimal, divs, hi, guards)
+        divs.every -= sum(1 << k for k in range(len(elems)) if k not in minimal)
+        for table in tables:
+            table[:] = [b & divs.every for b in table]
         kept = sorted(map(elems.__getitem__, minimal), key=lambda e: e.lmkey)
-        others = _Divisors(pk.n)
         for e in kept:
             _check_deadline()
-            others.add(e)
-        for e in kept:
-            _check_deadline()
-            tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, others, fld, pk)
+            tail, e.sugar = _reduce_rows(e.rows[1:], e.sugar, divs, fld, pk)
             e.rows = [e.rows[0]] + tail
-        return kept[::-1]
+        return kept[::-1], num, divs
 
     # the generators, each reduced by the ones before it; a constant is the
     # unit basis.  The clock is read before each generator, since a
@@ -799,12 +795,12 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         _check_deadline()
         rows, sugar = _reduce_rows(rows, sugar, divs, fld, pk)
         if rows and insert(rows, sugar):
-            return elems[-1:], None
+            return reduced(None)
 
     # the one series reading, off every generator's lead, unless the cover
     # is met already: a match makes the generators a Groebner basis
     if series is not None and left != {} and _lead_numerator(elems, pk) == series:
-        return reduced(), series
+        return reduced(series)
 
     # the pairs by sugar.  Whenever the next pair's sugar passes the current
     # degree, or no pair is left, the waiting updates run in order
@@ -866,8 +862,8 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         )
         rows, sugar = _reduce_rows(rows, s, divs, fld, pk, floor)
         if rows and insert(rows, sugar):
-            return elems[-1:], None
-    return reduced(), None
+            return reduced(None)
+    return reduced(None)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,8 +1030,8 @@ def hilbert_numerator(I: IdealHandle) -> list:
 
 def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
     """Whether ``f`` lies in ``I``: its remainder by ``I``'s reduced basis,
-    against the rows that the basis's run packed, has no row; nothing is
-    unpacked, and one past the run's width leaves them as they are (see
+    against the index that the basis's run built, has no row; nothing is
+    unpacked, and one past the run's width leaves the index as it is (see
     :func:`_remainder`).  The first test computes the basis; the clock is
     read before each reduction."""
     if not f:
@@ -1044,7 +1040,7 @@ def ideal_member(f: Polynomial, I: IdealHandle) -> bool:
         raise ValueError("polynomial and ideal live in different rings")
     G = I.groebner()
     _check_deadline()
-    return not G._reduced(f)[1]
+    return not _remainder(f, G, G._pk, G._divs)[1]
 
 
 def _inside(I: IdealHandle, J: IdealHandle) -> bool:
@@ -1074,8 +1070,9 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     order, and keeps the ``w``-free part.  ``w`` is one packed field past
     the ring's variables (see :class:`_Packing`), so no second ring is
     built.  The ``w``-free part is the reduced basis of the intersection
-    under the ring's order and is cached on the returned handle.  When one
-    side is the unit ideal, the other handle itself is returned.
+    under the ring's order and is cached on the returned handle, with the
+    elimination's index, whose leads with ``w`` divide no ``w``-free term.
+    When one side is the unit ideal, the other handle itself is returned.
     """
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
@@ -1102,12 +1099,12 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
             gens.append((_shift_rows(rows, wk, wp, wbit) + tail, g.degree() + 1))
         return gens
 
-    pk, basis, _ = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
+    pk, basis, _, divs = _basis_rows(_Packing(ring.order, 8, elim=True), pack, ring.field)
     kept = [e for e in basis if not e.mask & wbit]  # leads free of w
     # elimination order: a w-free lead forces every term w-free
     if any(s & wbit for e in kept for _, _, _, s in e.rows):
         raise RuntimeError("elimination basis has a w-free lead over a w term")
-    basis = _Basis(ring, pk, kept)
+    basis = _Basis(ring, pk, kept, None, divs)
     result = IdealHandle(ring, basis)
     result._gb = basis
     return result

@@ -581,14 +581,27 @@ def test_ideals_of_a_ring_share_their_generators():
             ("pfaffian-8-t4-R2-r1", dict(kind="skew", n=8, t=4, R=(2,), r=(1,)), 83),
             ("symmetric-5-t3-R2-r1", dict(kind="symmetric", n=5, t=3, R=(2,), r=(1,)), 110),
             ("pfaffian-7-t4-R3-r2", dict(kind="skew", n=7, t=4, R=(3,), r=(2,)), 38),
+            ("irredundancy-4x3-t2-R2-r1", dict(check="irredundancy", m=4, n=3, t=2, R=(2,), r=(1,)), 24),
+            (
+                "irredundancy-sym4-t2-R2-r1",
+                dict(check="irredundancy", kind="symmetric", n=4, t=2, R=(2,), r=(1,)),
+                44,
+            ),
+            (
+                "irredundancy-pfaff6-t4-R2-r2",
+                dict(check="irredundancy", kind="skew", n=6, t=4, R=(2,), r=(2,)),
+                16,
+            ),
         )
     ],
 )
 def test_decomposition_builds_each_generator_once(monkeypatch, spec, builds):
     # each benchmark decomposition case builds each distinct generator once:
     # the LHS, the components and the prefix claims share the case ring's
-    # table.  Rebuilding per ideal made 300 / 138 / 249 / 60.  A second run
-    # of the same case builds as many again, so no table outlives its case
+    # table.  Rebuilding per ideal made 300 / 138 / 249 / 60.  The
+    # irredundancy suite cases' witnesses take their generators from the
+    # same table; building them apart made 26 / 46 / 18.  A second run of
+    # the same case builds as many again, so no table outlives its case
     from detkit.harness import CaseSpec, run_case
 
     calls = [0]

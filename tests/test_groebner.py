@@ -485,6 +485,14 @@ def test_exponents_past_the_first_field_width(order):
     assert not ideal_member(x**200 - y**199, I)
 
 
+def _remainders(G, polys):
+    """``(pk, rows)`` of each of ``polys`` reduced as membership reduces it:
+    against the divisor index that ``G``'s run built."""
+    from detkit.groebner import _remainder
+
+    return [_remainder(f, G, G._pk, G._divs) for f in polys]
+
+
 @pytest.mark.parametrize("order", ["lex", "grevlex"])
 def test_membership_reduces_against_the_rows_of_a_widened_run(order):
     # the late generators above widen their run to 16-bit fields, and
@@ -509,7 +517,7 @@ def test_membership_reduces_against_the_rows_of_a_widened_run(order):
     assert member == [not normal_form(f, textbook) for f in tests]
     assert member == [False, True, True, True, False, False]
     G = I.groebner()
-    assert [pk.poly(ring, rows) for pk, rows in map(G._reduced, tests)] == [
+    assert [pk.poly(ring, rows) for pk, rows in _remainders(G, tests)] == [
         normal_form(f, textbook) for f in tests
     ]
 
@@ -568,7 +576,7 @@ def test_membership_leaves_no_monomial_behind():
     twos = constrained_ideal(ring, ms, 2).gens
     assert len(twos) == 36
     assert not any(ideal_member(f, I) for f in twos)
-    assert [pk.poly(ring, rows) for pk, rows in map(G._reduced, twos)] == [
+    assert [pk.poly(ring, rows) for pk, rows in _remainders(G, twos)] == [
         normal_form(f, G) for f in twos
     ]
 
@@ -671,7 +679,7 @@ def test_intersection_rejects_malformed_elimination_basis(monkeypatch):
         # x^2 + w, with w the field past the ring's variables x and y
         x2, w = 2, 1 << (2 * pk.width)
         rows = [(pk.key(x2), x2, fld.one, 0b001), (pk.key(w), w, fld.one, 0b100)]
-        return pk, [groebner._BasisElem(rows, 2, pk)], False
+        return pk, [groebner._BasisElem(rows, 2, pk)], None, None
 
     monkeypatch.setattr(groebner, "_basis_rows", bad_basis)
     ring = mkring("xy")
@@ -875,31 +883,36 @@ def test_cover_packing_checks_the_deadline(monkeypatch):
 
 
 def test_interreduction_checks_the_deadline(monkeypatch):
-    # a clock that passes the deadline only once the pair loop has ended,
-    # when the interreduction indexes the minimal leads, must stop the run
-    # inside the interreduction: the index reads the clock as each element
-    # joins it, and each tail takes too few reduction steps for
-    # _reduce_rows to read the clock
+    # the interreduction reads the clock before each tail, since a tail
+    # takes too few reduction steps for _reduce_rows to read it.  Those are
+    # the run's last reads, one per element of the basis: a clock that
+    # passes the deadline at the read before tail k stops the run there,
+    # inside the interreduction, with k tails reduced
     from detkit import groebner
 
-    made = []
+    tails = []
+    real_reduce = groebner._reduce_rows
 
-    class Divisors(groebner._Divisors):
-        # the run's own index comes first, the interreduction's second
-        def __init__(self, n, elems=()):
-            made.append(self)
-            super().__init__(n, elems)
+    def counting(*args):
+        tails.append(None)
+        return real_reduce(*args)
 
-    monkeypatch.setattr(groebner, "_Divisors", Divisors)
-    monkeypatch.setattr(groebner, "monotonic", lambda: 2.0 if made[1:] and made[1].elems else 0.0)
+    monkeypatch.setattr(groebner, "_reduce_rows", counting)
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     gens = [x * y - z * z, y * z - x * x, x * z - y * y]
-    with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
-        buchberger(gens)
-    # the run stops at the clock read before the second element joins
-    assert len(made) == 2 and len(made[1].elems) == 1 < len(buchberger(gens))
-    assert [entry.name for entry in info.traceback][-2:] == ["reduced", "_check_deadline"]
+    readings = _late_after(monkeypatch, float("inf"))
+    size = len(buchberger(gens))
+    reads, calls = len(readings), len(tails)
+    assert size == 3
+    for k in range(size):
+        tails.clear()
+        readings = _late_after(monkeypatch, reads - size + k)
+        with deadline_scope(1.0), pytest.raises(BudgetExceeded) as info:
+            buchberger(gens)
+        assert len(readings) == reads - size + k + 1
+        assert len(tails) == calls - size + k
+        assert [entry.name for entry in info.traceback][-2:] == ["reduced", "_check_deadline"]
 
 
 def test_dimension_search_checks_the_deadline(monkeypatch):
@@ -983,8 +996,8 @@ def test_pair_degree_past_the_field_sum():
     with pytest.raises(_Overflow):
         _buchberger([(pk.rows(f), f.degree()) for f in gens], ring.field, pk)
     # the rerun at wider fields gives the basis
-    wide, elems, _ = _basis_rows(pk, lambda pk: [(pk.rows(f), f.degree()) for f in gens], ring.field)
-    assert wide.width > 4 and _Basis(ring, wide, elems) == buchberger(gens)
+    run = _basis_rows(pk, lambda pk: [(pk.rows(f), f.degree()) for f in gens], ring.field)
+    assert run[0].width > 4 and _Basis(ring, *run) == buchberger(gens)
 
 
 def test_quotient_degree_past_the_field_sum():
@@ -1047,12 +1060,13 @@ def test_a_run_refuses_every_product_past_its_sugar(field, order, terms):
     from detkit.groebner import _Basis, _basis_rows
 
     ring, (gens,) = _ring_and_polys(field, terms, order=order)
-    pk, elems, _ = _basis_rows(
+    run = _basis_rows(
         _Packing(ring.order, 4), lambda pk: [(pk.rows(g), g.degree()) for g in gens], ring.field
     )
+    pk, elems = run[:2]
     for e in elems:
         _check_rows(e.rows, e.sugar, pk)
-    G = _Basis(ring, pk, elems)
+    G = _Basis(ring, *run)
     assert G == buchberger(gens)
     # the reference forms every S-pair, far too many on some draws
     expected = textbook_buchberger(gens, max_pairs=100)
@@ -1594,12 +1608,77 @@ def test_a_kept_claim_is_the_elimination(case):
         assert kept == (set(cover) <= {g.lm for g in claim.groebner()})
 
 
+def _check_kept_index(I, tests):
+    """``I``'s basis keeps the divisor index its run built: the set bits of
+    its ``every`` are exactly the basis's elements, or for an intersection
+    the elements whose lead is free of ``w``, its tables set no other bit,
+    and membership of each of ``tests`` answers as its remainder against
+    the basis indexed afresh."""
+    from detkit.groebner import _Divisors, _positions, _remainder
+
+    G = I.groebner()
+    pk, divs = G._pk, G._divs
+    wbit = 1 << (pk.n - 1) if pk.elim else 0
+    kept = [divs.elems[k] for k in _positions(divs.every)]
+    assert sorted((e for e in kept if not e.mask & wbit), key=lambda e: -e.lmkey) == list(G._elems)
+    assert not any(b & ~divs.every for table in divs.tables for b in table)
+    fresh = _Divisors(pk.n, G._elems)
+    for f in tests:
+        rows = _remainder(f, G, pk, fresh)[1]
+        assert _remainder(f, G, pk, divs)[1] == rows
+        assert ideal_member(f, I) == (not rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["fp:32003", "qq"]),
+    st.sampled_from(["grevlex", "lex"]),
+    _homogeneous_gens(4),
+    st.integers(0, 4),
+    _one_block_cases(),
+)
+# a claim that the minimal lcms cover, a skew one that membership refuses,
+# and plain components that meet their series
+@example("fp:32003", "grevlex", [[((1, 1, 0), 1)]] * 4, 0, ("generic", 4, 4, 3, 2, 1))
+@example("qq", "lex", [[((1, 1, 0), 1)]] * 4, 4, ("skew", 5, 5, 4, 2, 2))
+@example("fp:32003", "grevlex", [[((1, 1, 0), 1)]] * 4, 2, ("skew", 6, 6, 4, 4, 2))
+def test_a_basis_keeps_the_index_its_run_built(field, order, terms, unit_at, case):
+    # every kind of run hands its index to its basis: a plain run, one that
+    # reaches the unit ideal, a plain component that meets its series, a
+    # claim run under its cover, and an elimination, whose index keeps the
+    # elements whose lead uses w
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+
+    ring, (gens,) = _ring_and_polys(field, terms, order=order)
+    a, b, c = (ring.var(i) for i in range(3))
+    I, J = IdealHandle(ring, gens[:2]), IdealHandle(ring, gens[2:])
+    tests = gens + [f * g + h for f in gens[:2] for g in gens[2:] for h in (a * c, b)] + [a, b, c]
+    handles = [
+        I,
+        J,
+        ideal_intersect(I, J),
+        IdealHandle(ring, gens[:unit_at] + [ring.one] + gens[unit_at:]),
+        # the unit ideal reached in the pair loop: a*(a*b - 1) - b*a^2 = -a
+        # joins, and b*a - (a*b - 1) = 1
+        IdealHandle(ring, [a * b - 1, a * a]),
+    ]
+    for h in handles:
+        _check_kept_index(h, tests)
+    kind, m, n, t, R, r = case
+    ms = MatrixSpec(kind, m, n)
+    mring = matrix_ring(ms, field_from_name(field), order)
+    (_, K), (_, B) = components(mring, ms, t, R=(R,), r=(r,))
+    claim = constrained_ideal(mring, ms, t, R=(R,), r=(r,))
+    L = intersect_all(mring, [K, B], [claim])
+    mtests = [*K.gens[:4], *B.gens[:4], *claim.gens[:4]] + [f * g for f in K.gens[:2] for g in B.gens[:2]]
+    for h in (K, B, claim, L):
+        _check_kept_index(h, mtests)
+
+
 def test_has_leads_compares_keys():
     # the claim check of intersect_all: every monomial must be a lead, read
     # as a key of the basis's packing; a monomial that does not fit the
     # packing is no lead, and the zero ideal's basis has none
-    from detkit.groebner import _Basis
-
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     G = buchberger([x * y - z * z, y * y])
@@ -1607,7 +1686,7 @@ def test_has_leads_compares_keys():
     assert G.has_leads(leads) and G.has_leads(leads[1:]) and G.has_leads([])
     assert not G.has_leads(leads + [Monomial([(2, 5)])])
     assert not G.has_leads([Monomial([(0, 200)])])
-    assert _Basis().has_leads([]) and not _Basis().has_leads(leads)
+    assert buchberger([]).has_leads([]) and not buchberger([]).has_leads(leads)
 
 
 _DECOMPOSE_CASES = [
@@ -1726,28 +1805,55 @@ def test_heights_update_count(monkeypatch):
 
 
 def test_decomposition_reducer_builds(monkeypatch):
-    # minors-5x5-t3-R23-r12 indexes two bases as divisors for membership:
-    # those of J_1 and J_2, which K_i and K_{i-1} are tested against.
-    # Testing J_i ⊆ K_{i-1} as well indexes K_0's and K_1's, 4 in all
+    # minors-5x5-t3-R23-r12 tests membership in the bases of J_1 and J_2,
+    # which K_i and K_{i-1} are tested against, each against the divisor
+    # index its run built, so no membership test builds one.  Indexing each
+    # of the two bases again on its first test made 2
     from detkit import groebner
     from detkit.harness import CaseSpec, run_case
 
-    inside, built = [False], [0]
-    real_divisors, real_reduced = groebner._Divisors, groebner._Basis._reduced
+    inside, built, tests = [False], [0], [0]
+    real_divisors, real_remainder = groebner._Divisors, groebner._remainder
 
     def divisors(*args):
         built[0] += inside[0]
         return real_divisors(*args)
 
-    def reduced(self, f):
+    def remainder(*args):
         inside[0] = True
+        tests[0] += 1
         try:
-            return real_reduced(self, f)
+            return real_remainder(*args)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(groebner, "_Divisors", divisors)
-    monkeypatch.setattr(groebner._Basis, "_reduced", reduced)
+    monkeypatch.setattr(groebner, "_remainder", remainder)
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     assert run_case(spec).verdict == "EQUAL"
-    assert built[0] == 2
+    assert tests[0] and built[0] == 0
+
+
+def test_each_basis_run_builds_one_index(monkeypatch):
+    # minors-5x5-t3-R23-r12: each basis run builds one divisor index, which
+    # its interreduction narrows to the reduced basis and the basis keeps
+    # for membership.  The interreduction and membership built their own
+    from detkit import groebner
+    from detkit.harness import CaseSpec, run_case
+
+    calls = {"_Divisors": 0, "_basis_rows": 0}
+
+    def counting(name):
+        real = getattr(groebner, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(groebner, name, count)
+
+    for name in calls:
+        counting(name)
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    assert run_case(spec).verdict == "EQUAL"
+    assert calls["_basis_rows"] and calls["_Divisors"] == calls["_basis_rows"]

@@ -856,3 +856,27 @@ def test_recursive_enumerations_leave_no_cycle():
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def test_cases_leave_no_cycle():
+    # a case's rings, handles and bases are freed by reference counting as
+    # soon as its report is built: a basis keeps its run's divisor index,
+    # which holds the run's elements but not the basis, and a ring's
+    # generator table holds terms, not polynomials.  Checked with the cycle
+    # collector off, after each acceptance case and each benchmark
+    # decomposition case
+    specs = load_suite_config(str(ROOT / "suites" / "acceptance.json")) + [
+        mk("minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)),
+        mk("pfaffian-8-t4-R2-r1", kind="skew", n=8, t=4, R=(2,), r=(1,)),
+        mk("symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)),
+        mk("pfaffian-7-t4-R3-r2", kind="skew", n=7, t=4, R=(3,), r=(2,)),
+    ]
+    assert len(specs) == 22
+    gc.collect()
+    for spec in specs:
+        gc.disable()
+        try:
+            run_case(spec)
+        finally:
+            gc.enable()
+        assert gc.collect() == 0, spec.case
