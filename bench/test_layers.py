@@ -11,8 +11,10 @@ intersection of two components by elimination), and the steps that
 certify a decomposition block: the minimal lcms of the components' leads
 looked up among the claim's leads (on the 7x7 step, 14,875 lcms), the
 claim's basis run that those lcms cover, through its handle and as the
-packed run alone, and the membership of its generators; and the
-truncation reference of one skew case, multiples and basis run.
+packed run alone, the membership of its generators, and the 875 pair
+updates of the 7x7 claim's run, replayed and checked against the packed
+reference of the Tier-1 tests; and the truncation reference of one skew
+case, multiples and basis run.
 
 Run them from the repository root with
 
@@ -23,8 +25,10 @@ built once, outside the timed call, and each bench checks its result, so a
 broken layer fails instead of timing nonsense.
 """
 
+import sys
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,7 @@ from detkit.detideals import (
     truncated_ideal,
     truncated_ideal_graded,
 )
+from detkit import groebner
 from detkit.groebner import (
     _Basis,
     _BasisElem,
@@ -50,6 +55,7 @@ from detkit.groebner import (
     _lead_numerator,
     _minimal_lcms,
     _reduce_rows,
+    _update,
     buchberger,
     ideal_height,
     ideal_intersect,
@@ -58,6 +64,10 @@ from detkit.groebner import (
 from detkit.harness import coefficient_matrix, standard_products
 from detkit.linalg import row_reduce
 from detkit.poly import PrimeField, field_from_name, mono_div, mono_lcm, mono_mul
+
+# the reference implementations of the Tier-1 tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import reference_update  # noqa: E402
 
 FP = PrimeField(32003)
 
@@ -382,6 +392,52 @@ def test_cover_check_7x7(benchmark):
     assert len({frozenset(a.lm.exps) | frozenset(b.lm.exps) for a in A for b in B}) == 14875
     assert benchmark(lambda: set(_minimal_lcms(A, B)) <= {g.lm for g in G})
     assert len(_minimal_lcms(A, B)) == len(G) == 3675
+
+
+@pytest.fixture(scope="module")
+def updates77():
+    """The pair updates of the LHS basis run of minors 7x7 t3 R2 r1 under
+    its cover: the run's packing, its elements indexed afresh, and the
+    order in which their updates ran (875 of them)."""
+    ms = MatrixSpec("generic", 7, 7)
+    ring = matrix_ring(ms, FP)
+    (_, K), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+    lhs = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
+    cover = _minimal_lcms(K.groebner(), J.groebner())
+    order, runs = [], []
+
+    def recording(divs, hi, minimal, heap, pk):
+        order.append(hi)
+        runs.append((divs, pk))
+        return _update(divs, hi, minimal, heap, pk)
+
+    def pack(pk):
+        return [(pk.rows(g), g.degree()) for g in lhs.gens]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_update", recording)
+        _basis_rows(_Packing(ring.order, 8), pack, ring.field, cover)
+    divs, pk = runs[-1]
+    return _Divisors(pk.n, divs.elems), pk, order
+
+
+def _replay(update, divs, pk, order):
+    minimal, heap = {}, []
+    for hi in order:
+        update(divs, hi, minimal, heap, pk)
+    return list(minimal), heap
+
+
+def test_pair_updates_minors_7x7(benchmark, updates77):
+    # the 875 updates of the 7x7 claim's run, replayed in order from no
+    # minimal lead: every lead is squarefree, so each lcm is an OR and
+    # criterion M walks or scans the parts of the kept lcms outside the new
+    # lead.  The pairs pushed and the minimal leads left are the packed
+    # reference's
+    divs, pk, order = updates77
+    assert len(order) == 875
+    got = benchmark(_replay, _update, divs, pk, order)
+    assert got == _replay(reference_update, divs, pk, order)
 
 
 def test_cover_stopped_lhs_basis_5x5(benchmark, block55):

@@ -20,11 +20,14 @@ only when a caller reads polynomials.  Bases are kept monic.  Pair
 selection uses the sugar strategy.  Each new basis element runs the
 Gebauer-Moller pair update (criteria M and F plus the product criterion)
 once the run leaves its sugar degree, and criterion B is applied to a pair
-when it is popped.  A divisibility test runs only on the divisors whose
-lead support lies inside the term's support, which an index of the
-divisors by variable yields without a scan; the same index gives the
-elements that may drop a popped pair by criterion B, and the minimal leads
-that a new lead divides.  A run builds one index, narrows it to the
+when it is popped.  A squarefree lead's packed int is its support spread
+over the fields, so on squarefree leads an lcm is an OR, criterion M
+compares lcms as sets, and criterion B and the minimal leads test no
+guard bits (see :func:`_update`).  A divisibility test runs only on the
+divisors whose lead support lies inside the term's support, which an index
+of the divisors by variable yields without a scan; the same index gives
+the elements that may drop a popped pair by criterion B, and the minimal
+leads that a new lead divides.  A run builds one index, narrows it to the
 reduced basis as it interreduces, and hands it to the basis.  All choices
 are deterministic, so a given generator list always yields the same
 reduced basis.  One loop, :func:`_remainder`, reduces a polynomial by a
@@ -56,7 +59,8 @@ the numerator, and :func:`krull_dimension` reads the dimension off it.  The
 recursion drops a generator that a cut generator divides by walking the
 generator's ``2**deg`` subsets against a set of the cut's masks, but only
 when ``2**deg`` is at most the number of masks; otherwise it scans them
-(:func:`_holds_subset`).  :func:`_minimal_lcms` takes the same masks.
+(:func:`_holds_subset`).  :func:`_minimal_lcms` takes the same masks, and
+criterion M the same walk on squarefree lcms.
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
 folds from the first, and each step either keeps an expected result ``L``
@@ -254,20 +258,23 @@ class _Packing:
 class _BasisElem:
     """A monic divisor: its rows, its sugar, and its lead read off ``rows[0]``.
 
-    ``lguard`` holds the guard bit of each field the lead uses, and
-    ``fill`` every exponent bit of those fields.  For a quotient ``q`` of a
-    monomial by the lead, ``(q + fill) & lguard`` keeps the guard of each
-    lead variable that ``q`` still uses: adding ``fill`` to a field below
-    its guard sets the guard exactly when the field is nonzero.
+    ``sqf`` tells whether the lead is squarefree, so that its packed int
+    is its support's bits spread over the fields.  ``lguard`` holds the
+    guard bit of each field the lead uses, and ``fill`` every exponent bit
+    of those fields.  For a quotient ``q`` of a monomial by the lead, ``(q +
+    fill) & lguard`` keeps the guard of each lead variable that ``q`` still
+    uses: adding ``fill`` to a field below its guard sets the guard exactly
+    when the field is nonzero.
     """
 
-    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask", "deg", "lguard", "fill")
+    __slots__ = ("lm", "lmkey", "rows", "sugar", "mask", "deg", "sqf", "lguard", "fill")
 
     def __init__(self, rows, sugar, pk: _Packing):
         self.lmkey, self.lm, _, self.mask = rows[0]
         self.rows = rows
         self.sugar = sugar
         self.deg = pk.degree(self.lm)
+        self.sqf = self.mask.bit_count() == self.deg
         guards = pk.guards
         self.lguard = lguard = ((self.lm | guards) - pk.ones) & guards
         self.fill = lguard - (lguard >> (pk.width - 1))
@@ -444,15 +451,16 @@ def _join(minimal: dict, divs: _Divisors, hi: int, guards: int) -> None:
     Those leads use every variable of the new lead, and the divisors whose
     lead uses variable ``v`` are the bits of ``tables[v >> 2][15 ^ (1 <<
     (v & 3))]`` (see :class:`_Divisors`), so they are one AND per variable
-    away in place of a scan.
+    away in place of a scan.  A squarefree new lead divides every one of
+    them, so only a lead with a square is tested on each.
     """
     elems, tables = divs.elems, divs.tables
-    hlm = elems[hi].lm
+    h = elems[hi]
     hits = (1 << hi) - 1
-    for v in _positions(elems[hi].mask):
+    for v in _positions(h.mask):
         hits &= tables[v >> 2][15 ^ (1 << (v & 3))]
     for k in _positions(hits):
-        if k in minimal and not (elems[k].lm - hlm) & guards:
+        if k in minimal and (h.sqf or not (elems[k].lm - h.lm) & guards):
             del minimal[k]
     minimal[hi] = None
 
@@ -469,41 +477,75 @@ def _update(divs: _Divisors, hi: int, minimal: dict, heap: list, pk: _Packing) -
     update keeps one, so the heap pops equal sugars and keys in the order
     the pairs came: by update, then by ``i``.  The clock is read first:
     criterion M is quadratic in the new pairs.
+
+    The lcm of two squarefree leads is the OR of their packed ints, its
+    degree the bit count of its support and its key ``h``'s plus the
+    weights of the variables it adds to ``h``'s lead, so nothing is
+    unpacked.  When every new lcm is squarefree, each holds ``h``'s lead,
+    and criterion M compares the parts outside it as sets: a kept part
+    inside a new one is found by :func:`_holds_subset`, which walks the new
+    part's subsets or scans the kept ones.  Otherwise the kept lcms are
+    tested one by one, and a squarefree one divides when its support lies
+    inside.
     """
     _check_deadline()
     elems = divs.elems
     h = elems[hi]
-    hlm, hmask = h.lm, h.mask
+    hlm, hmask, hsq = h.lm, h.mask, h.sqf
     guards = pk.guards
     # criteria M and F: among the new pairs keep one per minimal lcm, taken
     # in increasing degree.  A pair with coprime leads is dropped (product
     # criterion) and covers nothing either: its lcm g*h would divide another
     # new lcm lcm(k, h) only if g divided k, and no minimal lead divides
-    # another.  The lcm, :meth:`_Packing.lcm` inlined, has degree at most
-    # ``g.deg + h.deg < 2**width - 1``, so it is the lcm modulo that
+    # another.  The lcm of a lead with a square, :meth:`_Packing.lcm`
+    # inlined, has degree at most ``g.deg + h.deg < 2**width - 1``, so it
+    # is the lcm modulo that
     mod = (1 << pk.width) - 1
     spread = pk.width - 1
     hg = hlm | guards
+    walk = hsq
     cands = []
     for j in minimal:
         g = elems[j]
         if g.mask & hmask:
-            glm = g.lm
-            ge = (hg - glm) & guards
-            lcm = glm ^ ((hlm ^ glm) & (ge - (ge >> spread)))
-            cands.append((lcm % mod, j, lcm, g.mask | hmask))
+            pmask = g.mask | hmask
+            if hsq and g.sqf:
+                cands.append((pmask.bit_count(), j, g.lm | hlm, pmask))
+            else:
+                walk = False
+                glm = g.lm
+                ge = (hg - glm) & guards
+                lcm = glm ^ ((hlm ^ glm) & (ge - (ge >> spread)))
+                cands.append((lcm % mod, j, lcm, pmask))
     cands.sort()  # by (degree, j); j is unique
     kept = []
-    for deg, j, lcm, pmask in cands:
-        outside = ~pmask
-        for klcm, kmask in kept:
-            if not kmask & outside and not (lcm - klcm) & guards:
-                break
+    if walk:
+        parts: set = set()
+        for c in cands:
+            q = c[3] ^ hmask
+            if not _holds_subset(q, c[0] - h.deg, parts):
+                parts.add(q)
+                kept.append(c)
+    else:
+        held = []
+        for c in cands:
+            deg, _, lcm, pmask = c
+            outside = ~pmask
+            for klcm, kmask, ksq in held:
+                if not kmask & outside and (ksq or not (lcm - klcm) & guards):
+                    break
+            else:
+                held.append((lcm, pmask, deg == pmask.bit_count()))
+                kept.append(c)
+    weights = pk.weights
+    for deg, j, lcm, pmask in kept:
+        g = elems[j]
+        s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
+        if deg == pmask.bit_count():
+            key = h.lmkey + sum(map(weights.__getitem__, _positions(pmask ^ hmask)))
         else:
-            kept.append((lcm, pmask))
-            g = elems[j]
-            s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
-            heappush(heap, (s, pk.key(lcm), hi, j, lcm, pmask))
+            key = pk.key(lcm)
+        heappush(heap, (s, key, hi, j, lcm, pmask))
     _join(minimal, divs, hi, guards)
 
 
@@ -685,7 +727,7 @@ def _lead_masks(*runs) -> tuple:
     lead's support, ``e.mask``; otherwise the packed fields, in position
     order, give the exponents.  No monomial is unpacked."""
     elems = [e for es, _ in runs for e in es]
-    if all(e.mask.bit_count() == e.deg for e in elems):
+    if all(e.sqf for e in elems):
         return 1, [e.mask for e in elems]
     leads = [pk.fields(e.lm) for es, pk in runs for e in es]
     width = max(map(max, leads))
@@ -821,17 +863,24 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
         # neither lcm(i, k) nor lcm(j, k).  k is one whose update ran while
         # the pair waited: past j, before the first element still queued.
         # Its lead support lies inside the lcm's, so it is among the bits
-        # that _reduce_rows's lookup leaves
+        # that _reduce_rows's lookup leaves, taken from that range without
+        # a complement as wide as the run.  When i, j and k are squarefree,
+        # that inclusion is the division and the lcms are ORs of supports
         outside = 0
         sup = pmask
         for table in tables:
             outside |= table[sup & 15]
             sup >>= 4
-        cand = ((1 << (queued[0] if queued else len(elems))) - (2 << j)) & ~outside
+        cand = (1 << (queued[0] if queued else len(elems))) - (2 << j)
+        cand ^= cand & outside
+        sq = ei.sqf and ej.sqf
         while cand:
             low = cand & -cand
-            klm = elems[low.bit_length() - 1].lm
-            if not (lcm - klm) & guards and lcm_of(ei.lm, klm) != lcm != lcm_of(ej.lm, klm):
+            k = elems[low.bit_length() - 1]
+            if sq and k.sqf:
+                if ei.mask | k.mask != pmask != ej.mask | k.mask:
+                    break
+            elif not (lcm - k.lm) & guards and lcm_of(ei.lm, k.lm) != lcm != lcm_of(ej.lm, k.lm):
                 break
             cand ^= low
         if cand:
@@ -886,7 +935,9 @@ def _lead_numerator(elems: Sequence, pk: _Packing) -> list:
 def _holds_subset(s: int, deg: int, masks: set) -> bool:
     """Whether some mask of ``masks`` is a subset of ``s``, a mask of
     ``deg`` bits.  Walking the ``2**deg`` subsets of ``s`` against the set
-    beats scanning the set once ``2**deg`` is at most its size."""
+    beats scanning the set once ``2**deg`` is at most its size.  The pivot
+    recursion, :func:`_minimal_lcms` and criterion M of :func:`_update`
+    share it."""
     if 1 << deg <= len(masks):
         sub = s
         while sub not in masks:

@@ -6,6 +6,7 @@ honest to disagree with.
 """
 
 from fractions import Fraction
+from heapq import heappush
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
@@ -287,6 +288,35 @@ def _reference_pivot_numerator(gens, width, guards):
     for i, c in enumerate(b):
         out[i + 1] += c
     return out
+
+
+def reference_update(divs, hi, minimal, heap, pk):
+    """``groebner._update`` as it stood before the squarefree mask path:
+    every lcm is the packed fieldwise max, unpacked for its key, criterion M
+    tests each new lcm against every kept one with the support test and
+    the guard test, and the new lead drops the minimal leads it divides by
+    the guard test on each."""
+    elems, guards = divs.elems, pk.guards
+    h = elems[hi]
+    cands = []
+    for j in minimal:
+        g = elems[j]
+        if g.mask & h.mask:
+            lcm = pk.lcm(g.lm, h.lm)
+            cands.append((pk.degree(lcm), j, lcm, g.mask | h.mask))
+    cands.sort()
+    kept = []
+    for deg, j, lcm, pmask in cands:
+        if any(not kmask & ~pmask and not (lcm - klcm) & guards for klcm, kmask in kept):
+            continue
+        kept.append((lcm, pmask))
+        g = elems[j]
+        s = max(g.sugar + deg - g.deg, h.sugar + deg - h.deg)
+        heappush(heap, (s, pk.key(lcm), hi, j, lcm, pmask))
+    for k in list(minimal):
+        if not (elems[k].lm - h.lm) & guards:
+            del minimal[k]
+    minimal[hi] = None
 
 
 def series_from_numerator(num, n, top):

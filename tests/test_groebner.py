@@ -1000,6 +1000,59 @@ def test_pair_degree_past_the_field_sum():
     assert run[0].width > 4 and _Basis(ring, *run) == buchberger(gens)
 
 
+@st.composite
+def _lead_runs(draw):
+    """``(order, elim, n, leads)``: 2 to 40 leads as dicts position ->
+    exponent over the positions of a packing of ``n``, 2 to 12, variables,
+    the elimination packing's ``w`` among them.  The leads are squarefree, or, in a mixed
+    run, mostly squarefree with some exponents of 2 or 3, so that updates
+    meet squarefree and packed lcms alike."""
+    order = draw(st.sampled_from(["lex", "grevlex"]))
+    elim = draw(st.booleans())
+    n = draw(st.integers(2, 12))
+    exps = st.just(1) if draw(st.booleans()) else st.sampled_from([1, 1, 1, 2, 3])
+    lead = st.dictionaries(st.integers(0, n - 1 + elim), exps, min_size=1, max_size=4)
+    return order, elim, n, draw(st.lists(lead, min_size=2, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lead_runs(), st.randoms(use_true_random=False))
+# x0*x2 and x1*x2 meet x0*x1 at one lcm, of which the pair with the
+# earlier element, x0*x2, is kept
+@example(("grevlex", False, 3, [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]), random.Random(0))
+# the squarefree lcm x0*x1*x2 is kept first and divides x0^2*x1*x2 by its
+# support alone, in an update that holds a lead with a square
+@example(("lex", True, 3, [{1: 1, 2: 1}, {0: 2, 2: 1}, {0: 1, 1: 1}]), random.Random(0))
+def test_pair_update_matches_the_reference(run, rnd):
+    # every update of a run of leads, each dropped when an earlier lead
+    # divides it, pushes the pairs that the packed update pushed, in the
+    # same order, and leaves the same minimal leads
+    from detkit.groebner import _Divisors, _update
+    from helpers import reference_update
+
+    order, elim, n, leads = run
+    table = VariableTable([f"x{i}" for i in range(n)])
+    pk = _Packing(order_from_name(order, table), 8, elim)
+    taken: list = []
+    for lead in leads:
+        if not any(all(lead.get(p, 0) >= e for p, e in t.items()) for t in taken):
+            taken.append(lead)
+    elems = []
+    for lead in taken:
+        key = sum(e * pk.weights[p] for p, e in lead.items())
+        packed = sum(e << (p * pk.width) for p, e in lead.items())
+        mask = sum(1 << p for p in lead)
+        sugar = sum(lead.values()) + rnd.randrange(3)
+        elems.append(_BasisElem([(key, packed, 1, mask)], sugar, pk))
+    divs = _Divisors(pk.n, elems)
+    got, want = ({}, []), ({}, [])
+    for hi in range(len(elems)):
+        _update(divs, hi, *got, pk)
+        reference_update(divs, hi, *want, pk)
+        assert got[1] == want[1]
+        assert list(got[0]) == list(want[0])
+
+
 def test_quotient_degree_past_the_field_sum():
     # a reduction step reads its quotient's degree as the packed int modulo
     # 2**width - 1, exact since every packed term lies below the guard bit.
@@ -1790,6 +1843,39 @@ def test_decomposition_unpack_ceiling(monkeypatch):
         calls[0] = 0
         assert run_case(spec).verdict == "EQUAL"
         assert calls[0] == unpacks
+
+
+def test_squarefree_pairs_unpack_no_lcm(monkeypatch):
+    # every lead of the minors-5x5 and pfaffian-8 runs is squarefree, so each
+    # pair's lcm is an OR of packed leads, its key the sum of h's and the
+    # weights of the variables it adds, and criterion B compares ORs of
+    # supports: no packed lcm is formed or unpacked for its key.  The
+    # symmetric-5 runs hold leads with squares, whose lcms take the packed
+    # path, so the count there shows that the counters see that path
+    from detkit import groebner
+    from detkit.harness import CaseSpec, run_case
+
+    calls = [0]
+
+    def counting(name):
+        real = getattr(groebner._Packing, name)
+
+        def count(*a):
+            calls[0] += 1
+            return real(*a)
+
+        monkeypatch.setattr(groebner._Packing, name, count)
+
+    counting("key")
+    counting("lcm")
+    for spec, packed in (
+        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), False),
+        (CaseSpec(case="pfaffian-8-t4-R2-r1", kind="skew", n=8, t=4, R=(2,), r=(1,)), False),
+        (CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)), True),
+    ):
+        calls[0] = 0
+        assert run_case(spec).verdict == "EQUAL"
+        assert bool(calls[0]) == packed
 
 
 def test_heights_update_count(monkeypatch):
