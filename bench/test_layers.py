@@ -8,13 +8,13 @@ leads (the 1,225 of the 7x7 3-minors, and the 490 of the symmetric 7x7
 ideals and a basis run that ends at its first reading because it meets that
 series, a basis run that neither a series nor a cover stops (the
 intersection of two components by elimination), and the steps that
-certify a decomposition block: the minimal lcms of the components' leads
-looked up among the claim's leads (on the 7x7 step, 14,875 lcms), the
-claim's basis run that those lcms cover, through its handle and as the
-packed run alone, the membership of its generators, and the 875 pair
-updates of the 7x7 claim's run, replayed and checked against the packed
-reference of the Tier-1 tests; and the truncation reference of one skew
-case, multiples and basis run.
+certify a decomposition block: the claim's lead check against the minimal
+lcms of the components' leads, keyed at its packing (on the 7x7 step,
+3,675 of 14,875 lcms), the claim's basis run that those lcms cover,
+through its handle and as the packed run alone, the membership of its
+generators, and the 875 pair updates of the 7x7 claim's run, replayed and
+checked against the packed reference of the Tier-1 tests; and the
+truncation reference of one skew case, multiples and basis run.
 
 Run them from the repository root with
 
@@ -378,20 +378,22 @@ def block55():
 
 
 def test_cover_check_7x7(benchmark):
-    # the certificate of the one step of minors 7x7 t3 R2 r1: the minimal
-    # lcms of the leads of the 3-minors (1,225) and of the 14 variables of
-    # the first two rows, 3,675 of the 14,875 lcms, each looked up among
-    # the leads of the claim's cached basis
+    # the certificate of the one step of minors 7x7 t3 R2 r1, as
+    # intersect_all runs it: the minimal lcms of the leads of the 3-minors
+    # (1,225) and of the 14 variables of the first two rows, 3,675 of the
+    # 14,875 lcms, keyed at the claim's packing and looked up among its
+    # leads' keys
     ms = MatrixSpec("generic", 7, 7)
     ring = matrix_ring(ms, FP)
     (_, K), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
     A, B = K.groebner(), J.groebner()
     lhs = constrained_ideal(ring, ms, 3, R=(2,), r=(1,))
-    G = lhs.groebner(_minimal_lcms(A, B))
+    cover = _minimal_lcms(A, B)
+    G = lhs.groebner(cover)
     # every lead is squarefree, so an lcm is the union of two supports
     assert len({frozenset(a.lm.exps) | frozenset(b.lm.exps) for a in A for b in B}) == 14875
-    assert benchmark(lambda: set(_minimal_lcms(A, B)) <= {g.lm for g in G})
-    assert len(_minimal_lcms(A, B)) == len(G) == 3675
+    assert benchmark(G.has_leads, cover)
+    assert len(cover[1]) == len(G) == 3675
 
 
 @pytest.fixture(scope="module")

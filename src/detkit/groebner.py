@@ -66,14 +66,15 @@ criterion M the same walk on squarefree lcms.
 folds from the first, and each step either keeps an expected result ``L``
 for ``K ∩ J`` or eliminates with :func:`ideal_intersect`.  It keeps ``L``
 when membership puts it inside ``K`` and ``J`` and every minimal lcm of a
-lead of ``K`` and a lead of ``J`` is a lead of ``L``, compared as packed
-keys (:meth:`_Basis.has_leads`): those lcms generate ``in(K) ∩ in(J)``,
-which then equals ``in(L)``.  The same lcms are the ``cover`` of ``L``'s
-basis run, which drops or cuts short a pair once no cover monomial below
-its degree is left and its head lies below the least one left at it, a
-floor kept per degree, and ends once all are leads.  An :class:`IdealHandle` may also
-carry a ``series``, the numerator over the rationals that a closed form
-gives a plain determinantal or Pfaffian ideal
+lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
+``in(K) ∩ in(J)``, which then equals ``in(L)``.  They stay a cover of
+polarized masks, ``(width, masks)``, keyed at ``L``'s packing to check its
+leads (:meth:`_Basis.has_leads`) and to stop its basis run, which drops or
+cuts short a pair once no cover monomial below its degree is left and its
+head lies below the least one left at it, a floor kept per degree, and
+ends once all are leads.  An :class:`IdealHandle` may also carry a
+``series``, the numerator over the rationals that a closed form gives a
+plain determinantal or Pfaffian ideal
 (:func:`~detkit.combinat.determinantal_numerator`).  Its basis run reads
 the series once, off the leads of the generators reduced against each
 other, before any pair: a reading equal to it ends the run with the
@@ -201,18 +202,21 @@ class _Packing:
             out.append((key, packed, c, mask))
         return out
 
-    def keys_by_degree(self, monos: Iterable) -> dict:
-        """``{degree: keys}`` of ``monos``; a degree at the guard bit raises
+    def keys_by_degree(self, width: int, masks: Iterable) -> dict:
+        """``{degree: keys}`` of a cover ``(width, masks)``: bit counts, and
+        sums of the bits' field weights; one at the guard bit raises
         ``_Overflow``.  A cover may be as long as a basis, so the clock is
-        read every 256 monomials."""
+        read every 256 masks."""
         out: dict = {}
-        top, weights = 1 << (self.width - 1), self.weights
-        for k, m in enumerate(monos):
+        top = 1 << (self.width - 1)
+        bit_weights = [w for w in self.weights for _ in range(width)].__getitem__
+        for k, u in enumerate(masks):
             if not k & 255:
                 _check_deadline()
-            if m.deg >= top:
+            deg = u.bit_count()
+            if deg >= top:
                 raise _Overflow
-            out.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
+            out.setdefault(deg, set()).add(sum(map(bit_weights, _positions(u))))
         return out
 
     def poly(self, ring: PolyRing, rows: Sequence) -> Polynomial:
@@ -556,9 +560,9 @@ class _Basis:
     narrowed to the basis; the zero ideal's has none of these.  None is
     ever replaced.  The polynomials unpack at the first iteration, index or
     ``repr``; ``len``, :meth:`numerator`, membership, :meth:`has_leads` and
-    :meth:`leads` (the leads alone) read the rows, and so does ``==`` on two
-    bases in one ring at one width: a row's key and support follow from its
-    packed monomial."""
+    :meth:`lead_masks` (the leads alone, as a cover) read the rows, and so
+    does ``==`` on two bases in one ring at one width: a row's key and
+    support follow from its packed monomial."""
 
     __slots__ = ("_polys", "_ring", "_pk", "_elems", "_divs", "_num")
 
@@ -590,17 +594,17 @@ class _Basis:
             other = other._unpacked()
         return self._unpacked() == other
 
-    def leads(self) -> list:
-        """The leads, greatest first, unpacked without their tails."""
-        return [self._pk.monomial(e.lm) for e in self._elems]
+    def lead_masks(self) -> tuple:
+        """The leads as a cover, ``(width, masks)`` (:func:`_lead_masks`)."""
+        return _lead_masks((self._elems, self._pk))
 
-    def has_leads(self, monos: Sequence) -> bool:
-        """Whether every monomial of ``monos`` is a lead, compared as packed
-        keys; one past the guard bit is no lead.  Nothing is unpacked."""
+    def has_leads(self, cover: tuple) -> bool:
+        """Whether every mask of the cover ``(width, masks)`` is a lead, as
+        packed keys; one past the guard bit is no lead.  Nothing is unpacked."""
         if not self._elems:
-            return not monos
+            return not cover[1]
         try:
-            want = self._pk.keys_by_degree(monos)
+            want = self._pk.keys_by_degree(*cover)
         except _Overflow:
             return False
         return set().union(*want.values()) <= {e.lmkey for e in self._elems}
@@ -630,7 +634,7 @@ def _remainder(f: Polynomial, G: Sequence[Polynomial], pk=None, divs=None) -> tu
 
 def buchberger(
     gens: Iterable[Polynomial],
-    cover: Optional[Iterable] = None,
+    cover: Optional[tuple] = None,
     series: Optional[Sequence[int]] = None,
 ) -> _Basis:
     """Reduced Groebner basis of the ideal generated by ``gens``, under
@@ -652,25 +656,25 @@ def buchberger(
     with either member of the pair.  On other input such a pair may be
     reduced instead of dropped; the reduced basis is the same.
 
-    ``cover``, when given, lists the minimal generators, as
-    :class:`Monomial` objects, of a monomial ideal ``M`` that the caller
-    has shown to contain the lead ideal ``in(I)`` of the generators' ideal.
-    A lead lies in ``M``, so it divides a minimal generator only by being
-    it: an insert strikes its own lead off the cover, and no divisibility
-    is tested.  Once every cover monomial of degree ``d`` or lower is
-    struck off, the leads' ideal, inside ``in(I) ⊆ M``, equals both up to
-    degree ``d``, so on homogeneous generators the remaining pairs of
-    degree ``d`` reduce to zero and are dropped unreduced (the argument of
-    Traverso, *Hilbert functions and the Buchberger algorithm*, JSC 1997,
-    run on ``M`` in place of a Hilbert function).  Once all are, the
-    partial basis is a Groebner basis, and the run ends before the updates
-    that wait.  While none below ``d`` is left, a nonzero remainder of a
-    pair of degree ``d`` has a cover monomial left at ``d`` as its lead, so
-    the least key left there is a floor: a pair whose head lies below it is
-    dropped, and a reduction sinking below it ends at zero.  Keys are only
-    struck, so the floor is kept until its key is no longer left.  The
-    result is the same reduced basis, and a cover never struck off changes
-    nothing.
+    ``cover``, when given, is ``(width, masks)``: the minimal generators,
+    polarized (:func:`_lead_masks`), of a monomial ideal ``M`` that the
+    caller has shown to contain the lead ideal ``in(I)`` of the generators'
+    ideal.  A lead lies in ``M``, so it divides a minimal generator only by
+    being it: an insert strikes its own lead's key off the cover's keys
+    (:meth:`_Packing.keys_by_degree`), and no divisibility is tested.  Once
+    every cover monomial of degree ``d`` or lower is struck off, the leads'
+    ideal, inside ``in(I) ⊆ M``, equals both up to degree ``d``, so on
+    homogeneous generators the remaining pairs of degree ``d`` reduce to
+    zero and are dropped unreduced (the argument of Traverso, *Hilbert
+    functions and the Buchberger algorithm*, JSC 1997, run on ``M`` in
+    place of a Hilbert function).  Once all are, the partial basis is a
+    Groebner basis, and the run ends before the updates that wait.  While
+    none below ``d`` is left, a nonzero remainder of a pair of degree ``d``
+    has a cover monomial left at ``d`` as its lead, so the least key left
+    there is a floor: a pair whose head lies below it is dropped, and a
+    reduction sinking below it ends at zero.  Keys are only struck, so the
+    floor is kept until its key is no longer left.  The result is the same
+    reduced basis, and a cover never struck off changes nothing.
 
     ``series``, when given, is the Hilbert numerator of the ideal of
     ``gens`` over the rationals, from a closed form that holds over every
@@ -690,7 +694,6 @@ def buchberger(
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators belong to different rings")
-    cover = None if cover is None else list(cover)
     series = None if series is None else list(series)
 
     def pack(pk):
@@ -734,13 +737,14 @@ def _lead_masks(*runs) -> tuple:
     return width, [sum(((1 << e) - 1) << (p * width) for p, e in enumerate(fs)) for fs in leads]
 
 
-def _minimal_lcms(A: _Basis, B: _Basis) -> list:
+def _minimal_lcms(A: _Basis, B: _Basis) -> tuple:
     """The minimal generators of ``in(A) ∩ in(B)`` for run bases ``A`` and
-    ``B``: the lcms of a lead of each that no other such lcm divides.
+    ``B``, the lcms of a lead of each that no other such lcm divides, as a
+    cover ``(width, masks)`` (:func:`_lead_masks`).
 
-    The lcms of the polarized leads (:func:`_lead_masks`) go in by degree,
-    and one is minimal when no drop of one bit gives an lcm and no minimal
-    one before it is a subset (:func:`_holds_subset`)."""
+    The lcms of the polarized leads go in by degree, and one is minimal
+    when no drop of one bit gives an lcm and no minimal one before it is a
+    subset (:func:`_holds_subset`)."""
     width, masks = _lead_masks((A._elems, A._pk), (B._elems, B._pk))
     na = len(A._elems)
     # the lcms are quadratic in the leads and no reduction runs here to
@@ -750,7 +754,6 @@ def _minimal_lcms(A: _Basis, B: _Basis) -> list:
         _check_deadline()
         lcms.update([a | b for b in masks[na:]])
     found: set = set()
-    out = []
     for k, u in enumerate(sorted(lcms, key=int.bit_count)):
         if not k & 255:
             _check_deadline()
@@ -760,11 +763,7 @@ def _minimal_lcms(A: _Basis, B: _Basis) -> list:
         if rest or _holds_subset(u, u.bit_count(), found):
             continue
         found.add(u)
-        exps: dict = {}
-        for bit in _positions(u):
-            exps[bit // width] = exps.get(bit // width, 0) + 1
-        out.append(_mk(tuple(exps.items()), u.bit_count()))
-    return out
+    return width, found
 
 
 def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple:
@@ -781,7 +780,7 @@ def _buchberger(gens: list, fld, pk: _Packing, cover=None, series=None) -> tuple
     # ``left[d]``: the keys of the cover monomials of degree d that are no
     # lead yet, ``{}`` once the cover is met; one that no lead can reach
     # needs wider fields
-    left = None if cover is None else pk.keys_by_degree(cover)
+    left = None if cover is None else pk.keys_by_degree(*cover)
     top = 1 << (pk.width - 1)
     # a new element joins the divisors at once, so that the reductions of
     # its own degree see it, but its pair update waits in ``queued``
@@ -1057,10 +1056,10 @@ class IdealHandle:
         self.series = series
         self._gb = None
 
-    def groebner(self, cover: Optional[Iterable] = None) -> _Basis:
+    def groebner(self, cover: Optional[tuple] = None) -> _Basis:
         """The reduced basis; the first call computes it, with
-        :func:`buchberger`'s ``cover`` stop when one is given and its check
-        of ``series``."""
+        :func:`buchberger`'s ``cover`` stop, ``(width, masks)``, when one is
+        given and its check of ``series``."""
         if self._gb is None:
             self._gb = buchberger(self.gens, cover, series=self.series)
         return self._gb

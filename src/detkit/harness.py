@@ -334,7 +334,7 @@ def _check_decomposition(spec: CaseSpec, ms, ring, report: Report) -> None:
         )
         # the doset generators are some of full's, so full's leads may cover
         # their basis run (see groebner.buchberger's cover)
-        doset_lhs.groebner(full.groebner().leads())
+        doset_lhs.groebner(full.groebner().lead_masks())
         report.doset_generators_equal = ideal_equal(lhs, doset_lhs)
     report.settle(_separating_element(lhs, ("rhs", rhs)))
 

@@ -10,8 +10,8 @@ from heapq import heappush
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from detkit.groebner import normal_form
-from detkit.poly import Monomial, Polynomial, mono_div, mono_divides, mono_lcm
+from detkit.groebner import _Overflow, _positions, normal_form
+from detkit.poly import Monomial, Polynomial, _mk, mono_div, mono_divides, mono_lcm
 
 
 # -- dense monomial order comparators ---------------------------------------
@@ -317,6 +317,42 @@ def reference_update(divs, hi, minimal, heap, pk):
         if not (elems[k].lm - h.lm) & guards:
             del minimal[k]
     minimal[hi] = None
+
+
+def polarized(monos):
+    """The cover ``(width, masks)`` of ``monos``: ``x_p^e`` is the lowest
+    ``e`` bits of field ``p``, ``width`` bits wide, the largest exponent
+    (at least 1), as ``groebner._lead_masks`` polarizes leads."""
+    monos = list(monos)
+    width = max((e for m in monos for _, e in m.exps), default=1)
+    return width, [sum(((1 << e) - 1) << (p * width) for p, e in m.exps) for m in monos]
+
+
+def unpolarized(width, masks):
+    """The monomials of polarized ``masks``: field ``p``'s bit count is the
+    exponent of ``x_p``, decoded as ``groebner._minimal_lcms`` once built
+    its monomials."""
+    out = []
+    for u in masks:
+        exps = {}
+        for bit in _positions(u):
+            exps[bit // width] = exps.get(bit // width, 0) + 1
+        out.append(_mk(tuple(exps.items()), u.bit_count()))
+    return out
+
+
+def reference_cover_keys(pk, monos):
+    """``_Packing.keys_by_degree`` as it stood on monomial covers:
+    ``{degree: keys}``, each key the dot product of the exponents with the
+    packing's weights, and a degree at the guard bit raising
+    ``_Overflow``."""
+    out = {}
+    top, weights = 1 << (pk.width - 1), pk.weights
+    for m in monos:
+        if m.deg >= top:
+            raise _Overflow
+        out.setdefault(m.deg, set()).add(sum(e * weights[v] for v, e in m.exps))
+    return out
 
 
 def series_from_numerator(num, n, top):

@@ -47,12 +47,15 @@ from helpers import (
     brute_force_hilbert_function,
     expire_after_basis,
     order_compare,
+    polarized,
     random_poly,
+    reference_cover_keys,
     reference_lead_numerator,
     s_polynomial,
     series_from_numerator,
     textbook_buchberger,
     textbook_remainder,
+    unpolarized,
 )
 
 
@@ -864,14 +867,91 @@ def test_minimal_lcms_checks_the_deadline(monkeypatch):
     assert [entry.name for entry in info.traceback][-2:] == ["_minimal_lcms", "_check_deadline"]
 
 
+@pytest.mark.parametrize("squares", [False, True])
+def test_minimal_lcms_build_no_monomial(monkeypatch, squares):
+    # a cover stays polarized masks from the minimal lcms to the run's keys
+    # and the lead check: with the engine's Monomial builder made to raise,
+    # the cover of an intersection forms, stops the intersection's run and
+    # certifies it, on squarefree leads (minors 4x5 t3 R2 r1) and on leads
+    # with squares, and its masks decode to the intersection's leads
+    from detkit import groebner
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+
+    if squares:
+        ring = mkring("xyz")
+        x, y, z = (ring.var(i) for i in range(3))
+        A, B = buchberger([x * x - y * z, y * z * z]), buchberger([y * y - x * z, x * z * z])
+        gens = list(ideal_intersect(IdealHandle(ring, A), IdealHandle(ring, B)).groebner())
+    else:
+        ms = MatrixSpec("generic", 4, 5)
+        ring = matrix_ring(ms, PrimeField(32003))
+        (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
+        A, B = I.groebner(), J.groebner()
+        gens = constrained_ideal(ring, ms, 3, R=(2,), r=(1,)).gens
+    full = buchberger(gens)
+
+    def refuse(*args):
+        raise AssertionError("a Monomial was built")
+
+    monkeypatch.setattr(groebner, "_mk", refuse)
+    cover = _minimal_lcms(A, B)
+    L = buchberger(gens, cover)
+    assert L.has_leads(cover)
+    monkeypatch.undo()
+    assert cover[0] == (2 if squares else 1)
+    assert sorted(m.exps for m in unpolarized(*cover)) == sorted(g.lm.exps for g in full)
+    assert L == full
+
+
+@st.composite
+def _cover_masks(draw):
+    """``(n, width, vecs)``: exponent vectors over ``n`` variables, each
+    exponent at most ``width``, the polarization width."""
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    return n, width, draw(st.lists(st.lists(st.integers(0, width), min_size=n, max_size=n), max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["grevlex", "lex"]),
+    st.booleans(),
+    st.sampled_from([8, 16]),
+    _cover_masks(),
+)
+# 43 variables at width 3: a mask of 128 bits reaches the guard bit of
+# 8-bit fields, where both keyings raise _Overflow, and one of 127 does not
+@example("grevlex", False, 8, (43, 3, [[3] * 42 + [2]]))
+@example("lex", True, 8, (43, 3, [[1, 2, 3], [3] * 42 + [1]]))
+@example("lex", False, 16, (43, 3, [[3] * 42 + [2]]))
+def test_cover_keys_are_the_monomial_keys(order, elim, field_width, cover):
+    # keys_by_degree keys a polarized mask by its bit count and the field
+    # weights of its bits; the monomial that the mask decodes to, keyed by
+    # its exponents, gets the same degree and key, at the same guard bit
+    from detkit.groebner import _Overflow
+
+    n, width, vecs = cover
+    ring = mkring([f"v{i}" for i in range(n)], order=order)
+    pk = _Packing(ring.order, field_width, elim)
+    masks = [sum(((1 << e) - 1) << (p * width) for p, e in enumerate(v)) for v in vecs]
+    try:
+        want = reference_cover_keys(pk, unpolarized(width, masks))
+    except _Overflow:
+        assert max(map(int.bit_count, masks)) >= 1 << (field_width - 1)
+        with pytest.raises(_Overflow):
+            pk.keys_by_degree(width, masks)
+    else:
+        assert pk.keys_by_degree(width, masks) == want
+
+
 def test_cover_packing_checks_the_deadline(monkeypatch):
     # a cover may be as long as a basis, and a covered run's ``left`` and
-    # _Basis.has_leads pack it with no reduction between to read the clock:
-    # keys_by_degree reads it every 256 monomials, so a clock past the
-    # deadline from its second reading stops the packing at monomial 256
+    # _Basis.has_leads key it with no reduction between to read the clock:
+    # keys_by_degree reads it every 256 masks, so a clock past the deadline
+    # from its second reading stops the keying at mask 256
     ring = mkring([f"v{i}" for i in range(30)])
-    cover = [Monomial([(i, 1), (j, 1)]) for i in range(30) for j in range(i, 30)]
-    assert len(cover) == 465
+    cover = polarized(Monomial([(i, 1), (j, 1)]) for i in range(30) for j in range(i, 30))
+    assert cover[0] == 2 and len(cover[1]) == 465
     G = buchberger([ring.var(0)])
     for pack in (lambda: G.has_leads(cover), lambda: buchberger([ring.var(0)], cover)):
         readings = _late_after(monkeypatch, 1)
@@ -1379,13 +1459,13 @@ def test_numerator_of_an_intersection_reads_its_elimination_leads():
 def test_stop_at_a_full_cover_gives_the_full_basis(field, order, terms):
     ring, (gens,) = _ring_and_polys(field, terms, order=order)
     full = buchberger(gens)
-    assert buchberger(gens, [g.lm for g in full]) == full
+    assert buchberger(gens, full.lead_masks()) == full
     # adding c^d gives a larger ideal whose leads agree with the ideal's
     # below degree d only: those degrees drop their pairs once met, and the
     # run never reaches the whole cover
     c = ring.var(2)
     for d in range(1, 6):
-        larger = [g.lm for g in buchberger(gens + [c**d])]
+        larger = buchberger(gens + [c**d]).lead_masks()
         assert buchberger(gens, larger) == full
 
 
@@ -1399,7 +1479,7 @@ def test_unreachable_cover_gives_the_full_basis(field, order):
     gens = [x * x + y * y, x * y]
     full = buchberger(gens)
     assert len(full) == 3
-    cover = [g.lm for g in buchberger(gens + [z])]
+    cover = buchberger(gens + [z]).lead_masks()
     assert buchberger(gens, cover) == full
     I = IdealHandle(ring, gens)
     assert I.groebner(cover) == full
@@ -1416,7 +1496,7 @@ def test_a_unit_from_a_pair_ends_the_run(field, order):
     x, y = ring.var(0), ring.var(1)
     gens = [x * y - 1, x**2]
     assert buchberger(gens) == (ring.one,)
-    assert buchberger(gens, [ring.one.lm]) == (ring.one,)
+    assert buchberger(gens, buchberger([ring.one]).lead_masks()) == (ring.one,)
     assert hilbert_numerator(IdealHandle(ring, gens)) == [0]
 
 
@@ -1467,7 +1547,7 @@ def _lhs_4x5():
     (_, I), (_, J) = components(ring, ms, 3, R=(2,), r=(1,))
     cover = _minimal_lcms(I.groebner(), J.groebner())
     # the lhs is the intersection, so the minimal lcms are its leads
-    assert sorted(m.exps for m in cover) == sorted(g.lm.exps for g in full)
+    assert sorted(m.exps for m in unpolarized(*cover)) == sorted(g.lm.exps for g in full)
     return ring, lhs, full, cover
 
 
@@ -1609,8 +1689,8 @@ def test_unreachable_cover_skips_no_pair(monkeypatch):
     # with one variable added the cover holds x[1,1], of degree 1, which is
     # never a lead: no degree is met, and every pair is reduced
     ring, lhs, full, _ = _lhs_4x5()
-    lower = [g.lm for g in buchberger(lhs.gens + (ring.var(0),))]
-    assert min(m.deg for m in lower) == 1
+    lower = buchberger(lhs.gens + (ring.var(0),)).lead_masks()
+    assert min(map(int.bit_count, lower[1])) == 1
     G, skipping = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens, lower)
     assert G == full
     G, plain = _calls(monkeypatch, "_scaled_sub", buchberger, lhs.gens)
@@ -1658,7 +1738,7 @@ def test_a_kept_claim_is_the_elimination(case):
     if _inside(claim, K) and _inside(claim, J):
         cover = _minimal_lcms(K.groebner(), J.groebner())
         assert buchberger(claim.gens, cover) == buchberger(claim.gens)
-        assert kept == (set(cover) <= {g.lm for g in claim.groebner()})
+        assert kept == (set(unpolarized(*cover)) <= {g.lm for g in claim.groebner()})
 
 
 def _check_kept_index(I, tests):
@@ -1729,17 +1809,19 @@ def test_a_basis_keeps_the_index_its_run_built(field, order, terms, unit_at, cas
 
 
 def test_has_leads_compares_keys():
-    # the claim check of intersect_all: every monomial must be a lead, read
-    # as a key of the basis's packing; a monomial that does not fit the
-    # packing is no lead, and the zero ideal's basis has none
+    # the claim check of intersect_all: every mask of the cover must be a
+    # lead, read as a key of the basis's packing; a mask past the packing's
+    # guard bit is no lead, and the zero ideal's basis has none
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     G = buchberger([x * y - z * z, y * y])
-    leads = G.leads()
-    assert G.has_leads(leads) and G.has_leads(leads[1:]) and G.has_leads([])
-    assert not G.has_leads(leads + [Monomial([(2, 5)])])
-    assert not G.has_leads([Monomial([(0, 200)])])
-    assert buchberger([]).has_leads([]) and not buchberger([]).has_leads(leads)
+    leads = [g.lm for g in G]
+    assert G.has_leads(G.lead_masks()) and G.has_leads(polarized(leads))
+    assert G.has_leads(polarized(leads[1:])) and G.has_leads(polarized([]))
+    assert not G.has_leads(polarized(leads + [Monomial([(2, 5)])]))
+    assert not G.has_leads(polarized([Monomial([(0, 200)])]))
+    assert buchberger([]).has_leads(buchberger([]).lead_masks())
+    assert not buchberger([]).has_leads(G.lead_masks())
 
 
 _DECOMPOSE_CASES = [
@@ -1819,12 +1901,13 @@ def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):
 
 
 def test_decomposition_unpack_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 unpacks no monomial: intersect_all's lead check
-    # compares the minimal lcms with its claims' leads as packed keys, where
-    # unpacking the leads of the two claims' bases, 150 and 223, made 373.
-    # symmetric-5-t3-R2-r1 polarizes its non-squarefree leads from their
-    # packed fields, where unpacking them made 109 more; its 56 are the
-    # leads of the full basis that cover the doset run
+    # an EQUAL decomposition unpacks no monomial.  On minors-5x5-t3-R23-r12
+    # intersect_all's lead check compares the minimal lcms with its claims'
+    # leads as packed keys, where unpacking the leads of the two claims'
+    # bases, 150 and 223, made 373.  symmetric-5-t3-R2-r1 polarizes its
+    # non-squarefree leads from their packed fields, where unpacking them
+    # made 109 more, and its full basis's 56 leads cover the doset run as
+    # masks, where handing them over as monomials unpacked each one
     from detkit import groebner
     from detkit.harness import CaseSpec, run_case
 
@@ -1836,13 +1919,12 @@ def test_decomposition_unpack_ceiling(monkeypatch):
         return real(*a)
 
     monkeypatch.setattr(groebner._Packing, "monomial", counting)
-    for spec, unpacks in (
-        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), 0),
-        (CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)), 56),
+    for spec in (
+        CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)),
+        CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)),
     ):
-        calls[0] = 0
         assert run_case(spec).verdict == "EQUAL"
-        assert calls[0] == unpacks
+        assert calls[0] == 0, spec.case
 
 
 def test_squarefree_pairs_unpack_no_lcm(monkeypatch):

@@ -25,7 +25,7 @@ from detkit.harness import (
     suite_document,
 )
 from detkit.poly import GradingSpec, VariableTable, field_from_name, mono_divides
-from helpers import expire_after_basis, expire_in_elimination
+from helpers import expire_after_basis, expire_in_elimination, unpolarized
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -301,11 +301,12 @@ def _wrong_linear_leads(monkeypatch):
     moved = []
 
     def moving(A, B):
-        cover = real(A, B)
+        width, masks = real(A, B)
         if not moved and B and all(g.degree() == 1 for g in B):
             moved.append(B)
-            cover.append(B[0].ring.var(len(B[0].ring.table) - 1).lm)
-        return cover
+            # the last variable, polarized
+            masks = [*masks, 1 << ((len(B[0].ring.table) - 1) * width)]
+        return width, masks
 
     monkeypatch.setattr(groebner, "_minimal_lcms", moving)
     return moved
@@ -391,7 +392,8 @@ def test_the_not_equal_families_keep_their_separators():
     (_, K), (_, J) = components(ring, ms, 6, R=(3,), r=(3,))
     lhs = constrained_ideal(ring, ms, 6, R=(3,), r=(3,))
     (g,) = lhs.groebner()
-    assert all(mono_divides(g.lm, m) for m in _minimal_lcms(K.groebner(), J.groebner()))
+    cover = unpolarized(*_minimal_lcms(K.groebner(), J.groebner()))
+    assert all(mono_divides(g.lm, m) for m in cover)
     assert _inside(lhs, K) and not _inside(lhs, J)
 
 
