@@ -11,7 +11,8 @@ intersection of two components by elimination), and the steps that
 certify a decomposition block: the claim's lead check against the minimal
 lcms of the components' leads, keyed at its packing (on the 7x7 step,
 3,675 of 14,875 lcms), the claim's basis run that those lcms cover,
-through its handle and as the packed run alone, the membership of its
+through its handle and as the packed run alone, the same run under the
+minimal lcms folded over all three 5x5 components, the membership of its
 generators, and the 875 pair updates of the 7x7 claim's run, replayed and
 checked against the packed reference of the Tier-1 tests; and the
 truncation reference of one skew case, multiples and basis run.
@@ -452,6 +453,23 @@ def test_cover_stopped_lhs_basis_5x5(benchmark, block55):
         lhs._gb = None
 
     assert benchmark.pedantic(lhs.groebner, (cover,), setup=uncache, rounds=10) == full
+
+
+def test_whole_fold_cover_5x5(benchmark, block55):
+    # the certificate of minors 5x5 t3 R2,3 r1,2 as intersect_all runs it:
+    # the minimal lcms folded over the leads of the three components, then
+    # the LHS's basis run under that cover, with no basis of K_1
+    _, _, lhs, full = block55
+    ms = MatrixSpec("generic", 5, 5)
+    bases = [h.groebner() for _, h in components(lhs.ring, ms, 3, R=(2, 3), r=(1, 2))]
+
+    def certify():
+        lhs._gb = None
+        cover = _minimal_lcms(*bases)
+        return lhs.groebner(cover), cover
+
+    G, cover = benchmark(certify)
+    assert G == full and len(G) == 223 and G.has_leads(cover)
 
 
 def test_covered_run_rows_5x5(benchmark, block55):

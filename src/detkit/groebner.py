@@ -63,18 +63,20 @@ when ``2**deg`` is at most the number of masks; otherwise it scans them
 criterion M the same walk on squarefree lcms.
 
 :func:`intersect_all` is the one way to intersect a list of ideals.  It
-folds from the first, and each step either keeps an expected result ``L``
-for ``K ∩ J`` or eliminates with :func:`ideal_intersect`.  It keeps ``L``
-when membership puts it inside ``K`` and ``J`` and every minimal lcm of a
-lead of ``K`` and a lead of ``J`` is a lead of ``L``: those lcms generate
-``in(K) ∩ in(J)``, which then equals ``in(L)``.  They stay a cover of
-polarized masks, ``(width, masks)``, keyed at ``L``'s packing to check its
-leads (:meth:`_Basis.has_leads`) and to stop its basis run, which drops or
-cuts short a pair once no cover monomial below its degree is left and its
-head lies below the least one left at it, a floor kept per degree, and
-ends once all are leads.  An :class:`IdealHandle` may also carry a
-``series``, the numerator over the rationals that a closed form gives a
-plain determinantal or Pfaffian ideal
+keeps an expected result ``L`` for the intersection of ``k`` ideals when
+membership puts it inside each and every minimal lcm of a lead of each
+basis is a lead of ``L``: those lcms generate the intersection of their
+lead ideals, which then equals ``in(L)``.  The last claim is tried against
+every handle, then against the intersection of the others, found the same
+way, and the last handle; only then does :func:`ideal_intersect`
+eliminate.  The lcms stay a cover of polarized masks, ``(width,
+masks)``, keyed at ``L``'s packing to check its leads
+(:meth:`_Basis.has_leads`) and to stop its basis run, which drops or cuts
+short a pair once no cover monomial below its degree is left and its head
+lies below the least one left at it, a floor kept per degree, and ends
+once all are leads.  An :class:`IdealHandle` may also carry a ``series``,
+the numerator over the rationals that a closed form gives a plain
+determinantal or Pfaffian ideal
 (:func:`~detkit.combinat.determinantal_numerator`).  Its basis run reads
 the series once, off the leads of the generators reduced against each
 other, before any pair: a reading equal to it ends the run with the
@@ -737,32 +739,35 @@ def _lead_masks(*runs) -> tuple:
     return width, [sum(((1 << e) - 1) << (p * width) for p, e in enumerate(fs)) for fs in leads]
 
 
-def _minimal_lcms(A: _Basis, B: _Basis) -> tuple:
-    """The minimal generators of ``in(A) ∩ in(B)`` for run bases ``A`` and
-    ``B``, the lcms of a lead of each that no other such lcm divides, as a
-    cover ``(width, masks)`` (:func:`_lead_masks`).
+def _minimal_lcms(*bases: _Basis) -> tuple:
+    """The minimal generators of ``in(B_1) ∩ ... ∩ in(B_k)`` for run bases
+    ``bases``, as a cover ``(width, masks)`` (:func:`_lead_masks`): the lcms
+    of a lead of each that no other such lcm divides.
 
-    The lcms of the polarized leads go in by degree, and one is minimal
+    The fold runs left: the lcms of the minimal masks so far with the
+    polarized leads of the next basis go in by degree, and one is minimal
     when no drop of one bit gives an lcm and no minimal one before it is a
     subset (:func:`_holds_subset`)."""
-    width, masks = _lead_masks((A._elems, A._pk), (B._elems, B._pk))
-    na = len(A._elems)
-    # the lcms are quadratic in the leads and no reduction runs here to
-    # read the clock, so it is read once per lead of A and every 256 lcms
-    lcms: set = set()
-    for a in masks[:na]:
-        _check_deadline()
-        lcms.update([a | b for b in masks[na:]])
-    found: set = set()
-    for k, u in enumerate(sorted(lcms, key=int.bit_count)):
-        if not k & 255:
+    width, masks = _lead_masks(*((B._elems, B._pk) for B in bases))
+    ends = [0, *accumulate(len(B._elems) for B in bases)]
+    found = set(masks[: ends[1]])
+    for lo, hi in zip(ends[1:], ends[2:]):
+        # the lcms are quadratic in the leads and no reduction runs here to
+        # read the clock, so it is read once per minimal mask and every 256 lcms
+        lcms: set = set()
+        for a in found:
             _check_deadline()
-        rest = u
-        while rest and u ^ (rest & -rest) not in lcms:
-            rest &= rest - 1
-        if rest or _holds_subset(u, u.bit_count(), found):
-            continue
-        found.add(u)
+            lcms.update([a | b for b in masks[lo:hi]])
+        found = set()
+        for k, u in enumerate(sorted(lcms, key=int.bit_count)):
+            if not k & 255:
+                _check_deadline()
+            rest = u
+            while rest and u ^ (rest & -rest) not in lcms:
+                rest &= rest - 1
+            if rest or _holds_subset(u, u.bit_count(), found):
+                continue
+            found.add(u)
     return width, found
 
 
@@ -1160,6 +1165,15 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     return result
 
 
+def _certified(step: IdealHandle, handles: Sequence[IdealHandle]) -> bool:
+    """Whether ``step`` is certified as ``handles``' intersection (see :func:`intersect_all`)."""
+    # the cover is sound only once step lies inside every handle
+    if not all(_inside(step, H) for H in handles):
+        return False
+    cover = _minimal_lcms(*(H.groebner() for H in handles))
+    return step.groebner(cover).has_leads(cover)
+
+
 def intersect_all(
     ring: PolyRing, handles: Sequence[IdealHandle], expect: Sequence[IdealHandle] = ()
 ) -> IdealHandle:
@@ -1167,34 +1181,34 @@ def intersect_all(
     handles give the unit ideal.
 
     ``expect[i-1]``, when given, is a homogeneous ideal ``L`` claimed to
-    equal ``K_i = K_{i-1} ∩ handles[i]``.  Step ``i`` keeps it when that is
-    certified on lead ideals.  Every generator of ``L`` lies in ``K_{i-1}``
-    and in ``handles[i]`` by membership, so ``in(L) ⊆ in(K_i) ⊆ M =
-    in(K_{i-1}) ∩ in(handles[i])``, which the lcms of a lead of each basis
-    generate.  Then a lead of ``L`` lies in ``M`` and divides a minimal
+    equal ``K_i = K_{i-1} ∩ handles[i]``, with ``K_0 = handles[0]``.  It
+    is certified on lead ideals against ideals ``H_1..H_k`` claimed to
+    intersect to it: ``handles[:i+1]``, or ``K_{i-1}`` and ``handles[i]``.
+    Every generator of ``L`` lies in each ``H_j`` by membership, so
+    ``in(L) ⊆ in(∩H_j) ⊆ M = ∩in(H_j)``, which the lcms of a lead of each
+    basis generate.  Then a lead of ``L`` lies in ``M`` and divides a minimal
     generator of ``M`` only by being it, so "every lcm is divisible by a
     lead of ``L``" comes down to "every minimal lcm is a lead of ``L``"
     (:func:`_minimal_lcms`).  When that holds the three ideals are equal,
-    and ``L``, inside ``K_i`` with the same lead ideal, is ``K_i``.  The
+    and ``L``, inside ``∩H_j`` with the same lead ideal, is ``∩H_j``.  The
     minimal lcms also cover ``L``'s basis run (see :func:`buchberger`), but
-    the check reads the final basis, however it was computed.  A step
-    without a certified expectation eliminates with
-    :func:`ideal_intersect`; the steps before it are not redone.
+    the check reads the final basis, however it was computed.
+
+    The last claim is tried against all the handles first; certified, it
+    reads no prefix claim.  Refused, it is tried again as the step
+    ``(K_{i-1}, handles[i])``, with ``K_{i-1}`` found the same way over
+    ``handles[:i]``; with two handles the tries are one.  A step without a
+    certified claim eliminates with :func:`ideal_intersect`.
     """
-    if not handles:
-        return IdealHandle(ring, (ring.one,))
-    K = handles[0]
-    for i, J in enumerate(handles[1:]):
-        if i < len(expect):
-            step = expect[i]
-            # the cover is sound only once step lies inside K ∩ J
-            if _inside(step, K) and _inside(step, J):
-                cover = _minimal_lcms(K.groebner(), J.groebner())
-                if step.groebner(cover).has_leads(cover):
-                    K = step
-                    continue
-        K = ideal_intersect(K, J)
-    return K
+    if len(handles) < 2:
+        return handles[0] if handles else IdealHandle(ring, (ring.one,))
+    claim = expect[len(handles) - 2] if len(expect) >= len(handles) - 1 else None
+    if claim is not None and _certified(claim, handles):
+        return claim
+    K = intersect_all(ring, handles[:-1], expect)
+    if claim is not None and len(handles) > 2 and _certified(claim, (K, handles[-1])):
+        return claim
+    return ideal_intersect(K, handles[-1])
 
 
 def krull_dimension(I: IdealHandle) -> int:

@@ -6,10 +6,12 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
   Pfaffians equals the intersection of the per-block component ideals.
   The ideals constrained by the first ``i`` blocks are the expected
   results of the steps of :func:`~detkit.groebner.intersect_all`, which
-  certifies each one with no elimination: it lies in both sides by
-  membership, and its leads divide every lcm of a lead of each side.  A
-  step that fails either test is eliminated alone.  The verdict comes from
-  comparing reduced bases.
+  certifies the last with no elimination when it lies in every component
+  by membership and its leads divide every lcm of a lead of each
+  component; then no other claim is read.  Refused, it is tried as a step
+  from the intersection of the components before it, found the same way,
+  and a step that is refused too is eliminated alone.  The verdict comes
+  from comparing reduced bases.
 - ``truncation``: dropping generators above a weighted-degree bound yields
   the honest degree truncation, and that truncation matches an intersection
   with one extra block component.
@@ -22,7 +24,8 @@ A :class:`CaseSpec` names one verification job.  Five checks exist:
   degree, and products of incomparable pairs straighten into such chains.
 
 The three checks that intersect do so through ``intersect_all`` and pass
-the ideals they claim, so they eliminate only a step whose claim is refused.
+the ideals they claim, so they eliminate only a step whose claim is refused
+both over all its components and as a step.
 
 :func:`run_case` is the only runner.  It validates the spec, starts the
 clock, builds the ring and an empty :class:`Report`, and runs the check

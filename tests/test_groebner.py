@@ -11,6 +11,7 @@ from detkit.groebner import (
     IdealHandle,
     UnitIdealError,
     _BasisElem,
+    _certified,
     _lead_numerator,
     _minimal_lcms,
     _Packing,
@@ -267,7 +268,7 @@ def test_monomial_ideal_intersections():
     assert intersect_all(ring, [I]) is I
 
 
-def test_intersect_all_keeps_only_a_certified_expectation():
+def test_intersect_all_keeps_only_a_certified_expectation(monkeypatch):
     ring = mkring("xyz")
     x, y, z = (ring.var(i) for i in range(3))
     I, J = IdealHandle(ring, [x]), IdealHandle(ring, [y])
@@ -281,10 +282,21 @@ def test_intersect_all_keeps_only_a_certified_expectation():
     # no lcm at all: the claim (0) for I ∩ (0) holds with nothing to cover
     zero = IdealHandle(ring, ())
     assert intersect_all(ring, [I, zero], expect=[zero]) is zero
-    # a refused first step leaves the second to be certified from its result
+    # the last claim, certified against all three handles, reads no prefix
+    # claim, so a wrong one is not refused
     Z = IdealHandle(ring, [z])
     both = [IdealHandle(ring, [x]), IdealHandle(ring, [x * y * z])]
     assert intersect_all(ring, [I, J, Z], expect=both) is both[1]
+    # (x) ∩ (x - y) is (x^2 - x*y), whose lead ideal (x^2) is smaller than
+    # the intersection (x) of the two lead ideals, so the claim over all
+    # three handles misses the fold's cover x*z.  The prefix claim is
+    # refused the same way and eliminated, and against that result the
+    # last claim is certified as a step
+    parts = [I, IdealHandle(ring, [x - y]), Z]
+    claims = [IdealHandle(ring, [x * x - x * y]), IdealHandle(ring, [x * x * z - x * y * z])]
+    assert not _certified(IdealHandle(ring, claims[1].gens), parts)
+    K, eliminations = _calls(monkeypatch, "ideal_intersect", intersect_all, ring, parts, claims)
+    assert K is claims[1] and eliminations == 1
 
 
 def test_univariate_intersection_is_lcm():
@@ -1827,7 +1839,7 @@ def test_has_leads_compares_keys():
 _DECOMPOSE_CASES = [
     pytest.param(spec, verdict, scaled_subs, updates, id=spec.case)
     for spec, verdict, scaled_subs, updates in (
-        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), "EQUAL", 1645, 205),
+        (CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2)), "EQUAL", 1156, 115),
         (CaseSpec(case="pfaffian-8-t4-R2-r1", kind="skew", n=8, t=4, R=(2,), r=(1,)), "EQUAL", 762, 68),
         (CaseSpec(case="symmetric-5-t3-R2-r1", kind="symmetric", n=5, t=3, R=(2,), r=(1,)), "EQUAL", 745, 107),
         (CaseSpec(case="pfaffian-7-t4-R3-r2", kind="skew", n=7, t=4, R=(3,), r=(2,)), "NOT_EQUAL", 5777, 203),
@@ -1841,11 +1853,12 @@ def test_decomposition_reduction_ceiling(monkeypatch, spec, verdict, scaled_subs
     # _scaled_sub calls, one per reduction step and per S-polynomial, and
     # these _update calls, one per new element whose update runs.  On
     # minors-5x5-t3-R23-r12 the components' runs meet their series at the
-    # first reading and form no pair, and the claims' runs end once their
-    # leads reach the minimal lcms, their cover.  Below the cover's floor a
-    # claim's pair is dropped unformed and a reduction cut short; without
-    # the floor the runs made 3,438, and certifying each step by the series
-    # of a basis of K_{i-1} + J_i made 6,040
+    # first reading and form no pair, and the last claim's run ends once its
+    # leads reach the minimal lcms of the three components, its cover.
+    # Below the cover's floor a pair is dropped unformed and a reduction cut
+    # short.  Certifying each step, K_1's run included, made 1,645 and 205;
+    # without the floor the runs made 3,438, and certifying each step by the
+    # series of a basis of K_{i-1} + J_i made 6,040
     from detkit.harness import run_case
 
     report, calls = _calls(monkeypatch, "_scaled_sub", run_case, spec)
@@ -1855,11 +1868,12 @@ def test_decomposition_reduction_ceiling(monkeypatch, spec, verdict, scaled_subs
 
 
 def test_decomposition_floor_scan_ceiling(monkeypatch):
-    # minors-5x5-t3-R23-r12 scans a degree's cover keys for the floor 289
+    # minors-5x5-t3-R23-r12 scans a degree's cover keys for the floor 264
     # times: a covered run keeps the least key left at its degree and scans
     # again only once that key is no longer left there, after it is struck,
-    # when the degree moves on, or while no key is left at it.  Scanning on
-    # every popped pair made 799 scans here, and 60,326 on the 8x8 t3 R2 r1
+    # when the degree moves on, or while no key is left at it.  Certifying
+    # each step, K_1's covered run included, made 289.  Scanning on every
+    # popped pair made 799 scans there, and 60,326 on the 8x8 t3 R2 r1
     # rung, which no test runs
     import builtins
 
@@ -1876,7 +1890,77 @@ def test_decomposition_floor_scan_ceiling(monkeypatch):
     monkeypatch.setattr(groebner, "min", counting_min, raising=False)
     spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
     assert run_case(spec).verdict == "EQUAL"
-    assert scans[0] <= 289
+    assert scans[0] <= 264
+
+
+def test_a_certified_fold_runs_no_prefix_basis(monkeypatch):
+    # minors-5x5-t3-R23-r12 makes 4 basis runs: its three components' and
+    # the LHS's, which is the last claim, certified against all three
+    # components at once.  K_1, the claim for the first two, gets no run;
+    # certifying it as a step first made 5
+    from detkit import groebner, harness
+    from detkit.harness import run_case
+
+    claims, runs = [], []
+    real_claims, real_run = harness._prefix_ideals, groebner.buchberger
+
+    def recording(*args):
+        claims.extend(real_claims(*args))
+        return claims
+
+    def counting(gens, cover=None, series=None):
+        runs.append(len(gens))
+        return real_run(gens, cover, series)
+
+    monkeypatch.setattr(harness, "_prefix_ideals", recording)
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    spec = CaseSpec(case="minors-5x5-t3-R23-r12", m=5, n=5, t=3, R=(2, 3), r=(1, 2))
+    assert run_case(spec).verdict == "EQUAL"
+    assert len(runs) == 4 and len(claims) == 2 and claims[0]._gb is None
+
+
+def test_the_fold_cover_is_the_step_cover_on_minors_5x5():
+    # in(K_1) = in(J_0) ∩ in(J_1) on minors-5x5-t3-R23-r12, so folding the
+    # three components' leads gives the minimal lcms of K_1's leads and J_2's
+    from detkit.detideals import MatrixSpec, components, constrained_ideal, matrix_ring
+
+    ms = MatrixSpec("generic", 5, 5)
+    ring = matrix_ring(ms, PrimeField(32003))
+    bases = [h.groebner() for _, h in components(ring, ms, 3, R=(2, 3), r=(1, 2))]
+    k1 = constrained_ideal(ring, ms, 3, R=(2,), r=(1,)).groebner()
+    width, fold = _minimal_lcms(*bases)
+    assert (width, set(fold)) == (1, set(_minimal_lcms(k1, bases[2])[1]))
+    assert len(fold) == 223
+
+
+_FOLD_SPECS = [
+    CaseSpec(case="minors-3x4-t2-R2-r1-C2-c1", m=3, n=4, t=2, R=(2,), r=(1,), C=(2,), c=(1,)),
+    CaseSpec(case="minors-3x3-t3-R12-r12", m=3, n=3, t=3, R=(1, 2), r=(1, 2)),
+    CaseSpec(case="minors-3x4-t2-R12-r11", m=3, n=4, t=2, R=(1, 2), r=(1, 1)),
+    CaseSpec(case="minors-4x4-t3-R23-r12", m=4, n=4, t=3, R=(2, 3), r=(1, 2)),
+    CaseSpec(case="symmetric-4-t3-R23-r12", kind="symmetric", n=4, t=3, R=(2, 3), r=(1, 2)),
+    CaseSpec(case="minors-4x4-t2-R2-r1-C2-c1", m=4, n=4, t=2, R=(2,), r=(1,), C=(2,), c=(1,)),
+    CaseSpec(case="pfaffian-6-t4-R24-r12", kind="skew", n=6, t=4, R=(2, 4), r=(1, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", _FOLD_SPECS, ids=[s.case for s in _FOLD_SPECS])
+def test_a_claimed_fold_is_the_elimination_fold(spec):
+    # whichever claims intersect_all keeps, its result has the reduced basis
+    # of the fold that eliminates every step; the 4x4 mixed and the skew
+    # case are NOT_EQUAL, so their last claim is refused
+    from detkit.detideals import MatrixSpec, components, matrix_ring
+    from detkit.harness import _prefix_ideals
+
+    ms = MatrixSpec(spec.kind, spec.rows, spec.n)
+    ring = matrix_ring(ms, PrimeField(32003))
+
+    def parts():
+        return [h for _, h in components(ring, ms, spec.t, spec.R, spec.r, spec.C, spec.c)]
+
+    claims = _prefix_ideals(ring, ms, spec, spec.R, spec.C, None)
+    assert len(parts()) == 3
+    assert intersect_all(ring, parts(), claims).groebner() == intersect_all(ring, parts()).groebner()
 
 
 def test_an_equal_decomposition_unpacks_no_basis(monkeypatch):

@@ -291,21 +291,23 @@ def test_not_equal_decomposition_falls_back_to_elimination(monkeypatch):
 
 
 def _wrong_linear_leads(monkeypatch):
-    """Give the first linear component that a step meets one lead too
-    many, the last variable, where the step's minimal lcms are formed: that
-    lcm is no lead of a claim of degree 2 or more, so the step refuses.
-    Returns the list that gains the component's basis."""
+    """Give the first linear component whose leads a certificate folds one
+    lead too many, the last variable, wherever its minimal lcms are formed:
+    that lcm is no lead of a claim of degree 2 or more, so the whole fold
+    and each step that folds that component refuse.  Returns the list that
+    gains the component's basis."""
     from detkit import groebner
 
     real = groebner._minimal_lcms
     moved = []
 
-    def moving(A, B):
-        width, masks = real(A, B)
-        if not moved and B and all(g.degree() == 1 for g in B):
-            moved.append(B)
+    def moving(*bases):
+        width, masks = real(*bases)
+        if not moved:
+            moved.extend([B for B in bases if B and all(g.degree() == 1 for g in B)][:1])
+        if moved and any(B is moved[0] for B in bases):
             # the last variable, polarized
-            masks = [*masks, 1 << ((len(B[0].ring.table) - 1) * width)]
+            masks = [*masks, 1 << ((len(moved[0][0].ring.table) - 1) * width)]
         return width, masks
 
     monkeypatch.setattr(groebner, "_minimal_lcms", moving)
@@ -326,8 +328,9 @@ def test_wrong_component_leads_make_the_chain_refuse(monkeypatch):
 
 
 def test_refused_step_eliminates_only_itself(monkeypatch):
-    # the wrong linear lead refuses the first of two steps; that step is
-    # eliminated, and the second is still certified from its result
+    # the wrong linear lead refuses the whole fold and the first of two
+    # steps; that step is eliminated, and the second is still certified
+    # from its result
     spec = mk("d2", m=3, n=4, t=2, R=(1, 2), r=(1, 1))
     recorded = run_case(spec).to_dict(include_timing=False)
     moved = _wrong_linear_leads(monkeypatch)
